@@ -1,32 +1,29 @@
 """Exact finite-scale experiments on measures over small structures.
 
-The package builds hypergraphs, tournaments and parameterized
-equivalences, computes finitely supported measures and their products in
+The package builds hypergraphs and parameterized equivalences, computes
+finitely supported measures and their products in
 exact rational arithmetic, colors weighted hypergraphs with a certified
 splitting guarantee, and runs end-to-end witness experiments whose
 reports a separate verifier can recompute.
 """
 
-from .structures import (AlphaResult, BipartiteGraph, EmbedResult,
-                         Feq2Structure, FreenessViolation, Hypergraph,
-                         ReductResult, SearchResult, Tournament,
+from .structures import (AlphaResult, EmbedResult, Feq2Structure,
+                         FreenessViolation, Hypergraph, SearchResult,
                          add_vertex_with_links, alpha_s, build_tp2_grid,
-                         cyclic_graph, embed_search, extension_probe,
-                         find_clique, grid_object, grid_target,
-                         is_free, is_induced_embedding, is_maximal_free,
-                         random_maximal_free, reduct_transform,
-                         search_small_alpha)
+                         cyclic_graph, embed_search, find_clique,
+                         grid_object, grid_target, is_free,
+                         is_induced_embedding, is_maximal_free,
+                         random_maximal_free, search_small_alpha)
 from .logic import (And, DisjunctProfile, DnfCapError, Eq, EvalError,
                     FragmentError, Not, ObjectVar, Or, ParamVar, ParseError,
-                    PhiAnalysis, PhiPartition, Rel, all_assignments,
-                    analyze_phi, dnf_to_formula, evaluate, format_formula,
+                    PhiAnalysis, PhiPartition, Rel, analyze_phi,
+                    dnf_to_formula, evaluate, format_formula,
                     make_assignment, parse_formula, parse_phi,
                     residual_holds, substitute, to_dnf, variables)
-from .measures import (ApproxReport, FiniteMeasure, IsolatedTupleOracle,
-                       IsolatedVertexOracle, SelfTestOutcome, SizeCapError,
-                       ZeroMassError, dirac, localize, make_average,
-                       make_measure, measure_algebra_selftest, mix, mu_eval,
-                       power, product, sup_error)
+from .measures import (ApproxReport, FiniteMeasure, IsolatedVertexOracle,
+                       SelfTestOutcome, ZeroMassError, localize, make_average,
+                       make_measure, measure_algebra_selftest, mu_eval,
+                       product, sup_error)
 from .coloring import (BruteResult, WeightedHypergraph, brute_best,
                        conditional_expectation, greedy_coloring,
                        guarantee_value, weight_of, weighted_hypergraph)
@@ -43,28 +40,25 @@ from .witnesses import (Certified, EmbeddingNotFound, GridTooSmall,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlphaResult", "And", "ApproxReport", "BipartiteGraph", "BruteResult",
-    "Certified", "DisjunctProfile", "DnfCapError", "EmbedResult",
-    "EmbeddingNotFound", "Eq", "EvalError", "Feq2Structure", "FiniteMeasure",
-    "FormatError", "FragmentError", "FreenessViolation", "GridTooSmall",
-    "Hypergraph", "IsolatedTupleOracle", "IsolatedVertexOracle", "Not",
-    "ObjectVar", "Or", "ParamVar", "ParseError", "PhiAnalysis",
-    "PhiPartition", "PreconditionFailed", "ReductResult", "Rel",
-    "SearchResult", "SelfTestOutcome", "SizeCapError", "Tournament",
-    "WeightedHypergraph", "WitnessReport", "ZeroMassError",
-    "add_vertex_with_links", "adversary_fraction", "adversary_witness",
-    "all_assignments", "alpha_s", "analyze_phi", "brute_best",
+    "AlphaResult", "And", "ApproxReport", "BruteResult", "Certified",
+    "DisjunctProfile", "DnfCapError", "EmbedResult", "EmbeddingNotFound",
+    "Eq", "EvalError", "Feq2Structure", "FiniteMeasure", "FormatError",
+    "FragmentError", "FreenessViolation", "GridTooSmall", "Hypergraph",
+    "IsolatedVertexOracle", "Not", "ObjectVar", "Or", "ParamVar",
+    "ParseError", "PhiAnalysis", "PhiPartition", "PreconditionFailed", "Rel",
+    "SearchResult", "SelfTestOutcome", "WeightedHypergraph", "WitnessReport",
+    "ZeroMassError", "add_vertex_with_links", "adversary_fraction",
+    "adversary_witness", "alpha_s", "analyze_phi", "brute_best",
     "build_tp2_grid", "canonical_dumps", "conditional_expectation",
-    "cyclic_graph", "digest", "dirac", "dnf_to_formula", "embed_search",
-    "evaluate", "extension_probe", "fam_witness", "find_clique",
-    "format_formula", "greedy_coloring", "grid_object", "grid_target",
-    "guarantee_value", "is_free", "is_induced_embedding", "is_maximal_free",
-    "load_structure", "load_weighted", "localize", "make_assignment",
-    "make_average", "make_measure", "measure_algebra_selftest", "mix",
-    "mu_eval", "order_witness", "parse_formula", "parse_phi",
-    "parse_rational", "parse_structure_spec", "power", "product",
-    "random_maximal_free", "recompute_certified", "reduct_transform",
-    "residual_holds", "sat_probe", "search_small_alpha", "structure_digest",
+    "cyclic_graph", "digest", "dnf_to_formula", "embed_search", "evaluate",
+    "fam_witness", "find_clique", "format_formula", "greedy_coloring",
+    "grid_object", "grid_target", "guarantee_value", "is_free",
+    "is_induced_embedding", "is_maximal_free", "load_structure",
+    "load_weighted", "localize", "make_assignment", "make_average",
+    "make_measure", "measure_algebra_selftest", "mu_eval", "order_witness",
+    "parse_formula", "parse_phi", "parse_rational", "parse_structure_spec",
+    "product", "random_maximal_free", "recompute_certified", "residual_holds",
+    "sat_probe", "search_small_alpha", "structure_digest",
     "structure_from_json", "structure_to_json", "substitute", "sup_error",
     "to_dnf", "tp2_witness", "variables", "weight_of", "weighted_from_json",
     "weighted_hypergraph", "weighted_to_json",

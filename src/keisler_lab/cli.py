@@ -11,7 +11,6 @@ input error.
 from __future__ import annotations
 
 import argparse
-import os
 import random
 import sys
 from dataclasses import dataclass, field
@@ -31,8 +30,9 @@ from .structures import (Feq2Structure, FreenessViolation, Hypergraph,
                          alpha_s, build_tp2_grid, is_free, is_maximal_free)
 from .witnesses import (REQUIRED_INPUTS, Certified, EmbeddingNotFound,
                         GridTooSmall, PreconditionFailed, WitnessReport,
-                        adversary_witness, fam_witness, order_witness,
-                        recompute_certified, sat_probe, tp2_witness)
+                        _bool_cert, _input_entry, adversary_witness,
+                        fam_witness, order_witness, recompute_certified,
+                        sat_probe, tp2_witness)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -55,39 +55,14 @@ class RunConfig:
 
     subcommand: str
     options: dict = field(default_factory=dict)
-    threads: Optional[int] = None
 
     def to_json_dict(self) -> dict:
-        out = {"subcommand": self.subcommand}
-        out.update(self.options)
-        if self.threads is not None:
-            out["threads"] = self.threads
-        return out
+        return {"subcommand": self.subcommand, **self.options}
 
 
-def _config(subcommand: str, threads: Optional[int], **options) -> RunConfig:
+def _config(subcommand: str, **options) -> RunConfig:
     kept = {key: value for key, value in options.items() if value is not None}
-    return RunConfig(subcommand, kept, threads)
-
-
-def _threads_from_env() -> Optional[int]:
-    # accepted and echoed for reproducibility; all pipelines currently run
-    # on one worker, which trivially honours any cap
-    raw = os.environ.get("KEISLER_LAB_THREADS")
-    if raw is None:
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        raise FormatError(
-            f"KEISLER_LAB_THREADS must be an integer, got {raw!r}") from None
-    if value < 1:
-        raise FormatError("KEISLER_LAB_THREADS must be positive")
-    return value
-
-
-def _flag(name: str, ok: bool) -> Certified:
-    return Certified(name, "==", Fraction(1 if ok else 0), Fraction(1))
+    return RunConfig(subcommand, kept)
 
 
 def _emit(text: str, output: Optional[str]) -> None:
@@ -106,12 +81,6 @@ def _exit_for(report: WitnessReport) -> int:
     return EXIT_OK if report.all_hold else EXIT_CERT
 
 
-def _source_entry(spec: str, structure) -> dict:
-    return {"kind": structure_to_json(structure)["kind"],
-            "digest": structure_digest(structure),
-            "source": spec}
-
-
 def _run_witness(config: RunConfig, output: Optional[str], theorem: str,
                  sources: dict, builder) -> int:
     """Run a witness builder, mapping PreconditionFailed to a written
@@ -124,7 +93,7 @@ def _run_witness(config: RunConfig, output: Optional[str], theorem: str,
                    "rhs": rational_to_json(exc.rhs)}
         report = WitnessReport(
             theorem=theorem,
-            inputs={name: _source_entry(spec, obj)
+            inputs={name: _input_entry(obj, spec)
                     for name, (spec, obj) in sources.items()},
             witness=payload,
             certified=(Certified(exc.name, exc.op, exc.lhs, exc.rhs),),
@@ -145,18 +114,19 @@ def _run_witness(config: RunConfig, output: Optional[str], theorem: str,
 def _gen_certified(spec: str, structure, recorded_digest: str,
                    embedded: dict) -> list[Certified]:
     certs = [
-        _flag("digest-match", structure_digest(structure) == recorded_digest),
-        _flag("embedded-match", digest(embedded) == recorded_digest),
+        _bool_cert("digest-match",
+                   structure_digest(structure) == recorded_digest),
+        _bool_cert("embedded-match", digest(embedded) == recorded_digest),
     ]
     head = spec.split(":", 1)[0]
     if head == "gen":
         s = int(spec.split(":")[3])
-        certs.append(_flag("free", is_free(structure, s)))
-        certs.append(_flag("maximal-free", is_maximal_free(structure, s)))
+        certs.append(_bool_cert("free", is_free(structure, s)))
+        certs.append(_bool_cert("maximal-free", is_maximal_free(structure, s)))
     elif head == "searchalpha":
         fields = spec.split(":")
         s, target = int(fields[2]), int(fields[3])
-        certs.append(_flag("free", is_free(structure, s)))
+        certs.append(_bool_cert("free", is_free(structure, s)))
         certs.append(Certified("alpha-target", "<=",
                                Fraction(alpha_s(structure, s).value),
                                Fraction(target)))
@@ -168,17 +138,15 @@ def _describe(structure) -> str:
     if j["kind"] == "hypergraph":
         return (f"hypergraph with n={j['n']}, r={j['r']} "
                 f"and {len(j['edges'])} edges")
-    if j["kind"] == "tournament":
-        return f"tournament on {j['n']} vertices"
     return (f"parameterized equivalence with {j['objects']} objects "
             f"and {j['parameters']} parameters")
 
 
-def _cmd_gen(args, threads) -> int:
+def _cmd_gen(args) -> int:
     structure = parse_structure_spec(args.spec)
     sjson = structure_to_json(structure)
     sdigest = digest(sjson)
-    config = _config("gen", threads, spec=args.spec, output=args.output,
+    config = _config("gen", spec=args.spec, output=args.output,
                      structure_out=args.structure_out)
     report = WitnessReport(
         theorem="gen",
@@ -222,12 +190,12 @@ def _color_certified(wh, coloring, with_brute: bool):
     return certs, weight, bound, brute_payload
 
 
-def _cmd_color(args, threads) -> int:
+def _cmd_color(args) -> int:
     wh = load_weighted(args.input)
     coloring = greedy_coloring(wh)
     certs, weight, bound, brute_payload = _color_certified(
         wh, coloring, args.brute)
-    config = _config("color", threads, input=args.input, brute=args.brute,
+    config = _config("color", input=args.input, brute=args.brute,
                      output=args.output)
     report = WitnessReport(
         theorem="coloring-bound",
@@ -267,11 +235,11 @@ def _measures_certified(seed: int, cases: int):
     return certs, outcome
 
 
-def _cmd_check_measures(args, threads) -> int:
+def _cmd_check_measures(args) -> int:
     if args.cases < 1:
         raise FormatError("--cases must be positive")
     certs, outcome = _measures_certified(args.seed, args.cases)
-    config = _config("check-measures", threads, seed=args.seed,
+    config = _config("check-measures", seed=args.seed,
                      cases=args.cases, format=args.format,
                      output=args.output)
     if args.format == "csv":
@@ -301,7 +269,7 @@ def _verify_measures(witness: dict, inputs: dict) -> list[Certified]:
 # witness subcommands
 # ---------------------------------------------------------------------------
 
-def _cmd_fam(args, threads) -> int:
+def _cmd_fam(args) -> int:
     try:
         phi = parse_phi(args.phi)
     except ParseError as exc:
@@ -311,7 +279,7 @@ def _cmd_fam(args, threads) -> int:
     ambient = parse_structure_spec(args.ambient)
     if not isinstance(graph, Hypergraph) or not isinstance(ambient, Hypergraph):
         raise FormatError("fam needs hypergraph inputs")
-    config = _config("fam", threads, phi=args.phi, epsilon=args.epsilon,
+    config = _config("fam", phi=args.phi, epsilon=args.epsilon,
                      graph=args.graph, ambient=args.ambient, s=args.s,
                      budget=args.budget, output=args.output)
     sources = {"ambient": (args.ambient, ambient),
@@ -322,7 +290,7 @@ def _cmd_fam(args, threads) -> int:
                             embed_budget=args.budget))
 
 
-def _cmd_adversary(args, threads) -> int:
+def _cmd_adversary(args) -> int:
     ambient = parse_structure_spec(args.ambient)
     if not isinstance(ambient, Hypergraph):
         raise FormatError("adversary needs a hypergraph ambient")
@@ -337,14 +305,14 @@ def _cmd_adversary(args, threads) -> int:
     rng = random.Random(args.seed)
     tuples = [tuple(rng.randrange(ambient.n) for _ in range(r - 1))
               for _ in range(args.n)]
-    config = _config("adversary", threads, ambient=args.ambient, r=r,
+    config = _config("adversary", ambient=args.ambient, r=r,
                      s=args.s, n=args.n, seed=args.seed, output=args.output)
     sources = {"ambient": (args.ambient, ambient)}
     return _run_witness(config, args.output, "dfsnotfim-adversary", sources,
                         lambda: adversary_witness(tuples, ambient, args.s))
 
 
-def _cmd_satprobe(args, threads) -> int:
+def _cmd_satprobe(args) -> int:
     ambient = parse_structure_spec(args.ambient)
     if not isinstance(ambient, Hypergraph):
         raise FormatError("satprobe needs a hypergraph ambient")
@@ -361,7 +329,7 @@ def _cmd_satprobe(args, threads) -> int:
         raise FormatError("--params excludes --trials/--n-params")
     if args.format == "csv" and not aggregate:
         raise FormatError("csv output is only defined for aggregate mode")
-    config = _config("satprobe", threads, ambient=args.ambient,
+    config = _config("satprobe", ambient=args.ambient,
                      m_size=args.m_size, seed=args.seed, params=args.params,
                      trials=args.trials, n_params=args.n_params,
                      format=args.format, output=args.output)
@@ -390,7 +358,7 @@ def _cmd_satprobe(args, threads) -> int:
     return _exit_for(report)
 
 
-def _cmd_tp2(args, threads) -> int:
+def _cmd_tp2(args) -> int:
     if args.input is not None:
         structure = load_structure(args.input)
         if not isinstance(structure, Feq2Structure):
@@ -401,7 +369,7 @@ def _cmd_tp2(args, threads) -> int:
         source = f"tp2grid:{args.k}"
     if args.sample is not None and args.seed is None:
         raise FormatError("--sample requires --seed")
-    config = _config("tp2", threads, k=args.k, input=args.input,
+    config = _config("tp2", k=args.k, input=args.input,
                      sample=args.sample, seed=args.seed, output=args.output)
     report = tp2_witness(structure, args.k, sample=args.sample,
                          seed=args.seed)
@@ -410,13 +378,13 @@ def _cmd_tp2(args, threads) -> int:
     return _exit_for(report)
 
 
-def _cmd_order(args, threads) -> int:
+def _cmd_order(args) -> int:
     ambient = parse_structure_spec(args.ambient)
     if not isinstance(ambient, Hypergraph):
         raise FormatError("order needs a hypergraph ambient")
     if args.q < 0:
         raise FormatError("--q must be nonnegative")
-    config = _config("order", threads, ambient=args.ambient, s=args.s,
+    config = _config("order", ambient=args.ambient, s=args.s,
                      q=args.q, output=args.output)
     sources = {"ambient": (args.ambient, ambient)}
     return _run_witness(config, args.output, "order", sources,
@@ -473,7 +441,7 @@ def _resolve_input(name: str, entry: dict, overrides: dict):
     return obj, actual, entry["digest"]
 
 
-def _cmd_verify(args, threads) -> int:
+def _cmd_verify(args) -> int:
     overrides = {}
     for item in args.input or []:
         name, sep, path = item.partition("=")
@@ -491,6 +459,8 @@ def _cmd_verify(args, threads) -> int:
         raise FormatError(f"unknown theorem tag {theorem!r}")
     if not isinstance(data["inputs"], dict):
         raise FormatError("inputs must be an object")
+    if not isinstance(data["certified"], list):
+        raise FormatError("certified must be a list")
 
     resolved = {}
     for name, entry in data["inputs"].items():
@@ -503,35 +473,35 @@ def _cmd_verify(args, threads) -> int:
         resolved[name] = obj
     missing = [n for n in _VERIFY_INPUTS[theorem] if n not in resolved]
     witness = data["witness"]
-    if missing and not (isinstance(witness, dict)
-                        and "precondition_failed" in witness):
+    failed_precondition = (isinstance(witness, dict)
+                           and "precondition_failed" in witness)
+    if missing and not failed_precondition:
         raise FormatError(f"report lacks required inputs: {missing}")
 
-    if isinstance(witness, dict) and "precondition_failed" in witness:
-        # failed-precondition reports carry the inequality verbatim; there
-        # is no witness object to recompute from
-        recomputed = [Certified(str(witness["precondition_failed"]),
-                                str(witness["op"]),
-                                rational_from_json(witness["lhs"]),
-                                rational_from_json(witness["rhs"]))]
-    else:
-        try:
+    try:
+        if failed_precondition:
+            # failed-precondition reports carry the inequality verbatim;
+            # there is no witness object to recompute from
+            recomputed = [Certified(str(witness["precondition_failed"]),
+                                    str(witness["op"]),
+                                    rational_from_json(witness["lhs"]),
+                                    rational_from_json(witness["rhs"]))]
+        else:
             recomputed = _VERIFY_HANDLERS[theorem](witness, resolved)
-        except (KeyError, TypeError, IndexError, AttributeError) as exc:
-            raise FormatError(
-                f"report payload does not match the {theorem!r} schema "
-                f"({exc!r})") from None
+    except (KeyError, TypeError, IndexError, AttributeError) as exc:
+        raise FormatError(
+            f"report payload does not match the {theorem!r} schema "
+            f"({exc!r})") from None
     fresh = [c.to_json_dict() for c in recomputed]
-    if fresh != data["certified"]:
-        recorded = data["certified"]
+    recorded = data["certified"]
+    if fresh != recorded:
         for i, entry in enumerate(fresh):
             have = recorded[i] if i < len(recorded) else None
             if entry != have:
                 print(f"certification {entry['name']!r} does not reproduce:"
                       f"\n  recorded   {have}\n  recomputed {entry}",
                       file=sys.stderr)
-                break
-        else:
+        if len(recorded) != len(fresh):
             print(f"report records {len(recorded)} certifications, "
                   f"recomputation yields {len(fresh)}", file=sys.stderr)
         return EXIT_CERT
@@ -652,8 +622,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        threads = _threads_from_env()
-        return args.func(args, threads)
+        return args.func(args)
     except (FormatError, ParseError, FragmentError, GridTooSmall) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -18,13 +18,12 @@ makes the atom false (the relation is irreflexive by representation).
 
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
-from .structures import BipartiteGraph, Hypergraph
+from .structures import Hypergraph
 
 
 class ParseError(ValueError):
@@ -354,12 +353,6 @@ def _atom_value(structure, atom: Atom, assignment: Mapping[Term, int]) -> bool:
         if len(set(vals)) != len(vals):
             return False
         return tuple(sorted(vals)) in structure.edges
-    if isinstance(structure, BipartiteGraph):
-        if atom.name != "E" or len(vals) != 2:
-            raise EvalError(f"host relation is E/2, got {atom.name}/{len(vals)}")
-        if vals[0] == vals[1]:
-            return False
-        return structure.adjacent(vals[0], vals[1])
     raise EvalError(f"cannot evaluate formulas over {type(structure).__name__}")
 
 
@@ -644,10 +637,3 @@ def analyze_phi(phi: PhiPartition) -> PhiAnalysis:
             frozenset(eq), tuple(residual)))
     return PhiAnalysis(phi, tuple(profiles))
 
-
-def all_assignments(structure, phi: PhiPartition):
-    """Iterate (objects, params) pairs exhausting the host vertex set."""
-    vertices = range(structure.n)
-    for objs in itertools.product(vertices, repeat=phi.object_arity):
-        for pars in itertools.product(vertices, repeat=phi.param_arity):
-            yield objs, pars

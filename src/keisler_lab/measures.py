@@ -1,8 +1,8 @@
 """Finitely supported measures on tuple spaces over a finite structure.
 
 Weights are exact rationals summing to one.  Averages over a vertex
-sequence, products on the tuple grid, powers, localization and the
-sup-error scan against a named 0/1 type rule all stay in exact
+sequence, products on the tuple grid, localization and the sup-error
+scan against the isolated-vertex type rule all stay in exact
 arithmetic; no floats enter any comparison.
 """
 
@@ -14,21 +14,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence, Union
 
-from .logic import (And, Eq, Formula, Not, ObjectVar, ParamVar, PhiPartition,
-                    Rel, analyze_phi, evaluate, make_assignment, parse_formula,
-                    residual_holds, variables)
-from .structures import BipartiteGraph, Hypergraph
+from .logic import (Formula, PhiPartition, analyze_phi, evaluate,
+                    make_assignment, parse_formula, residual_holds, variables)
+from .structures import Hypergraph
 
-Host = Union[Hypergraph, BipartiteGraph]
 Point = tuple[int, ...]
 
 
 class ZeroMassError(ValueError):
     """Localization on a set the measure does not charge."""
-
-
-class SizeCapError(RuntimeError):
-    """A product support would exceed the configured cap."""
 
 
 def _as_point(p, arity: Optional[int] = None) -> Point:
@@ -42,7 +36,7 @@ def _as_point(p, arity: Optional[int] = None) -> Point:
 class FiniteMeasure:
     """A probability measure with finite support on host^arity."""
 
-    host: Host
+    host: Hypergraph
     arity: int
     support: tuple[tuple[Point, Fraction], ...]
 
@@ -75,7 +69,7 @@ class FiniteMeasure:
         return Fraction(0)
 
 
-def make_measure(host: Host, arity: int,
+def make_measure(host: Hypergraph, arity: int,
                  items: Iterable[tuple[Point, Fraction]]) -> FiniteMeasure:
     """Build a measure from (point, weight) pairs, merging duplicates and
     dropping zero weights.  The weights must sum to exactly one."""
@@ -87,7 +81,7 @@ def make_measure(host: Host, arity: int,
     return FiniteMeasure(host, arity, support)
 
 
-def make_average(host: Host, points: Sequence) -> FiniteMeasure:
+def make_average(host: Hypergraph, points: Sequence) -> FiniteMeasure:
     """The empirical average measure of a nonempty point sequence."""
     pts = [_as_point(p) for p in points]
     if not pts:
@@ -95,28 +89,6 @@ def make_average(host: Host, points: Sequence) -> FiniteMeasure:
     arity = len(pts[0])
     share = Fraction(1, len(pts))
     return make_measure(host, arity, ((p, share) for p in pts))
-
-
-def dirac(host: Host, point) -> FiniteMeasure:
-    """Point mass at a single tuple."""
-    return make_average(host, [point])
-
-
-def mix(components: Sequence[tuple[Fraction, FiniteMeasure]]) -> FiniteMeasure:
-    """Convex combination of measures on the same host and arity."""
-    if not components:
-        raise ValueError("empty combination")
-    host = components[0][1].host
-    arity = components[0][1].arity
-    items: list[tuple[Point, Fraction]] = []
-    for coeff, m in components:
-        coeff = Fraction(coeff)
-        if coeff < 0:
-            raise ValueError("mixture coefficients must be nonnegative")
-        if m.host != host or m.arity != arity:
-            raise ValueError("mixture components must share host and arity")
-        items.extend((p, coeff * w) for p, w in m.support)
-    return make_measure(host, arity, items)
 
 
 def _unwrap_phi(phi: Union[Formula, PhiPartition, str],
@@ -169,21 +141,6 @@ def product(mu: FiniteMeasure, nu: FiniteMeasure) -> FiniteMeasure:
     return FiniteMeasure(mu.host, mu.arity + nu.arity, support)
 
 
-def power(measure: FiniteMeasure, exponent: int,
-          max_support: int = 10 ** 6) -> FiniteMeasure:
-    """Iterated product measure; support size is capped before expansion."""
-    if exponent < 1:
-        raise ValueError("exponent must be at least 1")
-    if len(measure.support) ** exponent > max_support:
-        raise SizeCapError(
-            f"support of size {len(measure.support)}^{exponent} exceeds "
-            f"{max_support}")
-    out = measure
-    for _ in range(exponent - 1):
-        out = product(out, measure)
-    return out
-
-
 def localize(measure: FiniteMeasure,
              predicate: Callable[[Point], bool]) -> FiniteMeasure:
     """Conditional measure on the points satisfying the predicate."""
@@ -213,7 +170,7 @@ class IsolatedVertexOracle:
     def __init__(self):
         self._cache: dict[PhiPartition, object] = {}
 
-    def value(self, phi: PhiPartition, host: Host,
+    def value(self, phi: PhiPartition, host: Hypergraph,
               params: Sequence[int]) -> int:
         analysis = self._cache.get(phi)
         if analysis is None:
@@ -223,46 +180,6 @@ class IsolatedVertexOracle:
             if residual_holds(host, analysis.profiles[t], params):
                 return 1
         return 0
-
-
-def _generic_tuple_eval(host: Host, f: Formula,
-                        params: Sequence[int]) -> bool:
-    # object variables denote fresh pairwise distinct vertices carrying no
-    # edges, so relation atoms touching them are false and equalities to
-    # parameters fail
-    assignment = make_assignment((), params)
-    if isinstance(f, Rel):
-        if any(isinstance(a, ObjectVar) for a in f.args):
-            return False
-        return evaluate(host, f, assignment)
-    if isinstance(f, Eq):
-        left_obj = isinstance(f.left, ObjectVar)
-        right_obj = isinstance(f.right, ObjectVar)
-        if left_obj and right_obj:
-            return f.left.index == f.right.index
-        if left_obj or right_obj:
-            return False
-        return evaluate(host, f, assignment)
-    if isinstance(f, Not):
-        return not _generic_tuple_eval(host, f.body, params)
-    if isinstance(f, And):
-        return all(_generic_tuple_eval(host, p, params) for p in f.parts)
-    return any(_generic_tuple_eval(host, p, params) for p in f.parts)
-
-
-class IsolatedTupleOracle:
-    """Membership rule for the type of a fresh distinct tuple over an
-    r-graph that meets no edge at all; in particular it always accepts
-    the no-edge formula !R(x...,y) & distinct."""
-
-    name = "isolated-tuple"
-
-    def value(self, phi: PhiPartition, host: Host,
-              params: Sequence[int]) -> int:
-        return 1 if _generic_tuple_eval(host, phi.formula, params) else 0
-
-
-TypeOracle = Union[IsolatedVertexOracle, IsolatedTupleOracle]
 
 
 # ---------------------------------------------------------------------------
@@ -301,8 +218,8 @@ class ApproxReport:
         }
 
 
-def sup_error(oracle: TypeOracle, host: Host, points: Sequence,
-              phi: PhiPartition,
+def sup_error(oracle: IsolatedVertexOracle, host: Hypergraph,
+              points: Sequence, phi: PhiPartition,
               domain: Optional[Sequence[Sequence[int]]] = None,
               sample: Optional[int] = None, seed: Optional[int] = None,
               epsilon: Optional[Fraction] = None,

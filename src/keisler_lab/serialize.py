@@ -13,12 +13,13 @@ import json
 import os
 import tempfile
 from fractions import Fraction
+from math import comb
 from typing import Union
 
 from .coloring import WeightedHypergraph
-from .structures import (BipartiteGraph, Feq2Structure, Hypergraph,
-                         Tournament, build_tp2_grid, cyclic_graph,
-                         random_maximal_free, search_small_alpha)
+from .structures import (Feq2Structure, Hypergraph, build_tp2_grid,
+                         cyclic_graph, random_maximal_free,
+                         search_small_alpha)
 
 
 class FormatError(ValueError):
@@ -51,16 +52,13 @@ def parse_rational(text: str) -> Fraction:
 # Structures
 # ---------------------------------------------------------------------------
 
-Storable = Union[Hypergraph, Tournament, Feq2Structure]
+Storable = Union[Hypergraph, Feq2Structure]
 
 
 def structure_to_json(structure: Storable) -> dict:
     if isinstance(structure, Hypergraph):
         return {"kind": "hypergraph", "r": structure.r, "n": structure.n,
                 "edges": [list(e) for e in sorted(structure.edges)]}
-    if isinstance(structure, Tournament):
-        return {"kind": "tournament", "n": structure.n,
-                "arcs": [list(a) for a in sorted(structure.arcs)]}
     if isinstance(structure, Feq2Structure):
         return {"kind": "feq2", "objects": structure.objects,
                 "parameters": structure.parameters,
@@ -100,16 +98,6 @@ def structure_from_json(payload: dict) -> Storable:
             canon.append(t)
         try:
             return Hypergraph(r, n, frozenset(canon))
-        except ValueError as exc:
-            raise FormatError(str(exc)) from None
-    if kind == "tournament":
-        n = _expect_int(payload.get("n"), "n")
-        arcs = payload.get("arcs")
-        if not isinstance(arcs, list) or any(
-                not isinstance(a, list) or len(a) != 2 for a in arcs):
-            raise FormatError("arcs must be a list of pairs")
-        try:
-            return Tournament(n, frozenset((a[0], a[1]) for a in arcs))
         except ValueError as exc:
             raise FormatError(str(exc)) from None
     if kind == "feq2":
@@ -179,7 +167,8 @@ def structure_digest(structure: Storable) -> str:
 
 def atomic_write_text(path: str, text: str) -> None:
     """Write via a temporary file in the target directory plus rename, so a
-    crash never leaves a half-written report."""
+    process that crashes mid-write never leaves a half-written report.
+    Nothing is fsynced, so the write may not survive a power loss."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".json")
     try:
@@ -212,6 +201,15 @@ def load_weighted(path: str) -> WeightedHypergraph:
 # Inline structure specs (generator mini-syntax)
 # ---------------------------------------------------------------------------
 
+# Size caps checked before anything is built.  verify re-resolves whatever
+# spec a report names, so a mistaken or tampered spec must fail fast
+# instead of exhausting memory.
+_MAX_GEN_N = 10_000  # keeps computing C(n, r) itself cheap
+_MAX_GEN_ENTRIES = 10 ** 6  # r * C(n, r) integers in the candidate list
+_MAX_CIRCULANT_N = 1_000  # a circulant graph has up to n^2 / 2 edges
+_MAX_SEARCH_N = 40  # every search evaluation runs an exact alpha_s
+_MAX_SEARCH_BUDGET = 1_000  # alpha evaluations per search
+
 def _parse_seed_field(field: str, what: str) -> int:
     if not field.startswith("seed="):
         raise FormatError(f"{what}: expected seed=<int>, got {field!r}")
@@ -239,6 +237,12 @@ def parse_structure_spec(spec: str) -> Storable:
         except ValueError:
             raise FormatError(f"bad numeric field in {spec!r}") from None
         seed = _parse_seed_field(fields[4], spec)
+        if n > _MAX_GEN_N:
+            raise FormatError(f"{spec!r}: n exceeds {_MAX_GEN_N}")
+        if n >= 0 and r >= 0 and r * comb(n, r) > _MAX_GEN_ENTRIES:
+            raise FormatError(
+                f"{spec!r}: r * C(n, r) = {r * comb(n, r)} candidate entries "
+                f"exceed {_MAX_GEN_ENTRIES}")
         try:
             return random_maximal_free(n, r, s, seed)
         except ValueError as exc:
@@ -253,6 +257,8 @@ def parse_structure_spec(spec: str) -> Storable:
             conns = [int(d) for d in fields[2].split(",") if d != ""]
         except ValueError:
             raise FormatError(f"bad numeric field in {spec!r}") from None
+        if n > _MAX_CIRCULANT_N:
+            raise FormatError(f"{spec!r}: n exceeds {_MAX_CIRCULANT_N}")
         try:
             return cyclic_graph(n, conns)
         except ValueError as exc:
@@ -268,6 +274,10 @@ def parse_structure_spec(spec: str) -> Storable:
         except ValueError:
             raise FormatError(f"bad numeric field in {spec!r}") from None
         seed = _parse_seed_field(fields[5], spec)
+        if n > _MAX_SEARCH_N or budget > _MAX_SEARCH_BUDGET:
+            raise FormatError(
+                f"{spec!r}: n and budget may not exceed {_MAX_SEARCH_N} "
+                f"and {_MAX_SEARCH_BUDGET}")
         try:
             result = search_small_alpha(n, s, target, budget=budget, seed=seed)
         except ValueError as exc:

@@ -1,9 +1,9 @@
 """Finite relational structures and the combinatorics on top of them.
 
-Uniform hypergraphs (graphs when the arity is 2), tournaments, bipartite
-graphs and parameterized equivalence structures, together with clique
-freeness checks, the independence parameter alpha_s, seeded generators,
-induced-embedding search, reduct transforms and extension-axiom probes.
+Uniform hypergraphs (graphs when the arity is 2) and parameterized
+equivalence structures, together with clique freeness checks, the
+independence parameter alpha_s, seeded generators, induced-embedding
+search and the path-parameter grid.
 
 Vertices are 0-based integers.  Every structure is immutable after
 construction and all operations are pure functions; randomized operations
@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 from math import comb
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence
 
 
 class FreenessViolation(Exception):
@@ -99,69 +99,6 @@ class Hypergraph:
 
 
 @dataclass(frozen=True)
-class Tournament:
-    """A complete orientation of the edges of K_n; arcs are (winner, loser)."""
-
-    n: int
-    arcs: frozenset[tuple[int, int]]
-
-    def __post_init__(self):
-        arcs = frozenset((int(u), int(v)) for u, v in self.arcs)
-        object.__setattr__(self, "arcs", arcs)
-        seen = set()
-        for u, v in arcs:
-            if u == v or not (0 <= u < self.n and 0 <= v < self.n):
-                raise ValueError(f"invalid arc ({u},{v})")
-            pair = (min(u, v), max(u, v))
-            if pair in seen:
-                raise ValueError(f"pair {pair} oriented twice")
-            seen.add(pair)
-        if len(seen) != comb(self.n, 2):
-            raise ValueError("every vertex pair needs exactly one orientation")
-
-    def beats(self, u: int, v: int) -> bool:
-        return (u, v) in self.arcs
-
-
-@dataclass(frozen=True)
-class BipartiteGraph:
-    """Vertices 0..n-1 split into two parts; edges only cross the parts."""
-
-    n: int
-    left: frozenset[int]
-    right: frozenset[int]
-    edges: frozenset[tuple[int, int]]
-
-    def __post_init__(self):
-        left = frozenset(self.left)
-        right = frozenset(self.right)
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-        if left & right or left | right != frozenset(range(self.n)):
-            raise ValueError("parts must partition the vertex set")
-        canon = set()
-        for e in self.edges:
-            u, v = sorted(e)
-            if u == v:
-                raise ValueError("loops are not allowed")
-            if not ((u in left) != (v in left)):
-                raise ValueError(f"edge ({u},{v}) does not cross the parts")
-            canon.add((u, v))
-        object.__setattr__(self, "edges", frozenset(canon))
-
-    def adjacent(self, u: int, v: int) -> bool:
-        return (min(u, v), max(u, v)) in self.edges
-
-    @cached_property
-    def adjacency(self) -> tuple[int, ...]:
-        adj = [0] * self.n
-        for u, v in self.edges:
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-        return tuple(adj)
-
-
-@dataclass(frozen=True)
 class Feq2Structure:
     """Indexed objects plus, for each parameter, a partition of the objects
     into blocks of size two (one flagged singleton when the count is odd)."""
@@ -206,15 +143,6 @@ class Feq2Structure:
 
     def same_class(self, z: int, x: int, y: int) -> bool:
         return self._block_of[z][x] is self._block_of[z][y]
-
-    def classmate(self, z: int, x: int) -> Optional[int]:
-        block = self._block_of[z][x]
-        if len(block) == 1:
-            return None
-        return block[0] if block[1] == x else block[1]
-
-
-Structure = Union[Hypergraph, Tournament, Feq2Structure, BipartiteGraph]
 
 
 # ---------------------------------------------------------------------------
@@ -712,97 +640,6 @@ def is_induced_embedding(g: Hypergraph, h: Hypergraph,
 
 
 # ---------------------------------------------------------------------------
-# Reduct transforms
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ReductResult:
-    """Derived structure plus the provenance of every new vertex.
-
-    provenance[i] is a (sort, original_index) pair with sort "v" for plain
-    vertices, "o" for objects and "p" for parameters.
-    """
-
-    structure: Union[Hypergraph, BipartiteGraph]
-    provenance: tuple[tuple[str, int], ...]
-
-
-def reduct_transform(kind: str, structure: Structure,
-                     anchor: Sequence[int]) -> ReductResult:
-    """Definable reducts used to transfer triviality arguments.
-
-    hyper_to_graph fixes r-2 vertices c and keeps x ~ y iff {x,y} + c is
-    an edge; tournament_to_bipartite splits the out/in neighbourhood of an
-    apex with the arc relation across; feq_to_bipartite relates an object
-    b to a parameter c when b is the anchor's classmate under c.
-    """
-    if kind == "hyper_to_graph":
-        if not isinstance(structure, Hypergraph):
-            raise ValueError("hyper_to_graph expects a hypergraph")
-        anchor = tuple(int(a) for a in anchor)
-        if len(anchor) != structure.r - 2 or len(set(anchor)) != len(anchor):
-            raise ValueError(f"anchor must list {structure.r - 2} distinct vertices")
-        if any(not 0 <= a < structure.n for a in anchor):
-            raise ValueError("anchor vertices out of range")
-        remaining = [v for v in range(structure.n) if v not in set(anchor)]
-        index = {v: i for i, v in enumerate(remaining)}
-        edges = set()
-        for x, y in itertools.combinations(remaining, 2):
-            if structure.has_edge((x, y) + anchor):
-                edges.add((index[x], index[y]))
-        graph = Hypergraph(2, len(remaining), frozenset(edges))
-        return ReductResult(graph, tuple(("v", v) for v in remaining))
-
-    if kind == "tournament_to_bipartite":
-        if not isinstance(structure, Tournament):
-            raise ValueError("tournament_to_bipartite expects a tournament")
-        (apex,) = (int(a) for a in anchor)
-        if not 0 <= apex < structure.n:
-            raise ValueError("apex out of range")
-        out = sorted(v for v in range(structure.n) if structure.beats(apex, v))
-        into = sorted(v for v in range(structure.n) if structure.beats(v, apex))
-        new_of = {v: i for i, v in enumerate(out + into)}
-        edges = set()
-        for p in out:
-            for q in into:
-                if structure.beats(p, q):
-                    edges.add(tuple(sorted((new_of[p], new_of[q]))))
-        graph = BipartiteGraph(
-            len(out) + len(into),
-            frozenset(range(len(out))),
-            frozenset(range(len(out), len(out) + len(into))),
-            frozenset(edges),
-        )
-        return ReductResult(graph, tuple(("v", v) for v in out + into))
-
-    if kind == "feq_to_bipartite":
-        if not isinstance(structure, Feq2Structure):
-            raise ValueError("feq_to_bipartite expects a parameterized equivalence")
-        (apex,) = (int(a) for a in anchor)
-        if not 0 <= apex < structure.objects:
-            raise ValueError("apex out of range")
-        objs = [o for o in range(structure.objects) if o != apex]
-        obj_of = {o: i for i, o in enumerate(objs)}
-        base = len(objs)
-        edges = set()
-        for z in range(structure.parameters):
-            mate = structure.classmate(z, apex)
-            if mate is not None:
-                edges.add((obj_of[mate], base + z))
-        graph = BipartiteGraph(
-            base + structure.parameters,
-            frozenset(range(base)),
-            frozenset(range(base, base + structure.parameters)),
-            frozenset(edges),
-        )
-        provenance = tuple(("o", o) for o in objs) + tuple(
-            ("p", z) for z in range(structure.parameters))
-        return ReductResult(graph, provenance)
-
-    raise ValueError(f"unknown reduct kind {kind!r}")
-
-
-# ---------------------------------------------------------------------------
 # Grid structure over parameterized equivalences
 # ---------------------------------------------------------------------------
 
@@ -826,8 +663,8 @@ def build_tp2_grid(k: int) -> Feq2Structure:
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    if k ** k > 10 ** 5:
-        raise ValueError(f"k = {k} would need {k ** k} parameters")
+    if k > 6:  # 7 ** 7 > 10 ** 5; k ** k itself is never built for a big k
+        raise ValueError(f"k = {k}: k ** k parameters would exceed 10 ** 5")
     objects = k * k + k
     classes = []
     for path in itertools.product(range(k), repeat=k):
@@ -839,33 +676,3 @@ def build_tp2_grid(k: int) -> Feq2Structure:
         classes.append(tuple(tuple(sorted(b)) for b in blocks))
     return Feq2Structure(objects, len(classes), tuple(classes))
 
-
-def extension_probe(structure: Union[Hypergraph, BipartiteGraph],
-                    positives: Iterable[int],
-                    negatives: Iterable[int]) -> Optional[int]:
-    """Scan for a vertex adjacent to all positives and none of the negatives.
-
-    A miss is an ordinary finite-scale outcome: the corresponding extension
-    axiom only holds in sufficiently saturated hosts.
-    """
-    pos = sorted(set(int(v) for v in positives))
-    neg = sorted(set(int(v) for v in negatives))
-    if set(pos) & set(neg):
-        raise ValueError("positive and negative sets must be disjoint")
-    if isinstance(structure, Hypergraph) and structure.r != 2:
-        raise ValueError("extension_probe needs a graph or bipartite graph")
-    for v in pos + neg:
-        if not 0 <= v < structure.n:
-            raise ValueError(f"vertex {v} out of range")
-    adjacent = (structure.has_edge if isinstance(structure, Hypergraph)
-                else structure.adjacent)
-    banned = set(pos) | set(neg)
-    for c in range(structure.n):
-        if c in banned:
-            continue
-        if all(adjacent((m, c)) if isinstance(structure, Hypergraph)
-               else adjacent(m, c) for m in pos) and \
-           not any(adjacent((m, c)) if isinstance(structure, Hypergraph)
-                   else adjacent(m, c) for m in neg):
-            return c
-    return None

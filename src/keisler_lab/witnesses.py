@@ -17,12 +17,12 @@ from typing import Mapping, Optional, Sequence, Union
 
 from .coloring import (greedy_coloring, guarantee_value, weight_of,
                        weighted_hypergraph)
-from .logic import (And, Eq, Not, ObjectVar, ParamVar, PhiPartition, Rel,
-                    analyze_phi, evaluate, format_formula, make_assignment,
-                    parse_phi, residual_holds)
+from .logic import (And, Eq, Not, ObjectVar, ParamVar, PhiAnalysis,
+                    PhiPartition, Rel, analyze_phi, evaluate, format_formula,
+                    make_assignment, parse_phi, residual_holds)
 from .measures import IsolatedVertexOracle, sup_error
 from .serialize import rational_from_json, rational_to_json, structure_digest
-from .structures import (Feq2Structure, FreenessViolation, Hypergraph,
+from .structures import (AlphaResult, Feq2Structure, Hypergraph,
                          add_vertex_with_links, alpha_s, embed_search,
                          grid_object, grid_target, is_free,
                          is_induced_embedding)
@@ -98,6 +98,14 @@ def _bool_cert(name: str, ok: bool) -> Certified:
     return Certified(name, "==", Fraction(1 if ok else 0), Fraction(1))
 
 
+def _require(checks: Sequence[Certified]) -> None:
+    """Raise PreconditionFailed for the first check that does not hold."""
+    for check in checks:
+        if not check.holds:
+            raise PreconditionFailed(check.name, check.op, check.lhs,
+                                     check.rhs)
+
+
 @dataclass(frozen=True)
 class WitnessReport:
     theorem: str
@@ -141,38 +149,64 @@ def _select_profile(analysis) -> int:
                                         len(analysis.profiles[t].neq), t))
 
 
-def _fam_certified(phi: PhiPartition, negated: bool, epsilon: Fraction,
-                   ambient: Hypergraph, graph: Hypergraph, s: int,
-                   abar: Sequence[int]):
-    """Certified values of the average-approximation experiment, computed
-    from the embedded points alone; shared by the runner and the verifier."""
-    work = (PhiPartition(Not(phi.formula), phi.object_arity, phi.param_arity)
-            if negated else phi)
-    analysis = analyze_phi(work)
+@dataclass(frozen=True)
+class _FamSetup:
+    """What the fam experiment knows before an embedding is chosen."""
+
+    analysis: PhiAnalysis
+    t_star: int
+    alpha: AlphaResult
+    checks: tuple[Certified, ...]  # the preconditions, in the order tried
+
+
+def _negation(phi: PhiPartition) -> PhiPartition:
+    return PhiPartition(Not(phi.formula), phi.object_arity, phi.param_arity)
+
+
+def _fam_preconditions(analysis: PhiAnalysis, epsilon: Fraction,
+                       ambient: Hypergraph, graph: Hypergraph,
+                       s: int) -> _FamSetup:
+    """Precondition stage of the experiment on the analysed working
+    formula; shared by the runner and the verifier."""
     t_star = _select_profile(analysis)
     profile = analysis.profiles[t_star]
     k = len(profile.neg_edge)
-    ell = len(profile.neq)
     n = graph.n
     alpha = alpha_s(graph, s)
     if not alpha.exact:
         raise ValueError("alpha_s did not finish exactly")
+    checks = [Certified("sample-size", ">", Fraction(n),
+                        Fraction(2 * len(profile.neq)) / epsilon)]
+    if k > 0:
+        checks.append(Certified("alpha-bound", "<", Fraction(alpha.value),
+                                epsilon * n / (2 * k)))
+    checks.append(_bool_cert("pattern-free", is_free(graph, s)))
+    checks.append(_bool_cert("ambient-free", is_free(ambient, s)))
+    return _FamSetup(analysis, t_star, alpha, tuple(checks))
+
+
+def _fam_certified(setup: _FamSetup, epsilon: Fraction, ambient: Hypergraph,
+                   graph: Hypergraph, abar: Sequence[int]):
+    """Scan stage: certified values computed from the embedded points
+    alone; shared by the runner and the verifier."""
+    work = setup.analysis.phi
+    profile = setup.analysis.profiles[setup.t_star]
+    k = len(profile.neg_edge)
+    ell = len(profile.neq)
+    n = graph.n
+    alpha = setup.alpha
     m = work.param_arity
     if ambient.n ** m > _DOMAIN_CAP:
         raise ValueError(
             f"parameter domain of size {ambient.n}^{m} exceeds {_DOMAIN_CAP}")
 
-    certified = [
-        _bool_cert("ambient-free", is_free(ambient, s)),
-        _bool_cert("pattern-free", is_free(graph, s)),
-        _bool_cert("embedding-induced",
-                   is_induced_embedding(graph, ambient, abar)),
-        Certified("sample-size", ">", Fraction(n),
-                  Fraction(2 * ell) / epsilon),
-    ]
+    checks = {c.name: c for c in setup.checks}
+    certified = [checks["ambient-free"], checks["pattern-free"],
+                 _bool_cert("embedding-induced",
+                            is_induced_embedding(graph, ambient, abar)),
+                 checks["sample-size"]]
     if k > 0:
-        certified.append(Certified("alpha-bound", "<", Fraction(alpha.value),
-                                   epsilon * n / (2 * k)))
+        certified.append(checks["alpha-bound"])
 
     z_cap = Fraction(ell + k * alpha.value)
     oracle = IsolatedVertexOracle()
@@ -197,7 +231,7 @@ def _fam_certified(phi: PhiPartition, negated: bool, epsilon: Fraction,
 
     details = {
         "profile": {
-            "index": t_star,
+            "index": setup.t_star,
             "neg_edge": sorted(profile.neg_edge),
             "neq": sorted(profile.neq),
             "pos_edge": sorted(profile.pos_edge),
@@ -241,38 +275,17 @@ def fam_witness(phi: PhiPartition, epsilon: Fraction, ambient: Hypergraph,
 
     analysis = analyze_phi(phi)
     negated = not analysis.generic_indices
-    work = (PhiPartition(Not(phi.formula), phi.object_arity, phi.param_arity)
-            if negated else phi)
     if negated:
-        analysis = analyze_phi(work)
-    t_star = _select_profile(analysis)
-    profile = analysis.profiles[t_star]
-    k = len(profile.neg_edge)
-    ell = len(profile.neq)
-    n = graph.n
-
-    lhs, rhs = Fraction(n), Fraction(2 * ell) / epsilon
-    if not lhs > rhs:
-        raise PreconditionFailed("sample-size", ">", lhs, rhs)
-    alpha = alpha_s(graph, s)
-    if not alpha.exact:
-        raise ValueError("alpha_s did not finish exactly")
-    if k > 0:
-        lhs, rhs = Fraction(alpha.value), epsilon * n / (2 * k)
-        if not lhs < rhs:
-            raise PreconditionFailed("alpha-bound", "<", lhs, rhs)
-    if not is_free(graph, s):
-        raise PreconditionFailed("pattern-free", "==", Fraction(0), Fraction(1))
-    if not is_free(ambient, s):
-        raise PreconditionFailed("ambient-free", "==", Fraction(0), Fraction(1))
+        analysis = analyze_phi(_negation(phi))
+    setup = _fam_preconditions(analysis, epsilon, ambient, graph, s)
+    _require(setup.checks)
 
     embedding = embed_search(graph, ambient, budget=embed_budget)
     if embedding.mapping is None:
         raise EmbeddingNotFound(embedding.exhausted, embedding.nodes)
     abar = embedding.mapping
 
-    certified, details = _fam_certified(phi, negated, epsilon, ambient,
-                                        graph, s, abar)
+    certified, details = _fam_certified(setup, epsilon, ambient, graph, abar)
     witness = {
         "phi": format_formula(phi.formula),
         "object_arity": phi.object_arity,
@@ -288,8 +301,9 @@ def fam_witness(phi: PhiPartition, epsilon: Fraction, ambient: Hypergraph,
         f"formula splits into {len(analysis.profiles)} disjuncts, "
         f"{len(analysis.generic_indices)} generic",
         f"negation branch taken: {negated}",
-        f"chose disjunct {details['profile']['index']} with k={k}, ell={ell}",
-        f"alpha_s(pattern, {s}) = {alpha.value}",
+        f"chose disjunct {details['profile']['index']} with "
+        f"k={details['k']}, ell={details['ell']}",
+        f"alpha_s(pattern, {s}) = {setup.alpha.value}",
         f"embedding found after {embedding.nodes} nodes",
         f"exhaustive scan of {details['sup']['samples_scanned']} "
         f"parameter tuples",
@@ -307,11 +321,13 @@ def fam_witness(phi: PhiPartition, epsilon: Fraction, ambient: Hypergraph,
 def _recompute_fam(witness: dict, inputs: Mapping[str, object]):
     phi = parse_phi(witness["phi"], witness["object_arity"],
                     witness["param_arity"])
-    certified, _ = _fam_certified(
-        phi, bool(witness["negated"]),
-        rational_from_json(witness["epsilon"]),
-        inputs["ambient"], inputs["graph"], int(witness["s"]),
-        tuple(witness["embedding"]))
+    analysis = analyze_phi(_negation(phi) if witness["negated"] else phi)
+    epsilon = rational_from_json(witness["epsilon"])
+    ambient, graph = inputs["ambient"], inputs["graph"]
+    setup = _fam_preconditions(analysis, epsilon, ambient, graph,
+                               int(witness["s"]))
+    certified, _ = _fam_certified(setup, epsilon, ambient, graph,
+                                  tuple(witness["embedding"]))
     return certified
 
 
@@ -320,6 +336,9 @@ def _recompute_fam(witness: dict, inputs: Mapping[str, object]):
 # ---------------------------------------------------------------------------
 
 def _order_certified(ambient: Hypergraph, s: int, q: int):
+    ambient_free = _bool_cert("ambient-free", is_free(ambient, s))
+    if not ambient_free.holds:
+        return [ambient_free], {}  # the extension needs a free ambient
     chain = list(range(ambient.n, ambient.n + 2 * q))
     extended = ambient
     for _ in range(2 * q):
@@ -335,7 +354,7 @@ def _order_certified(ambient: Hypergraph, s: int, q: int):
     matches = sum(1 for i in range(2 * q)
                   if adjacency[i] == ((i + 1) % 2 == 0))
     certified = [
-        _bool_cert("ambient-free", is_free(ambient, s)),
+        ambient_free,
         Certified("alternation", "==", Fraction(matches), Fraction(2 * q)),
         _bool_cert("extended-free", is_free(extended, s)),
     ]
@@ -359,9 +378,8 @@ def order_witness(ambient: Hypergraph, s: int, q: int) -> WitnessReport:
         raise ValueError("s must be at least 3")
     if q < 0:
         raise ValueError("q must be nonnegative")
-    if not is_free(ambient, s):
-        raise PreconditionFailed("ambient-free", "==", Fraction(0), Fraction(1))
     certified, details = _order_certified(ambient, s, q)
+    _require(certified[:1])  # ambient-free, the one precondition
     witness = {"s": s, "q": q, "base_n": ambient.n, **details}
     log = ([f"added {2 * q} isolated vertices and one linked to the "
             f"{q} even positions"] if q > 0
@@ -399,7 +417,14 @@ def _no_edge_formula(r: int) -> PhiPartition:
 
 
 def _adversary_certified(ambient: Hypergraph, s: int, tuples: Sequence[tuple],
-                         coloring: Sequence[int], links: Sequence[tuple]):
+                         coloring: Optional[Sequence[int]] = None,
+                         links: Optional[Sequence[tuple]] = None):
+    """Certified values of the adversary construction; shared by the runner
+    and the verifier.  Without a recorded coloring and links the greedy
+    colouring and its split sets are chosen here."""
+    ambient_free = _bool_cert("ambient-free", is_free(ambient, s))
+    if not ambient_free.holds:
+        return [ambient_free], {}  # the extension needs a free ambient
     r = ambient.r
     arity = r - 1
     distinct = [t for t in tuples if len(set(t)) == arity]
@@ -412,6 +437,12 @@ def _adversary_certified(ambient: Hypergraph, s: int, tuples: Sequence[tuple],
         weights[key] = weights.get(key, 0) + 1
     wh = weighted_hypergraph(len(vertices), arity,
                              ((key, Fraction(c)) for key, c in weights.items()))
+    if coloring is None:
+        coloring = greedy_coloring(wh)
+        links = [tuple(vertices[i] for i in combo)
+                 for combo in itertools.combinations(range(len(vertices)),
+                                                     arity)
+                 if len({coloring[i] for i in combo}) == arity]
     w_chi = weight_of(wh, coloring)
     target = adversary_fraction(r)
 
@@ -424,12 +455,14 @@ def _adversary_certified(ambient: Hypergraph, s: int, tuples: Sequence[tuple],
     fraction = Fraction(sum(violations), len(tuples))
 
     certified = [
-        _bool_cert("ambient-free", is_free(ambient, s)),
+        ambient_free,
         Certified("coloring-weight", ">=", w_chi, target * m),
         _bool_cert("extended-free", is_free(extended, s)),
         Certified("violated-fraction", ">=", fraction, target),
     ]
-    details = {"witness_vertex": star,
+    details = {"coloring": list(coloring),
+               "links": [list(l) for l in links],
+               "witness_vertex": star,
                "violations": [int(v) for v in violations],
                "fraction": rational_to_json(fraction),
                "coloring_weight": rational_to_json(w_chi),
@@ -466,39 +499,19 @@ def adversary_witness(tuples: Sequence[Sequence[int]], ambient: Hypergraph,
         if any(not 0 <= v < ambient.n for v in t):
             raise ValueError(f"tuple {t} out of range")
         clean.append(t)
-    if not is_free(ambient, s):
-        raise PreconditionFailed("ambient-free", "==", Fraction(0), Fraction(1))
 
-    distinct = [t for t in clean if len(set(t)) == arity]
-    vertices = sorted({v for t in distinct for v in t})
-    index = {v: i for i, v in enumerate(vertices)}
-    weights: dict[tuple[int, ...], int] = {}
-    for t in distinct:
-        key = tuple(sorted(index[v] for v in t))
-        weights[key] = weights.get(key, 0) + 1
-    wh = weighted_hypergraph(len(vertices), arity,
-                             ((key, Fraction(c)) for key, c in weights.items()))
-    chi = greedy_coloring(wh)
-    links = [tuple(vertices[i] for i in combo)
-             for combo in itertools.combinations(range(len(vertices)), arity)
-             if len({chi[i] for i in combo}) == arity]
-
-    certified, details = _adversary_certified(ambient, s, clean, chi, links)
-    witness = {
-        "r": r, "s": s,
-        "tuples": [list(t) for t in clean],
-        "coloring": list(chi),
-        "links": [list(l) for l in links],
-        **details,
-    }
+    certified, details = _adversary_certified(ambient, s, clean)
+    _require(certified[:1])  # ambient-free, the one precondition
+    witness = {"r": r, "s": s, "tuples": [list(t) for t in clean],
+               **details}
     log = [
         f"{len(clean)} tuples, {details['distinct_count']} with distinct "
-        f"entries over {len(vertices)} vertices",
+        f"entries over {len(details['vertices'])} vertices",
         f"greedy colouring splits weight "
-        f"{Fraction(details['coloring_weight']['num'], details['coloring_weight']['den'])} "
+        f"{rational_from_json(details['coloring_weight'])} "
         f"of {details['distinct_count']}",
         f"witness vertex {details['witness_vertex']} linked to "
-        f"{len(links)} split sets",
+        f"{len(details['links'])} split sets",
     ]
     return WitnessReport(
         theorem="dfsnotfim-adversary",

@@ -164,9 +164,14 @@ def test_verify_detects_certified_tamper(tmp_path, capsys):
     for cert in data["certified"]:
         if cert["name"] == "sup-error":
             cert["lhs"] = {"num": 4, "den": 13, "decimal": 4 / 13}
+        if cert["name"] == "violation-bound":
+            cert["lhs"] = {"num": 4, "den": 1, "decimal": 4.0}
     out.write_text(canonical_dumps(data))
+    capsys.readouterr()
     assert run(["verify", str(out)]) == 2
-    assert "does not reproduce" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "'sup-error' does not reproduce" in err
+    assert "'violation-bound' does not reproduce" in err
 
 
 def test_verify_detects_input_tamper(tmp_path, capsys):
@@ -190,6 +195,63 @@ def test_verify_rejects_malformed_reports(tmp_path):
                                         "witness": {}, "certified": [],
                                         "log": []}))
     assert run(["verify", str(unknown)]) == 1
+    no_lhs = tmp_path / "no-lhs.json"
+    no_lhs.write_text(canonical_dumps({
+        "theorem": "order", "inputs": {}, "certified": [], "log": [],
+        "witness": {"precondition_failed": "ambient-free", "op": "==",
+                    "rhs": {"num": 1, "den": 1}}}))
+    assert run(["verify", str(no_lhs)]) == 1
+
+
+OVER_CAP_SPECS = [
+    "gen:127:3:4:seed=1",              # 3 * C(127, 3) = 1,000,125 entries
+    "gen:2000:3:4:seed=1",
+    "gen:10001:10002:10003:seed=1",    # n itself over the cap
+    "circulant:1001:1",
+    "searchalpha:41:3:4:60:seed=0",
+    "searchalpha:13:3:4:1001:seed=0",
+    "tp2grid:1000000000",
+]
+
+
+def refuse_to_build(monkeypatch):
+    """Make the spec builders fail loudly, so a cap that lets a spec
+    through is caught before it allocates anything.  build_tp2_grid
+    checks its own cap before it allocates, so it stays."""
+    import keisler_lab.serialize as serialize
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a capped spec reached its builder")
+    for name in ("random_maximal_free", "cyclic_graph",
+                 "search_small_alpha"):
+        monkeypatch.setattr(serialize, name, refuse)
+
+
+@pytest.mark.parametrize("spec", OVER_CAP_SPECS)
+def test_over_cap_spec_fails_fast(spec, monkeypatch, capsys):
+    refuse_to_build(monkeypatch)
+    assert run(["gen", spec]) == 1
+    assert "exceed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec", OVER_CAP_SPECS)
+def test_verify_rejects_over_cap_source(spec, tmp_path, monkeypatch, capsys):
+    out = tmp_path / "order.json"
+    assert run(["order", "--ambient", "gen:20:2:3:seed=1", "--q", "2",
+                "--output", str(out)]) == 0
+    data = read_report(out)
+    data["inputs"]["ambient"]["source"] = spec
+    out.write_text(canonical_dumps(data))
+    gen_out = tmp_path / "gen.json"
+    assert run(["gen", "gen:20:2:3:seed=1", "--output", str(gen_out)]) == 0
+    gen_data = read_report(gen_out)
+    gen_data["witness"]["spec"] = spec
+    gen_out.write_text(canonical_dumps(gen_data))
+    refuse_to_build(monkeypatch)
+    capsys.readouterr()
+    assert run(["verify", str(out)]) == 1
+    assert run(["verify", str(gen_out)]) == 1
+    assert capsys.readouterr().err.count("exceed") == 2
 
 
 # ---------------------------------------------------------------------------
@@ -302,21 +364,3 @@ def test_check_measures_verify(tmp_path):
                 "--output", str(out)]) == 0
     assert run(["verify", str(out)]) == 0
 
-
-# ---------------------------------------------------------------------------
-# environment knob
-# ---------------------------------------------------------------------------
-
-def test_threads_env_is_echoed(tmp_path, monkeypatch):
-    monkeypatch.setenv("KEISLER_LAB_THREADS", "3")
-    out = tmp_path / "r.json"
-    assert run(["gen", "circulant:13:1,5", "--output", str(out)]) == 0
-    assert read_report(out)["config"]["threads"] == 3
-
-
-def test_threads_env_is_validated(monkeypatch, capsys):
-    monkeypatch.setenv("KEISLER_LAB_THREADS", "zero")
-    assert run(["gen", "circulant:13:1,5"]) == 1
-    monkeypatch.setenv("KEISLER_LAB_THREADS", "0")
-    assert run(["gen", "circulant:13:1,5"]) == 1
-    assert "KEISLER_LAB_THREADS" in capsys.readouterr().err

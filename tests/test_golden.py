@@ -1,0 +1,46 @@
+"""Golden reports: the sha256 of each report's canonical bytes is pinned.
+
+Each case in golden/digests.json is run in a fresh working directory with
+relative --input/--output names, because the report echoes those paths
+(in config and inputs.*.source).  A golden may change only together with
+a CHANGES.md line that names the report and says why it changed.
+"""
+
+import hashlib
+import itertools
+import json
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from keisler_lab.cli import run
+from keisler_lab.coloring import weighted_hypergraph
+from keisler_lab.serialize import (canonical_dumps, structure_to_json,
+                                   weighted_to_json)
+from keisler_lab.structures import Hypergraph
+
+GOLDEN = json.loads(
+    (Path(__file__).parent / "golden" / "digests.json").read_text())
+
+
+def write_inputs(directory: Path) -> None:
+    wh = weighted_hypergraph(5, 2, [((0, 1), Fraction(1, 3)),
+                                    ((1, 2), Fraction(2, 1)),
+                                    ((3, 4), Fraction(1, 2))])
+    (directory / "weights.json").write_text(
+        canonical_dumps(weighted_to_json(wh)))
+    # the complete 3-graph on 5 vertices: not K^3_4-free
+    k5 = Hypergraph(3, 5, frozenset(itertools.combinations(range(5), 3)))
+    (directory / "k5-3.json").write_text(
+        canonical_dumps(structure_to_json(k5)))
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_report_bytes_match_golden(name, tmp_path, monkeypatch, capsys):
+    case = GOLDEN[name]
+    monkeypatch.chdir(tmp_path)
+    write_inputs(tmp_path)
+    assert run(case["argv"] + ["--output", "report.json"]) == case["exit"]
+    blob = (tmp_path / "report.json").read_bytes()
+    assert hashlib.sha256(blob).hexdigest() == case["sha256"], name

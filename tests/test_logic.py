@@ -19,7 +19,6 @@ from keisler_lab.logic import (
     ParseError,
     PhiPartition,
     Rel,
-    all_assignments,
     analyze_phi,
     dnf_to_formula,
     evaluate,
@@ -32,7 +31,15 @@ from keisler_lab.logic import (
     to_dnf,
     variables,
 )
-from keisler_lab.structures import BipartiteGraph, Hypergraph
+from keisler_lab.structures import Hypergraph
+
+
+def all_assignments(host, phi):
+    """Every (objects, params) pair over the host's vertices."""
+    vertices = range(host.n)
+    for objs in itertools.product(vertices, repeat=phi.object_arity):
+        for pars in itertools.product(vertices, repeat=phi.param_arity):
+            yield objs, pars
 
 
 def random_formula(rng: random.Random, object_arity: int = 2,
@@ -181,17 +188,12 @@ def test_evaluate_graph_semantics():
                         make_assignment((0,), (0,)))
 
 
-def test_evaluate_hypergraph_and_bipartite():
+def test_evaluate_hypergraph():
     h3 = Hypergraph(3, 4, frozenset({(0, 1, 2)}))
     f = parse_formula("R(x1,x2,y1)")
     assert evaluate(h3, f, make_assignment((0, 1), (2,)))
     assert not evaluate(h3, f, make_assignment((0, 1), (3,)))
     assert not evaluate(h3, f, make_assignment((0, 0), (2,)))
-    b = BipartiteGraph(4, frozenset({0, 1}), frozenset({2, 3}),
-                       frozenset({(0, 2)}))
-    assert evaluate(b, parse_formula("E(x1,y1)"), make_assignment((0,), (2,)))
-    assert not evaluate(b, parse_formula("E(x1,y1)"),
-                        make_assignment((0,), (3,)))
 
 
 def test_evaluate_errors():

@@ -20,19 +20,14 @@ from keisler_lab.logic import (
 from keisler_lab.measures import (
     ApproxReport,
     FiniteMeasure,
-    IsolatedTupleOracle,
     IsolatedVertexOracle,
     SELFTEST_CHECKS,
-    SizeCapError,
     ZeroMassError,
-    dirac,
     localize,
     make_average,
     make_measure,
     measure_algebra_selftest,
-    mix,
     mu_eval,
-    power,
     product,
     sup_error,
 )
@@ -72,7 +67,7 @@ def test_finite_measure_validation():
 
 def test_make_average_examples():
     host = Hypergraph(2, 3, frozenset({(0, 1)}))
-    assert make_average(host, [(0,)]) == dirac(host, 0)
+    assert make_average(host, [(0,)]) == make_average(host, [0])
     mu = make_average(host, [(0,), (1,), (0,)])
     assert mu.weight((0,)) == Fraction(2, 3)
     assert mu.weight((1,)) == Fraction(1, 3)
@@ -82,24 +77,14 @@ def test_make_average_examples():
         make_average(host, [])
 
 
-def test_mix():
-    host = Hypergraph(2, 4, frozenset())
-    mu = mix([(Fraction(1, 4), dirac(host, 0)), (Fraction(3, 4), dirac(host, 1))])
-    assert mu.weight((0,)) == Fraction(1, 4)
-    assert mu.weight((1,)) == Fraction(3, 4)
-    with pytest.raises(ValueError):
-        mix([])
-    with pytest.raises(ValueError):
-        mix([(Fraction(-1), dirac(host, 0)), (Fraction(2), dirac(host, 1))])
-
-
 # ---------------------------------------------------------------------------
 # evaluation
 # ---------------------------------------------------------------------------
 
 def test_mu_eval_examples():
     host = Hypergraph(2, 3, frozenset({(0, 1)}))
-    assert mu_eval(dirac(host, 0), parse_formula("E(x1,y1)"), (1,)) == 1
+    point = make_average(host, [0])
+    assert mu_eval(point, parse_formula("E(x1,y1)"), (1,)) == 1
     rng = random.Random(0)
     for _ in range(10):
         mu = random_measure(rng, host)
@@ -116,7 +101,7 @@ def test_mu_eval_five_cycle_degree():
 
 def test_mu_eval_arity_errors():
     host = Hypergraph(2, 3, frozenset({(0, 1)}))
-    mu = dirac(host, 0)
+    mu = make_average(host, [0])
     with pytest.raises(ValueError):
         mu_eval(mu, parse_formula("E(x1,x2)"))
     with pytest.raises(ValueError):
@@ -129,7 +114,7 @@ def test_mu_eval_arity_errors():
 
 def test_product_of_diracs():
     host = Hypergraph(2, 4, frozenset({(0, 1)}))
-    pair = product(dirac(host, 0), dirac(host, 1))
+    pair = product(make_average(host, [0]), make_average(host, [1]))
     assert pair.arity == 2
     assert pair.support == (((0, 1), Fraction(1)),)
 
@@ -169,24 +154,10 @@ def test_product_associative_exactly():
 
 
 def test_product_host_mismatch():
-    a = dirac(Hypergraph(2, 2, frozenset()), 0)
-    b = dirac(Hypergraph(2, 3, frozenset()), 0)
+    a = make_average(Hypergraph(2, 2, frozenset()), [0])
+    b = make_average(Hypergraph(2, 3, frozenset()), [0])
     with pytest.raises(ValueError):
         product(a, b)
-
-
-def test_power():
-    host = Hypergraph(2, 4, frozenset())
-    assert power(dirac(host, 2), 3).support == (((2, 2, 2), Fraction(1)),)
-    sq = power(make_average(host, [(0,), (1,)]), 2)
-    assert len(sq.support) == 4
-    assert all(w == Fraction(1, 4) for _, w in sq.support)
-    mu = make_average(host, [(0,), (1,), (2,)])
-    assert power(mu, 2) == product(mu, mu)
-    with pytest.raises(ValueError):
-        power(mu, 0)
-    with pytest.raises(SizeCapError):
-        power(mu, 2, max_support=8)
 
 
 # ---------------------------------------------------------------------------
@@ -195,10 +166,10 @@ def test_power():
 
 def test_localize_examples():
     host = Hypergraph(2, 4, frozenset())
-    d = dirac(host, 1)
+    d = make_average(host, [1])
     assert localize(d, lambda p: p[0] == 1) == d
     av = make_average(host, [(0,), (1,)])
-    assert localize(av, lambda p: p[0] == 0) == dirac(host, 0)
+    assert localize(av, lambda p: p[0] == 0) == make_average(host, [0])
     with pytest.raises(ZeroMassError):
         localize(d, lambda p: p[0] == 0)
 
@@ -234,15 +205,6 @@ def test_isolated_vertex_oracle_values():
     with_residual = parse_phi("!E(x1,y1) & E(y1,y2)")
     assert oracle.value(with_residual, host, (0, 1)) == 1
     assert oracle.value(with_residual, host, (0, 2)) == 0
-
-
-def test_isolated_tuple_oracle_values():
-    host = Hypergraph(3, 5, frozenset({(0, 1, 2)}))
-    oracle = IsolatedTupleOracle()
-    phi = parse_phi("!R(x1,x2,y1) & x1 != x2 & x1 != y1 & x2 != y1")
-    assert all(oracle.value(phi, host, (b,)) == 1 for b in range(5))
-    assert oracle.value(parse_phi("R(x1,x2,y1)", object_arity=2), host,
-                        (0,)) == 0
 
 
 def test_sup_error_zero_when_average_matches():

@@ -29,7 +29,6 @@ from keisler_lab.serialize import (
 from keisler_lab.structures import (
     Feq2Structure,
     Hypergraph,
-    Tournament,
     build_tp2_grid,
     cyclic_graph,
     random_maximal_free,
@@ -74,8 +73,6 @@ def test_structure_round_trips():
     assert structure_from_json(structure_to_json(graph)) == graph
     three = random_maximal_free(8, 3, 4, 2)
     assert structure_from_json(structure_to_json(three)) == three
-    t = Tournament(3, frozenset({(0, 1), (1, 2), (2, 0)}))
-    assert structure_from_json(structure_to_json(t)) == t
     f = build_tp2_grid(2)
     assert structure_from_json(structure_to_json(f)) == f
 

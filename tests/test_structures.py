@@ -1,4 +1,4 @@
-"""Hypergraphs, clique search, alpha, generators, embeddings, reducts."""
+"""Hypergraphs, clique search, alpha, generators, embeddings, grids."""
 
 import itertools
 import random
@@ -8,17 +8,14 @@ import pytest
 from conftest import random_graph, random_hypergraph
 from keisler_lab.structures import (
     AlphaResult,
-    BipartiteGraph,
     Feq2Structure,
     FreenessViolation,
     Hypergraph,
-    Tournament,
     add_vertex_with_links,
     alpha_s,
     build_tp2_grid,
     cyclic_graph,
     embed_search,
-    extension_probe,
     find_clique,
     grid_object,
     grid_target,
@@ -26,7 +23,6 @@ from keisler_lab.structures import (
     is_induced_embedding,
     is_maximal_free,
     random_maximal_free,
-    reduct_transform,
     search_small_alpha,
 )
 
@@ -87,33 +83,11 @@ def test_adjacency_masks():
     assert g.adjacency == (0b0010, 0b0101, 0b1010, 0b0100)
 
 
-def test_tournament_validation():
-    t = Tournament(3, frozenset({(0, 1), (1, 2), (2, 0)}))
-    assert t.beats(0, 1) and not t.beats(1, 0)
-    with pytest.raises(ValueError):
-        Tournament(3, frozenset({(0, 1), (1, 0), (1, 2)}))
-    with pytest.raises(ValueError):
-        Tournament(3, frozenset({(0, 1)}))
-
-
-def test_bipartite_validation():
-    b = BipartiteGraph(4, frozenset({0, 1}), frozenset({2, 3}),
-                       frozenset({(0, 2), (3, 1)}))
-    assert b.adjacent(1, 3) and b.adjacent(3, 1)
-    assert not b.adjacent(0, 1)
-    with pytest.raises(ValueError):
-        BipartiteGraph(4, frozenset({0, 1}), frozenset({2, 3}),
-                       frozenset({(0, 1)}))
-    with pytest.raises(ValueError):
-        BipartiteGraph(4, frozenset({0}), frozenset({2, 3}), frozenset())
-
-
 def test_feq2_validation():
     f = Feq2Structure(4, 2, ((((0, 1), (2, 3))), ((0, 2), (1, 3))))
     assert f.same_class(0, 0, 1) and not f.same_class(1, 0, 1)
-    assert f.classmate(0, 0) == 1 and f.classmate(1, 0) == 2
     odd = Feq2Structure(3, 1, ((((0, 1), (2,))),))
-    assert odd.classmate(0, 2) is None
+    assert odd.same_class(0, 0, 1) and not odd.same_class(0, 1, 2)
     with pytest.raises(ValueError):
         Feq2Structure(4, 1, (((0, 1),),))
     with pytest.raises(ValueError):
@@ -322,82 +296,6 @@ def test_embed_search_matches_brute_on_corpus():
         assert (result.mapping is not None) == brute_hit
         if result.mapping is not None:
             assert is_induced_embedding(pattern, host, result.mapping)
-
-
-# ---------------------------------------------------------------------------
-# reducts and extension probes
-# ---------------------------------------------------------------------------
-
-def test_reduct_hyper_to_graph():
-    edges = {(0, 1, 2), (0, 1, 3), (1, 2, 3)}
-    g3 = Hypergraph(3, 5, frozenset(edges))
-    result = reduct_transform("hyper_to_graph", g3, (1,))
-    graph = result.structure
-    assert graph.r == 2
-    # x ~ y iff {x, y, 1} is an edge; vertex 1 itself is dropped
-    kept = [orig for _, orig in result.provenance]
-    assert 1 not in kept
-    for u, v in itertools.combinations(kept, 2):
-        want = tuple(sorted((u, v, 1))) in edges
-        iu, iv = kept.index(u), kept.index(v)
-        assert graph.has_edge((iu, iv)) == want
-    with pytest.raises(ValueError):
-        reduct_transform("hyper_to_graph", g3, (1, 1))
-
-
-def test_reduct_tournament_to_bipartite():
-    t = Tournament(4, frozenset({(0, 1), (0, 2), (3, 0), (1, 2), (3, 1),
-                                 (2, 3)}))
-    result = reduct_transform("tournament_to_bipartite", t, (0,))
-    b = result.structure
-    # outgoing neighbours of 0 go left, incoming right, arcs point across
-    sorts = dict(result.provenance[i] for i in range(len(result.provenance)))
-    left_orig = {result.provenance[i][1] for i in b.left}
-    right_orig = {result.provenance[i][1] for i in b.right}
-    assert left_orig == {1, 2}
-    assert right_orig == {3}
-    assert sorts  # provenance is populated
-
-
-def test_reduct_feq_to_bipartite():
-    f = build_tp2_grid(2)
-    result = reduct_transform("feq_to_bipartite", f, (0,))
-    b = result.structure
-    assert isinstance(b, BipartiteGraph)
-    objs = [i for i, (sort, _) in enumerate(result.provenance) if sort == "o"]
-    pars = [i for i, (sort, _) in enumerate(result.provenance) if sort == "p"]
-    # the anchor object itself is dropped from the object side
-    assert len(objs) == f.objects - 1 and len(pars) == f.parameters
-    for i in objs:
-        for j in pars:
-            _, obj = result.provenance[i]
-            _, par = result.provenance[j]
-            assert b.adjacent(i, j) == (f.classmate(par, 0) == obj)
-
-
-def test_reduct_rejects_unknown_kind():
-    with pytest.raises(ValueError):
-        reduct_transform("unknown", Hypergraph(2, 2, frozenset()), ())
-
-
-def test_extension_probe(petersen):
-    # petersen is triangle-free: no vertex extends an edge positively
-    assert extension_probe(petersen, [0, 1], []) is None
-    hit = extension_probe(petersen, [0], [2, 3])
-    assert hit == 5
-    assert petersen.has_edge((0, hit))
-    assert all(not petersen.has_edge((hit, w)) for w in (2, 3))
-    with pytest.raises(ValueError):
-        extension_probe(petersen, [0], [0])
-    with pytest.raises(ValueError):
-        extension_probe(Hypergraph(3, 4, frozenset()), [0], [1])
-
-
-def test_extension_probe_bipartite():
-    b = BipartiteGraph(4, frozenset({0, 1}), frozenset({2, 3}),
-                       frozenset({(0, 2), (1, 2), (1, 3)}))
-    assert extension_probe(b, [2, 3], []) == 1
-    assert extension_probe(b, [2], [3]) == 0
 
 
 # ---------------------------------------------------------------------------
