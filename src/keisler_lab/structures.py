@@ -56,6 +56,11 @@ class Hypergraph:
     n: int
     edges: frozenset[tuple[int, ...]]
 
+    # the s for which add_vertex_with_links built this graph free, if any;
+    # unannotated, so not a field: equality, hashing and serialisation
+    # ignore it
+    _extension_free_s = None
+
     def __post_init__(self):
         if self.r < 2:
             raise ValueError("arity must be at least 2")
@@ -96,6 +101,24 @@ class Hypergraph:
                 key = e[:i] + e[i + 1:]
                 masks[key] = masks.get(key, 0) | (1 << e[i])
         return masks
+
+    @cached_property
+    def _free_memo(self) -> dict[int, bool]:
+        """is_free's global answers, keyed by s."""
+        return {}
+
+
+def _extension(h: Hypergraph, new_edges: frozenset[tuple[int, ...]],
+               s: int) -> Hypergraph:
+    # h plus one vertex whose edges, new_edges, are already canonical: skips
+    # __post_init__, which would re-canonicalise every edge of h
+    g = object.__new__(Hypergraph)
+    object.__setattr__(g, "r", h.r)
+    object.__setattr__(g, "n", h.n + 1)
+    object.__setattr__(g, "edges", h.edges | new_edges if new_edges
+                       else h.edges)
+    object.__setattr__(g, "_extension_free_s", s)
+    return g
 
 
 @dataclass(frozen=True)
@@ -199,8 +222,15 @@ def find_clique(h: Hypergraph, s: int) -> Optional[tuple[int, ...]]:
 
 
 def is_free(h: Hypergraph, s: int) -> bool:
-    """True iff no s vertices span a complete sub-r-graph."""
-    return find_clique(h, s) is None
+    """True iff no s vertices span a complete sub-r-graph.
+
+    The answer comes from a global find_clique and is memoised on h, keyed
+    by s; the mark add_vertex_with_links leaves is never consulted.
+    """
+    memo = h._free_memo
+    if s not in memo:
+        memo[s] = find_clique(h, s) is None
+    return memo[s]
 
 
 class _FreeBuilder:
@@ -244,8 +274,16 @@ def add_vertex_with_links(h: Hypergraph, links: Iterable[Iterable[int]],
                           s: int) -> Hypergraph:
     """Extend h by a fresh vertex attached through the given (r-1)-subsets.
 
-    The result is checked to stay free of complete s-sets; a violation
-    raises FreenessViolation carrying the offending vertex set.
+    h must be K^r_s-free; if it is not, FreenessViolation carries a clique
+    of h.  Given that, every s-clique of the extension contains the new
+    vertex star = h.n, and its other s-1 vertices form a set whose
+    (r-1)-subsets are all links and whose r-subsets are all edges of h.
+    Only such sets are searched for, so an extension without links costs
+    O(1).  A clique found raises FreenessViolation carrying its vertices.
+
+    Freeness of h is established by is_free(h, s), or, when h is itself
+    the result of an extension for the same s, by the mark that extension
+    left on it.
     """
     links = [tuple(sorted(x)) for x in links]
     for sigma in links:
@@ -253,13 +291,23 @@ def add_vertex_with_links(h: Hypergraph, links: Iterable[Iterable[int]],
             raise ValueError(f"link {sigma} is not an (r-1)-subset")
         if sigma and (sigma[0] < 0 or sigma[-1] >= h.n):
             raise ValueError(f"link {sigma} mentions unknown vertices")
+    if h._extension_free_s != s and not is_free(h, s):
+        raise FreenessViolation(find_clique(h, s))
     star = h.n
-    new_edges = set(h.edges) | {tuple(sorted(sigma + (star,))) for sigma in links}
-    extended = Hypergraph(h.r, h.n + 1, frozenset(new_edges))
-    witness = find_clique(extended, s)
-    if witness is not None:
-        raise FreenessViolation(witness)
-    return extended
+    new_edges = frozenset(sigma + (star,) for sigma in links)
+    if new_edges:
+        touched = 0
+        for sigma in links:
+            for v in sigma:
+                touched |= 1 << v
+        # every other clique vertex lies in some link, since s - 1 >= r - 1
+        near = _FreeBuilder(h.n + 1, h.r, s, itertools.chain(
+            (e for e in h.edges if all(touched >> v & 1 for v in e)),
+            new_edges))
+        found = _extend_clique(near.masks, [star], touched, s - 1, h.r)
+        if found is not None:
+            raise FreenessViolation(found)
+    return _extension(h, new_edges, s)
 
 
 def random_maximal_free(n: int, r: int, s: int, seed: int) -> Hypergraph:

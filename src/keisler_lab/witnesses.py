@@ -22,9 +22,9 @@ from .logic import (And, Eq, Not, ObjectVar, ParamVar, PhiAnalysis,
                     make_assignment, parse_phi, residual_holds)
 from .measures import IsolatedVertexOracle, sup_error
 from .serialize import rational_from_json, rational_to_json, structure_digest
-from .structures import (AlphaResult, Feq2Structure, Hypergraph,
-                         add_vertex_with_links, alpha_s, embed_search,
-                         grid_object, grid_target, is_free,
+from .structures import (AlphaResult, Feq2Structure, FreenessViolation,
+                         Hypergraph, add_vertex_with_links, alpha_s,
+                         embed_search, grid_object, grid_target, is_free,
                          is_induced_embedding)
 
 _DOMAIN_CAP = 10 ** 6
@@ -368,9 +368,10 @@ def order_witness(ambient: Hypergraph, s: int, q: int) -> WitnessReport:
     vertex linked to exactly the even-indexed ones, certifying the
     alternating pattern and that freeness survives.
 
-    The added chain is independent, so for s >= 3 the freeness re-check
-    cannot fail; if it ever did, FreenessViolation would propagate as an
-    internal error.
+    The added chain is independent and the last vertex links only to chain
+    vertices, so for s >= 3 no extension can complete a clique.  The report
+    records no links, so verify re-derives the same extension and cannot
+    meet a FreenessViolation either.
     """
     if ambient.r != 2:
         raise ValueError("order witness is defined over graphs")
@@ -445,8 +446,15 @@ def _adversary_certified(ambient: Hypergraph, s: int, tuples: Sequence[tuple],
                  if len({coloring[i] for i in combo}) == arity]
     w_chi = weight_of(wh, coloring)
     target = adversary_fraction(r)
+    weight = Certified("coloring-weight", ">=", w_chi, target * m)
 
-    extended = add_vertex_with_links(ambient, links, s)
+    try:
+        extended = add_vertex_with_links(ambient, links, s)
+    except FreenessViolation:
+        # only recorded links can get here (a tampered report): the split
+        # sets chosen above never complete a clique
+        return [ambient_free, weight,
+                _bool_cert("extended-free", False)], {}
     star = extended.n - 1
     phi = _no_edge_formula(r)
     violations = [
@@ -456,7 +464,7 @@ def _adversary_certified(ambient: Hypergraph, s: int, tuples: Sequence[tuple],
 
     certified = [
         ambient_free,
-        Certified("coloring-weight", ">=", w_chi, target * m),
+        weight,
         _bool_cert("extended-free", is_free(extended, s)),
         Certified("violated-fraction", ">=", fraction, target),
     ]
@@ -479,7 +487,8 @@ def adversary_witness(tuples: Sequence[Sequence[int]], ambient: Hypergraph,
 
     Tuples with repeated entries count as violations outright.  The links
     cannot complete an s-clique (more pairwise distinct colours would be
-    needed than exist), so a freeness failure is an internal error.
+    needed than exist).  Links edited into a report can: verify then
+    certifies extended-free as failing.
     """
     r = ambient.r
     if r < 3:

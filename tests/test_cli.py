@@ -1,5 +1,6 @@
 """End-to-end command line runs, in process via run(argv)."""
 
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -266,6 +267,22 @@ def test_adversary_byte_identity(tmp_path):
     first = out.read_bytes()
     assert run(argv) == 0
     assert out.read_bytes() == first
+
+
+def test_verify_names_extended_free_on_tampered_links(tmp_path, capsys):
+    out = tmp_path / "adv.json"
+    assert run(["adversary", "--ambient", "gen:12:3:4:seed=5", "--n", "10",
+                "--seed", "11", "--s", "4", "--output", str(out)]) == 0
+    data = read_report(out)
+    # every pair linked: the fresh vertex completes a K^3_4 with any triple
+    data["witness"]["links"] = [list(p)
+                                for p in itertools.combinations(range(12), 2)]
+    out.write_text(canonical_dumps(data))
+    capsys.readouterr()
+    assert run(["verify", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "'extended-free' does not reproduce" in err
+    assert "internal error" not in err
 
 
 def test_adversary_arity_mismatch(capsys):

@@ -6,11 +6,13 @@ import random
 import pytest
 
 from conftest import random_graph, random_hypergraph
+from keisler_lab import structures
 from keisler_lab.structures import (
     AlphaResult,
     Feq2Structure,
     FreenessViolation,
     Hypergraph,
+    _FreeBuilder,
     add_vertex_with_links,
     alpha_s,
     build_tp2_grid,
@@ -25,6 +27,7 @@ from keisler_lab.structures import (
     random_maximal_free,
     search_small_alpha,
 )
+from keisler_lab.serialize import structure_digest
 
 
 # ---------------------------------------------------------------------------
@@ -164,6 +167,101 @@ def test_add_vertex_with_links():
     assert set(info.value.witness) == {0, 1, 3}
     with pytest.raises(ValueError):
         add_vertex_with_links(path, [(0, 1)], 3)
+
+
+def random_free(rng: random.Random, n: int, r: int, s: int,
+                p: float) -> Hypergraph:
+    """A K^r_s-free r-graph: each candidate kept with probability p unless
+    it would complete an s-clique."""
+    builder = _FreeBuilder(n, r, s)
+    for e in itertools.combinations(range(n), r):
+        if rng.random() < p and not builder.creates_clique(e):
+            builder.add(e)
+    return Hypergraph(r, n, frozenset(builder.edges))
+
+
+def check_extension(h: Hypergraph, links: list, s: int):
+    """add_vertex_with_links against a global find_clique on the same
+    extension; returns the extension, or None when it must raise."""
+    star = h.n
+    expected = Hypergraph(h.r, h.n + 1, h.edges | {
+        tuple(sorted(sigma)) + (star,) for sigma in links})
+    clique = find_clique(expected, s)
+    if clique is None:
+        extended = add_vertex_with_links(h, links, s)
+        assert extended == expected
+        assert extended.n == expected.n and extended.edges == expected.edges
+        return extended
+    with pytest.raises(FreenessViolation) as info:
+        add_vertex_with_links(h, links, s)
+    witness = info.value.witness
+    assert len(set(witness)) == s and star in witness
+    assert all(expected.has_edge(e)
+               for e in itertools.combinations(witness, h.r))
+    return None
+
+
+def test_add_vertex_with_links_matches_global_oracle():
+    rng = random.Random(31)
+    outcomes = set()
+    for r in (2, 3):
+        for _ in range(40):
+            s = rng.randint(r + 1, r + 2)
+            h = random_free(rng, rng.randint(s, 9), r, s,
+                            rng.choice([0.3, 0.7, 1.0]))
+            # a second extension starts from the first one's mark
+            for _ in range(2):
+                candidates = list(itertools.combinations(range(h.n), r - 1))
+                p = rng.choice([0.1, 0.4, 0.8])
+                links = [c for c in candidates if rng.random() < p]
+                rng.shuffle(links)
+                links = [tuple(rng.sample(c, len(c))) for c in links]
+                extended = check_extension(h, links, s)
+                outcomes.add(extended is None)
+                if extended is None:
+                    break
+                h = extended
+    assert outcomes == {True, False}  # both branches were exercised
+
+
+def test_add_vertex_with_links_requires_a_free_ambient():
+    k4 = Hypergraph(2, 4, frozenset(itertools.combinations(range(4), 2)))
+    for s in (3, 4):
+        with pytest.raises(FreenessViolation) as info:
+            add_vertex_with_links(k4, [], s)
+        assert len(info.value.witness) == s
+        assert max(info.value.witness) < k4.n  # a clique of k4 itself
+    # a mark left for s = 4 says nothing about s = 3
+    triangle = Hypergraph(2, 3, frozenset({(0, 1), (0, 2), (1, 2)}))
+    extended = add_vertex_with_links(triangle, [(0,)], 4)
+    with pytest.raises(FreenessViolation) as info:
+        add_vertex_with_links(extended, [], 3)
+    assert info.value.witness == (0, 1, 2)
+
+
+def test_is_free_is_memoised_per_structure(monkeypatch):
+    calls = []
+    real = structures.find_clique
+
+    def counting(h, s):
+        calls.append(s)
+        return real(h, s)
+
+    monkeypatch.setattr(structures, "find_clique", counting)
+    h = random_maximal_free(12, 3, 4, 0)
+    links = [(0, 1), (2, 3), (4, 5)]
+    extended = add_vertex_with_links(h, links, 4)
+    fresh = Hypergraph(3, 13, h.edges | {sigma + (12,) for sigma in links})
+    before = (hash(extended), structure_digest(extended))
+    calls.clear()
+    assert is_free(extended, 4)  # a global search, not the extension mark
+    assert calls == [4]
+    assert is_free(extended, 4)
+    assert calls == [4]
+    assert is_free(extended, 5) and calls == [4, 5]
+    assert extended == fresh and hash(extended) == hash(fresh)
+    assert (hash(extended), structure_digest(extended)) == before
+    assert structure_digest(fresh) == before[1]
 
 
 # ---------------------------------------------------------------------------
