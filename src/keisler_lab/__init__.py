@@ -20,10 +20,9 @@ from .logic import (And, DisjunctProfile, DnfCapError, Eq, EvalError,
                     dnf_to_formula, evaluate, format_formula,
                     make_assignment, parse_formula, parse_phi,
                     residual_holds, substitute, to_dnf, variables)
-from .measures import (ApproxReport, FiniteMeasure, IsolatedVertexOracle,
-                       SelfTestOutcome, ZeroMassError, localize, make_average,
-                       make_measure, measure_algebra_selftest, mu_eval,
-                       product, sup_error)
+from .measures import (ApproxReport, FiniteMeasure, SelfTestOutcome,
+                       ZeroMassError, localize, make_average, make_measure,
+                       measure_algebra_selftest, mu_eval, product, sup_error)
 from .coloring import (BruteResult, WeightedHypergraph, brute_best,
                        conditional_expectation, greedy_coloring,
                        guarantee_value, weight_of, weighted_hypergraph)
@@ -44,7 +43,7 @@ __all__ = [
     "DisjunctProfile", "DnfCapError", "EmbedResult", "EmbeddingNotFound",
     "Eq", "EvalError", "Feq2Structure", "FiniteMeasure", "FormatError",
     "FragmentError", "FreenessViolation", "GridTooSmall", "Hypergraph",
-    "IsolatedVertexOracle", "Not", "ObjectVar", "Or", "ParamVar",
+    "Not", "ObjectVar", "Or", "ParamVar",
     "ParseError", "PhiAnalysis", "PhiPartition", "PreconditionFailed", "Rel",
     "SearchResult", "SelfTestOutcome", "WeightedHypergraph", "WitnessReport",
     "ZeroMassError", "add_vertex_with_links", "adversary_fraction",

@@ -1,9 +1,10 @@
 """Finitely supported measures on tuple spaces over a finite structure.
 
 Weights are exact rationals summing to one.  Averages over a vertex
-sequence, products on the tuple grid, localization and the sup-error
-scan against the isolated-vertex type rule all stay in exact
-arithmetic; no floats enter any comparison.
+sequence, products on the tuple grid, localization and the one scan of
+a parameter domain (the sup error of the isolated-vertex type rule
+against a point average, and the worst violation count) all stay in
+exact arithmetic; no floats enter any comparison.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence, Union
 
-from .logic import (Formula, PhiPartition, analyze_phi, evaluate,
+from .logic import (Formula, PhiAnalysis, PhiPartition, evaluate,
                     make_assignment, parse_formula, residual_holds, variables)
 from .structures import Hypergraph
 
@@ -153,52 +154,25 @@ def localize(measure: FiniteMeasure,
 
 
 # ---------------------------------------------------------------------------
-# Type rules
-# ---------------------------------------------------------------------------
-
-class IsolatedVertexOracle:
-    """Membership rule for the type of a fresh vertex over a graph: no edges
-    to any parameter and distinct from all of them.
-
-    A formula holds at such a vertex iff some DNF disjunct places no
-    positive edge or equality demand on the object variable and its
-    parameter-only residual is true.
-    """
-
-    name = "isolated-vertex"
-
-    def __init__(self):
-        self._cache: dict[PhiPartition, object] = {}
-
-    def value(self, phi: PhiPartition, host: Hypergraph,
-              params: Sequence[int]) -> int:
-        analysis = self._cache.get(phi)
-        if analysis is None:
-            analysis = analyze_phi(phi)
-            self._cache[phi] = analysis
-        for t in analysis.generic_indices:
-            if residual_holds(host, analysis.profiles[t], params):
-                return 1
-        return 0
-
-
-# ---------------------------------------------------------------------------
-# Approximation error scans
+# The parameter scan
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class ApproxReport:
-    """Result of a sup-error scan over a parameter domain."""
+    """Result of the scan of a parameter domain: the sup error of the
+    isolated-vertex type rule against the point average, and the largest
+    count of points that falsify the formula."""
 
     sup_error: Fraction
     argmax_params: tuple[int, ...]
     samples_scanned: int
-    exhaustive: bool
+    violation_max: int = 0
+    violation_params: Optional[tuple[int, ...]] = None
     epsilon_target: Optional[Fraction] = None
     certified_bound: Optional[Fraction] = None
 
     def __post_init__(self):
-        if (self.exhaustive and self.certified_bound is not None
+        if (self.certified_bound is not None
                 and self.sup_error > self.certified_bound):
             raise ValueError(
                 f"scanned error {self.sup_error} exceeds the certified "
@@ -210,7 +184,7 @@ class ApproxReport:
             "sup_error": rational_to_json(self.sup_error),
             "argmax_params": list(self.argmax_params),
             "samples_scanned": self.samples_scanned,
-            "exhaustive": self.exhaustive,
+            "exhaustive": True,
             "epsilon_target": (None if self.epsilon_target is None
                                else rational_to_json(self.epsilon_target)),
             "certified_bound": (None if self.certified_bound is None
@@ -218,62 +192,51 @@ class ApproxReport:
         }
 
 
-def sup_error(oracle: IsolatedVertexOracle, host: Hypergraph,
-              points: Sequence, phi: PhiPartition,
-              domain: Optional[Sequence[Sequence[int]]] = None,
-              sample: Optional[int] = None, seed: Optional[int] = None,
-              epsilon: Optional[Fraction] = None,
+def sup_error(analysis: PhiAnalysis, host: Hypergraph, points: Sequence[int],
+              chosen: int, epsilon: Optional[Fraction] = None,
               certified_bound: Optional[Fraction] = None) -> ApproxReport:
-    """Largest deviation between the type rule and the point average.
+    """Scan every parameter tuple b of the host once.
 
-    The domain defaults to every parameter tuple of the host.  With
-    sample=None the scan is exhaustive; otherwise `sample` tuples are
-    drawn with replacement using the seed.  Ties on the maximum resolve
-    to the lexicographically least parameter tuple.
+    At each b the formula is evaluated once at each point, which counts
+    the points sat(b) that satisfy it.  The isolated-vertex type rule
+    predicts 1 at b when the residual of some generic disjunct holds
+    there, else 0; the error at b is |rule(b) - sat(b)/n|.  Where the
+    residual of the disjunct `chosen` holds, n - sat(b) is a violation
+    count.  Ties on either maximum resolve to the lexicographically
+    least b; when that residual holds nowhere the violation maximum is 0
+    with no tuple.
     """
-    average = make_average(host, points)
-    if average.arity != phi.object_arity:
-        raise ValueError(
-            f"points have arity {average.arity}, formula wants "
-            f"{phi.object_arity}")
-    m = phi.param_arity
-
-    if sample is None:
-        if domain is None:
-            candidates = itertools.product(range(host.n), repeat=m)
-        else:
-            candidates = (tuple(int(v) for v in b) for b in domain)
-        exhaustive = True
-    else:
-        if sample < 1:
-            raise ValueError("sample count must be positive")
-        rng = random.Random(seed)
-        if domain is None:
-            if host.n == 0 and m > 0:
-                raise ValueError("cannot sample parameters from an empty host")
-            candidates = (tuple(rng.randrange(host.n) for _ in range(m))
-                          for _ in range(sample))
-        else:
-            pool = [tuple(int(v) for v in b) for b in domain]
-            if not pool:
-                raise ValueError("cannot sample from an empty domain")
-            candidates = (pool[rng.randrange(len(pool))]
-                          for _ in range(sample))
-        exhaustive = False
-
-    best: Optional[Fraction] = None
-    argmax: Optional[tuple[int, ...]] = None
-    scanned = 0
-    for b in candidates:
-        scanned += 1
-        predicted = Fraction(oracle.value(phi, host, b))
-        observed = mu_eval(average, phi, b)
-        err = abs(predicted - observed)
-        if best is None or err > best or (err == best and b < argmax):
-            best, argmax = err, b
-    if best is None:
+    n = len(points)
+    if n == 0:
+        raise ValueError("average of an empty sequence")
+    m = analysis.phi.param_arity
+    if host.n == 0 and m > 0:
         raise ValueError("empty parameter domain")
-    return ApproxReport(best, argmax, scanned, exhaustive,
+    for v in points:
+        if not 0 <= v < host.n:
+            raise ValueError(f"point {v} out of range")
+    formula = analysis.phi.formula
+    generics = [analysis.profiles[t] for t in analysis.generic_indices]
+    profile = analysis.profiles[chosen]
+
+    # tuples come in lexicographic order, so a strict > keeps the least
+    # tuple among ties
+    best, argmax = -1, ()
+    max_z, max_z_at = 0, None
+    scanned = 0
+    for b in itertools.product(range(host.n), repeat=m):
+        scanned += 1
+        sat = sum(1 for v in points
+                  if evaluate(host, formula, make_assignment((v,), b)))
+        rule = any(residual_holds(host, p, b) for p in generics)
+        err = abs(rule * n - sat)
+        if err > best:
+            best, argmax = err, b
+        if profile.residual and not residual_holds(host, profile, b):
+            continue
+        if max_z_at is None or n - sat > max_z:
+            max_z, max_z_at = n - sat, b
+    return ApproxReport(Fraction(best, n), argmax, scanned, max_z, max_z_at,
                         epsilon_target=epsilon,
                         certified_bound=certified_bound)
 

@@ -19,8 +19,8 @@ from .coloring import (greedy_coloring, guarantee_value, weight_of,
                        weighted_hypergraph)
 from .logic import (And, Eq, Not, ObjectVar, ParamVar, PhiAnalysis,
                     PhiPartition, Rel, analyze_phi, evaluate, format_formula,
-                    make_assignment, parse_phi, residual_holds)
-from .measures import IsolatedVertexOracle, sup_error
+                    make_assignment, parse_phi)
+from .measures import sup_error
 from .serialize import rational_from_json, rational_to_json, structure_digest
 from .structures import (AlphaResult, Feq2Structure, FreenessViolation,
                          Hypergraph, add_vertex_with_links, alpha_s,
@@ -188,7 +188,8 @@ def _fam_preconditions(analysis: PhiAnalysis, epsilon: Fraction,
 def _fam_certified(setup: _FamSetup, epsilon: Fraction, ambient: Hypergraph,
                    graph: Hypergraph, abar: Sequence[int]):
     """Scan stage: certified values computed from the embedded points
-    alone; shared by the runner and the verifier."""
+    alone; shared by the runner and the verifier.  An embedding that is
+    not induced (only a recorded one can be) stops the stage there."""
     work = setup.analysis.phi
     profile = setup.analysis.profiles[setup.t_star]
     k = len(profile.neg_edge)
@@ -201,33 +202,22 @@ def _fam_certified(setup: _FamSetup, epsilon: Fraction, ambient: Hypergraph,
             f"parameter domain of size {ambient.n}^{m} exceeds {_DOMAIN_CAP}")
 
     checks = {c.name: c for c in setup.checks}
-    certified = [checks["ambient-free"], checks["pattern-free"],
-                 _bool_cert("embedding-induced",
-                            is_induced_embedding(graph, ambient, abar)),
-                 checks["sample-size"]]
+    induced = _bool_cert("embedding-induced",
+                         is_induced_embedding(graph, ambient, abar))
+    certified = [checks["ambient-free"], checks["pattern-free"], induced]
+    if not induced.holds:
+        return certified, {}
+    certified.append(checks["sample-size"])
     if k > 0:
         certified.append(checks["alpha-bound"])
 
     z_cap = Fraction(ell + k * alpha.value)
-    oracle = IsolatedVertexOracle()
-    points = [(v,) for v in abar]
     scan = sup_error(
-        oracle, ambient, points, work, epsilon=epsilon,
+        setup.analysis, ambient, abar, setup.t_star, epsilon=epsilon,
         certified_bound=(z_cap / n if not profile.residual else None))
     certified.append(Certified("sup-error", "<", scan.sup_error, epsilon))
-
-    max_z = 0
-    max_z_at: Optional[tuple[int, ...]] = None
-    for b in itertools.product(range(ambient.n), repeat=m):
-        if profile.residual and not residual_holds(ambient, profile, b):
-            continue
-        z = sum(1 for v in abar
-                if not evaluate(ambient, work.formula,
-                                make_assignment((v,), b)))
-        if max_z_at is None or z > max_z or (z == max_z and b < max_z_at):
-            max_z, max_z_at = z, b
     certified.append(Certified("violation-bound", "<=",
-                               Fraction(max_z), z_cap))
+                               Fraction(scan.violation_max), z_cap))
 
     details = {
         "profile": {
@@ -244,9 +234,10 @@ def _fam_certified(setup: _FamSetup, epsilon: Fraction, ambient: Hypergraph,
         "ell": ell,
         "alpha": {"value": alpha.value, "witness": sorted(alpha.witness)},
         "sup": scan.to_json_dict(),
-        "violation_max": {"count": max_z,
-                          "params": (list(max_z_at)
-                                     if max_z_at is not None else None)},
+        "violation_max": {"count": scan.violation_max,
+                          "params": (list(scan.violation_params)
+                                     if scan.violation_params is not None
+                                     else None)},
     }
     return certified, details
 

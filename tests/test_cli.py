@@ -127,6 +127,29 @@ def test_fam_headline_and_verify(tmp_path, capsys):
     assert "verified: 7 certifications reproduced" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("tamper", ["duplicate", "short", "out-of-range"])
+def test_verify_names_embedding_induced_on_tampered_embedding(
+        tamper, tmp_path, capsys):
+    out = tmp_path / "fam.json"
+    assert run(["fam", "--phi", "!E(x1,y1) & x1 != y1", "--epsilon", "4/5",
+                "--graph", "circulant:13:1,5",
+                "--ambient", "gen:50:2:3:seed=1", "--output", str(out)]) == 0
+    data = read_report(out)
+    embedding = data["witness"]["embedding"]
+    data["witness"]["embedding"] = {
+        "duplicate": embedding[:-1] + embedding[:1],
+        "short": embedding[:-1],
+        "out-of-range": embedding[:-1] + [999],
+    }[tamper]
+    out.write_text(canonical_dumps(data))
+    capsys.readouterr()
+    assert run(["verify", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "'embedding-induced' does not reproduce" in err
+    # the scan stage stops there: no sup-error or violation-bound to name
+    assert "'sup-error'" not in err and "error:" not in err
+
+
 def test_fam_precondition_report_and_verify(tmp_path, capsys):
     out = tmp_path / "fam5.json"
     code = run(["fam", "--phi", "!E(x1,y1) & x1 != y1", "--epsilon", "4/5",

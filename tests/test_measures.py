@@ -8,19 +8,21 @@ import pytest
 
 from conftest import random_graph
 from keisler_lab.logic import (
+    Not,
     ObjectVar,
     ParamVar,
+    analyze_phi,
     make_assignment,
     evaluate,
     parse_formula,
     parse_phi,
+    residual_holds,
     substitute,
     PhiPartition,
 )
 from keisler_lab.measures import (
     ApproxReport,
     FiniteMeasure,
-    IsolatedVertexOracle,
     SELFTEST_CHECKS,
     ZeroMassError,
     localize,
@@ -195,81 +197,151 @@ def test_localize_renormalizes_proportionally():
 # type rules and sup-error scans
 # ---------------------------------------------------------------------------
 
+def scan(text: str, host: Hypergraph, points, chosen: int = 0, **kwargs):
+    return sup_error(analyze_phi(parse_phi(text)), host, points, chosen,
+                     **kwargs)
+
+
 def test_isolated_vertex_oracle_values():
-    host = cyclic_graph(5, [1])
-    oracle = IsolatedVertexOracle()
-    no_edge = parse_phi("!E(x1,y1) & x1 != y1")
-    assert all(oracle.value(no_edge, host, (b,)) == 1 for b in range(5))
-    assert all(oracle.value(parse_phi("E(x1,y1)"), host, (b,)) == 0
-               for b in range(5))
-    with_residual = parse_phi("!E(x1,y1) & E(y1,y2)")
-    assert oracle.value(with_residual, host, (0, 1)) == 1
-    assert oracle.value(with_residual, host, (0, 2)) == 0
+    # C5 plus two isolated vertices; at the isolated point 5, !E(x1,y1)
+    # always holds, so the point satisfies phi exactly where the residual
+    # does and a zero error pins the rule to the residual at every tuple
+    host = Hypergraph(2, 7, cyclic_graph(5, [1]).edges)
+    with_residual = scan("!E(x1,y1) & E(y1,y2)", host, [5])
+    assert with_residual.sup_error == 0
+    assert with_residual.samples_scanned == 49
+    # two generic disjuncts whose residuals cover every tuple: rule 1
+    either = scan("(!E(x1,y1) & E(y1,y2)) | (!E(x1,y1) & !E(y1,y2))",
+                  host, [5])
+    assert either.sup_error == 0
+    # no generic disjunct: rule 0, and the isolated point never satisfies
+    assert scan("E(x1,y1)", host, [5]).sup_error == 0
 
 
 def test_sup_error_zero_when_average_matches():
-    # empty graph: the fresh-vertex rule and any off-parameter average agree
+    # empty graph: the fresh-vertex rule and any average agree on !E
     host = Hypergraph(2, 4, frozenset())
-    phi = parse_phi("!E(x1,y1) & x1 != y1")
-    report = sup_error(IsolatedVertexOracle(), host, [(0,), (1,)], phi,
-                       domain=[(2,), (3,)])
+    report = scan("!E(x1,y1)", host, [0, 1])
     assert report.sup_error == 0
-    assert report.exhaustive and report.samples_scanned == 2
+    assert report.samples_scanned == 4
 
 
 def test_sup_error_single_point_worst_case():
     host = Hypergraph(2, 3, frozenset())
-    phi = parse_phi("!E(x1,y1) & x1 != y1")
-    report = sup_error(IsolatedVertexOracle(), host, [(0,)], phi,
-                       domain=[(0,)])
+    report = scan("!E(x1,y1) & x1 != y1", host, [0])
     # the rule predicts 1 but x1 != y1 fails at the point itself
     assert report.sup_error == 1
     assert report.argmax_params == (0,)
+    # the same tuple is the only one where the point violates phi
+    assert (report.violation_max, report.violation_params) == (1, (0,))
 
 
 def test_sup_error_exhaustive_default_domain_and_ties():
     host = cyclic_graph(5, [1])
-    phi = parse_phi("!E(x1,y1) & x1 != y1")
-    report = sup_error(IsolatedVertexOracle(), host, [(v,) for v in range(5)],
-                       phi)
+    report = scan("!E(x1,y1) & x1 != y1", host, list(range(5)))
     assert report.samples_scanned == 5
     # every vertex shows error 3/5: two neighbours and the point itself
     assert report.sup_error == Fraction(3, 5)
     assert report.argmax_params == (0,)
+    assert (report.violation_max, report.violation_params) == (3, (0,))
 
 
-def test_sup_error_sampled_mode():
+def test_sup_error_violations_only_where_the_chosen_residual_holds():
     host = cyclic_graph(5, [1])
-    phi = parse_phi("!E(x1,y1) & x1 != y1")
-    first = sup_error(IsolatedVertexOracle(), host, [(0,)], phi,
-                      sample=8, seed=5)
-    again = sup_error(IsolatedVertexOracle(), host, [(0,)], phi,
-                      sample=8, seed=5)
-    assert first == again
-    assert not first.exhaustive and first.samples_scanned == 8
-    with pytest.raises(ValueError):
-        sup_error(IsolatedVertexOracle(), host, [(0,)], phi, sample=0)
+    points = list(range(5))
+    # at every tuple the two neighbours of y1 fail !E(x1,y1); only the
+    # edge tuples count, so the least one is (0, 1), not (0, 0)
+    gated = scan("!E(x1,y1) & E(y1,y2)", host, points)
+    assert (gated.violation_max, gated.violation_params) == (2, (0, 1))
+    # E(y1,y1) never holds: no tuple counts and there is no maximum
+    never = scan("!E(x1,y1) & E(y1,y1)", host, points)
+    assert (never.violation_max, never.violation_params) == (0, None)
 
 
 def test_sup_error_report_invariant():
     with pytest.raises(ValueError):
-        ApproxReport(Fraction(1, 2), (0,), 4, True,
-                     certified_bound=Fraction(1, 3))
-    ok = ApproxReport(Fraction(1, 2), (0,), 4, False,
-                      certified_bound=Fraction(1, 3))
-    assert ok.sup_error == Fraction(1, 2)
-    payload = ApproxReport(Fraction(1, 3), (0,), 4, True,
-                           certified_bound=Fraction(1, 2)).to_json_dict()
+        ApproxReport(Fraction(1, 2), (0,), 4, certified_bound=Fraction(1, 3))
+    report = ApproxReport(Fraction(1, 3), (0,), 4,
+                          certified_bound=Fraction(1, 2))
+    payload = report.to_json_dict()
     assert payload["sup_error"] == {"num": 1, "den": 3,
                                     "decimal": payload["sup_error"]["decimal"]}
     assert payload["exhaustive"] is True
 
 
 def test_sup_error_rejects_empty_domain():
+    with pytest.raises(ValueError, match="empty parameter domain"):
+        scan("!E(x1,y1) & x1 != y1", Hypergraph(2, 0, frozenset()), [0])
+
+
+def test_sup_error_rejects_bad_points():
     host = Hypergraph(2, 3, frozenset())
-    phi = parse_phi("!E(x1,y1) & x1 != y1")
-    with pytest.raises(ValueError):
-        sup_error(IsolatedVertexOracle(), host, [(0,)], phi, domain=[])
+    with pytest.raises(ValueError, match="empty sequence"):
+        scan("!E(x1,y1) & x1 != y1", host, [])
+    with pytest.raises(ValueError, match="out of range"):
+        scan("!E(x1,y1) & x1 != y1", host, [0, 3])
+
+
+# The two passes the scan replaced: the type rule against mu_eval of the
+# point average, then a separate count of violating points per tuple.
+
+def two_pass_reference(analysis, host, points, chosen):
+    phi = analysis.phi
+    average = make_average(host, [(v,) for v in points])
+    tuples = list(itertools.product(range(host.n), repeat=phi.param_arity))
+    best = argmax = None
+    for b in tuples:
+        predicted = Fraction(int(any(
+            residual_holds(host, analysis.profiles[t], b)
+            for t in analysis.generic_indices)))
+        err = abs(predicted - mu_eval(average, phi, b))
+        if best is None or err > best or (err == best and b < argmax):
+            best, argmax = err, b
+    profile = analysis.profiles[chosen]
+    max_z, max_z_at = 0, None
+    for b in tuples:
+        if profile.residual and not residual_holds(host, profile, b):
+            continue
+        z = sum(1 for v in points
+                if not evaluate(host, phi.formula, make_assignment((v,), b)))
+        if max_z_at is None or z > max_z or (z == max_z and b < max_z_at):
+            max_z, max_z_at = z, b
+    return best, argmax, len(tuples), (max_z, max_z_at)
+
+
+SCAN_FORMULAS = (
+    "!E(x1,y1) & x1 != y1",
+    "!E(x1,y1) & x1 != y1 & x1 != y2",
+    "(!E(x1,y1) & E(y1,y2)) | (x1 != y2 & !E(y1,y2))",
+    "(!E(x1,y2) & y1 = y2) | E(x1,y1) | (x1 != y1 & !E(y1,y2))",
+    "(!E(x1,y1) & y1 != y2) | (!E(x1,y2) & E(y1,y2)) | x1 = y1",
+    # no generic disjunct: scanned on the negation, as fam does
+    "E(x1,y1)",
+    "E(x1,y1) | x1 = y2",
+    "(E(x1,y1) & E(y1,y2)) | x1 = y1",
+)
+
+
+def test_sup_error_matches_the_two_pass_reference():
+    rng = random.Random(2024)
+    compared = 0
+    for case in range(48):
+        host = random_graph(rng, rng.randint(2, 6), rng.choice([0.3, 0.6]))
+        phi = parse_phi(SCAN_FORMULAS[case % len(SCAN_FORMULAS)])
+        analysis = analyze_phi(phi)
+        if not analysis.generic_indices:
+            analysis = analyze_phi(
+                PhiPartition(Not(phi.formula), 1, phi.param_arity))
+        # with replacement, so points repeat
+        points = [rng.randrange(host.n) for _ in range(rng.randint(1, 8))]
+        for chosen in analysis.generic_indices:
+            report = sup_error(analysis, host, points, chosen)
+            assert (report.sup_error, report.argmax_params,
+                    report.samples_scanned,
+                    (report.violation_max, report.violation_params)) == \
+                two_pass_reference(analysis, host, points, chosen), case
+            compared += 1
+    assert compared >= 60
 
 
 # ---------------------------------------------------------------------------

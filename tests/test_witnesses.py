@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from keisler_lab import measures, witnesses
 from keisler_lab.logic import evaluate, make_assignment, parse_phi
 from keisler_lab.structures import (
     Feq2Structure,
@@ -183,6 +184,32 @@ def test_fam_embedding_not_found(ambient200, circulant13):
         fam_witness(parse_phi(NO_EDGE), Fraction(4, 5), ambient200,
                     circulant13, embed_budget=3)
     assert starved.value.exhausted
+
+
+def test_fam_scans_the_parameter_domain_once(ambient200, circulant13,
+                                             monkeypatch):
+    calls = {"evaluate": 0, "analyze_phi": 0}
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    # the top-level evaluate calls of the fam pipeline: the scan's and any
+    # the certify stage would make itself
+    counting(measures, "evaluate")
+    counting(witnesses, "evaluate")
+    counting(witnesses, "analyze_phi")
+    report = fam_witness(parse_phi(NO_EDGE), Fraction(4, 5), ambient200,
+                         circulant13)
+    assert report.witness["sup"]["samples_scanned"] == 200
+    assert calls == {"evaluate": 200 * 13, "analyze_phi": 1}
+    recompute_certified(report.theorem, report.witness,
+                        {"ambient": ambient200, "graph": circulant13})
+    assert calls == {"evaluate": 2 * 200 * 13, "analyze_phi": 2}
 
 
 def test_fam_validation(ambient200, circulant13):
