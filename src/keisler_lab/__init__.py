@@ -17,11 +17,11 @@ from .structures import (AlphaResult, EmbedResult, Feq2Structure,
 from .logic import (And, DisjunctProfile, DnfCapError, Eq, EvalError,
                     FragmentError, Not, ObjectVar, Or, ParamVar, ParseError,
                     PhiAnalysis, PhiPartition, Rel, analyze_phi,
-                    dnf_to_formula, evaluate, format_formula,
+                    compile_mask, dnf_to_formula, evaluate, format_formula,
                     make_assignment, parse_formula, parse_phi,
                     residual_holds, substitute, to_dnf, variables)
 from .measures import (ApproxReport, FiniteMeasure, SelfTestOutcome,
-                       ZeroMassError, localize, make_average, make_measure,
+                       ZeroMassError, localize, make_measure,
                        measure_algebra_selftest, mu_eval, product, sup_error)
 from .coloring import (BruteResult, WeightedHypergraph, brute_best,
                        conditional_expectation, greedy_coloring,
@@ -48,12 +48,12 @@ __all__ = [
     "SearchResult", "SelfTestOutcome", "WeightedHypergraph", "WitnessReport",
     "ZeroMassError", "add_vertex_with_links", "adversary_fraction",
     "adversary_witness", "alpha_s", "analyze_phi", "brute_best",
-    "build_tp2_grid", "canonical_dumps", "conditional_expectation",
-    "cyclic_graph", "digest", "dnf_to_formula", "embed_search", "evaluate",
-    "fam_witness", "find_clique", "format_formula", "greedy_coloring",
-    "grid_object", "grid_target", "guarantee_value", "is_free",
-    "is_induced_embedding", "is_maximal_free", "load_structure",
-    "load_weighted", "localize", "make_assignment", "make_average",
+    "build_tp2_grid", "canonical_dumps", "compile_mask",
+    "conditional_expectation", "cyclic_graph", "digest", "dnf_to_formula",
+    "embed_search", "evaluate", "fam_witness", "find_clique",
+    "format_formula", "greedy_coloring", "grid_object", "grid_target",
+    "guarantee_value", "is_free", "is_induced_embedding", "is_maximal_free",
+    "load_structure", "load_weighted", "localize", "make_assignment",
     "make_measure", "measure_algebra_selftest", "mu_eval", "order_witness",
     "parse_formula", "parse_phi", "parse_rational", "parse_structure_spec",
     "product", "random_maximal_free", "recompute_certified", "residual_holds",

@@ -21,7 +21,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .structures import Hypergraph
 
@@ -637,3 +637,90 @@ def analyze_phi(phi: PhiPartition) -> PhiAnalysis:
             frozenset(eq), tuple(residual)))
     return PhiAnalysis(phi, tuple(profiles))
 
+
+# ---------------------------------------------------------------------------
+# Bitset compilation of one-object-variable graph formulas
+# ---------------------------------------------------------------------------
+
+Mask = Callable[[Sequence[int]], int]
+
+
+def compile_mask(host, formula: Formula) -> Mask:
+    """Compile a formula in x1 and parameters into neighbour-bitset algebra.
+
+    The result maps a parameter tuple b (b[j-1] binds yj and must bind
+    every parameter the formula mentions) to the bitset of host vertices
+    v for which evaluate(host, formula, make_assignment((v,), b)) holds:
+
+    - E(x1,yj) is the neighbour bitset of b[j-1] and x1 = yj its singleton;
+    - E(x1,x1) is empty and x1 = x1 is every vertex;
+    - an atom over parameters only is every vertex or none;
+    - !, & and | are complement within the vertex set, & and |.
+
+    Bitsets are exact, so counting satisfying points is a popcount.
+    Where evaluate raises only on the atoms it reaches, this raises
+    EvalError at compile time, before any tuple is seen: for a relation
+    other than E/2 on a graph, any relation over a hypergraph with r != 2,
+    an object variable other than x1, or a host that is not a Hypergraph.
+    """
+    if not isinstance(host, Hypergraph):
+        raise EvalError(f"cannot evaluate formulas over {type(host).__name__}")
+    full = (1 << host.n) - 1
+
+    def slot(t: Term) -> Optional[int]:
+        """None for x1, else the position of the parameter in b."""
+        if isinstance(t, ParamVar):
+            return t.index - 1
+        if t.index != 1:
+            raise EvalError(f"no value assigned to {_format_term(t)}")
+        return None
+
+    def build(g: Formula) -> Mask:
+        if isinstance(g, Rel):
+            expected = "E" if host.r == 2 else "R"
+            if g.name != expected or len(g.args) != host.r:
+                raise EvalError(
+                    f"host relation is {expected}/{host.r}, got "
+                    f"{g.name}/{len(g.args)}")
+            if host.r != 2:
+                raise EvalError("bitset compilation needs a graph host")
+            adj = host.adjacency
+            i, j = (slot(a) for a in g.args)
+            if i is None and j is None:
+                return lambda b: 0
+            if i is None or j is None:
+                k = j if i is None else i
+                return lambda b: adj[b[k]]
+            return lambda b: full if adj[b[i]] >> b[j] & 1 else 0
+        if isinstance(g, Eq):
+            i, j = slot(g.left), slot(g.right)
+            if i is None and j is None:
+                return lambda b: full
+            if i is None or j is None:
+                k = j if i is None else i
+                return lambda b: 1 << b[k]
+            return lambda b: full if b[i] == b[j] else 0
+        if isinstance(g, Not):
+            body = build(g.body)
+            return lambda b: full & ~body(b)
+        if isinstance(g, And):
+            parts = [build(p) for p in g.parts]
+
+            def conj(b):
+                out = full
+                for part in parts:
+                    out &= part(b)
+                return out
+            return conj
+        if isinstance(g, Or):
+            parts = [build(p) for p in g.parts]
+
+            def disj(b):
+                out = 0
+                for part in parts:
+                    out |= part(b)
+                return out
+            return disj
+        raise TypeError(f"not a formula: {g!r}")
+
+    return build(formula)

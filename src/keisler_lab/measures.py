@@ -1,22 +1,24 @@
 """Finitely supported measures on tuple spaces over a finite structure.
 
-Weights are exact rationals summing to one.  Averages over a vertex
-sequence, products on the tuple grid, localization and the one scan of
-a parameter domain (the sup error of the isolated-vertex type rule
-against a point average, and the worst violation count) all stay in
-exact arithmetic; no floats enter any comparison.
+Weights are exact rationals summing to one.  Products on the tuple
+grid, localization and the one scan of a parameter domain (the sup error
+of the isolated-vertex type rule against a point average, and the worst
+violation count, counted with bitsets) all stay in exact arithmetic; no
+floats enter any comparison.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence, Union
 
-from .logic import (Formula, PhiAnalysis, PhiPartition, evaluate,
-                    make_assignment, parse_formula, residual_holds, variables)
+from .logic import (And, DisjunctProfile, Eq, Formula, ObjectVar, Or,
+                    PhiAnalysis, PhiPartition, compile_mask, evaluate,
+                    make_assignment, parse_formula, variables)
 from .structures import Hypergraph
 
 Point = tuple[int, ...]
@@ -80,16 +82,6 @@ def make_measure(host: Hypergraph, arity: int,
         acc[point] = acc.get(point, Fraction(0)) + Fraction(weight)
     support = tuple(sorted((p, w) for p, w in acc.items() if w != 0))
     return FiniteMeasure(host, arity, support)
-
-
-def make_average(host: Hypergraph, points: Sequence) -> FiniteMeasure:
-    """The empirical average measure of a nonempty point sequence."""
-    pts = [_as_point(p) for p in points]
-    if not pts:
-        raise ValueError("average of an empty sequence")
-    arity = len(pts[0])
-    share = Fraction(1, len(pts))
-    return make_measure(host, arity, ((p, share) for p in pts))
 
 
 def _unwrap_phi(phi: Union[Formula, PhiPartition, str],
@@ -192,19 +184,32 @@ class ApproxReport:
         }
 
 
+def _residual(profile: DisjunctProfile) -> Formula:
+    """The parameter-only part of a disjunct; x1 = x1 when it is empty."""
+    parts = [lit.formula() for lit in profile.residual]
+    if not parts:
+        x = ObjectVar(1)
+        return Eq(x, x)
+    return parts[0] if len(parts) == 1 else And(tuple(parts))
+
+
 def sup_error(analysis: PhiAnalysis, host: Hypergraph, points: Sequence[int],
               chosen: int, epsilon: Optional[Fraction] = None,
               certified_bound: Optional[Fraction] = None) -> ApproxReport:
     """Scan every parameter tuple b of the host once.
 
-    At each b the formula is evaluated once at each point, which counts
-    the points sat(b) that satisfy it.  The isolated-vertex type rule
-    predicts 1 at b when the residual of some generic disjunct holds
-    there, else 0; the error at b is |rule(b) - sat(b)/n|.  Where the
-    residual of the disjunct `chosen` holds, n - sat(b) is a violation
-    count.  Ties on either maximum resolve to the lexicographically
-    least b; when that residual holds nowhere the violation maximum is 0
-    with no tuple.
+    The formula is compiled once into neighbour-bitset operations
+    (compile_mask), so at each b one bitset holds every vertex that
+    satisfies it, and the count sat(b) of the points that do is a
+    popcount against the point bitset, taken per multiplicity class so
+    that a repeated point counts as often as it occurs.  The
+    isolated-vertex type rule predicts 1 at b when the residual of some
+    generic disjunct holds there, else 0; the error at b is
+    |rule(b) - sat(b)/n|.  Where the residual of the disjunct `chosen`
+    holds, n - sat(b) is a violation count.  Residuals are compiled the
+    same way and hold at b exactly when their bitset is non-empty.  Ties
+    on either maximum resolve to the lexicographically least b; when
+    that residual holds nowhere the violation maximum is 0 with no tuple.
     """
     n = len(points)
     if n == 0:
@@ -215,9 +220,16 @@ def sup_error(analysis: PhiAnalysis, host: Hypergraph, points: Sequence[int],
     for v in points:
         if not 0 <= v < host.n:
             raise ValueError(f"point {v} out of range")
-    formula = analysis.phi.formula
+    by_count: dict[int, int] = {}
+    for v, count in Counter(points).items():
+        by_count[count] = by_count.get(count, 0) | 1 << v
+    classes = tuple(by_count.items())
+    satisfying = compile_mask(host, analysis.phi.formula)
     generics = [analysis.profiles[t] for t in analysis.generic_indices]
+    rule = (compile_mask(host, Or(tuple(_residual(p) for p in generics)))
+            if generics else None)
     profile = analysis.profiles[chosen]
+    gate = compile_mask(host, _residual(profile))
 
     # tuples come in lexicographic order, so a strict > keeps the least
     # tuple among ties
@@ -226,13 +238,12 @@ def sup_error(analysis: PhiAnalysis, host: Hypergraph, points: Sequence[int],
     scanned = 0
     for b in itertools.product(range(host.n), repeat=m):
         scanned += 1
-        sat = sum(1 for v in points
-                  if evaluate(host, formula, make_assignment((v,), b)))
-        rule = any(residual_holds(host, p, b) for p in generics)
-        err = abs(rule * n - sat)
+        mask = satisfying(b)
+        sat = sum(count * (mask & bits).bit_count() for count, bits in classes)
+        err = n - sat if rule is not None and rule(b) else sat
         if err > best:
             best, argmax = err, b
-        if profile.residual and not residual_holds(host, profile, b):
+        if not gate(b):
             continue
         if max_z_at is None or n - sat > max_z:
             max_z, max_z_at = n - sat, b

@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 
 from keisler_lab.coloring import WeightedHypergraph, weighted_hypergraph
+from keisler_lab.measures import FiniteMeasure, make_measure
 from keisler_lab.structures import Hypergraph
 
 
@@ -18,6 +19,17 @@ def random_graph(rng: random.Random, n: int, p: float = 0.5) -> Hypergraph:
     edges = [e for e in itertools.combinations(range(n), 2)
              if rng.random() < p]
     return Hypergraph(2, n, frozenset(edges))
+
+
+def make_average(host: Hypergraph, points) -> FiniteMeasure:
+    """The empirical average measure of a nonempty point sequence; a bare
+    vertex stands for a 1-tuple."""
+    if not points:
+        raise ValueError("average of an empty sequence")
+    first = points[0]
+    arity = 1 if isinstance(first, int) else len(first)
+    share = Fraction(1, len(points))
+    return make_measure(host, arity, ((p, share) for p in points))
 
 
 def random_hypergraph(rng: random.Random, n: int, r: int,

@@ -4,6 +4,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_graph
 from keisler_lab.logic import (
@@ -20,6 +21,7 @@ from keisler_lab.logic import (
     PhiPartition,
     Rel,
     analyze_phi,
+    compile_mask,
     dnf_to_formula,
     evaluate,
     format_formula,
@@ -338,3 +340,86 @@ def test_analysis_formula_equivalent_on_corpus():
             for objs, pars in all_assignments(host, phi):
                 asn = make_assignment(objs, pars)
                 assert evaluate(host, f, asn) == evaluate(host, rebuilt, asn)
+
+
+# ---------------------------------------------------------------------------
+# bitset compilation against the interpreter
+# ---------------------------------------------------------------------------
+
+TERMS = (ObjectVar(1), ParamVar(1), ParamVar(2), ParamVar(3))
+
+# E(x1,x1), x1 = x1, E(yi,yi) and yi = yj are all among the atoms drawn
+atoms = st.builds(lambda rel, s, t: Rel("E", (s, t)) if rel else Eq(s, t),
+                  st.booleans(), st.sampled_from(TERMS),
+                  st.sampled_from(TERMS))
+formulas = st.recursive(
+    atoms,
+    lambda sub: st.one_of(
+        st.builds(Not, sub),
+        st.builds(And, st.lists(sub, min_size=1, max_size=3).map(tuple)),
+        st.builds(Or, st.lists(sub, min_size=1, max_size=3).map(tuple))),
+    max_leaves=8)
+
+
+@st.composite
+def graphs(draw):
+    n = draw(st.integers(0, 9))
+    pairs = list(itertools.combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs),
+                         max_size=len(pairs)))
+    return Hypergraph(2, n, frozenset(p for p, k in zip(pairs, keep) if k))
+
+
+DIFFERENTIAL = settings(derandomize=True, database=None, max_examples=200,
+                        deadline=None)
+
+
+@DIFFERENTIAL
+@given(graphs(), formulas)
+def test_compile_mask_matches_evaluate(host, f):
+    m = max(variables(f)[1], default=0)
+    mask = compile_mask(host, f)
+    for b in itertools.product(range(host.n), repeat=m):
+        expected = sum(1 << v for v in range(host.n)
+                       if evaluate(host, f, make_assignment((v,), b)))
+        assert mask(b) == expected, (format_formula(f), b)
+
+
+BAD_ATOMS = (Rel("R", (ObjectVar(1), ParamVar(1))),
+             Rel("E", (ObjectVar(1), ParamVar(1), ParamVar(2))),
+             Rel("E", (ParamVar(1),)),
+             Rel("E", (ObjectVar(1), ObjectVar(2))))
+
+
+@DIFFERENTIAL
+@given(graphs().filter(lambda h: h.n > 0), st.sampled_from(BAD_ATOMS),
+       formulas, st.sampled_from((Not, And, Or, None)))
+def test_compile_mask_rejects_what_evaluate_rejects(host, bad, f, wrap):
+    # the bad atom comes first, so evaluate reaches it at any assignment
+    if wrap is None:
+        g = bad
+    elif wrap is Not:
+        g = Not(bad)
+    else:
+        g = wrap((bad, f))
+    b = (0,) * max(variables(g)[1], default=0)
+    with pytest.raises(EvalError) as interpreted:
+        evaluate(host, g, make_assignment((0,), b))
+    with pytest.raises(EvalError) as compiled:
+        compile_mask(host, g)
+    assert type(compiled.value) is type(interpreted.value)
+
+
+def test_compile_mask_examples():
+    path = Hypergraph(2, 4, frozenset({(0, 1), (1, 2), (2, 3)}))
+    assert compile_mask(path, parse_formula("E(x1,y1)"))((1,)) == 0b101
+    assert compile_mask(path, parse_formula("x1 = y2"))((0, 3)) == 0b1000
+    assert compile_mask(path, parse_formula("!E(x1,y1) & x1 != y1"))(
+        (1,)) == 0b1000
+    # atoms over parameters only are all or nothing
+    assert compile_mask(path, parse_formula("E(y1,y2)"))((1, 2)) == 0b1111
+    assert compile_mask(path, parse_formula("E(y1,y1)"))((1,)) == 0
+    assert compile_mask(path, parse_formula("E(x1,x1) | x1 = x1"))(()) == 0b1111
+    with pytest.raises(EvalError):
+        compile_mask(Hypergraph(3, 4, frozenset({(0, 1, 2)})),
+                     parse_formula("R(x1,y1,y2)"))

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_graph
+from conftest import make_average, random_graph
 from keisler_lab.logic import (
     Not,
     ObjectVar,
@@ -26,7 +26,6 @@ from keisler_lab.measures import (
     SELFTEST_CHECKS,
     ZeroMassError,
     localize,
-    make_average,
     make_measure,
     measure_algebra_selftest,
     mu_eval,

@@ -7,7 +7,8 @@ from fractions import Fraction
 import pytest
 
 from keisler_lab import measures, witnesses
-from keisler_lab.logic import evaluate, make_assignment, parse_phi
+from keisler_lab.logic import (compile_mask, evaluate, make_assignment,
+                               parse_phi)
 from keisler_lab.structures import (
     Feq2Structure,
     Hypergraph,
@@ -188,7 +189,8 @@ def test_fam_embedding_not_found(ambient200, circulant13):
 
 def test_fam_scans_the_parameter_domain_once(ambient200, circulant13,
                                              monkeypatch):
-    calls = {"evaluate": 0, "analyze_phi": 0}
+    calls = {"mask": 0, "evaluate": 0, "analyze_phi": 0}
+    formula = parse_phi(NO_EDGE).formula
 
     def counting(module, name):
         original = getattr(module, name)
@@ -198,18 +200,29 @@ def test_fam_scans_the_parameter_domain_once(ambient200, circulant13,
             return original(*args, **kwargs)
         monkeypatch.setattr(module, name, wrapper)
 
-    # the top-level evaluate calls of the fam pipeline: the scan's and any
-    # the certify stage would make itself
+    def compiling(host, compiled):
+        mask = compile_mask(host, compiled)
+        if compiled != formula:
+            return mask
+
+        def counted(b):
+            calls["mask"] += 1
+            return mask(b)
+        return counted
+
+    # the formula's compiled bitset runs once per tuple, and neither the
+    # scan nor the certify stage falls back to the interpreter
+    monkeypatch.setattr(measures, "compile_mask", compiling)
     counting(measures, "evaluate")
     counting(witnesses, "evaluate")
     counting(witnesses, "analyze_phi")
     report = fam_witness(parse_phi(NO_EDGE), Fraction(4, 5), ambient200,
                          circulant13)
     assert report.witness["sup"]["samples_scanned"] == 200
-    assert calls == {"evaluate": 200 * 13, "analyze_phi": 1}
+    assert calls == {"mask": 200, "evaluate": 0, "analyze_phi": 1}
     recompute_certified(report.theorem, report.witness,
                         {"ambient": ambient200, "graph": circulant13})
-    assert calls == {"evaluate": 2 * 200 * 13, "analyze_phi": 2}
+    assert calls == {"mask": 2 * 200, "evaluate": 0, "analyze_phi": 2}
 
 
 def test_fam_validation(ambient200, circulant13):
