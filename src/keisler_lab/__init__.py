@@ -24,8 +24,8 @@ from .measures import (ApproxReport, FiniteMeasure, SelfTestOutcome,
                        ZeroMassError, localize, make_measure,
                        measure_algebra_selftest, mu_eval, product, sup_error)
 from .coloring import (BruteResult, WeightedHypergraph, brute_best,
-                       conditional_expectation, greedy_coloring,
-                       guarantee_value, weight_of, weighted_hypergraph)
+                       greedy_coloring, guarantee_value, weight_of,
+                       weighted_hypergraph)
 from .serialize import (FormatError, canonical_dumps, digest, load_structure,
                         load_weighted, parse_rational, parse_structure_spec,
                         structure_digest, structure_from_json,
@@ -48,8 +48,8 @@ __all__ = [
     "SearchResult", "SelfTestOutcome", "WeightedHypergraph", "WitnessReport",
     "ZeroMassError", "add_vertex_with_links", "adversary_fraction",
     "adversary_witness", "alpha_s", "analyze_phi", "brute_best",
-    "build_tp2_grid", "canonical_dumps", "compile_mask",
-    "conditional_expectation", "cyclic_graph", "digest", "dnf_to_formula",
+    "build_tp2_grid", "canonical_dumps", "compile_mask", "cyclic_graph",
+    "digest", "dnf_to_formula",
     "embed_search", "evaluate", "fam_witness", "find_clique",
     "format_formula", "greedy_coloring", "grid_object", "grid_target",
     "guarantee_value", "is_free", "is_induced_embedding", "is_maximal_free",

@@ -3,8 +3,11 @@
 A colouring with r colours splits an r-set when its vertices receive
 pairwise distinct colours.  Averaged over all colourings the split weight
 equals (r!/r^r) times the total weight, and colouring vertices greedily
-by conditional expectation always reaches that bound.  All weights and
-expectations are exact rationals.
+by conditional expectation always reaches that bound.  The greedy step
+for a vertex scores each colour from the r-sets through that vertex
+only, in integers (weights scaled by the lcm of their denominators), so
+it is exact without Fraction arithmetic.  Weights and the certified
+quantities are exact rationals.
 """
 
 from __future__ import annotations
@@ -13,8 +16,8 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import factorial, lcm, perm
-from typing import Iterable, Mapping, Optional, Sequence
+from math import factorial, lcm
+from typing import Iterable, Sequence
 
 
 @dataclass(frozen=True)
@@ -98,53 +101,39 @@ def guarantee_value(h: WeightedHypergraph) -> Fraction:
     return Fraction(factorial(h.r), h.r ** h.r) * h.total_weight
 
 
-def _split_probability(r: int, used: int, distinct: int, repeat: bool,
-                       uncolored: int) -> Fraction:
-    # conditional probability that an r-set becomes rainbow when the
-    # uncoloured vertices are coloured independently and uniformly
-    if repeat:
-        return Fraction(0)
-    free = r - distinct
-    if uncolored > free:
-        return Fraction(0)
-    return Fraction(perm(free, uncolored), r ** uncolored)
-
-
-def conditional_expectation(h: WeightedHypergraph,
-                            partial: Mapping[int, int]) -> Fraction:
-    """Expected split weight when the unassigned vertices are uniform."""
-    for v, c in partial.items():
-        if not 0 <= v < h.n:
-            raise ValueError(f"vertex {v} out of range")
-        if not 1 <= c <= h.r:
-            raise ValueError(f"colour {c} out of range")
-    total = Fraction(0)
-    for key, w in h.weights:
-        assigned = [partial[v] for v in key if v in partial]
-        distinct = len(set(assigned))
-        repeat = distinct < len(assigned)
-        p = _split_probability(h.r, len(assigned), distinct, repeat,
-                               len(key) - len(assigned))
-        if p:
-            total += w * p
-    return total
-
-
 def greedy_coloring(h: WeightedHypergraph) -> Coloring:
-    """Colour vertices in ascending order, keeping conditional expectation
-    maximal; ties resolve to the smallest colour.  The finished colouring
-    splits at least (r!/r^r) * w(V)."""
-    partial: dict[int, int] = {}
+    """Colour vertices in ascending order by conditional expectation, ties
+    to the smallest colour; the result splits at least (r!/r^r) * w(V).
+
+    Only the r-sets through v depend on v's colour.  Colouring v, at
+    position i of a key e, colours a = i + 1 vertices of e; if their
+    colours are distinct, the other r - a split e with probability
+    (r - a)!/r^(r - a).  So colour c scores the sum of w(e) * (r - a)! *
+    r^a over the e through v whose coloured vertices, c included, have
+    distinct colours: r^r times the conditional expectation, minus terms
+    equal for every c.  Weights are scaled to integers by the lcm of their
+    denominators, so the argmax is exact without Fraction arithmetic."""
+    r = h.r
+    scale = lcm(*(w.denominator for _, w in h.weights))
+    factor = [factorial(r - a) * r ** a for a in range(r + 1)]
+    through: list[list[tuple[tuple[int, ...], int, int]]] = [
+        [] for _ in range(h.n)]
+    for key, w in h.weights:
+        scaled = int(w * scale)
+        # colouring a set's first vertex adds the same to every colour
+        for i in range(1, r):
+            through[key[i]].append((key, i, scaled * factor[i + 1]))
+    chi: list[int] = []
     for v in range(h.n):
-        best_color = 1
-        best_value: Optional[Fraction] = None
-        for c in range(1, h.r + 1):
-            partial[v] = c
-            value = conditional_expectation(h, partial)
-            if best_value is None or value > best_value:
-                best_color, best_value = c, value
-        partial[v] = best_color
-    return tuple(partial[v] for v in range(h.n))
+        score = [0] * (r + 1)
+        for key, i, gain in through[v]:
+            used = {chi[u] for u in key[:i]}
+            if len(used) == i:
+                for c in range(1, r + 1):
+                    if c not in used:
+                        score[c] += gain
+        chi.append(max(range(1, r + 1), key=score.__getitem__))
+    return tuple(chi)
 
 
 @dataclass(frozen=True)
@@ -162,7 +151,7 @@ def brute_best(h: WeightedHypergraph, cap: int = 12) -> BruteResult:
     weight, which independently witnesses the r!/r^r identity."""
     if h.n > cap:
         raise ValueError(f"brute force capped at {cap} vertices")
-    scale = lcm(*(w.denominator for _, w in h.weights)) if h.weights else 1
+    scale = lcm(*(w.denominator for _, w in h.weights))
     scaled = [(key, int(w * scale)) for key, w in h.weights]
     best = -1
     best_chi: Coloring = ()

@@ -548,6 +548,12 @@ class DisjunctProfile:
             parts.append(Eq(x, x))  # vacuous disjunct: always true
         return parts[0] if len(parts) == 1 else And(tuple(parts))
 
+    def residual_formula(self) -> Formula:
+        """The parameter-only part; x1 = x1 when it is empty."""
+        parts = ([lit.formula() for lit in self.residual]
+                 or [Eq(ObjectVar(1), ObjectVar(1))])
+        return parts[0] if len(parts) == 1 else And(tuple(parts))
+
 
 @dataclass(frozen=True)
 class PhiAnalysis:
@@ -569,10 +575,10 @@ class PhiAnalysis:
 
 def residual_holds(structure, profile: DisjunctProfile,
                    params: Sequence[int]) -> bool:
-    """Truth of the parameter-only part of a disjunct at a parameter tuple."""
-    assignment = make_assignment((), params)
-    return all(evaluate(structure, lit.formula(), assignment)
-               for lit in profile.residual)
+    """Truth of the parameter-only part of a disjunct at a parameter tuple
+    of a graph with at least one vertex: its compiled bitset (compile_mask)
+    is every vertex or none, so it holds where that bitset is non-empty."""
+    return compile_mask(structure, profile.residual_formula())(params) != 0
 
 
 def analyze_phi(phi: PhiPartition) -> PhiAnalysis:

@@ -16,9 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence, Union
 
-from .logic import (And, DisjunctProfile, Eq, Formula, ObjectVar, Or,
-                    PhiAnalysis, PhiPartition, compile_mask, evaluate,
-                    make_assignment, parse_formula, variables)
+from .logic import (Formula, Or, PhiAnalysis, PhiPartition, compile_mask,
+                    evaluate, make_assignment, parse_formula, variables)
 from .structures import Hypergraph
 
 Point = tuple[int, ...]
@@ -184,15 +183,6 @@ class ApproxReport:
         }
 
 
-def _residual(profile: DisjunctProfile) -> Formula:
-    """The parameter-only part of a disjunct; x1 = x1 when it is empty."""
-    parts = [lit.formula() for lit in profile.residual]
-    if not parts:
-        x = ObjectVar(1)
-        return Eq(x, x)
-    return parts[0] if len(parts) == 1 else And(tuple(parts))
-
-
 def sup_error(analysis: PhiAnalysis, host: Hypergraph, points: Sequence[int],
               chosen: int, epsilon: Optional[Fraction] = None,
               certified_bound: Optional[Fraction] = None) -> ApproxReport:
@@ -226,10 +216,11 @@ def sup_error(analysis: PhiAnalysis, host: Hypergraph, points: Sequence[int],
     classes = tuple(by_count.items())
     satisfying = compile_mask(host, analysis.phi.formula)
     generics = [analysis.profiles[t] for t in analysis.generic_indices]
-    rule = (compile_mask(host, Or(tuple(_residual(p) for p in generics)))
+    rule = (compile_mask(host, Or(tuple(p.residual_formula()
+                                        for p in generics)))
             if generics else None)
     profile = analysis.profiles[chosen]
-    gate = compile_mask(host, _residual(profile))
+    gate = compile_mask(host, profile.residual_formula())
 
     # tuples come in lexicographic order, so a strict > keeps the least
     # tuple among ties

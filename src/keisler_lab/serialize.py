@@ -115,6 +115,12 @@ def structure_from_json(payload: dict) -> Storable:
     raise FormatError(f"unknown structure kind {kind!r}")
 
 
+# Weights-file caps, checked before anything is built: colouring keeps a
+# list per vertex and a colour per vertex, and the guarantee computes r^r.
+_MAX_WEIGHTED_N = 10_000
+_MAX_WEIGHTED_R = 8
+
+
 def weighted_to_json(h: WeightedHypergraph) -> dict:
     return {"kind": "weighted-hypergraph", "n": h.n, "r": h.r,
             "weights": [[list(key), {"num": w.numerator, "den": w.denominator}]
@@ -126,6 +132,10 @@ def weighted_from_json(payload: dict) -> WeightedHypergraph:
         raise FormatError("weighted hypergraph payload must be an object")
     n = _expect_int(payload.get("n"), "n")
     r = _expect_int(payload.get("r"), "r")
+    if n > _MAX_WEIGHTED_N or r > _MAX_WEIGHTED_R:
+        raise FormatError(f"weighted hypergraph n = {n} and r = {r} may "
+                          f"not exceed {_MAX_WEIGHTED_N} and "
+                          f"{_MAX_WEIGHTED_R}")
     raw = payload.get("weights")
     if not isinstance(raw, list):
         raise FormatError("weights must be a list")

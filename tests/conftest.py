@@ -7,10 +7,13 @@ seed; nothing here reads global state.
 import itertools
 import random
 from fractions import Fraction
+from math import perm
+from typing import Mapping
 
 import pytest
 
-from keisler_lab.coloring import WeightedHypergraph, weighted_hypergraph
+from keisler_lab.coloring import (Coloring, WeightedHypergraph,
+                                  weighted_hypergraph)
 from keisler_lab.measures import FiniteMeasure, make_measure
 from keisler_lab.structures import Hypergraph
 
@@ -45,6 +48,52 @@ def random_weighted(rng: random.Random, n: int, r: int,
              for e in itertools.combinations(range(n), r)
              if rng.random() < p]
     return weighted_hypergraph(n, r, items)
+
+
+def _split_probability(r: int, used: int, distinct: int, repeat: bool,
+                       uncolored: int) -> Fraction:
+    # conditional probability that an r-set becomes rainbow when the
+    # uncoloured vertices are coloured independently and uniformly
+    if repeat:
+        return Fraction(0)
+    free = r - distinct
+    if uncolored > free:
+        return Fraction(0)
+    return Fraction(perm(free, uncolored), r ** uncolored)
+
+
+def conditional_expectation(h: WeightedHypergraph,
+                            partial: Mapping[int, int]) -> Fraction:
+    """Expected split weight when the unassigned vertices are uniform."""
+    for v, c in partial.items():
+        if not 0 <= v < h.n:
+            raise ValueError(f"vertex {v} out of range")
+        if not 1 <= c <= h.r:
+            raise ValueError(f"colour {c} out of range")
+    total = Fraction(0)
+    for key, w in h.weights:
+        assigned = [partial[v] for v in key if v in partial]
+        distinct = len(set(assigned))
+        repeat = distinct < len(assigned)
+        p = _split_probability(h.r, len(assigned), distinct, repeat,
+                               len(key) - len(assigned))
+        if p:
+            total += w * p
+    return total
+
+
+def greedy_by_expectation(h: WeightedHypergraph) -> Coloring:
+    """The reference greedy colouring: each vertex in ascending order takes
+    the colour that maximises the full conditional expectation, ties to
+    the smallest colour."""
+    partial: dict[int, int] = {}
+    for v in range(h.n):
+        values = []
+        for c in range(1, h.r + 1):
+            partial[v] = c
+            values.append(conditional_expectation(h, partial))
+        partial[v] = values.index(max(values)) + 1
+    return tuple(partial[v] for v in range(h.n))
 
 
 @pytest.fixture

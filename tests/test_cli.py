@@ -278,6 +278,45 @@ def test_verify_rejects_over_cap_source(spec, tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err.count("exceed") == 2
 
 
+# just over the weights-file caps n <= 10,000 and r <= 8
+OVER_CAP_WEIGHTS = [{"n": 10_001, "r": 2}, {"n": 9, "r": 9}]
+
+
+def over_cap_weights(path, size):
+    path.write_text(json.dumps(
+        {"kind": "weighted-hypergraph", "weights": [], **size}))
+
+
+def refuse_to_build_weighted(monkeypatch):
+    import keisler_lab.serialize as serialize
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a capped weights file reached its builder")
+    monkeypatch.setattr(serialize, "WeightedHypergraph", refuse)
+
+
+@pytest.mark.parametrize("size", OVER_CAP_WEIGHTS)
+def test_over_cap_weights_fail_fast(size, tmp_path, monkeypatch, capsys):
+    wfile = tmp_path / "weights.json"
+    over_cap_weights(wfile, size)
+    refuse_to_build_weighted(monkeypatch)
+    assert run(["color", "--input", str(wfile)]) == 1
+    assert "exceed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("size", OVER_CAP_WEIGHTS)
+def test_verify_rejects_over_cap_weights(size, tmp_path, monkeypatch,
+                                         capsys):
+    wfile = write_weighted(tmp_path)
+    out = tmp_path / "color.json"
+    assert run(["color", "--input", str(wfile), "--output", str(out)]) == 0
+    over_cap_weights(wfile, size)
+    refuse_to_build_weighted(monkeypatch)
+    capsys.readouterr()
+    assert run(["verify", str(out)]) == 1
+    assert "exceed" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # adversary / satprobe
 # ---------------------------------------------------------------------------

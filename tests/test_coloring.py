@@ -6,12 +6,13 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import random_weighted
+from conftest import (conditional_expectation, greedy_by_expectation,
+                      random_weighted)
 from keisler_lab.coloring import (
     WeightedHypergraph,
     brute_best,
-    conditional_expectation,
     greedy_coloring,
     guarantee_value,
     weight_of,
@@ -93,6 +94,30 @@ def test_conditional_expectation_is_a_martingale():
             assert best >= current
             partial[v] = values.index(best) + 1
             current = best
+
+
+# zero weights and mixed denominators are among the weights drawn
+weights = st.fractions(min_value=0, max_value=12, max_denominator=6)
+
+
+@st.composite
+def weighted_graphs(draw):
+    r = draw(st.sampled_from((2, 3, 4)))
+    n = draw(st.integers(0, 10))
+    keys = list(itertools.combinations(range(n), r))
+    if not keys:
+        return weighted_hypergraph(n, r, [])
+    items = draw(st.dictionaries(st.sampled_from(keys), weights,
+                                 max_size=40))
+    if draw(st.booleans()):
+        items[keys[-1]] = draw(weights)  # a key through the last vertex
+    return weighted_hypergraph(n, r, items.items())
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(weighted_graphs())
+def test_greedy_matches_the_expectation_oracle(h):
+    assert greedy_coloring(h) == greedy_by_expectation(h)
 
 
 def test_greedy_meets_guarantee_small_corpus():

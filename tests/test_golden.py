@@ -9,11 +9,13 @@ a CHANGES.md line that names the report and says why it changed.
 import hashlib
 import itertools
 import json
+import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from conftest import random_weighted
 from keisler_lab.cli import run
 from keisler_lab.coloring import weighted_hypergraph
 from keisler_lab.serialize import (canonical_dumps, structure_to_json,
@@ -30,6 +32,12 @@ def write_inputs(directory: Path) -> None:
                                     ((3, 4), Fraction(1, 2))])
     (directory / "weights.json").write_text(
         canonical_dumps(weighted_to_json(wh)))
+    # the color-greedy bench input: seed 1, n = 40, r = 3, p = 0.1 (982
+    # triples), weights randint(1, 12) / randint(1, 6); and a 4-graph
+    for name, seed, n, r, p in (("weights-n40-r3.json", 1, 40, 3, 0.1),
+                                ("weights-n9-r4.json", 4, 9, 4, 0.5)):
+        wh = random_weighted(random.Random(seed), n, r, p)
+        (directory / name).write_text(canonical_dumps(weighted_to_json(wh)))
     # the complete 3-graph on 5 vertices: not K^3_4-free
     k5 = Hypergraph(3, 5, frozenset(itertools.combinations(range(5), 3)))
     (directory / "k5-3.json").write_text(

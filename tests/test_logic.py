@@ -9,10 +9,12 @@ from hypothesis import given, settings, strategies as st
 from conftest import random_graph
 from keisler_lab.logic import (
     And,
+    DisjunctProfile,
     DnfCapError,
     Eq,
     EvalError,
     FragmentError,
+    Literal,
     Not,
     ObjectVar,
     Or,
@@ -408,6 +410,25 @@ def test_compile_mask_rejects_what_evaluate_rejects(host, bad, f, wrap):
     with pytest.raises(EvalError) as compiled:
         compile_mask(host, g)
     assert type(compiled.value) is type(interpreted.value)
+
+
+residual_literals = st.builds(
+    lambda rel, s, t, negated: Literal(
+        Rel("E", (s, t)) if rel else Eq(s, t), negated),
+    st.booleans(), st.sampled_from(TERMS[1:]), st.sampled_from(TERMS[1:]),
+    st.booleans())
+
+
+@DIFFERENTIAL
+@given(graphs().filter(lambda h: h.n > 0),
+       st.lists(residual_literals, max_size=4))
+def test_residual_holds_matches_evaluate(host, residual):
+    none = frozenset()
+    profile = DisjunctProfile(none, none, none, none, tuple(residual))
+    for b in itertools.product(range(host.n), repeat=3):
+        asn = make_assignment((), b)
+        expected = all(evaluate(host, lit.formula(), asn) for lit in residual)
+        assert residual_holds(host, profile, b) == expected, b
 
 
 def test_compile_mask_examples():
