@@ -133,8 +133,8 @@ def _gen_certified(spec: str, structure, recorded_digest: str,
     return certs
 
 
-def _describe(structure) -> str:
-    j = structure_to_json(structure)
+def _describe(j: dict) -> str:
+    # j is the structure's JSON form
     if j["kind"] == "hypergraph":
         return (f"hypergraph with n={j['n']}, r={j['r']} "
                 f"and {len(j['edges'])} edges")
@@ -145,7 +145,7 @@ def _describe(structure) -> str:
 def _cmd_gen(args) -> int:
     structure = parse_structure_spec(args.spec)
     sjson = structure_to_json(structure)
-    sdigest = digest(sjson)
+    sdigest = structure_digest(structure)
     config = _config("gen", spec=args.spec, output=args.output,
                      structure_out=args.structure_out)
     report = WitnessReport(
@@ -153,7 +153,7 @@ def _cmd_gen(args) -> int:
         inputs={},
         witness={"spec": args.spec, "digest": sdigest, "structure": sjson},
         certified=tuple(_gen_certified(args.spec, structure, sdigest, sjson)),
-        log=(f"resolved {args.spec} to a {_describe(structure)}",))
+        log=(f"resolved {args.spec} to a {_describe(sjson)}",))
     if args.structure_out is not None:
         atomic_write_text(args.structure_out, canonical_dumps(sjson))
     _emit(_envelope(config, report), args.output)
@@ -227,7 +227,17 @@ def _verify_color(witness: dict, inputs: dict) -> list[Certified]:
 # check-measures
 # ---------------------------------------------------------------------------
 
+# each case draws and compares a few random measures (about 0.6 ms); the
+# largest count in use is 100
+_MAX_SELFTEST_CASES = 10_000
+
+
 def _measures_certified(seed: int, cases: int):
+    if cases < 1:
+        raise FormatError("--cases must be positive")
+    if cases > _MAX_SELFTEST_CASES:
+        raise FormatError(f"--cases {cases} may not exceed "
+                          f"{_MAX_SELFTEST_CASES}")
     outcome = measure_algebra_selftest(seed, cases)
     certs = [Certified(check, "==", Fraction(outcome.passed[check]),
                        Fraction(cases))
@@ -236,8 +246,6 @@ def _measures_certified(seed: int, cases: int):
 
 
 def _cmd_check_measures(args) -> int:
-    if args.cases < 1:
-        raise FormatError("--cases must be positive")
     certs, outcome = _measures_certified(args.seed, args.cases)
     config = _config("check-measures", seed=args.seed,
                      cases=args.cases, format=args.format,

@@ -146,11 +146,14 @@ class BruteResult:
     colorings: int
 
 
-def brute_best(h: WeightedHypergraph, cap: int = 12) -> BruteResult:
+def brute_best(h: WeightedHypergraph, cap: int = 2 ** 12) -> BruteResult:
     """Enumerate every colouring; also returns the exact average split
-    weight, which independently witnesses the r!/r^r identity."""
-    if h.n > cap:
-        raise ValueError(f"brute force capped at {cap} vertices")
+    weight, which independently witnesses the r!/r^r identity.  The r^n
+    colourings may not exceed cap (2^12: graphs on up to 12 vertices,
+    3-graphs on up to 7)."""
+    if h.r ** h.n > cap:
+        raise ValueError(f"{h.r}^{h.n} colourings exceed the brute-force "
+                         f"cap of {cap}")
     scale = lcm(*(w.denominator for _, w in h.weights))
     scaled = [(key, int(w * scale)) for key, w in h.weights]
     best = -1

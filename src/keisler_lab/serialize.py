@@ -172,7 +172,12 @@ def digest(payload) -> str:
 
 
 def structure_digest(structure: Storable) -> str:
-    return digest(structure_to_json(structure))
+    """digest(structure_to_json(structure)), computed once per structure
+    and cached on it: structures are immutable."""
+    memo = structure._digest_memo
+    if "sha256" not in memo:
+        memo["sha256"] = digest(structure_to_json(structure))
+    return memo["sha256"]
 
 
 def atomic_write_text(path: str, text: str) -> None:

@@ -107,18 +107,29 @@ class Hypergraph:
         """is_free's global answers, keyed by s."""
         return {}
 
+    @cached_property
+    def _digest_memo(self) -> dict[str, str]:
+        """serialize.structure_digest's answer, once computed."""
+        return {}
+
+
+def _trusted(r: int, n: int, edges: frozenset[tuple[int, ...]],
+             free_s: Optional[int] = None) -> Hypergraph:
+    # a Hypergraph whose edges are already canonical: skips __post_init__,
+    # which would re-canonicalise every edge
+    g = object.__new__(Hypergraph)
+    object.__setattr__(g, "r", r)
+    object.__setattr__(g, "n", n)
+    object.__setattr__(g, "edges", edges)
+    object.__setattr__(g, "_extension_free_s", free_s)
+    return g
+
 
 def _extension(h: Hypergraph, new_edges: frozenset[tuple[int, ...]],
                s: int) -> Hypergraph:
-    # h plus one vertex whose edges, new_edges, are already canonical: skips
-    # __post_init__, which would re-canonicalise every edge of h
-    g = object.__new__(Hypergraph)
-    object.__setattr__(g, "r", h.r)
-    object.__setattr__(g, "n", h.n + 1)
-    object.__setattr__(g, "edges", h.edges | new_edges if new_edges
-                       else h.edges)
-    object.__setattr__(g, "_extension_free_s", s)
-    return g
+    # h plus one vertex whose edges, new_edges, are already canonical
+    return _trusted(h.r, h.n + 1, h.edges | new_edges if new_edges
+                    else h.edges, s)
 
 
 @dataclass(frozen=True)
@@ -164,6 +175,11 @@ class Feq2Structure:
             maps.append(m)
         return tuple(maps)
 
+    @cached_property
+    def _digest_memo(self) -> dict[str, str]:
+        """serialize.structure_digest's answer, once computed."""
+        return {}
+
     def same_class(self, z: int, x: int, y: int) -> bool:
         return self._block_of[z][x] is self._block_of[z][y]
 
@@ -196,10 +212,45 @@ def _extend_clique(masks: Mapping[tuple[int, ...], int], prefix: list[int],
     return None
 
 
+def _closers(masks: Mapping[tuple[int, ...], int], e: tuple[int, ...]) -> int:
+    # the vertices v with e + {v} an (r+1)-clique: the AND over the
+    # (r-1)-subsets tau of e of masks[tau].  A vertex of e is never among
+    # them: each lies in some tau, and masks[tau] holds no vertex of tau.
+    common = -1
+    for tau in itertools.combinations(e, len(e) - 1):
+        common &= masks.get(tau, 0)
+        if not common:
+            break
+    return common
+
+
 def find_clique(h: Hypergraph, s: int) -> Optional[tuple[int, ...]]:
-    """Return an s-set whose r-subsets are all edges, or None."""
+    """Return the lexicographically least s-set whose r-subsets are all
+    edges, or None.
+
+    For s = r + 1 every such set is an edge e plus a vertex completing all
+    (r-1)-subsets of e, so the edges are walked in sorted order and the
+    first one with a completing vertex, joined by its least one, is the
+    answer: one AND of r bitsets per edge.  Larger s goes through the
+    generic backtracking search over the (r-1)-subset masks.
+    """
     if s <= h.r:
         raise ValueError("clique size must exceed the arity")
+    if s == h.r + 1:
+        masks = h.subedge_masks
+        for e in sorted(h.edges):
+            closers = _closers(masks, e)
+            if closers:
+                # the r least vertices of a clique e + {v} span an edge
+                # with a closer, and no edge before e has one: they are
+                # e, so every closer of e lies above e[-1]
+                return e + ((closers & -closers).bit_length() - 1,)
+        return None
+    return _search_clique(h, s)
+
+
+def _search_clique(h: Hypergraph, s: int) -> Optional[tuple[int, ...]]:
+    # the generic search, for any s > r; the s = r + 1 kernel's oracle
     if h.n < s:
         return None
     need_deg = comb(s - 1, h.r - 1)
@@ -224,8 +275,9 @@ def find_clique(h: Hypergraph, s: int) -> Optional[tuple[int, ...]]:
 def is_free(h: Hypergraph, s: int) -> bool:
     """True iff no s vertices span a complete sub-r-graph.
 
-    The answer comes from a global find_clique and is memoised on h, keyed
-    by s; the mark add_vertex_with_links leaves is never consulted.
+    The answer comes from a global find_clique (one bitset AND per edge
+    when s = r + 1, the generic search otherwise) and is memoised on h,
+    keyed by s; the mark add_vertex_with_links leaves is never consulted.
     """
     memo = h._free_memo
     if s not in memo:
@@ -235,7 +287,9 @@ def is_free(h: Hypergraph, s: int) -> bool:
 
 class _FreeBuilder:
     """Incremental edge insertion with on-line checks that no complete
-    s-set appears.  Used by the generators and the maximality test."""
+    s-set appears.  Used by the generator and the maximality test for
+    s > r + 1, by the edge flips of search_small_alpha, and for the
+    masks of the edges near an added vertex."""
 
     def __init__(self, n: int, r: int, s: int,
                  edges: Iterable[tuple[int, ...]] = ()):
@@ -257,7 +311,14 @@ class _FreeBuilder:
 
     def creates_clique(self, edge: tuple[int, ...]) -> bool:
         """Would adding edge complete an s-clique?  The new clique must
-        contain all of edge, since the current edge set is clique-free."""
+        contain all of edge, since the current edge set is clique-free;
+        for s = r + 1 it is edge plus one vertex of _closers."""
+        if self.s == self.r + 1:
+            return _closers(self.masks, edge) != 0
+        return self._extends_to_clique(edge)
+
+    def _extends_to_clique(self, edge: tuple[int, ...]) -> bool:
+        # the generic search, for any s > r; the s = r + 1 kernel's oracle
         common = -1
         for tau in itertools.combinations(edge, self.r - 1):
             common &= self.masks.get(tau, 0)
@@ -315,7 +376,9 @@ def random_maximal_free(n: int, r: int, s: int, seed: int) -> Hypergraph:
 
     Candidate edges are visited in a seeded random order and kept whenever
     they do not complete an s-clique, so the result is maximal and
-    deterministic for a given seed.
+    deterministic for a given seed.  For s = r + 1 a candidate completes
+    one iff some vertex completes all its (r-1)-subsets: one AND of r
+    bitsets.  Larger s goes through _FreeBuilder's generic search.
     """
     if not (s > r >= 2):
         raise ValueError("need s > r >= 2")
@@ -324,22 +387,52 @@ def random_maximal_free(n: int, r: int, s: int, seed: int) -> Hypergraph:
     rng = random.Random(seed)
     candidates = list(itertools.combinations(range(n), r))
     rng.shuffle(candidates)
-    builder = _FreeBuilder(n, r, s)
+    if s != r + 1:
+        builder = _FreeBuilder(n, r, s)
+        for e in candidates:
+            if not builder.creates_clique(e):
+                builder.add(e)
+        return _trusted(r, n, frozenset(builder.edges))
+    masks: dict[tuple[int, ...], int] = {}
+    kept = []
     for e in candidates:
-        if not builder.creates_clique(e):
-            builder.add(e)
-    return Hypergraph(r, n, frozenset(builder.edges))
+        if _closers(masks, e):
+            continue
+        kept.append(e)
+        for i in range(r):
+            key = e[:i] + e[i + 1:]
+            masks[key] = masks.get(key, 0) | 1 << e[i]
+    return _trusted(r, n, frozenset(kept))
 
 
 def is_maximal_free(h: Hypergraph, s: int) -> bool:
-    """True iff h is K^r_s-free and every absent edge would break that."""
+    """True iff h is K^r_s-free and every absent edge would break that.
+
+    For s = r + 1, a free h is maximal iff every non-edge e has a vertex
+    completing all (r-1)-subsets of e, read from h.subedge_masks.  For
+    graphs that is one pass per vertex u: every vertex other than u is a
+    neighbour of u or a neighbour of one.  Larger s replays the generic
+    search of _FreeBuilder for every non-edge.
+    """
     if not is_free(h, s):
         return False
-    builder = _FreeBuilder(h.n, h.r, s, sorted(h.edges))
-    for e in itertools.combinations(range(h.n), h.r):
-        if e not in h.edges and not builder.creates_clique(e):
-            return False
-    return True
+    if s != h.r + 1:
+        builder = _FreeBuilder(h.n, h.r, s, sorted(h.edges))
+        return all(e in h.edges or builder.creates_clique(e)
+                   for e in itertools.combinations(range(h.n), h.r))
+    if h.r == 2:
+        adj = h.adjacency
+        full = (1 << h.n) - 1
+        for u in range(h.n):
+            reach = adj[u] | 1 << u
+            for w in _bits(adj[u]):
+                reach |= adj[w]
+            if reach != full:
+                return False
+        return True
+    masks = h.subedge_masks
+    return all(e in h.edges or _closers(masks, e)
+               for e in itertools.combinations(range(h.n), h.r))
 
 
 def cyclic_graph(n: int, connections: Iterable[int]) -> Hypergraph:

@@ -21,7 +21,8 @@ from .logic import (And, Eq, Not, ObjectVar, ParamVar, PhiAnalysis,
                     PhiPartition, Rel, analyze_phi, evaluate, format_formula,
                     make_assignment, parse_phi)
 from .measures import sup_error
-from .serialize import rational_from_json, rational_to_json, structure_digest
+from .serialize import (FormatError, rational_from_json, rational_to_json,
+                        structure_digest)
 from .structures import (AlphaResult, Feq2Structure, FreenessViolation,
                          Hypergraph, add_vertex_with_links, alpha_s,
                          embed_search, grid_object, grid_target, is_free,
@@ -326,7 +327,14 @@ def _recompute_fam(witness: dict, inputs: Mapping[str, object]):
 # Order witness: an alternating link pattern over an independent chain
 # ---------------------------------------------------------------------------
 
+# 2q + 1 extensions, each a new vertex and a copy of the edge set; the
+# largest q in use is 60
+_MAX_ORDER_Q = 1_000
+
+
 def _order_certified(ambient: Hypergraph, s: int, q: int):
+    if q > _MAX_ORDER_Q:
+        raise FormatError(f"q = {q} may not exceed {_MAX_ORDER_Q}")
     ambient_free = _bool_cert("ambient-free", is_free(ambient, s))
     if not ambient_free.holds:
         return [ambient_free], {}  # the extension needs a free ambient

@@ -9,7 +9,7 @@ import pytest
 
 from keisler_lab.cli import run
 from keisler_lab.coloring import weighted_hypergraph
-from keisler_lab.serialize import (canonical_dumps, load_structure,
+from keisler_lab.serialize import (canonical_dumps, digest, load_structure,
                                    structure_to_json, weighted_to_json)
 from keisler_lab.structures import Hypergraph, build_tp2_grid, cyclic_graph
 
@@ -312,6 +312,106 @@ def test_verify_rejects_over_cap_weights(size, tmp_path, monkeypatch,
     assert run(["color", "--input", str(wfile), "--output", str(out)]) == 0
     over_cap_weights(wfile, size)
     refuse_to_build_weighted(monkeypatch)
+    capsys.readouterr()
+    assert run(["verify", str(out)]) == 1
+    assert "exceed" in capsys.readouterr().err
+
+
+# just over the brute-force cap of 2^12 colourings, and the 8^12 of a
+# 12-vertex 8-graph, which the weights-file caps admit
+OVER_CAP_BRUTE = [(13, 2), (8, 3), (12, 8)]
+
+
+def refuse_to_enumerate(monkeypatch):
+    import keisler_lab.coloring as coloring
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a capped brute force reached its loop")
+    monkeypatch.setattr(coloring.itertools, "product", refuse)
+
+
+def write_unweighted(path, n, r):
+    payload = weighted_to_json(weighted_hypergraph(n, r, []))
+    path.write_text(canonical_dumps(payload))
+    return digest(payload)
+
+
+@pytest.mark.parametrize("n, r", OVER_CAP_BRUTE)
+def test_over_cap_brute_fails_fast(n, r, tmp_path, monkeypatch, capsys):
+    wfile = tmp_path / "weights.json"
+    write_unweighted(wfile, n, r)
+    refuse_to_enumerate(monkeypatch)
+    assert run(["color", "--input", str(wfile), "--brute"]) == 1
+    assert "exceed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n, r", OVER_CAP_BRUTE)
+def test_verify_rejects_over_cap_brute(n, r, tmp_path, monkeypatch, capsys):
+    wfile = write_weighted(tmp_path)
+    out = tmp_path / "color.json"
+    assert run(["color", "--input", str(wfile), "--brute",
+                "--output", str(out)]) == 0
+    data = read_report(out)
+    data["inputs"]["weighted"]["digest"] = write_unweighted(wfile, n, r)
+    data["witness"]["coloring"] = [1] * n
+    out.write_text(canonical_dumps(data))
+    refuse_to_enumerate(monkeypatch)
+    capsys.readouterr()
+    assert run(["verify", str(out)]) == 1
+    assert "exceed" in capsys.readouterr().err
+
+
+# just over the caps order --q <= 1,000 and check-measures --cases <= 10,000
+def refuse_to_extend(monkeypatch):
+    import keisler_lab.witnesses as witnesses
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a capped order report reached its extensions")
+    monkeypatch.setattr(witnesses, "add_vertex_with_links", refuse)
+
+
+def refuse_to_selftest(monkeypatch):
+    import keisler_lab.cli as cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a capped case count reached the self-test")
+    monkeypatch.setattr(cli, "measure_algebra_selftest", refuse)
+
+
+def test_over_cap_order_q_fails_fast(monkeypatch, capsys):
+    refuse_to_extend(monkeypatch)
+    assert run(["order", "--ambient", "gen:20:2:3:seed=1",
+                "--q", "1001"]) == 1
+    assert "exceed" in capsys.readouterr().err
+
+
+def test_verify_rejects_over_cap_order_q(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "order.json"
+    assert run(["order", "--ambient", "gen:20:2:3:seed=1", "--q", "2",
+                "--output", str(out)]) == 0
+    data = read_report(out)
+    data["witness"]["q"] = 1001
+    out.write_text(canonical_dumps(data))
+    refuse_to_extend(monkeypatch)
+    capsys.readouterr()
+    assert run(["verify", str(out)]) == 1
+    assert "exceed" in capsys.readouterr().err
+
+
+def test_over_cap_cases_fails_fast(monkeypatch, capsys):
+    refuse_to_selftest(monkeypatch)
+    assert run(["check-measures", "--seed", "5", "--cases", "10001"]) == 1
+    assert "exceed" in capsys.readouterr().err
+
+
+def test_verify_rejects_over_cap_cases(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "m.json"
+    assert run(["check-measures", "--seed", "5", "--cases", "10",
+                "--output", str(out)]) == 0
+    data = read_report(out)
+    data["witness"]["cases"] = 10001
+    out.write_text(canonical_dumps(data))
+    refuse_to_selftest(monkeypatch)
     capsys.readouterr()
     assert run(["verify", str(out)]) == 1
     assert "exceed" in capsys.readouterr().err

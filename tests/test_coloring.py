@@ -157,6 +157,11 @@ def test_brute_cap():
     h = weighted_hypergraph(13, 2, [((0, 1), 1)])
     with pytest.raises(ValueError):
         brute_best(h)
+    # the cap counts the r^n colourings, not the vertices
+    assert brute_best(weighted_hypergraph(12, 2, [])).colorings == 2 ** 12
+    assert brute_best(weighted_hypergraph(6, 4, [])).colorings == 4 ** 6
+    with pytest.raises(ValueError):
+        brute_best(weighted_hypergraph(8, 3, []))
 
 
 def test_split_fraction_matches_direct_count():

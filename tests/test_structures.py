@@ -4,6 +4,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_graph, random_hypergraph
 from keisler_lab import structures
@@ -13,6 +14,7 @@ from keisler_lab.structures import (
     FreenessViolation,
     Hypergraph,
     _FreeBuilder,
+    _search_clique,
     add_vertex_with_links,
     alpha_s,
     build_tp2_grid,
@@ -154,6 +156,74 @@ def test_is_maximal_free_rejects_extendable():
     assert not is_maximal_free(Hypergraph(2, 3, frozenset()), 3)
     k3 = Hypergraph(2, 3, frozenset({(0, 1), (0, 2), (1, 2)}))
     assert not is_maximal_free(k3, 3)
+
+
+# ---------------------------------------------------------------------------
+# the s = r + 1 kernel against the generic search
+# ---------------------------------------------------------------------------
+
+def generic_maximal_free(n: int, r: int, s: int, seed: int) -> Hypergraph:
+    """random_maximal_free through the generic clique search."""
+    candidates = list(itertools.combinations(range(n), r))
+    random.Random(seed).shuffle(candidates)
+    builder = _FreeBuilder(n, r, s)
+    for e in candidates:
+        if not builder._extends_to_clique(e):
+            builder.add(e)
+    return Hypergraph(r, n, frozenset(builder.edges))
+
+
+def generic_is_maximal_free(h: Hypergraph, s: int) -> bool:
+    if _search_clique(h, s) is not None:
+        return False
+    builder = _FreeBuilder(h.n, h.r, s, sorted(h.edges))
+    return all(e in h.edges or builder._extends_to_clique(e)
+               for e in itertools.combinations(range(h.n), h.r))
+
+
+@st.composite
+def kernel_cases(draw):
+    r = draw(st.sampled_from((2, 3, 4)))
+    n = draw(st.integers(0, 11))
+    seed = draw(st.integers(0, 2 ** 32))
+    density = draw(st.sampled_from((0.1, 0.3, 0.6, 0.9)))
+    return r, n, seed, density
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(kernel_cases())
+def test_clique_kernel_matches_the_generic_search(case):
+    r, n, seed, density = case
+    s = r + 1
+    rng = random.Random(seed)
+    sets = list(itertools.combinations(range(n), r))
+    # an arbitrary r-graph, free or not
+    h = random_hypergraph(rng, n, r, density)
+    assert find_clique(h, s) == _search_clique(h, s)
+    builder = _FreeBuilder(n, r, s, sorted(h.edges))
+    assert all(builder.creates_clique(e) == builder._extends_to_clique(e)
+               for e in sets)
+    assert is_maximal_free(h, s) == generic_is_maximal_free(h, s)
+    # a maximal free one, and the same with some edges removed
+    g = random_maximal_free(n, r, s, seed)
+    assert g == generic_maximal_free(n, r, s, seed)
+    assert is_maximal_free(g, s) and generic_is_maximal_free(g, s)
+    edges = sorted(g.edges)
+    removed = set(rng.sample(edges, min(len(edges), rng.randint(1, 3))))
+    thinned = Hypergraph(r, n, g.edges - removed)
+    assert (is_maximal_free(thinned, s)
+            == generic_is_maximal_free(thinned, s))
+
+
+def test_find_clique_generic_path_for_larger_s(monkeypatch):
+    calls = []
+    monkeypatch.setattr(structures, "_search_clique",
+                        lambda h, s: calls.append(s) or None)
+    k5 = Hypergraph(2, 5, frozenset(itertools.combinations(range(5), 2)))
+    assert find_clique(k5, 3) == (0, 1, 2)
+    assert calls == []
+    assert find_clique(k5, 4) is None  # the stub's answer
+    assert calls == [4]
 
 
 def test_add_vertex_with_links():
