@@ -13,10 +13,10 @@ from __future__ import annotations
 import argparse
 import random
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from ._record import Factory, Record
 from .coloring import (brute_best, greedy_coloring, guarantee_value,
                        weight_of)
 from .logic import FragmentError, ParseError, parse_phi
@@ -30,9 +30,9 @@ from .structures import (Feq2Structure, FreenessViolation, Hypergraph,
                          alpha_s, build_tp2_grid, is_free, is_maximal_free)
 from .witnesses import (REQUIRED_INPUTS, Certified, EmbeddingNotFound,
                         GridTooSmall, PreconditionFailed, WitnessReport,
-                        _bool_cert, _input_entry, adversary_witness,
-                        fam_witness, order_witness, recompute_certified,
-                        sat_probe, tp2_witness)
+                        _bool_cert, _check_tuple_count, _input_entry,
+                        adversary_witness, fam_witness, order_witness,
+                        recompute_certified, sat_probe, tp2_witness)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -49,12 +49,11 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Record):
     """Validated invocation parameters, echoed verbatim into the report."""
 
     subcommand: str
-    options: dict = field(default_factory=dict)
+    options: dict = Factory(dict)
 
     def to_json_dict(self) -> dict:
         return {"subcommand": self.subcommand, **self.options}
@@ -112,11 +111,11 @@ def _run_witness(config: RunConfig, output: Optional[str], theorem: str,
 # ---------------------------------------------------------------------------
 
 def _gen_certified(spec: str, structure, recorded_digest: str,
-                   embedded: dict) -> list[Certified]:
+                   embedded_digest: str) -> list[Certified]:
     certs = [
         _bool_cert("digest-match",
                    structure_digest(structure) == recorded_digest),
-        _bool_cert("embedded-match", digest(embedded) == recorded_digest),
+        _bool_cert("embedded-match", embedded_digest == recorded_digest),
     ]
     head = spec.split(":", 1)[0]
     if head == "gen":
@@ -145,14 +144,16 @@ def _describe(j: dict) -> str:
 def _cmd_gen(args) -> int:
     structure = parse_structure_spec(args.spec)
     sjson = structure_to_json(structure)
-    sdigest = structure_digest(structure)
+    # the witness embeds sjson itself, so one digest serves both checks
+    sdigest = structure_digest(structure, sjson)
     config = _config("gen", spec=args.spec, output=args.output,
                      structure_out=args.structure_out)
     report = WitnessReport(
         theorem="gen",
         inputs={},
         witness={"spec": args.spec, "digest": sdigest, "structure": sjson},
-        certified=tuple(_gen_certified(args.spec, structure, sdigest, sjson)),
+        certified=tuple(_gen_certified(args.spec, structure, sdigest,
+                                       sdigest)),
         log=(f"resolved {args.spec} to a {_describe(sjson)}",))
     if args.structure_out is not None:
         atomic_write_text(args.structure_out, canonical_dumps(sjson))
@@ -161,9 +162,11 @@ def _cmd_gen(args) -> int:
 
 
 def _verify_gen(witness: dict, inputs: dict) -> list[Certified]:
+    # digest-match from the regenerated structure, embedded-match from
+    # the JSON the report embeds: two independent digests
     structure = parse_structure_spec(witness["spec"])
     return _gen_certified(witness["spec"], structure, witness["digest"],
-                          witness["structure"])
+                          digest(witness["structure"]))
 
 
 # ---------------------------------------------------------------------------
@@ -308,6 +311,7 @@ def _cmd_adversary(args) -> int:
             f"--r {r} does not match the ambient arity {ambient.r}")
     if args.n < 1:
         raise FormatError("--n must be positive")
+    _check_tuple_count(args.n)
     if ambient.n == 0:
         raise FormatError("ambient has no vertices to draw tuples from")
     rng = random.Random(args.seed)

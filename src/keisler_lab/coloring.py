@@ -13,15 +13,15 @@ quantities are exact rationals.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import factorial, lcm
 from typing import Iterable, Sequence
 
+from ._record import Record
 
-@dataclass(frozen=True)
-class WeightedHypergraph:
+
+class WeightedHypergraph(Record):
     """Nonnegative rational weights on r-subsets of 0..n-1.
 
     Absent subsets carry weight zero.  Keys are sorted tuples of r
@@ -136,8 +136,7 @@ def greedy_coloring(h: WeightedHypergraph) -> Coloring:
     return tuple(chi)
 
 
-@dataclass(frozen=True)
-class BruteResult:
+class BruteResult(Record):
     """Exact optimum over all r^n colourings plus the exact mean."""
 
     best_coloring: Coloring

@@ -19,10 +19,10 @@ makes the atom false (the relation is irreflexive by representation).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
+from ._record import Record
 from .structures import Hypergraph
 
 
@@ -50,8 +50,7 @@ class DnfCapError(RuntimeError):
     """Disjunctive normal form exceeded the clause cap."""
 
 
-@dataclass(frozen=True)
-class ObjectVar:
+class ObjectVar(Record):
     index: int
 
     def __post_init__(self):
@@ -59,8 +58,7 @@ class ObjectVar:
             raise ValueError("variable indices start at 1")
 
 
-@dataclass(frozen=True)
-class ParamVar:
+class ParamVar(Record):
     index: int
 
     def __post_init__(self):
@@ -71,8 +69,7 @@ class ParamVar:
 Term = Union[ObjectVar, ParamVar]
 
 
-@dataclass(frozen=True)
-class Rel:
+class Rel(Record):
     name: str
     args: tuple[Term, ...]
 
@@ -82,19 +79,16 @@ class Rel:
         object.__setattr__(self, "args", tuple(self.args))
 
 
-@dataclass(frozen=True)
-class Eq:
+class Eq(Record):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
-class Not:
+class Not(Record):
     body: "Formula"
 
 
-@dataclass(frozen=True)
-class And:
+class And(Record):
     parts: tuple["Formula", ...]
 
     def __post_init__(self):
@@ -103,8 +97,7 @@ class And:
             raise ValueError("empty conjunction")
 
 
-@dataclass(frozen=True)
-class Or:
+class Or(Record):
     parts: tuple["Formula", ...]
 
     def __post_init__(self):
@@ -132,8 +125,7 @@ _TOKEN_NAMES = {
 }
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(Record):
     kind: str
     text: str
     position: int  # 1-based column
@@ -373,8 +365,7 @@ def evaluate(structure, f: Formula, assignment: Mapping[Term, int]) -> bool:
 # Disjunctive normal form
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Literal:
+class Literal(Record):
     atom: Atom
     negated: bool
 
@@ -480,8 +471,7 @@ def dnf_to_formula(clauses: Sequence[Clause]) -> Formula:
 # Partitioned formulas and the single-object-variable analysis
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PhiPartition:
+class PhiPartition(Record):
     """A formula with declared object and parameter arities."""
 
     formula: Formula
@@ -513,8 +503,7 @@ def parse_phi(text: str, object_arity: Optional[int] = None,
     return PhiPartition(f, object_arity, param_arity)
 
 
-@dataclass(frozen=True)
-class DisjunctProfile:
+class DisjunctProfile(Record):
     """Shape of one DNF disjunct of a one-object-variable graph formula.
 
     Parameter indices are grouped by the constraint placed on the object
@@ -555,8 +544,7 @@ class DisjunctProfile:
         return parts[0] if len(parts) == 1 else And(tuple(parts))
 
 
-@dataclass(frozen=True)
-class PhiAnalysis:
+class PhiAnalysis(Record):
     phi: PhiPartition
     profiles: tuple[DisjunctProfile, ...]
 

@@ -12,10 +12,10 @@ from __future__ import annotations
 import itertools
 import random
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence, Union
 
+from ._record import Record
 from .logic import (Formula, Or, PhiAnalysis, PhiPartition, compile_mask,
                     evaluate, make_assignment, parse_formula, variables)
 from .structures import Hypergraph
@@ -34,8 +34,7 @@ def _as_point(p, arity: Optional[int] = None) -> Point:
     return point
 
 
-@dataclass(frozen=True)
-class FiniteMeasure:
+class FiniteMeasure(Record):
     """A probability measure with finite support on host^arity."""
 
     host: Hypergraph
@@ -148,8 +147,7 @@ def localize(measure: FiniteMeasure,
 # The parameter scan
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ApproxReport:
+class ApproxReport(Record):
     """Result of the scan of a parameter domain: the sup error of the
     isolated-vertex type rule against the point average, and the largest
     count of points that falsify the formula."""
@@ -258,8 +256,7 @@ _SELFTEST_FORMULAS = (
 )
 
 
-@dataclass(frozen=True)
-class SelfTestOutcome:
+class SelfTestOutcome(Record):
     seed: int
     cases: int
     passed: dict

@@ -14,7 +14,7 @@ import os
 import tempfile
 from fractions import Fraction
 from math import comb
-from typing import Union
+from typing import Optional, Union
 
 from .coloring import WeightedHypergraph
 from .structures import (Feq2Structure, Hypergraph, build_tp2_grid,
@@ -73,6 +73,17 @@ def _expect_int(value, what: str) -> int:
     return value
 
 
+# Structure-file caps, checked before anything is built: a hypergraph
+# keeps tables of n entries per vertex, and a parameterized equivalence
+# checks one partition of its objects per parameter.  n is the gen spec's
+# cap, r the weights file's, and tp2grid:6 has 42 objects and 6^6 = 46,656
+# parameters.
+_MAX_FILE_N = 10_000
+_MAX_FILE_R = 8
+_MAX_FILE_OBJECTS = 10_000
+_MAX_FILE_PARAMETERS = 10 ** 5
+
+
 def structure_from_json(payload: dict) -> Storable:
     if not isinstance(payload, dict):
         raise FormatError("structure payload must be an object")
@@ -80,6 +91,9 @@ def structure_from_json(payload: dict) -> Storable:
     if kind == "hypergraph":
         r = _expect_int(payload.get("r"), "r")
         n = _expect_int(payload.get("n"), "n")
+        if n > _MAX_FILE_N or r > _MAX_FILE_R:
+            raise FormatError(f"hypergraph n = {n} and r = {r} may not "
+                              f"exceed {_MAX_FILE_N} and {_MAX_FILE_R}")
         edges = payload.get("edges")
         if not isinstance(edges, list):
             raise FormatError("edges must be a list")
@@ -103,6 +117,10 @@ def structure_from_json(payload: dict) -> Storable:
     if kind == "feq2":
         objects = _expect_int(payload.get("objects"), "objects")
         parameters = _expect_int(payload.get("parameters"), "parameters")
+        if objects > _MAX_FILE_OBJECTS or parameters > _MAX_FILE_PARAMETERS:
+            raise FormatError(
+                f"{objects} objects and {parameters} parameters may not "
+                f"exceed {_MAX_FILE_OBJECTS} and {_MAX_FILE_PARAMETERS}")
         classes = payload.get("classes")
         if not isinstance(classes, list):
             raise FormatError("classes must be a list")
@@ -171,12 +189,16 @@ def digest(payload) -> str:
     return "sha256:" + hashlib.sha256(blob).hexdigest()
 
 
-def structure_digest(structure: Storable) -> str:
+def structure_digest(structure: Storable,
+                     sjson: Optional[dict] = None) -> str:
     """digest(structure_to_json(structure)), computed once per structure
-    and cached on it: structures are immutable."""
+    and cached on it: structures are immutable.  A caller that already
+    holds structure_to_json(structure) passes it as sjson, so that it is
+    not built again."""
     memo = structure._digest_memo
     if "sha256" not in memo:
-        memo["sha256"] = digest(structure_to_json(structure))
+        memo["sha256"] = digest(structure_to_json(structure)
+                                if sjson is None else sjson)
     return memo["sha256"]
 
 

@@ -14,10 +14,11 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from functools import cached_property
 from math import comb
 from typing import Iterable, Mapping, Optional, Sequence
+
+from ._record import Record
 
 
 class FreenessViolation(Exception):
@@ -44,8 +45,7 @@ def _bits(mask: int):
         mask ^= low
 
 
-@dataclass(frozen=True)
-class Hypergraph:
+class Hypergraph(Record):
     """An r-uniform hypergraph on vertices 0..n-1.
 
     Edges are stored as sorted tuples of r distinct vertices, so the
@@ -132,8 +132,7 @@ def _extension(h: Hypergraph, new_edges: frozenset[tuple[int, ...]],
                     else h.edges, s)
 
 
-@dataclass(frozen=True)
-class Feq2Structure:
+class Feq2Structure(Record):
     """Indexed objects plus, for each parameter, a partition of the objects
     into blocks of size two (one flagged singleton when the count is odd)."""
 
@@ -452,8 +451,7 @@ def cyclic_graph(n: int, connections: Iterable[int]) -> Hypergraph:
 # alpha_s: largest subset inducing a K_{s-1}-free subgraph
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AlphaResult:
+class AlphaResult(Record):
     """Outcome of an alpha_s computation.
 
     value is exact when exact is True, otherwise the best lower bound
@@ -583,8 +581,7 @@ def alpha_s(g: Hypergraph, s: int, budget: Optional[int] = None) -> AlphaResult:
 # Search for graphs with small alpha_s
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(Record):
     """Best K_s-free graph found; found is True when alpha <= target."""
 
     found: bool
@@ -666,8 +663,7 @@ def search_small_alpha(n: int, s: int, target: int,
 # Induced embeddings
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class EmbedResult:
+class EmbedResult(Record):
     """mapping[i] is the host image of pattern vertex i when found.
 
     proven_absent distinguishes an exhausted search from a completed one.

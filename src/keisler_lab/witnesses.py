@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 from typing import Mapping, Optional, Sequence, Union
 
+from ._record import Record
 from .coloring import (greedy_coloring, guarantee_value, weight_of,
                        weighted_hypergraph)
 from .logic import (And, Eq, Not, ObjectVar, ParamVar, PhiAnalysis,
@@ -71,8 +71,7 @@ _OPS = {
 }
 
 
-@dataclass(frozen=True)
-class Certified:
+class Certified(Record):
     """One exact inequality between recomputable rational values."""
 
     name: str
@@ -107,8 +106,7 @@ def _require(checks: Sequence[Certified]) -> None:
                                      check.rhs)
 
 
-@dataclass(frozen=True)
-class WitnessReport:
+class WitnessReport(Record):
     theorem: str
     inputs: dict
     witness: dict
@@ -150,8 +148,7 @@ def _select_profile(analysis) -> int:
                                         len(analysis.profiles[t].neq), t))
 
 
-@dataclass(frozen=True)
-class _FamSetup:
+class _FamSetup(Record):
     """What the fam experiment knows before an embedding is chosen."""
 
     analysis: PhiAnalysis
@@ -416,12 +413,25 @@ def _no_edge_formula(r: int) -> PhiPartition:
     return PhiPartition(And(tuple(parts)), r - 1, 1)
 
 
+# each tuple is a weight in the colouring and a formula evaluation on the
+# extension; the largest count in use is 30
+_MAX_ADVERSARY_TUPLES = 1_000
+
+
+def _check_tuple_count(n: int) -> None:
+    """Refuse more adversary tuples than the cap, before any is drawn."""
+    if n > _MAX_ADVERSARY_TUPLES:
+        raise FormatError(f"{n} tuples may not exceed "
+                          f"{_MAX_ADVERSARY_TUPLES}")
+
+
 def _adversary_certified(ambient: Hypergraph, s: int, tuples: Sequence[tuple],
                          coloring: Optional[Sequence[int]] = None,
                          links: Optional[Sequence[tuple]] = None):
     """Certified values of the adversary construction; shared by the runner
     and the verifier.  Without a recorded coloring and links the greedy
     colouring and its split sets are chosen here."""
+    _check_tuple_count(len(tuples))
     ambient_free = _bool_cert("ambient-free", is_free(ambient, s))
     if not ambient_free.holds:
         return [ambient_free], {}  # the extension needs a free ambient
@@ -552,6 +562,19 @@ def _probe_once(ambient: Hypergraph, subset: Sequence[int],
     return None
 
 
+# each trial draws n_params parameters and scans the subset's tuples
+# against them; the largest values in use are 5 trials of 2 parameters
+_MAX_PROBE_TRIALS = 1_000
+_MAX_PROBE_PARAMS = 100
+
+
+def _check_probe_size(trials: int, n_params: int) -> None:
+    if trials > _MAX_PROBE_TRIALS or n_params > _MAX_PROBE_PARAMS:
+        raise FormatError(
+            f"{trials} trials of {n_params} parameters may not exceed "
+            f"{_MAX_PROBE_TRIALS} trials of {_MAX_PROBE_PARAMS}")
+
+
 def sat_probe(ambient: Hypergraph, subset: Sequence[int],
               params: Optional[Sequence[int]] = None, *,
               trials: Optional[int] = None, n_params: Optional[int] = None,
@@ -596,6 +619,7 @@ def sat_probe(ambient: Hypergraph, subset: Sequence[int],
         raise ValueError("aggregate mode needs trials, n_params and seed")
     if trials < 1 or n_params < 0:
         raise ValueError("trials must be positive and n_params nonnegative")
+    _check_probe_size(trials, n_params)
     if ambient.n == 0 and n_params > 0:
         raise ValueError("cannot draw parameters from an empty host")
     rng = random.Random(seed)
@@ -633,9 +657,13 @@ def _recompute_sat(witness: dict, inputs: Mapping[str, object]):
                      for b in witness["params"])
             certified.append(_bool_cert("witness-valid", ok))
         return certified
+    results = witness["results"]
+    _check_probe_size(len(results),
+                      max((len(entry["params"]) for entry in results),
+                          default=0))
     valid = 0
     hits = 0
-    for entry in witness["results"]:
+    for entry in results:
         if entry["found"]:
             hits += 1
             w = tuple(entry["witness"])

@@ -69,6 +69,32 @@ def test_gen_structure_out(tmp_path):
     assert load_structure(str(sout)) == cyclic_graph(13, [1, 5])
 
 
+def test_gen_serialises_and_digests_the_structure_once(tmp_path,
+                                                       monkeypatch, capsys):
+    # the runner digests the JSON its witness embeds once; verify digests
+    # the regenerated structure and the embedded JSON independently
+    import keisler_lab.cli as cli
+    import keisler_lab.serialize as serialize
+    calls = {"structure_to_json": 0, "digest": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+    for module in (cli, serialize):
+        for name in calls:
+            monkeypatch.setattr(module, name,
+                                counting(name, getattr(module, name)))
+    out = tmp_path / "r.json"
+    assert run(["gen", "gen:20:2:3:seed=1", "--output", str(out)]) == 0
+    assert calls == {"structure_to_json": 1, "digest": 1}
+    calls.update(structure_to_json=0, digest=0)
+    assert run(["verify", str(out)]) == 0
+    assert calls == {"structure_to_json": 1, "digest": 2}
+    assert "4 certifications reproduced" in capsys.readouterr().out
+
+
 def test_gen_bad_spec_is_usage_error(capsys):
     assert run(["gen", "circulant:13"]) == 1
     assert "error" in capsys.readouterr().err
@@ -412,6 +438,142 @@ def test_verify_rejects_over_cap_cases(tmp_path, monkeypatch, capsys):
     data["witness"]["cases"] = 10001
     out.write_text(canonical_dumps(data))
     refuse_to_selftest(monkeypatch)
+    capsys.readouterr()
+    assert run(["verify", str(out)]) == 1
+    assert "exceed" in capsys.readouterr().err
+
+
+# just over the structure-file caps: hypergraph n <= 10,000 and r <= 8,
+# parameterized equivalence objects <= 10,000 and parameters <= 10^5
+OVER_CAP_FILES = [
+    {"kind": "hypergraph", "r": 2, "n": 10_001, "edges": []},
+    {"kind": "hypergraph", "r": 9, "n": 9, "edges": []},
+    {"kind": "hypergraph", "r": 2, "n": 10 ** 12, "edges": []},
+    {"kind": "feq2", "objects": 10_001, "parameters": 1, "classes": [[]]},
+    {"kind": "feq2", "objects": 2, "parameters": 100_001, "classes": []},
+]
+
+
+def refuse_to_build_structures(monkeypatch):
+    import keisler_lab.serialize as serialize
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a capped structure file reached its builder")
+    monkeypatch.setattr(serialize, "Hypergraph", refuse)
+    monkeypatch.setattr(serialize, "Feq2Structure", refuse)
+
+
+@pytest.mark.parametrize("payload", OVER_CAP_FILES)
+def test_over_cap_structure_file_fails_fast(payload, tmp_path, monkeypatch,
+                                            capsys):
+    sfile = tmp_path / "structure.json"
+    sfile.write_text(json.dumps(payload))
+    refuse_to_build_structures(monkeypatch)
+    assert run(["gen", f"file:{sfile}"]) == 1
+    assert "exceed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("payload", OVER_CAP_FILES)
+def test_verify_rejects_over_cap_structure_file(payload, tmp_path,
+                                                monkeypatch, capsys):
+    # a report naming the file as an input source, and a gen report of it
+    sfile = tmp_path / "structure.json"
+    out = tmp_path / "report.json"
+    if payload["kind"] == "hypergraph":
+        sfile.write_text(canonical_dumps(structure_to_json(
+            cyclic_graph(13, [1, 5]))))
+        argv = ["order", "--ambient", f"file:{sfile}", "--q", "2"]
+    else:
+        sfile.write_text(canonical_dumps(structure_to_json(
+            build_tp2_grid(2))))
+        argv = ["tp2", "--k", "2", "--input", str(sfile)]
+    assert run(argv + ["--output", str(out)]) == 0
+    gen_out = tmp_path / "gen.json"
+    assert run(["gen", f"file:{sfile}", "--output", str(gen_out)]) == 0
+    sfile.write_text(json.dumps(payload))
+    refuse_to_build_structures(monkeypatch)
+    capsys.readouterr()
+    assert run(["verify", str(out)]) == 1
+    assert run(["verify", str(gen_out)]) == 1
+    assert capsys.readouterr().err.count("exceed") == 2
+
+
+# just over the caps adversary --n <= 1,000, satprobe --trials <= 1,000 and
+# --n-params <= 100
+def refuse_to_draw_tuples(monkeypatch):
+    import types
+
+    import keisler_lab.cli as cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a capped tuple count reached the draw")
+    monkeypatch.setattr(cli, "random", types.SimpleNamespace(Random=refuse))
+
+
+def refuse_to_colour(monkeypatch):
+    import keisler_lab.witnesses as witnesses
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a capped tuple count reached the colouring")
+    monkeypatch.setattr(witnesses, "is_free", refuse)
+    monkeypatch.setattr(witnesses, "weighted_hypergraph", refuse)
+
+
+def refuse_to_probe(monkeypatch):
+    # the runner's draw loop probes, verify's loop looks up edges
+    import keisler_lab.witnesses as witnesses
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a capped probe reached its loop")
+    monkeypatch.setattr(witnesses, "_probe_once", refuse)
+    monkeypatch.setattr(Hypergraph, "has_edge", refuse)
+
+
+ADVERSARY = ["adversary", "--ambient", "gen:12:3:4:seed=5", "--seed", "11",
+             "--s", "4"]
+SATPROBE = ["satprobe", "--ambient", "gen:20:3:4:seed=3", "--m-size", "12",
+            "--seed", "9"]
+
+
+def test_over_cap_adversary_n_fails_fast(monkeypatch, capsys):
+    refuse_to_draw_tuples(monkeypatch)
+    refuse_to_colour(monkeypatch)
+    assert run(ADVERSARY + ["--n", "1001"]) == 1
+    assert "exceed" in capsys.readouterr().err
+
+
+def test_verify_rejects_over_cap_adversary_tuples(tmp_path, monkeypatch,
+                                                  capsys):
+    out = tmp_path / "adv.json"
+    assert run(ADVERSARY + ["--n", "10", "--output", str(out)]) == 0
+    data = read_report(out)
+    data["witness"]["tuples"] = [[0, 1]] * 1001
+    out.write_text(canonical_dumps(data))
+    refuse_to_colour(monkeypatch)
+    capsys.readouterr()
+    assert run(["verify", str(out)]) == 1
+    assert "exceed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("trials, n_params", [(1001, 2), (5, 101)])
+def test_over_cap_satprobe_fails_fast(trials, n_params, monkeypatch, capsys):
+    refuse_to_probe(monkeypatch)
+    assert run(SATPROBE + ["--trials", str(trials),
+                           "--n-params", str(n_params)]) == 1
+    assert "exceed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("trials, n_params", [(1001, 2), (5, 101)])
+def test_verify_rejects_over_cap_satprobe(trials, n_params, tmp_path,
+                                          monkeypatch, capsys):
+    out = tmp_path / "probe.json"
+    assert run(SATPROBE + ["--trials", "5", "--n-params", "2",
+                           "--output", str(out)]) == 0
+    data = read_report(out)
+    entry = {"params": [0] * n_params, "found": False, "witness": None}
+    data["witness"]["results"] = [entry] * trials
+    out.write_text(canonical_dumps(data))
+    refuse_to_probe(monkeypatch)
     capsys.readouterr()
     assert run(["verify", str(out)]) == 1
     assert "exceed" in capsys.readouterr().err
