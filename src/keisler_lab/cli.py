@@ -444,12 +444,12 @@ def _resolve_input(name: str, entry: dict, overrides: dict):
         actual = digest(weighted_to_json(obj))
     else:
         obj = parse_structure_spec(source)
-        actual = structure_digest(obj)
-        if structure_to_json(obj)["kind"] != entry["kind"]:
+        sjson = structure_to_json(obj)
+        actual = structure_digest(obj, sjson)
+        if sjson["kind"] != entry["kind"]:
             raise FormatError(
-                f"input {name!r} resolved to kind "
-                f"{structure_to_json(obj)['kind']!r}, report says "
-                f"{entry['kind']!r}")
+                f"input {name!r} resolved to kind {sjson['kind']!r}, "
+                f"report says {entry['kind']!r}")
     return obj, actual, entry["digest"]
 
 
