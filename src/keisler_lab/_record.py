@@ -14,7 +14,7 @@ on them.
 
 The decorator compiles its generated methods with `exec` at every import,
 and its module pulls in `inspect`; for the package's 26 records that was
-more than half of the start-up time of the CLI.  Here every method comes
+more than half of the package's import time.  Here every method comes
 from code compiled once into the `.pyc`: closures built per class in
 `__init_subclass__`, and for one or two fields the templates below.
 """
