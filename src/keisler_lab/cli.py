@@ -13,24 +13,21 @@ from __future__ import annotations
 import argparse
 import random
 import sys
-from fractions import Fraction
 from typing import Optional, Sequence
 
-from ._record import Factory, Record
-from .coloring import (brute_best, greedy_coloring, guarantee_value,
-                       weight_of)
-from .logic import FragmentError, ParseError, parse_phi
-from .measures import SELFTEST_CHECKS, measure_algebra_selftest
+from .coloring import greedy_coloring
+from .logic import ParseError, parse_phi
+from .measures import SELFTEST_CHECKS
 from .serialize import (FormatError, atomic_write_text, canonical_dumps,
                         digest, load_json, load_structure, load_weighted,
                         parse_rational, parse_structure_spec,
-                        rational_from_json, rational_to_json,
-                        structure_digest, structure_to_json, weighted_to_json)
+                        rational_to_json, structure_digest, structure_to_json,
+                        weighted_to_json)
 from .structures import (Feq2Structure, FreenessViolation, Hypergraph,
-                         alpha_s, build_tp2_grid, is_free, is_maximal_free)
-from .witnesses import (REQUIRED_INPUTS, Certified, EmbeddingNotFound,
-                        GridTooSmall, PreconditionFailed, WitnessReport,
-                        _bool_cert, _check_tuple_count, _input_entry,
+                         build_tp2_grid)
+from .witnesses import (PIPELINES, EmbeddingNotFound, PreconditionFailed,
+                        WitnessReport, _check_tuple_count, _color_certified,
+                        _gen_certified, _measures_certified,
                         adversary_witness, fam_witness, order_witness,
                         recompute_certified, sat_probe, tp2_witness)
 
@@ -49,21 +46,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-class RunConfig(Record):
-    """Validated invocation parameters, echoed verbatim into the report."""
-
-    subcommand: str
-    options: dict = Factory(dict)
-
-    def to_json_dict(self) -> dict:
-        return {"subcommand": self.subcommand, **self.options}
-
-
-def _config(subcommand: str, **options) -> RunConfig:
-    kept = {key: value for key, value in options.items() if value is not None}
-    return RunConfig(subcommand, kept)
-
-
 def _emit(text: str, output: Optional[str]) -> None:
     if output is None:
         sys.stdout.write(text)
@@ -71,66 +53,36 @@ def _emit(text: str, output: Optional[str]) -> None:
         atomic_write_text(output, text)
 
 
-def _envelope(config: RunConfig, report: WitnessReport) -> str:
-    return canonical_dumps({"config": config.to_json_dict(),
-                            **report.to_json_dict()})
-
-
 def _exit_for(report: WitnessReport) -> int:
     return EXIT_OK if report.all_hold else EXIT_CERT
 
 
-def _run_witness(config: RunConfig, output: Optional[str], theorem: str,
-                 sources: dict, builder) -> int:
-    """Run a witness builder, mapping PreconditionFailed to a written
-    report with the failed inequality and exit code 2."""
+def _write_report(args, report: WitnessReport) -> int:
+    """Emit the report under its config, the parsed options as given."""
+    config = {key: value for key, value in vars(args).items()
+              if value is not None and key != "func"}
+    _emit(canonical_dumps({"config": config, **report.to_json_dict()}),
+          args.output)
+    return _exit_for(report)
+
+
+def _run_witness(args, theorem: str, sources: dict, builder) -> int:
+    """Run a witness builder; a failed precondition still writes a report,
+    with the failed inequality, and exits 2."""
     try:
         report = builder()
     except PreconditionFailed as exc:
-        payload = {"precondition_failed": exc.name, "op": exc.op,
-                   "lhs": rational_to_json(exc.lhs),
-                   "rhs": rational_to_json(exc.rhs)}
-        report = WitnessReport(
-            theorem=theorem,
-            inputs={name: _input_entry(obj, spec)
-                    for name, (spec, obj) in sources.items()},
-            witness=payload,
-            certified=(Certified(exc.name, exc.op, exc.lhs, exc.rhs),),
-            log=(str(exc),))
-        _emit(_envelope(config, report), output)
+        report = exc.report(theorem, {name: obj
+                                      for name, (_, obj) in sources.items()})
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CERT
     for name, (spec, _) in sources.items():
         report.inputs[name]["source"] = spec
-    _emit(_envelope(config, report), output)
-    return _exit_for(report)
+    return _write_report(args, report)
 
 
 # ---------------------------------------------------------------------------
 # gen
 # ---------------------------------------------------------------------------
-
-def _gen_certified(spec: str, structure, recorded_digest: str,
-                   embedded_digest: str) -> list[Certified]:
-    certs = [
-        _bool_cert("digest-match",
-                   structure_digest(structure) == recorded_digest),
-        _bool_cert("embedded-match", embedded_digest == recorded_digest),
-    ]
-    head = spec.split(":", 1)[0]
-    if head == "gen":
-        s = int(spec.split(":")[3])
-        certs.append(_bool_cert("free", is_free(structure, s)))
-        certs.append(_bool_cert("maximal-free", is_maximal_free(structure, s)))
-    elif head == "searchalpha":
-        fields = spec.split(":")
-        s, target = int(fields[2]), int(fields[3])
-        certs.append(_bool_cert("free", is_free(structure, s)))
-        certs.append(Certified("alpha-target", "<=",
-                               Fraction(alpha_s(structure, s).value),
-                               Fraction(target)))
-    return certs
-
 
 def _describe(j: dict) -> str:
     # j is the structure's JSON form
@@ -146,8 +98,6 @@ def _cmd_gen(args) -> int:
     sjson = structure_to_json(structure)
     # the witness embeds sjson itself, so one digest serves both checks
     sdigest = structure_digest(structure, sjson)
-    config = _config("gen", spec=args.spec, output=args.output,
-                     structure_out=args.structure_out)
     report = WitnessReport(
         theorem="gen",
         inputs={},
@@ -157,49 +107,18 @@ def _cmd_gen(args) -> int:
         log=(f"resolved {args.spec} to a {_describe(sjson)}",))
     if args.structure_out is not None:
         atomic_write_text(args.structure_out, canonical_dumps(sjson))
-    _emit(_envelope(config, report), args.output)
-    return _exit_for(report)
-
-
-def _verify_gen(witness: dict, inputs: dict) -> list[Certified]:
-    # digest-match from the regenerated structure, embedded-match from
-    # the JSON the report embeds: two independent digests
-    structure = parse_structure_spec(witness["spec"])
-    return _gen_certified(witness["spec"], structure, witness["digest"],
-                          digest(witness["structure"]))
+    return _write_report(args, report)
 
 
 # ---------------------------------------------------------------------------
 # color
 # ---------------------------------------------------------------------------
 
-def _color_certified(wh, coloring, with_brute: bool):
-    weight = weight_of(wh, coloring)
-    bound = guarantee_value(wh)
-    certs = [Certified("greedy-bound", ">=", weight, bound)]
-    brute_payload = None
-    if with_brute:
-        result = brute_best(wh)
-        brute_payload = {
-            "best_coloring": list(result.best_coloring),
-            "best_weight": rational_to_json(result.best_weight),
-            "average_weight": rational_to_json(result.average_weight),
-            "colorings": result.colorings,
-        }
-        certs.append(Certified("brute-ge-greedy", ">=",
-                               result.best_weight, weight))
-        certs.append(Certified("average-identity", "==",
-                               result.average_weight, bound))
-    return certs, weight, bound, brute_payload
-
-
 def _cmd_color(args) -> int:
     wh = load_weighted(args.input)
     coloring = greedy_coloring(wh)
     certs, weight, bound, brute_payload = _color_certified(
         wh, coloring, args.brute)
-    config = _config("color", input=args.input, brute=args.brute,
-                     output=args.output)
     report = WitnessReport(
         theorem="coloring-bound",
         inputs={"weighted": {"kind": "weighted-hypergraph",
@@ -214,45 +133,15 @@ def _cmd_color(args) -> int:
         log=(f"greedy colouring splits weight {weight} "
              f"of {wh.total_weight}",
              f"guarantee (r!/r^r)*w(V) = {bound}",))
-    _emit(_envelope(config, report), args.output)
-    return _exit_for(report)
-
-
-def _verify_color(witness: dict, inputs: dict) -> list[Certified]:
-    wh = inputs["weighted"]
-    coloring = tuple(int(c) for c in witness["coloring"])
-    certs, _, _, _ = _color_certified(wh, coloring,
-                                      witness.get("brute") is not None)
-    return certs
+    return _write_report(args, report)
 
 
 # ---------------------------------------------------------------------------
 # check-measures
 # ---------------------------------------------------------------------------
 
-# each case draws and compares a few random measures (about 0.6 ms); the
-# largest count in use is 100
-_MAX_SELFTEST_CASES = 10_000
-
-
-def _measures_certified(seed: int, cases: int):
-    if cases < 1:
-        raise FormatError("--cases must be positive")
-    if cases > _MAX_SELFTEST_CASES:
-        raise FormatError(f"--cases {cases} may not exceed "
-                          f"{_MAX_SELFTEST_CASES}")
-    outcome = measure_algebra_selftest(seed, cases)
-    certs = [Certified(check, "==", Fraction(outcome.passed[check]),
-                       Fraction(cases))
-             for check in SELFTEST_CHECKS]
-    return certs, outcome
-
-
 def _cmd_check_measures(args) -> int:
     certs, outcome = _measures_certified(args.seed, args.cases)
-    config = _config("check-measures", seed=args.seed,
-                     cases=args.cases, format=args.format,
-                     output=args.output)
     if args.format == "csv":
         lines = ["check,passed,cases"]
         lines += [f"{check},{outcome.passed[check]},{args.cases}"
@@ -266,14 +155,7 @@ def _cmd_check_measures(args) -> int:
                  "passed": dict(outcome.passed)},
         certified=tuple(certs),
         log=(f"ran {args.cases} seeded random measure cases",))
-    _emit(_envelope(config, report), args.output)
-    return _exit_for(report)
-
-
-def _verify_measures(witness: dict, inputs: dict) -> list[Certified]:
-    certs, _ = _measures_certified(int(witness["seed"]),
-                                   int(witness["cases"]))
-    return certs
+    return _write_report(args, report)
 
 
 # ---------------------------------------------------------------------------
@@ -290,13 +172,10 @@ def _cmd_fam(args) -> int:
     ambient = parse_structure_spec(args.ambient)
     if not isinstance(graph, Hypergraph) or not isinstance(ambient, Hypergraph):
         raise FormatError("fam needs hypergraph inputs")
-    config = _config("fam", phi=args.phi, epsilon=args.epsilon,
-                     graph=args.graph, ambient=args.ambient, s=args.s,
-                     budget=args.budget, output=args.output)
     sources = {"ambient": (args.ambient, ambient),
                "graph": (args.graph, graph)}
     return _run_witness(
-        config, args.output, "famnotfim", sources,
+        args, "famnotfim", sources,
         lambda: fam_witness(phi, epsilon, ambient, graph, args.s,
                             embed_budget=args.budget))
 
@@ -305,22 +184,21 @@ def _cmd_adversary(args) -> int:
     ambient = parse_structure_spec(args.ambient)
     if not isinstance(ambient, Hypergraph):
         raise FormatError("adversary needs a hypergraph ambient")
-    r = args.r if args.r is not None else ambient.r
-    if r != ambient.r:
+    if args.r is None:
+        args.r = ambient.r  # the report's config records the resolved r
+    if args.r != ambient.r:
         raise FormatError(
-            f"--r {r} does not match the ambient arity {ambient.r}")
+            f"--r {args.r} does not match the ambient arity {ambient.r}")
     if args.n < 1:
         raise FormatError("--n must be positive")
     _check_tuple_count(args.n)
     if ambient.n == 0:
         raise FormatError("ambient has no vertices to draw tuples from")
     rng = random.Random(args.seed)
-    tuples = [tuple(rng.randrange(ambient.n) for _ in range(r - 1))
+    tuples = [tuple(rng.randrange(ambient.n) for _ in range(args.r - 1))
               for _ in range(args.n)]
-    config = _config("adversary", ambient=args.ambient, r=r,
-                     s=args.s, n=args.n, seed=args.seed, output=args.output)
     sources = {"ambient": (args.ambient, ambient)}
-    return _run_witness(config, args.output, "dfsnotfim-adversary", sources,
+    return _run_witness(args, "dfsnotfim-adversary", sources,
                         lambda: adversary_witness(tuples, ambient, args.s))
 
 
@@ -341,10 +219,6 @@ def _cmd_satprobe(args) -> int:
         raise FormatError("--params excludes --trials/--n-params")
     if args.format == "csv" and not aggregate:
         raise FormatError("csv output is only defined for aggregate mode")
-    config = _config("satprobe", ambient=args.ambient,
-                     m_size=args.m_size, seed=args.seed, params=args.params,
-                     trials=args.trials, n_params=args.n_params,
-                     format=args.format, output=args.output)
     if aggregate:
         trials = args.trials if args.trials is not None else 1
         if trials < 1:
@@ -366,8 +240,7 @@ def _cmd_satprobe(args) -> int:
             lines.append(f"{i},{int(found)},{cell}")
         _emit("\n".join(lines) + "\n", args.output)
         return _exit_for(report)
-    _emit(_envelope(config, report), args.output)
-    return _exit_for(report)
+    return _write_report(args, report)
 
 
 def _cmd_tp2(args) -> int:
@@ -381,13 +254,10 @@ def _cmd_tp2(args) -> int:
         source = f"tp2grid:{args.k}"
     if args.sample is not None and args.seed is None:
         raise FormatError("--sample requires --seed")
-    config = _config("tp2", k=args.k, input=args.input,
-                     sample=args.sample, seed=args.seed, output=args.output)
-    report = tp2_witness(structure, args.k, sample=args.sample,
-                         seed=args.seed)
-    report.inputs["structure"]["source"] = source
-    _emit(_envelope(config, report), args.output)
-    return _exit_for(report)
+    return _run_witness(args, "tp2", {"structure": (source, structure)},
+                        lambda: tp2_witness(structure, args.k,
+                                            sample=args.sample,
+                                            seed=args.seed))
 
 
 def _cmd_order(args) -> int:
@@ -396,37 +266,14 @@ def _cmd_order(args) -> int:
         raise FormatError("order needs a hypergraph ambient")
     if args.q < 0:
         raise FormatError("--q must be nonnegative")
-    config = _config("order", ambient=args.ambient, s=args.s,
-                     q=args.q, output=args.output)
     sources = {"ambient": (args.ambient, ambient)}
-    return _run_witness(config, args.output, "order", sources,
+    return _run_witness(args, "order", sources,
                         lambda: order_witness(ambient, args.s, args.q))
 
 
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
-
-def _verify_theorem(theorem: str):
-    def handler(witness: dict, inputs: dict) -> list[Certified]:
-        return recompute_certified(theorem, witness, inputs)
-    return handler
-
-
-_VERIFY_HANDLERS = {
-    "gen": _verify_gen,
-    "coloring-bound": _verify_color,
-    "measure-algebra": _verify_measures,
-    **{tag: _verify_theorem(tag) for tag in REQUIRED_INPUTS},
-}
-
-_VERIFY_INPUTS = {
-    "gen": (),
-    "coloring-bound": ("weighted",),
-    "measure-algebra": (),
-    **REQUIRED_INPUTS,
-}
-
 
 def _resolve_input(name: str, entry: dict, overrides: dict):
     if not isinstance(entry, dict) or "digest" not in entry \
@@ -467,7 +314,7 @@ def _cmd_verify(args) -> int:
         if key not in data:
             raise FormatError(f"report is missing the {key!r} key")
     theorem = data["theorem"]
-    if theorem not in _VERIFY_HANDLERS:
+    if theorem not in PIPELINES:
         raise FormatError(f"unknown theorem tag {theorem!r}")
     if not isinstance(data["inputs"], dict):
         raise FormatError("inputs must be an object")
@@ -483,23 +330,8 @@ def _cmd_verify(args) -> int:
                   file=sys.stderr)
             return EXIT_CERT
         resolved[name] = obj
-    missing = [n for n in _VERIFY_INPUTS[theorem] if n not in resolved]
-    witness = data["witness"]
-    failed_precondition = (isinstance(witness, dict)
-                           and "precondition_failed" in witness)
-    if missing and not failed_precondition:
-        raise FormatError(f"report lacks required inputs: {missing}")
-
     try:
-        if failed_precondition:
-            # failed-precondition reports carry the inequality verbatim;
-            # there is no witness object to recompute from
-            recomputed = [Certified(str(witness["precondition_failed"]),
-                                    str(witness["op"]),
-                                    rational_from_json(witness["lhs"]),
-                                    rational_from_json(witness["rhs"]))]
-        else:
-            recomputed = _VERIFY_HANDLERS[theorem](witness, resolved)
+        recomputed = recompute_certified(theorem, data["witness"], resolved)
     except (KeyError, TypeError, IndexError, AttributeError) as exc:
         raise FormatError(
             f"report payload does not match the {theorem!r} schema "
@@ -635,19 +467,12 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FormatError, ParseError, FragmentError, GridTooSmall) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except EmbeddingNotFound as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except FreenessViolation as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except (EmbeddingNotFound, OSError, ValueError) as exc:
+        # ValueError covers FormatError, ParseError, FragmentError and
+        # GridTooSmall
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

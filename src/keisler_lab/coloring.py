@@ -145,14 +145,17 @@ class BruteResult(Record):
     colorings: int
 
 
-def brute_best(h: WeightedHypergraph, cap: int = 2 ** 12) -> BruteResult:
+# graphs on up to 12 vertices, 3-graphs on up to 7
+_MAX_COLORINGS = 2 ** 12
+
+
+def brute_best(h: WeightedHypergraph) -> BruteResult:
     """Enumerate every colouring; also returns the exact average split
     weight, which independently witnesses the r!/r^r identity.  The r^n
-    colourings may not exceed cap (2^12: graphs on up to 12 vertices,
-    3-graphs on up to 7)."""
-    if h.r ** h.n > cap:
+    colourings may not exceed _MAX_COLORINGS."""
+    if h.r ** h.n > _MAX_COLORINGS:
         raise ValueError(f"{h.r}^{h.n} colourings exceed the brute-force "
-                         f"cap of {cap}")
+                         f"cap of {_MAX_COLORINGS}")
     scale = lcm(*(w.denominator for _, w in h.weights))
     scaled = [(key, int(w * scale)) for key, w in h.weights]
     best = -1

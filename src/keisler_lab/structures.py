@@ -790,6 +790,10 @@ def grid_target(k: int, row: int) -> int:
     return k * k + row
 
 
+# 7 ** 7 > 10 ** 5 parameters; also the k that a tp2 witness accepts
+_MAX_GRID_K = 6
+
+
 def build_tp2_grid(k: int) -> Feq2Structure:
     """Structure with a k-by-k object grid, one target per row, and one
     parameter per path pairing each row's chosen cell with its target.
@@ -800,7 +804,7 @@ def build_tp2_grid(k: int) -> Feq2Structure:
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    if k > 6:  # 7 ** 7 > 10 ** 5; k ** k itself is never built for a big k
+    if k > _MAX_GRID_K:  # k ** k itself is never built for a big k
         raise ValueError(f"k = {k}: k ** k parameters would exceed 10 ** 5")
     objects = k * k + k
     classes = []

@@ -11,22 +11,23 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
-from math import factorial
-from typing import Mapping, Optional, Sequence, Union
+from math import comb, factorial
+from typing import Mapping, Optional, Sequence
 
 from ._record import Record
-from .coloring import (greedy_coloring, guarantee_value, weight_of,
-                       weighted_hypergraph)
+from .coloring import (brute_best, greedy_coloring, guarantee_value,
+                       weight_of, weighted_hypergraph)
 from .logic import (And, Eq, Not, ObjectVar, ParamVar, PhiAnalysis,
                     PhiPartition, Rel, analyze_phi, evaluate, format_formula,
                     make_assignment, parse_phi)
-from .measures import sup_error
-from .serialize import (FormatError, rational_from_json, rational_to_json,
-                        structure_digest)
-from .structures import (AlphaResult, Feq2Structure, FreenessViolation,
-                         Hypergraph, add_vertex_with_links, alpha_s,
-                         embed_search, grid_object, grid_target, is_free,
-                         is_induced_embedding)
+from .measures import SELFTEST_CHECKS, measure_algebra_selftest, sup_error
+from .serialize import (FormatError, digest, parse_structure_spec,
+                        rational_from_json, rational_to_json,
+                        structure_digest, structure_to_json)
+from .structures import (_MAX_GRID_K, AlphaResult, Feq2Structure,
+                         FreenessViolation, Hypergraph, add_vertex_with_links,
+                         alpha_s, embed_search, grid_object, grid_target,
+                         is_free, is_induced_embedding, is_maximal_free)
 
 _DOMAIN_CAP = 10 ** 6
 
@@ -40,6 +41,19 @@ class PreconditionFailed(Exception):
         self.lhs = Fraction(lhs)
         self.rhs = Fraction(rhs)
         super().__init__(f"precondition {name}: {lhs} {op} {rhs} is false")
+
+    def report(self, theorem: str,
+               inputs: Mapping[str, object]) -> WitnessReport:
+        """The report of a run on these input structures that stopped
+        here: the failed inequality verbatim, which recompute_certified
+        reads back."""
+        payload = {"precondition_failed": self.name, "op": self.op,
+                   "lhs": rational_to_json(self.lhs),
+                   "rhs": rational_to_json(self.rhs)}
+        return WitnessReport(
+            theorem, {name: _input_entry(obj) for name, obj in inputs.items()},
+            payload, (Certified(self.name, self.op, self.lhs, self.rhs),),
+            (str(self),))
 
 
 class EmbeddingNotFound(Exception):
@@ -125,13 +139,97 @@ class WitnessReport(Record):
                 "log": list(self.log)}
 
 
-def _input_entry(structure, source: Optional[str] = None) -> dict:
-    from .serialize import structure_to_json
-    entry = {"kind": structure_to_json(structure)["kind"],
-             "digest": structure_digest(structure)}
-    if source is not None:
-        entry["source"] = source
-    return entry
+def _input_entry(structure) -> dict:
+    # one serialisation serves both the kind and the digest
+    sjson = structure_to_json(structure)
+    return {"kind": sjson["kind"],
+            "digest": structure_digest(structure, sjson)}
+
+
+# ---------------------------------------------------------------------------
+# Resolved structures, greedy colourings and the measure-algebra self-test
+# ---------------------------------------------------------------------------
+
+def _gen_certified(spec: str, structure, recorded_digest: str,
+                   embedded_digest: str) -> list[Certified]:
+    certs = [
+        _bool_cert("digest-match",
+                   structure_digest(structure) == recorded_digest),
+        _bool_cert("embedded-match", embedded_digest == recorded_digest),
+    ]
+    head = spec.split(":", 1)[0]
+    if head == "gen":
+        s = int(spec.split(":")[3])
+        certs.append(_bool_cert("free", is_free(structure, s)))
+        certs.append(_bool_cert("maximal-free", is_maximal_free(structure, s)))
+    elif head == "searchalpha":
+        fields = spec.split(":")
+        s, target = int(fields[2]), int(fields[3])
+        certs.append(_bool_cert("free", is_free(structure, s)))
+        certs.append(Certified("alpha-target", "<=",
+                               Fraction(alpha_s(structure, s).value),
+                               Fraction(target)))
+    return certs
+
+
+def _recompute_gen(witness: dict, inputs: Mapping[str, object]):
+    # digest-match from the regenerated structure, embedded-match from
+    # the JSON the report embeds: two independent digests
+    structure = parse_structure_spec(witness["spec"])
+    return _gen_certified(witness["spec"], structure, witness["digest"],
+                          digest(witness["structure"]))
+
+
+def _color_certified(wh, coloring, with_brute: bool):
+    weight = weight_of(wh, coloring)
+    bound = guarantee_value(wh)
+    certs = [Certified("greedy-bound", ">=", weight, bound)]
+    brute_payload = None
+    if with_brute:
+        result = brute_best(wh)
+        brute_payload = {
+            "best_coloring": list(result.best_coloring),
+            "best_weight": rational_to_json(result.best_weight),
+            "average_weight": rational_to_json(result.average_weight),
+            "colorings": result.colorings,
+        }
+        certs.append(Certified("brute-ge-greedy", ">=",
+                               result.best_weight, weight))
+        certs.append(Certified("average-identity", "==",
+                               result.average_weight, bound))
+    return certs, weight, bound, brute_payload
+
+
+def _recompute_color(witness: dict, inputs: Mapping[str, object]):
+    wh = inputs["weighted"]
+    coloring = tuple(int(c) for c in witness["coloring"])
+    certs, _, _, _ = _color_certified(wh, coloring,
+                                      witness.get("brute") is not None)
+    return certs
+
+
+# each case draws and compares a few random measures (about 0.6 ms); the
+# largest count in use is 100
+_MAX_SELFTEST_CASES = 10_000
+
+
+def _measures_certified(seed: int, cases: int):
+    if cases < 1:
+        raise FormatError("--cases must be positive")
+    if cases > _MAX_SELFTEST_CASES:
+        raise FormatError(f"--cases {cases} may not exceed "
+                          f"{_MAX_SELFTEST_CASES}")
+    outcome = measure_algebra_selftest(seed, cases)
+    certs = [Certified(check, "==", Fraction(outcome.passed[check]),
+                       Fraction(cases))
+             for check in SELFTEST_CHECKS]
+    return certs, outcome
+
+
+def _recompute_measures(witness: dict, inputs: Mapping[str, object]):
+    certs, _ = _measures_certified(int(witness["seed"]),
+                                   int(witness["cases"]))
+    return certs
 
 
 # ---------------------------------------------------------------------------
@@ -416,6 +514,10 @@ def _no_edge_formula(r: int) -> PhiPartition:
 # each tuple is a weight in the colouring and a formula evaluation on the
 # extension; the largest count in use is 30
 _MAX_ADVERSARY_TUPLES = 1_000
+# the greedy colouring links every colour-split (r-1)-set of the V distinct
+# tuple vertices, C(V, r - 1) candidates; r = 3 at the tuple cap gives
+# C(2000, 2) = 1,999,000
+_MAX_SPLIT_SETS = 2_000_000
 
 
 def _check_tuple_count(n: int) -> None:
@@ -448,6 +550,10 @@ def _adversary_certified(ambient: Hypergraph, s: int, tuples: Sequence[tuple],
     wh = weighted_hypergraph(len(vertices), arity,
                              ((key, Fraction(c)) for key, c in weights.items()))
     if coloring is None:
+        sets = comb(len(vertices), arity)
+        if sets > _MAX_SPLIT_SETS:
+            raise FormatError(f"C({len(vertices)}, {arity}) = {sets} split "
+                              f"sets may not exceed {_MAX_SPLIT_SETS}")
         coloring = greedy_coloring(wh)
         links = [tuple(vertices[i] for i in combo)
                  for combo in itertools.combinations(range(len(vertices)),
@@ -566,6 +672,9 @@ def _probe_once(ambient: Hypergraph, subset: Sequence[int],
 # against them; the largest values in use are 5 trials of 2 parameters
 _MAX_PROBE_TRIALS = 1_000
 _MAX_PROBE_PARAMS = 100
+# trials x C(m, r - 1) tuples x max(1, n_params) edge lookups; the largest
+# scan in use is 5 x C(12, 2) x 2 = 660
+_MAX_PROBE_SCAN = 10 ** 7
 
 
 def _check_probe_size(trials: int, n_params: int) -> None:
@@ -573,6 +682,42 @@ def _check_probe_size(trials: int, n_params: int) -> None:
         raise FormatError(
             f"{trials} trials of {n_params} parameters may not exceed "
             f"{_MAX_PROBE_TRIALS} trials of {_MAX_PROBE_PARAMS}")
+
+
+def _check_probe_scan(trials: int, m: int, arity: int, n_params: int) -> None:
+    scan = trials * comb(m, arity) * max(1, n_params)
+    if scan > _MAX_PROBE_SCAN:
+        raise FormatError(
+            f"{trials} trials over C({m}, {arity}) tuples and {n_params} "
+            f"parameters make {scan} lookups, which may not exceed "
+            f"{_MAX_PROBE_SCAN}")
+
+
+def _sat_certified(ambient: Hypergraph, witness: dict) -> list[Certified]:
+    """Certified values of a probe from its recorded hits alone; shared by
+    the runner and the verifier.  A hit is valid when it is a distinct
+    (r-1)-tuple of the designated subset and no edge runs through it and
+    any parameter of its draw."""
+    subset = set(witness["m_subset"])
+
+    def valid(hit, params) -> bool:
+        hit = tuple(hit)
+        return (len(set(hit)) == ambient.r - 1 and subset.issuperset(hit)
+                and all(not ambient.has_edge(hit + (b,)) for b in params))
+
+    if witness["mode"] == "single":
+        if not witness["found"]:
+            return []
+        return [_bool_cert("witness-valid",
+                           valid(witness["witness"], witness["params"]))]
+    results = witness["results"]
+    _check_probe_size(len(results),
+                      max((len(entry["params"]) for entry in results),
+                          default=0))
+    hits = [entry for entry in results if entry["found"]]
+    ok = sum(1 for entry in hits if valid(entry["witness"], entry["params"]))
+    return [Certified("witnesses-valid", "==", Fraction(ok),
+                      Fraction(len(hits)))]
 
 
 def sat_probe(ambient: Hypergraph, subset: Sequence[int],
@@ -596,88 +741,75 @@ def sat_probe(ambient: Hypergraph, subset: Sequence[int],
         params = [int(b) for b in params]
         if any(not 0 <= b < ambient.n for b in params):
             raise ValueError("parameters out of range")
+        _check_probe_scan(1, len(subset), arity, len(params))
         found = _probe_once(ambient, subset, params)
         witness = {"mode": "single", "m_subset": subset,
                    "params": list(params),
                    "found": found is not None,
                    "witness": list(found) if found is not None else None}
-        certified = []
         if found is not None:
-            ok = all(not ambient.has_edge(found + (b,)) for b in params)
-            certified.append(_bool_cert("witness-valid", ok))
             log = [f"witness {list(found)} avoids edges through "
                    f"{len(params)} parameters"]
         else:
             log = [f"no {arity}-tuple in a subset of {len(subset)} avoids "
                    f"all {len(params)} parameters; honest miss at this scale"]
-        return WitnessReport(
-            theorem="dfsnotfim-sat",
-            inputs={"ambient": _input_entry(ambient)},
-            witness=witness, certified=tuple(certified), log=tuple(log))
-
-    if trials is None or n_params is None or seed is None:
-        raise ValueError("aggregate mode needs trials, n_params and seed")
-    if trials < 1 or n_params < 0:
-        raise ValueError("trials must be positive and n_params nonnegative")
-    _check_probe_size(trials, n_params)
-    if ambient.n == 0 and n_params > 0:
-        raise ValueError("cannot draw parameters from an empty host")
-    rng = random.Random(seed)
-    results = []
-    for _ in range(trials):
-        draw = [rng.randrange(ambient.n) for _ in range(n_params)]
-        found = _probe_once(ambient, subset, draw)
-        results.append({"params": draw,
-                        "found": found is not None,
-                        "witness": list(found) if found is not None else None})
-    hits = sum(1 for entry in results if entry["found"])
-    witness = {"mode": "aggregate", "m_subset": subset, "trials": trials,
-               "n_params": n_params, "seed": seed, "results": results,
-               "success_rate": rational_to_json(Fraction(hits, trials))}
-    valid = sum(
-        1 for entry in results if entry["found"] and all(
-            not ambient.has_edge(tuple(entry["witness"]) + (b,))
-            for b in entry["params"]))
-    certified = [Certified("witnesses-valid", "==", Fraction(valid),
-                           Fraction(hits))]
-    log = [f"{hits} of {trials} seeded parameter draws admit a witness"]
+    else:
+        if trials is None or n_params is None or seed is None:
+            raise ValueError("aggregate mode needs trials, n_params and seed")
+        if trials < 1 or n_params < 0:
+            raise ValueError(
+                "trials must be positive and n_params nonnegative")
+        _check_probe_size(trials, n_params)
+        _check_probe_scan(trials, len(subset), arity, n_params)
+        if ambient.n == 0 and n_params > 0:
+            raise ValueError("cannot draw parameters from an empty host")
+        rng = random.Random(seed)
+        results = []
+        for _ in range(trials):
+            draw = [rng.randrange(ambient.n) for _ in range(n_params)]
+            found = _probe_once(ambient, subset, draw)
+            results.append({"params": draw,
+                            "found": found is not None,
+                            "witness": (list(found) if found is not None
+                                        else None)})
+        hits = sum(1 for entry in results if entry["found"])
+        witness = {"mode": "aggregate", "m_subset": subset, "trials": trials,
+                   "n_params": n_params, "seed": seed, "results": results,
+                   "success_rate": rational_to_json(Fraction(hits, trials))}
+        log = [f"{hits} of {trials} seeded parameter draws admit a witness"]
     return WitnessReport(
         theorem="dfsnotfim-sat",
         inputs={"ambient": _input_entry(ambient)},
-        witness=witness, certified=tuple(certified), log=tuple(log))
-
-
-def _recompute_sat(witness: dict, inputs: Mapping[str, object]):
-    ambient: Hypergraph = inputs["ambient"]
-    if witness["mode"] == "single":
-        certified = []
-        if witness["found"]:
-            w = tuple(witness["witness"])
-            ok = all(not ambient.has_edge(w + (b,))
-                     for b in witness["params"])
-            certified.append(_bool_cert("witness-valid", ok))
-        return certified
-    results = witness["results"]
-    _check_probe_size(len(results),
-                      max((len(entry["params"]) for entry in results),
-                          default=0))
-    valid = 0
-    hits = 0
-    for entry in results:
-        if entry["found"]:
-            hits += 1
-            w = tuple(entry["witness"])
-            if all(not ambient.has_edge(w + (b,)) for b in entry["params"]):
-                valid += 1
-    return [Certified("witnesses-valid", "==", Fraction(valid),
-                      Fraction(hits))]
+        witness=witness, certified=tuple(_sat_certified(ambient, witness)),
+        log=tuple(log))
 
 
 # ---------------------------------------------------------------------------
 # Two-dimensional inconsistency grid over parameterized equivalences
 # ---------------------------------------------------------------------------
 
+# every same-row pair and every checked path scans the parameters; the
+# largest scan in use is (24 + 50) x 256, at k = 4 with 50 sampled paths
+_MAX_GRID_SCAN = 10 ** 7
+
+
+def _check_grid_size(k: int, parameters: int,
+                     paths: Optional[int] = None) -> None:
+    """Refuse k beyond the constructor's cap, then a scan of (row pairs +
+    paths) x parameters beyond _MAX_GRID_SCAN; paths=None counts all
+    k^k paths.  Nothing is listed before both checks pass."""
+    if k > _MAX_GRID_K:
+        raise FormatError(f"k = {k} may not exceed {_MAX_GRID_K}")
+    row_pairs = k * k * (k - 1) // 2
+    paths = k ** k if paths is None else paths
+    if (row_pairs + paths) * parameters > _MAX_GRID_SCAN:
+        raise FormatError(
+            f"{row_pairs} row pairs and {paths} paths over {parameters} "
+            f"parameters may not exceed {_MAX_GRID_SCAN} checks")
+
+
 def _tp2_certified(f: Feq2Structure, k: int, paths: Sequence[tuple]):
+    _check_grid_size(k, f.parameters, len(paths))
     row_pairs = 0
     row_failures = []
     for i in range(k):
@@ -722,6 +854,7 @@ def tp2_witness(f: Feq2Structure, k: int, sample: Optional[int] = None,
     """
     if k < 1:
         raise ValueError("k must be at least 1")
+    _check_grid_size(k, f.parameters, sample)
     if f.objects < k * k + k:
         raise GridTooSmall(k * k + k, f.objects)
     total = k ** k
@@ -762,32 +895,39 @@ def _recompute_tp2(witness: dict, inputs: Mapping[str, object]):
 
 
 # ---------------------------------------------------------------------------
-# Recomputation dispatch
+# The pipeline table: every report tag, the inputs its report names, and the
+# recomputation that verify runs
 # ---------------------------------------------------------------------------
 
-REQUIRED_INPUTS = {
-    "famnotfim": ("ambient", "graph"),
-    "order": ("ambient",),
-    "dfsnotfim-adversary": ("ambient",),
-    "dfsnotfim-sat": ("ambient",),
-    "tp2": ("structure",),
-}
-
-_RECOMPUTERS = {
-    "famnotfim": _recompute_fam,
-    "order": _recompute_order,
-    "dfsnotfim-adversary": _recompute_adversary,
-    "dfsnotfim-sat": _recompute_sat,
-    "tp2": _recompute_tp2,
+PIPELINES = {
+    "gen": ((), _recompute_gen),
+    "coloring-bound": (("weighted",), _recompute_color),
+    "measure-algebra": ((), _recompute_measures),
+    "famnotfim": (("ambient", "graph"), _recompute_fam),
+    "order": (("ambient",), _recompute_order),
+    "dfsnotfim-adversary": (("ambient",), _recompute_adversary),
+    "dfsnotfim-sat": (("ambient",), lambda witness, inputs: _sat_certified(
+        inputs["ambient"], witness)),
+    "tp2": (("structure",), _recompute_tp2),
 }
 
 
 def recompute_certified(theorem: str, witness: dict,
                         inputs: Mapping[str, object]) -> list[Certified]:
-    """Re-derive the certified inequalities of a witness report from its
-    payload and input structures; used by the verifier."""
+    """Re-derive the certified inequalities of a report from its payload
+    and resolved inputs; used by the verifier.  A report whose
+    precondition failed carries that inequality verbatim: there is no
+    witness object to recompute from."""
     try:
-        recompute = _RECOMPUTERS[theorem]
+        names, recompute = PIPELINES[theorem]
     except KeyError:
         raise ValueError(f"unknown theorem tag {theorem!r}") from None
+    if isinstance(witness, dict) and "precondition_failed" in witness:
+        return [Certified(str(witness["precondition_failed"]),
+                          str(witness["op"]),
+                          rational_from_json(witness["lhs"]),
+                          rational_from_json(witness["rhs"]))]
+    missing = [name for name in names if name not in inputs]
+    if missing:
+        raise FormatError(f"report lacks required inputs: {missing}")
     return list(recompute(witness, inputs))

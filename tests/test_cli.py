@@ -10,8 +10,10 @@ import pytest
 from keisler_lab.cli import run
 from keisler_lab.coloring import weighted_hypergraph
 from keisler_lab.serialize import (canonical_dumps, digest, load_structure,
-                                   structure_to_json, weighted_to_json)
-from keisler_lab.structures import Hypergraph, build_tp2_grid, cyclic_graph
+                                   parse_structure_spec, structure_to_json,
+                                   weighted_to_json)
+from keisler_lab.structures import (Feq2Structure, Hypergraph, build_tp2_grid,
+                                    cyclic_graph)
 
 HEADLINE_FAM = ["fam", "--phi", "!E(x1,y1) & x1 != y1", "--epsilon", "4/5",
                 "--graph", "circulant:13:1,5",
@@ -75,6 +77,7 @@ def test_gen_serialises_and_digests_the_structure_once(tmp_path,
     # the regenerated structure and the embedded JSON independently
     import keisler_lab.cli as cli
     import keisler_lab.serialize as serialize
+    import keisler_lab.witnesses as witnesses
     calls = {"structure_to_json": 0, "digest": 0}
 
     def counting(name, fn):
@@ -82,7 +85,7 @@ def test_gen_serialises_and_digests_the_structure_once(tmp_path,
             calls[name] += 1
             return fn(*args, **kwargs)
         return wrapper
-    for module in (cli, serialize):
+    for module in (cli, serialize, witnesses):
         for name in calls:
             monkeypatch.setattr(module, name,
                                 counting(name, getattr(module, name)))
@@ -397,11 +400,11 @@ def refuse_to_extend(monkeypatch):
 
 
 def refuse_to_selftest(monkeypatch):
-    import keisler_lab.cli as cli
+    import keisler_lab.witnesses as witnesses
 
     def refuse(*args, **kwargs):
         raise AssertionError("a capped case count reached the self-test")
-    monkeypatch.setattr(cli, "measure_algebra_selftest", refuse)
+    monkeypatch.setattr(witnesses, "measure_algebra_selftest", refuse)
 
 
 def test_over_cap_order_q_fails_fast(monkeypatch, capsys):
@@ -579,6 +582,88 @@ def test_verify_rejects_over_cap_satprobe(trials, n_params, tmp_path,
     assert "exceed" in capsys.readouterr().err
 
 
+# just over the cap on a probe's scan, trials x C(m, r - 1) x n-params <= 10^7:
+# 731 x C(20, 2) x 72 = 10,000,080
+def test_over_cap_satprobe_scan_fails_fast(monkeypatch, capsys):
+    refuse_to_probe(monkeypatch)
+    assert run(["satprobe", "--ambient", "gen:20:3:4:seed=3", "--m-size",
+                "20", "--seed", "9", "--trials", "731",
+                "--n-params", "72"]) == 1
+    assert "exceed" in capsys.readouterr().err
+
+
+# just over the cap on the adversary's split sets, C(V, r - 1) <= 2 * 10^6:
+# 1,000 triples drawn from an edgeless 4-graph on 230 vertices cover all of
+# them, and C(230, 3) = 2,001,460
+def test_over_cap_adversary_split_sets_fails_fast(tmp_path, monkeypatch,
+                                                  capsys):
+    import keisler_lab.witnesses as witnesses
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a capped split-set choice reached the colouring")
+    monkeypatch.setattr(witnesses, "greedy_coloring", refuse)
+    afile = tmp_path / "edgeless.json"
+    afile.write_text(canonical_dumps(structure_to_json(
+        Hypergraph(4, 230, frozenset()))))
+    assert run(["adversary", "--ambient", f"file:{afile}", "--n", "1000",
+                "--seed", "1", "--s", "5"]) == 1
+    assert "C(230, 3) = 2001460 split sets may not exceed" \
+        in capsys.readouterr().err
+
+
+# just over the tp2 caps: k <= 6, the constructor's own, and a scan of
+# (row pairs + paths) x parameters <= 10^7
+def write_pairings(path, objects, parameters):
+    """Every parameter pairs object 2i with 2i + 1."""
+    blocks = [[2 * i, 2 * i + 1] for i in range(objects // 2)]
+    path.write_text(json.dumps({"kind": "feq2", "objects": objects,
+                                "parameters": parameters,
+                                "classes": [blocks] * parameters}))
+
+
+def refuse_to_scan_grid(monkeypatch):
+    import keisler_lab.witnesses as witnesses
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a capped grid reached its paths or its scan")
+    monkeypatch.setattr(witnesses.itertools, "product", refuse)
+    monkeypatch.setattr(witnesses.random, "Random", refuse)
+    monkeypatch.setattr(Feq2Structure, "same_class", refuse)
+
+
+@pytest.mark.parametrize("k, objects, parameters", [
+    (7, 56, 1),      # k over the cap on a structure large enough for it
+    (6, 42, 214),    # (90 + 6^6) x 214 = 10,003,644 checks
+])
+def test_over_cap_tp2_fails_fast(k, objects, parameters, tmp_path,
+                                 monkeypatch, capsys):
+    sfile = tmp_path / "pairings.json"
+    write_pairings(sfile, objects, parameters)
+    refuse_to_scan_grid(monkeypatch)
+    assert run(["tp2", "--k", str(k), "--input", str(sfile)]) == 1
+    assert "exceed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit", [
+    {"k": 7},
+    {"checked_paths": [[0, 0]] * 9_999},   # (2 + 9,999) x 1,000 checks
+])
+def test_verify_rejects_over_cap_tp2(edit, tmp_path, monkeypatch, capsys):
+    sfile = tmp_path / "pairings.json"
+    write_pairings(sfile, 6, 1_000)
+    out = tmp_path / "tp2.json"
+    # no parameter pairs a cell with its row target: paths-consistent fails
+    assert run(["tp2", "--k", "2", "--input", str(sfile),
+                "--output", str(out)]) == 2
+    data = read_report(out)
+    data["witness"].update(edit)
+    out.write_text(canonical_dumps(data))
+    refuse_to_scan_grid(monkeypatch)
+    capsys.readouterr()
+    assert run(["verify", str(out)]) == 1
+    assert "exceed" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # adversary / satprobe
 # ---------------------------------------------------------------------------
@@ -616,6 +701,52 @@ def test_adversary_arity_mismatch(capsys):
                 "--seed", "1", "--s", "4"]) == 1
     err = capsys.readouterr().err
     assert "arity" in err
+
+
+@pytest.mark.parametrize("mode, name", [
+    (["--params", "3,5"], "witness-valid"),
+    (["--trials", "5", "--n-params", "2"], "witnesses-valid"),
+])
+@pytest.mark.parametrize("edit", ["closes-an-edge", "outside-the-subset"])
+def test_verify_names_the_probe_cert_on_an_edited_hit(mode, name, edit,
+                                                      tmp_path, capsys):
+    out = tmp_path / "probe.json"
+    assert run(SATPROBE + mode + ["--output", str(out)]) == 0
+    data = read_report(out)
+    witness = data["witness"]
+    entry = witness if witness["mode"] == "single" else witness["results"][0]
+    assert entry["found"]
+    if edit == "closes-an-edge":
+        # a pair that closes an edge with the first parameter of the draw
+        b = entry["params"][0]
+        ambient = parse_structure_spec("gen:20:3:4:seed=3")
+        edge = min(e for e in ambient.edges if b in e)
+        entry["witness"] = [v for v in edge if v != b]
+    else:
+        # one vertex, not in the designated subset: no edge runs through it
+        entry["witness"] = [max(set(range(20)) - set(witness["m_subset"]))]
+    out.write_text(canonical_dumps(data))
+    capsys.readouterr()
+    assert run(["verify", str(out)]) == 2
+    assert f"'{name}' does not reproduce" in capsys.readouterr().err
+
+
+def test_order_serialises_its_ambient_once(monkeypatch, capsys):
+    # one structure_to_json serves both the input's kind and its digest
+    import keisler_lab.cli as cli
+    import keisler_lab.serialize as serialize
+    import keisler_lab.witnesses as witnesses
+    real = serialize.structure_to_json
+    calls = []
+
+    def counting(structure):
+        calls.append(structure)
+        return real(structure)
+    for module in (cli, serialize, witnesses):
+        monkeypatch.setattr(module, "structure_to_json", counting,
+                            raising=False)
+    assert run(["order", "--ambient", "gen:20:2:3:seed=1", "--q", "2"]) == 0
+    assert len(calls) == 1
 
 
 def test_satprobe_aggregate_csv(tmp_path):

@@ -23,8 +23,8 @@ from keisler_lab.witnesses import (
     Certified,
     EmbeddingNotFound,
     GridTooSmall,
+    PIPELINES,
     PreconditionFailed,
-    REQUIRED_INPUTS,
     WitnessReport,
     adversary_fraction,
     adversary_witness,
@@ -489,7 +489,11 @@ def test_tp2_validation():
 # ---------------------------------------------------------------------------
 
 def test_required_inputs_table():
-    assert REQUIRED_INPUTS == {
+    # one table names every report tag that verify accepts
+    assert {tag: names for tag, (names, _) in PIPELINES.items()} == {
+        "gen": (),
+        "coloring-bound": ("weighted",),
+        "measure-algebra": (),
         "famnotfim": ("ambient", "graph"),
         "order": ("ambient",),
         "dfsnotfim-adversary": ("ambient",),
