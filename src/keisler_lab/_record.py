@@ -30,18 +30,6 @@ class FrozenRecordError(AttributeError):
     """Assignment to, or deletion of, an attribute of a Record."""
 
 
-class Factory:
-    """A field default built afresh for each instance: `x: dict =
-    Factory(dict)` gives every instance constructed without x its own
-    empty dict.  Only a Factory default is called; any other default,
-    callable or not, is used as it is."""
-
-    __slots__ = ("make",)
-
-    def __init__(self, make):
-        self.make = make
-
-
 class Record:
     """Base class of frozen value records; see the module docstring."""
 
@@ -94,9 +82,7 @@ def _bind(cls, args: tuple, kwargs: dict) -> list:
         if name in kwargs:
             values.append(kwargs[name])
         elif name in defaults:
-            default = defaults[name]
-            values.append(default.make() if isinstance(default, Factory)
-                          else default)
+            values.append(defaults[name])
         else:
             raise TypeError(f"{where} missing required argument {name!r}")
     return values

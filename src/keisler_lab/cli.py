@@ -471,8 +471,8 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (EmbeddingNotFound, OSError, ValueError) as exc:
-        # ValueError covers FormatError, ParseError, FragmentError and
-        # GridTooSmall
+        # ValueError covers FormatError, ParseError, FragmentError,
+        # DnfCapError and GridTooSmall
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

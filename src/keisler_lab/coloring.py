@@ -56,13 +56,6 @@ class WeightedHypergraph(Record):
     def total_weight(self) -> Fraction:
         return sum((w for _, w in self.weights), Fraction(0))
 
-    def weight(self, key: Iterable[int]) -> Fraction:
-        key = tuple(sorted(key))
-        for k, w in self.weights:
-            if k == key:
-                return w
-        return Fraction(0)
-
 
 def weighted_hypergraph(n: int, r: int,
                         items: Iterable[tuple[Sequence[int], Fraction]]

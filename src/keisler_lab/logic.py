@@ -46,7 +46,7 @@ class FragmentError(ValueError):
     """The formula leaves the fragment an analysis supports."""
 
 
-class DnfCapError(RuntimeError):
+class DnfCapError(ValueError):
     """Disjunctive normal form exceeded the clause cap."""
 
 
@@ -397,12 +397,16 @@ def _literal_key(lit: Literal):
 Clause = tuple[Literal, ...]
 
 
-def to_dnf(f: Formula, max_clauses: int = 4096) -> tuple[Clause, ...]:
+# the clause count at which to_dnf gives up
+_MAX_CLAUSES = 4096
+
+
+def to_dnf(f: Formula) -> tuple[Clause, ...]:
     """Disjunctive normal form with negation pushed to literals.
 
     Conjuncts containing an atom both plainly and negated are dropped.
     An empty result means the formula is unsatisfiable.  Growth past
-    max_clauses raises DnfCapError rather than degrading silently.
+    _MAX_CLAUSES raises DnfCapError rather than degrading silently.
     """
 
     def nnf(g: Formula, neg: bool):
@@ -423,8 +427,8 @@ def to_dnf(f: Formula, max_clauses: int = 4096) -> tuple[Clause, ...]:
             out: list[dict] = []
             for p in parts:
                 out.extend(clauses_of(p))
-                if len(out) > max_clauses:
-                    raise DnfCapError(f"clause count exceeds {max_clauses}")
+                if len(out) > _MAX_CLAUSES:
+                    raise DnfCapError(f"clause count exceeds {_MAX_CLAUSES}")
             return out
         acc: list[dict] = [{}]
         for p in parts:
@@ -441,9 +445,9 @@ def to_dnf(f: Formula, max_clauses: int = 4096) -> tuple[Clause, ...]:
                         c[atom] = negated
                     if not contradiction:
                         merged.append(c)
-                        if len(merged) > max_clauses:
+                        if len(merged) > _MAX_CLAUSES:
                             raise DnfCapError(
-                                f"clause count exceeds {max_clauses}")
+                                f"clause count exceeds {_MAX_CLAUSES}")
             acc = merged
         return acc
 
@@ -522,21 +526,6 @@ class DisjunctProfile(Record):
         """Satisfiable by a fresh vertex with no edges into the parameters."""
         return not self.pos_edge and not self.eq
 
-    def formula(self, x: ObjectVar = ObjectVar(1)) -> Formula:
-        parts: list[Formula] = []
-        for j in sorted(self.neg_edge):
-            parts.append(Not(Rel("E", (x, ParamVar(j)))))
-        for j in sorted(self.neq):
-            parts.append(Not(Eq(x, ParamVar(j))))
-        for j in sorted(self.pos_edge):
-            parts.append(Rel("E", (x, ParamVar(j))))
-        for j in sorted(self.eq):
-            parts.append(Eq(x, ParamVar(j)))
-        parts.extend(lit.formula() for lit in self.residual)
-        if not parts:
-            parts.append(Eq(x, x))  # vacuous disjunct: always true
-        return parts[0] if len(parts) == 1 else And(tuple(parts))
-
     def residual_formula(self) -> Formula:
         """The parameter-only part; x1 = x1 when it is empty."""
         parts = ([lit.formula() for lit in self.residual]
@@ -551,14 +540,6 @@ class PhiAnalysis(Record):
     @property
     def generic_indices(self) -> tuple[int, ...]:
         return tuple(t for t, p in enumerate(self.profiles) if p.generic)
-
-    def formula(self) -> Formula:
-        """Reassemble the profiles into a formula equivalent to phi."""
-        parts = [p.formula() for p in self.profiles]
-        if not parts:
-            x = ObjectVar(1)
-            return Not(Eq(x, x))  # unsatisfiable
-        return parts[0] if len(parts) == 1 else Or(tuple(parts))
 
 
 def residual_holds(structure, profile: DisjunctProfile,

@@ -82,10 +82,8 @@ def make_measure(host: Hypergraph, arity: int,
     return FiniteMeasure(host, arity, support)
 
 
-def _unwrap_phi(phi: Union[Formula, PhiPartition, str],
+def _unwrap_phi(phi: Union[Formula, PhiPartition],
                 arity: int, params: Sequence[int]) -> Formula:
-    if isinstance(phi, str):
-        phi = parse_formula(phi)
     if isinstance(phi, PhiPartition):
         if phi.object_arity != arity:
             raise ValueError(
@@ -105,7 +103,7 @@ def _unwrap_phi(phi: Union[Formula, PhiPartition, str],
     return phi
 
 
-def mu_eval(measure: FiniteMeasure, phi: Union[Formula, PhiPartition, str],
+def mu_eval(measure: FiniteMeasure, phi: Union[Formula, PhiPartition],
             params: Sequence[int] = ()) -> Fraction:
     """Measure of the set defined by phi at the given parameters."""
     params = tuple(int(v) for v in params)

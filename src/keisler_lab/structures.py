@@ -97,9 +97,7 @@ class Hypergraph(Record):
         """Map each (r-1)-subset of an edge to the bitset of its extensions."""
         masks: dict[tuple[int, ...], int] = {}
         for e in self.edges:
-            for i in range(self.r):
-                key = e[:i] + e[i + 1:]
-                masks[key] = masks.get(key, 0) | (1 << e[i])
+            _add_edge(masks, e)
         return masks
 
     @cached_property
@@ -187,6 +185,14 @@ class Feq2Structure(Record):
 # Clique machinery
 # ---------------------------------------------------------------------------
 
+def _add_edge(masks: dict[tuple[int, ...], int], e: tuple[int, ...]) -> None:
+    # record the sorted r-set e: each (r-1)-subset of e maps to the bitset
+    # of the vertices that extend it to an edge
+    for i in range(len(e)):
+        key = e[:i] + e[i + 1:]
+        masks[key] = masks.get(key, 0) | 1 << e[i]
+
+
 def _extend_clique(masks: Mapping[tuple[int, ...], int], prefix: list[int],
                    common: int, need: int, r: int) -> Optional[list[int]]:
     # prefix is a partial clique; common holds the vertices completing every
@@ -258,11 +264,8 @@ def _search_clique(h: Hypergraph, s: int) -> Optional[tuple[int, ...]]:
         return None
     masks: dict[tuple[int, ...], int] = {}
     for e in h.edges:
-        if not set(e) <= keep:
-            continue
-        for i in range(h.r):
-            key = e[:i] + e[i + 1:]
-            masks[key] = masks.get(key, 0) | (1 << e[i])
+        if set(e) <= keep:
+            _add_edge(masks, e)
     for base in sorted(masks):
         common = masks[base] & ~((1 << (base[-1] + 1)) - 1)
         found = _extend_clique(masks, list(base), common, s - (h.r - 1), h.r)
@@ -284,50 +287,29 @@ def is_free(h: Hypergraph, s: int) -> bool:
     return memo[s]
 
 
-class _FreeBuilder:
-    """Incremental edge insertion with on-line checks that no complete
-    s-set appears.  Used by the generator and the maximality test for
-    s > r + 1, by the edge flips of search_small_alpha, and for the
-    masks of the edges near an added vertex."""
+def _closes_clique(masks: Mapping[tuple[int, ...], int], e: tuple[int, ...],
+                   s: int) -> bool:
+    """Would adding the r-set e to a K^r_s-free edge set, recorded in masks
+    by _add_edge, complete an s-clique?  Any new clique contains all of e,
+    so for s = r + 1 it is e plus a vertex of _closers; larger s goes
+    through the generic search."""
+    if s == len(e) + 1:
+        return _closers(masks, e) != 0
+    return _extends_to_clique(masks, e, s)
 
-    def __init__(self, n: int, r: int, s: int,
-                 edges: Iterable[tuple[int, ...]] = ()):
-        if not (s > r >= 2):
-            raise ValueError("need s > r >= 2")
-        self.n = n
-        self.r = r
-        self.s = s
-        self.edges: set[tuple[int, ...]] = set()
-        self.masks: dict[tuple[int, ...], int] = {}
-        for e in edges:
-            self.add(e)
 
-    def add(self, edge: tuple[int, ...]) -> None:
-        self.edges.add(edge)
-        for i in range(self.r):
-            key = edge[:i] + edge[i + 1:]
-            self.masks[key] = self.masks.get(key, 0) | (1 << edge[i])
-
-    def creates_clique(self, edge: tuple[int, ...]) -> bool:
-        """Would adding edge complete an s-clique?  The new clique must
-        contain all of edge, since the current edge set is clique-free;
-        for s = r + 1 it is edge plus one vertex of _closers."""
-        if self.s == self.r + 1:
-            return _closers(self.masks, edge) != 0
-        return self._extends_to_clique(edge)
-
-    def _extends_to_clique(self, edge: tuple[int, ...]) -> bool:
-        # the generic search, for any s > r; the s = r + 1 kernel's oracle
-        common = -1
-        for tau in itertools.combinations(edge, self.r - 1):
-            common &= self.masks.get(tau, 0)
-            if common == 0:
-                return False
-        for v in edge:
-            common &= ~(1 << v)
-        found = _extend_clique(self.masks, list(edge), common,
-                               self.s - self.r, self.r)
-        return found is not None
+def _extends_to_clique(masks: Mapping[tuple[int, ...], int],
+                       e: tuple[int, ...], s: int) -> bool:
+    # the generic search, for any s > r; the s = r + 1 kernel's oracle
+    common = -1
+    for tau in itertools.combinations(e, len(e) - 1):
+        common &= masks.get(tau, 0)
+        if common == 0:
+            return False
+    for v in e:
+        common &= ~(1 << v)
+    return _extend_clique(masks, list(e), common, s - len(e),
+                          len(e)) is not None
 
 
 def add_vertex_with_links(h: Hypergraph, links: Iterable[Iterable[int]],
@@ -361,10 +343,12 @@ def add_vertex_with_links(h: Hypergraph, links: Iterable[Iterable[int]],
             for v in sigma:
                 touched |= 1 << v
         # every other clique vertex lies in some link, since s - 1 >= r - 1
-        near = _FreeBuilder(h.n + 1, h.r, s, itertools.chain(
-            (e for e in h.edges if all(touched >> v & 1 for v in e)),
-            new_edges))
-        found = _extend_clique(near.masks, [star], touched, s - 1, h.r)
+        near: dict[tuple[int, ...], int] = {}
+        for e in itertools.chain(
+                (e for e in h.edges if all(touched >> v & 1 for v in e)),
+                new_edges):
+            _add_edge(near, e)
+        found = _extend_clique(near, [star], touched, s - 1, h.r)
         if found is not None:
             raise FreenessViolation(found)
     return _extension(h, new_edges, s)
@@ -375,9 +359,8 @@ def random_maximal_free(n: int, r: int, s: int, seed: int) -> Hypergraph:
 
     Candidate edges are visited in a seeded random order and kept whenever
     they do not complete an s-clique, so the result is maximal and
-    deterministic for a given seed.  For s = r + 1 a candidate completes
-    one iff some vertex completes all its (r-1)-subsets: one AND of r
-    bitsets.  Larger s goes through _FreeBuilder's generic search.
+    deterministic for a given seed.  Each candidate asks _closes_clique,
+    which for s = r + 1 is one AND of r bitsets.
     """
     if not (s > r >= 2):
         raise ValueError("need s > r >= 2")
@@ -386,40 +369,25 @@ def random_maximal_free(n: int, r: int, s: int, seed: int) -> Hypergraph:
     rng = random.Random(seed)
     candidates = list(itertools.combinations(range(n), r))
     rng.shuffle(candidates)
-    if s != r + 1:
-        builder = _FreeBuilder(n, r, s)
-        for e in candidates:
-            if not builder.creates_clique(e):
-                builder.add(e)
-        return _trusted(r, n, frozenset(builder.edges))
     masks: dict[tuple[int, ...], int] = {}
     kept = []
     for e in candidates:
-        if _closers(masks, e):
-            continue
-        kept.append(e)
-        for i in range(r):
-            key = e[:i] + e[i + 1:]
-            masks[key] = masks.get(key, 0) | 1 << e[i]
+        if not _closes_clique(masks, e, s):
+            kept.append(e)
+            _add_edge(masks, e)
     return _trusted(r, n, frozenset(kept))
 
 
 def is_maximal_free(h: Hypergraph, s: int) -> bool:
     """True iff h is K^r_s-free and every absent edge would break that.
 
-    For s = r + 1, a free h is maximal iff every non-edge e has a vertex
-    completing all (r-1)-subsets of e, read from h.subedge_masks.  For
-    graphs that is one pass per vertex u: every vertex other than u is a
-    neighbour of u or a neighbour of one.  Larger s replays the generic
-    search of _FreeBuilder for every non-edge.
+    A free h is maximal iff _closes_clique holds for every non-edge, over
+    h.subedge_masks.  For triangle-free graphs that is one pass per vertex
+    u: every vertex other than u is a neighbour of u or a neighbour of one.
     """
     if not is_free(h, s):
         return False
-    if s != h.r + 1:
-        builder = _FreeBuilder(h.n, h.r, s, sorted(h.edges))
-        return all(e in h.edges or builder.creates_clique(e)
-                   for e in itertools.combinations(range(h.n), h.r))
-    if h.r == 2:
+    if h.r == 2 and s == 3:
         adj = h.adjacency
         full = (1 << h.n) - 1
         for u in range(h.n):
@@ -430,7 +398,7 @@ def is_maximal_free(h: Hypergraph, s: int) -> bool:
                 return False
         return True
     masks = h.subedge_masks
-    return all(e in h.edges or _closers(masks, e)
+    return all(e in h.edges or _closes_clique(masks, e, s)
                for e in itertools.combinations(range(h.n), h.r))
 
 
@@ -642,15 +610,16 @@ def search_small_alpha(n: int, s: int, target: int,
             dropped = edges[rng.randrange(len(edges))]
             remaining = set(edges)
             remaining.discard(dropped)
-            builder = _FreeBuilder(n, 2, s, sorted(remaining))
+            masks: dict[tuple[int, ...], int] = {}
+            for e in remaining:
+                _add_edge(masks, e)
             non_edges = [e for e in itertools.combinations(range(n), 2)
                          if e not in remaining and e != dropped
-                         and not builder.creates_clique(e)]
+                         and not _closes_clique(masks, e, s)]
             if not non_edges:
                 continue
             added = non_edges[rng.randrange(len(non_edges))]
-            builder.add(added)
-            candidate = Hypergraph(2, n, frozenset(builder.edges))
+            candidate = Hypergraph(2, n, frozenset(remaining | {added}))
             hit = consider(candidate)
             if hit is not None:
                 return hit
@@ -664,18 +633,12 @@ def search_small_alpha(n: int, s: int, target: int,
 # ---------------------------------------------------------------------------
 
 class EmbedResult(Record):
-    """mapping[i] is the host image of pattern vertex i when found.
-
-    proven_absent distinguishes an exhausted search from a completed one.
-    """
+    """mapping[i] is the host image of pattern vertex i when found; with no
+    mapping, exhausted tells a spent budget from a proof of absence."""
 
     mapping: Optional[tuple[int, ...]]
     exhausted: bool
     nodes: int
-
-    @property
-    def proven_absent(self) -> bool:
-        return self.mapping is None and not self.exhausted
 
 
 def _embed_order(g: Hypergraph) -> list[int]:
@@ -696,9 +659,10 @@ def _embed_order(g: Hypergraph) -> list[int]:
 
 def embed_search(g: Hypergraph, h: Hypergraph,
                  budget: Optional[int] = None) -> EmbedResult:
-    """Backtracking search for an induced embedding of g into h."""
-    if g.r != h.r:
-        raise ValueError("pattern and host must have the same arity")
+    """Backtracking search for an induced embedding of the graph g into the
+    graph h, over neighbour bitsets."""
+    if g.r != 2 or h.r != 2:
+        raise ValueError("embedding search is defined for graphs (r = 2)")
     if g.n == 0:
         return EmbedResult((), False, 0)
     if g.n > h.n:
@@ -708,36 +672,21 @@ def embed_search(g: Hypergraph, h: Hypergraph,
     nodes = 0
     exhausted = False
     full = (1 << h.n) - 1
-    h_adj = h.adjacency if h.r == 2 else None
-    g_adj = g.adjacency if g.r == 2 else None
+    h_adj = h.adjacency
+    g_adj = g.adjacency
 
     def candidates(pos: int, used: int) -> Iterable[int]:
         u = order[pos]
-        if h_adj is not None:
-            mask = full & ~used
-            for w in order[:pos]:
-                x = image[w]
-                if g_adj[u] >> w & 1:
-                    mask &= h_adj[x]
-                else:
-                    mask &= ~h_adj[x]
-                if not mask:
-                    return
-            yield from _bits(mask)
-        else:
-            placed = order[:pos]
-            for v in range(h.n):
-                if used >> v & 1:
-                    continue
-                ok = True
-                for tau in itertools.combinations(placed, g.r - 1):
-                    pattern_edge = g.has_edge(tau + (u,))
-                    host_edge = h.has_edge(tuple(image[w] for w in tau) + (v,))
-                    if pattern_edge != host_edge:
-                        ok = False
-                        break
-                if ok:
-                    yield v
+        mask = full & ~used
+        for w in order[:pos]:
+            x = image[w]
+            if g_adj[u] >> w & 1:
+                mask &= h_adj[x]
+            else:
+                mask &= ~h_adj[x]
+            if not mask:
+                return
+        yield from _bits(mask)
 
     def place(pos: int, used: int) -> bool:
         nonlocal nodes, exhausted

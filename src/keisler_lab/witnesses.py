@@ -259,6 +259,12 @@ def _negation(phi: PhiPartition) -> PhiPartition:
     return PhiPartition(Not(phi.formula), phi.object_arity, phi.param_arity)
 
 
+# the branch and bound of alpha_s on the sample graph; the largest count in
+# use is 250 (an edgeless 250-vertex graph), and 10^4 nodes take about 2 s
+# on a 1,000-vertex graph
+_MAX_ALPHA_NODES = 10_000
+
+
 def _fam_preconditions(analysis: PhiAnalysis, epsilon: Fraction,
                        ambient: Hypergraph, graph: Hypergraph,
                        s: int) -> _FamSetup:
@@ -268,9 +274,10 @@ def _fam_preconditions(analysis: PhiAnalysis, epsilon: Fraction,
     profile = analysis.profiles[t_star]
     k = len(profile.neg_edge)
     n = graph.n
-    alpha = alpha_s(graph, s)
+    alpha = alpha_s(graph, s, _MAX_ALPHA_NODES)
     if not alpha.exact:
-        raise ValueError("alpha_s did not finish exactly")
+        raise FormatError(f"alpha_s of the sample graph did not finish "
+                          f"within {_MAX_ALPHA_NODES} nodes")
     checks = [Certified("sample-size", ">", Fraction(n),
                         Fraction(2 * len(profile.neq)) / epsilon)]
     if k > 0:
@@ -693,11 +700,21 @@ def _check_probe_scan(trials: int, m: int, arity: int, n_params: int) -> None:
             f"{_MAX_PROBE_SCAN}")
 
 
+def _probe_draws(n: int, trials: int, n_params: int,
+                 seed: int) -> list[list[int]]:
+    """The parameters of each aggregate-mode trial, drawn from the seed;
+    shared by the runner and the verifier."""
+    rng = random.Random(seed)
+    return [[rng.randrange(n) for _ in range(n_params)]
+            for _ in range(trials)]
+
+
 def _sat_certified(ambient: Hypergraph, witness: dict) -> list[Certified]:
-    """Certified values of a probe from its recorded hits alone; shared by
-    the runner and the verifier.  A hit is valid when it is a distinct
+    """Certified values of a probe from its recorded hits; shared by the
+    runner and the verifier.  A hit is valid when it is a distinct
     (r-1)-tuple of the designated subset and no edge runs through it and
-    any parameter of its draw."""
+    any parameter of its draw.  Aggregate draws must be those of the
+    recorded seed, trials and n_params."""
     subset = set(witness["m_subset"])
 
     def valid(hit, params) -> bool:
@@ -714,6 +731,12 @@ def _sat_certified(ambient: Hypergraph, witness: dict) -> list[Certified]:
     _check_probe_size(len(results),
                       max((len(entry["params"]) for entry in results),
                           default=0))
+    trials, n_params = int(witness["trials"]), int(witness["n_params"])
+    _check_probe_size(trials, n_params)
+    if [entry["params"] for entry in results] != _probe_draws(
+            ambient.n, trials, n_params, int(witness["seed"])):
+        raise FormatError("recorded params are not the draws of the "
+                          "recorded seed, trials and n_params")
     hits = [entry for entry in results if entry["found"]]
     ok = sum(1 for entry in hits if valid(entry["witness"], entry["params"]))
     return [Certified("witnesses-valid", "==", Fraction(ok),
@@ -763,10 +786,8 @@ def sat_probe(ambient: Hypergraph, subset: Sequence[int],
         _check_probe_scan(trials, len(subset), arity, n_params)
         if ambient.n == 0 and n_params > 0:
             raise ValueError("cannot draw parameters from an empty host")
-        rng = random.Random(seed)
         results = []
-        for _ in range(trials):
-            draw = [rng.randrange(ambient.n) for _ in range(n_params)]
+        for draw in _probe_draws(ambient.n, trials, n_params, seed):
             found = _probe_once(ambient, subset, draw)
             results.append({"params": draw,
                             "found": found is not None,
@@ -809,7 +830,6 @@ def _check_grid_size(k: int, parameters: int,
 
 
 def _tp2_certified(f: Feq2Structure, k: int, paths: Sequence[tuple]):
-    _check_grid_size(k, f.parameters, len(paths))
     row_pairs = 0
     row_failures = []
     for i in range(k):
@@ -843,6 +863,28 @@ def _tp2_certified(f: Feq2Structure, k: int, paths: Sequence[tuple]):
     return certified, details
 
 
+def _tp2_paths(k: int, sample: Optional[int],
+               seed: Optional[int]) -> list[tuple[int, ...]]:
+    """The paths a tp2 witness checks: all k^k when sample is None, else
+    `sample` distinct ones drawn with the seed, in ascending order; shared
+    by the runner and the verifier, after _check_grid_size."""
+    if sample is None:
+        return list(itertools.product(range(k), repeat=k))
+    if seed is None:
+        raise ValueError("sampling paths requires a seed")
+    total = k ** k
+    if not 1 <= sample <= total:
+        raise ValueError(f"sample must lie in 1..{total}")
+    paths = []
+    for code in sorted(random.Random(seed).sample(range(total), sample)):
+        digits = []
+        for _ in range(k):
+            code, d = divmod(code, k)
+            digits.append(d)
+        paths.append(tuple(reversed(digits)))
+    return paths
+
+
 def tp2_witness(f: Feq2Structure, k: int, sample: Optional[int] = None,
                 seed: Optional[int] = None) -> WitnessReport:
     """Certify the two-dimensional pattern on a k-grid: cells of one row
@@ -857,30 +899,13 @@ def tp2_witness(f: Feq2Structure, k: int, sample: Optional[int] = None,
     _check_grid_size(k, f.parameters, sample)
     if f.objects < k * k + k:
         raise GridTooSmall(k * k + k, f.objects)
-    total = k ** k
-    if sample is None:
-        paths = list(itertools.product(range(k), repeat=k))
-        sample_info = None
-    else:
-        if seed is None:
-            raise ValueError("sampling paths requires a seed")
-        if not 1 <= sample <= total:
-            raise ValueError(f"sample must lie in 1..{total}")
-        rng = random.Random(seed)
-        chosen = sorted(rng.sample(range(total), sample))
-        paths = []
-        for code in chosen:
-            digits = []
-            for _ in range(k):
-                code, d = divmod(code, k)
-                digits.append(d)
-            paths.append(tuple(reversed(digits)))
-        sample_info = {"seed": seed, "count": sample}
+    paths = _tp2_paths(k, sample, seed)
+    sample_info = None if sample is None else {"seed": seed, "count": sample}
     certified, details = _tp2_certified(f, k, paths)
     witness = {"k": k, "sample": sample_info,
                "checked_paths": [list(p) for p in paths], **details}
     log = [f"checked {details['row_pairs']} same-row pairs and "
-           f"{len(paths)} of {total} paths"]
+           f"{len(paths)} of {k ** k} paths"]
     return WitnessReport(
         theorem="tp2",
         inputs={"structure": _input_entry(f)},
@@ -888,9 +913,16 @@ def tp2_witness(f: Feq2Structure, k: int, sample: Optional[int] = None,
 
 
 def _recompute_tp2(witness: dict, inputs: Mapping[str, object]):
-    certified, _ = _tp2_certified(
-        inputs["structure"], int(witness["k"]),
-        [tuple(p) for p in witness["checked_paths"]])
+    f, k = inputs["structure"], int(witness["k"])
+    recorded = [tuple(p) for p in witness["checked_paths"]]
+    _check_grid_size(k, f.parameters, len(recorded))
+    info = witness["sample"]
+    paths = (_tp2_paths(k, None, None) if info is None
+             else _tp2_paths(k, int(info["count"]), int(info["seed"])))
+    if paths != recorded:
+        raise FormatError("checked_paths are not the paths of the recorded "
+                          "k, sample and seed")
+    certified, _ = _tp2_certified(f, k, paths)
     return certified
 
 
@@ -917,16 +949,21 @@ def recompute_certified(theorem: str, witness: dict,
     """Re-derive the certified inequalities of a report from its payload
     and resolved inputs; used by the verifier.  A report whose
     precondition failed carries that inequality verbatim: there is no
-    witness object to recompute from."""
+    witness object to recompute from, and one that holds is refused."""
     try:
         names, recompute = PIPELINES[theorem]
     except KeyError:
         raise ValueError(f"unknown theorem tag {theorem!r}") from None
     if isinstance(witness, dict) and "precondition_failed" in witness:
-        return [Certified(str(witness["precondition_failed"]),
-                          str(witness["op"]),
-                          rational_from_json(witness["lhs"]),
-                          rational_from_json(witness["rhs"]))]
+        failed = Certified(str(witness["precondition_failed"]),
+                           str(witness["op"]),
+                           rational_from_json(witness["lhs"]),
+                           rational_from_json(witness["rhs"]))
+        if failed.holds:
+            raise FormatError(f"precondition {failed.name}: the recorded "
+                              f"{failed.lhs} {failed.op} {failed.rhs} holds, "
+                              f"so it cannot have stopped the run")
+        return [failed]
     missing = [name for name in names if name not in inputs]
     if missing:
         raise FormatError(f"report lacks required inputs: {missing}")

@@ -10,8 +10,8 @@ import pytest
 from keisler_lab.cli import run
 from keisler_lab.coloring import weighted_hypergraph
 from keisler_lab.serialize import (canonical_dumps, digest, load_structure,
-                                   parse_structure_spec, structure_to_json,
-                                   weighted_to_json)
+                                   parse_structure_spec, rational_to_json,
+                                   structure_to_json, weighted_to_json)
 from keisler_lab.structures import (Feq2Structure, Hypergraph, build_tp2_grid,
                                     cyclic_graph)
 
@@ -194,6 +194,45 @@ def test_fam_precondition_report_and_verify(tmp_path, capsys):
     assert "failed certification" in capsys.readouterr().err
 
 
+# 13 conjuncts of two atoms: 2^13 = 8,192 clauses, over the cap of 4,096
+WIDE_PHI = " & ".join(f"(E(x1,y{j}) | x1 = y{j})" for j in range(1, 14))
+FAM_GEN50 = ["fam", "--phi", "!E(x1,y1) & x1 != y1", "--epsilon", "4/5",
+             "--graph", "circulant:13:1,5", "--ambient", "gen:50:2:3:seed=1"]
+
+
+def test_fam_dnf_cap_is_usage_error(capsys):
+    argv = FAM_GEN50[:]
+    argv[2] = WIDE_PHI
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert "error: clause count exceeds 4096" in err
+    assert "Traceback" not in err
+
+
+def test_verify_dnf_cap_on_an_edited_phi(tmp_path, capsys):
+    out = tmp_path / "fam.json"
+    assert run(FAM_GEN50 + ["--output", str(out)]) == 0
+    data = read_report(out)
+    data["witness"].update(phi=WIDE_PHI, param_arity=13)
+    out.write_text(canonical_dumps(data))
+    capsys.readouterr()
+    assert run(["verify", str(out)]) == 1
+    assert "error: clause count exceeds 4096" in capsys.readouterr().err
+
+
+def test_fam_alpha_node_cap(tmp_path, monkeypatch, capsys):
+    import keisler_lab.witnesses as witnesses
+    out = tmp_path / "fam.json"
+    # alpha_s of circulant:13:1,5 takes 12 nodes
+    assert run(FAM_GEN50 + ["--output", str(out)]) == 0
+    monkeypatch.setattr(witnesses, "_MAX_ALPHA_NODES", 5)
+    capsys.readouterr()
+    assert run(FAM_GEN50) == 1
+    assert "did not finish within 5 nodes" in capsys.readouterr().err
+    assert run(["verify", str(out)]) == 1
+    assert "did not finish within 5 nodes" in capsys.readouterr().err
+
+
 def test_fam_bad_formula_is_usage_error(tmp_path):
     assert run(["fam", "--phi", "E(x1", "--epsilon", "4/5",
                 "--graph", "circulant:13:1,5",
@@ -254,6 +293,49 @@ def test_verify_rejects_malformed_reports(tmp_path):
         "witness": {"precondition_failed": "ambient-free", "op": "==",
                     "rhs": {"num": 1, "den": 1}}}))
     assert run(["verify", str(no_lhs)]) == 1
+
+
+def test_verify_refuses_a_precondition_report_that_holds(tmp_path, capsys):
+    # K5 is not triangle-free: order stops at ambient-free and exits 2
+    out = tmp_path / "order.json"
+    assert run(["order", "--ambient", "circulant:5:1,2", "--q", "2",
+                "--output", str(out)]) == 2
+    data = read_report(out)
+    one = rational_to_json(Fraction(1))
+    data["witness"]["lhs"] = one
+    data["certified"][0].update(lhs=one, holds=True)
+    out.write_text(canonical_dumps(data))
+    capsys.readouterr()
+    assert run(["verify", str(out)]) == 1
+    assert "cannot have stopped the run" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit", ["paths", "seed"])
+def test_verify_rederives_tp2_paths(edit, tmp_path, capsys):
+    out = tmp_path / "tp2.json"
+    if edit == "paths":
+        # the one parameter pairs 0-4 and 2-5: of the four paths through
+        # the 2-grid only [0, 0] is consistent
+        f = Feq2Structure(6, 1, (((0, 4), (1, 3), (2, 5)),))
+        sfile = tmp_path / "f.json"
+        sfile.write_text(canonical_dumps(structure_to_json(f)))
+        assert run(["tp2", "--k", "2", "--input", str(sfile),
+                    "--output", str(out)]) == 2
+    else:
+        assert run(["tp2", "--k", "4", "--sample", "50", "--seed", "3",
+                    "--output", str(out)]) == 0
+    data = read_report(out)
+    if edit == "paths":
+        # four copies of the consistent path, certifications written back
+        data["witness"]["checked_paths"] = [[0, 0]] * 4
+        for cert in data["certified"]:
+            cert.update(lhs=cert["rhs"], holds=True)
+    else:
+        data["witness"]["sample"]["seed"] = 4
+    out.write_text(canonical_dumps(data))
+    capsys.readouterr()
+    assert run(["verify", str(out)]) == 1
+    assert "checked_paths are not the paths" in capsys.readouterr().err
 
 
 OVER_CAP_SPECS = [
@@ -729,6 +811,23 @@ def test_verify_names_the_probe_cert_on_an_edited_hit(mode, name, edit,
     capsys.readouterr()
     assert run(["verify", str(out)]) == 2
     assert f"'{name}' does not reproduce" in capsys.readouterr().err
+
+
+def test_verify_redraws_satprobe_params(tmp_path, capsys):
+    out = tmp_path / "probe.json"
+    assert run(SATPROBE + ["--trials", "5", "--n-params", "2",
+                           "--output", str(out)]) == 0
+    data = read_report(out)
+    entry = next(e for e in data["witness"]["results"] if e["found"])
+    # parameters inside the hit: no edge runs through a repeated vertex,
+    # so the hit stays valid and only the draw is wrong
+    edited = [entry["witness"][0]] * 2
+    assert edited != entry["params"]
+    entry["params"] = edited
+    out.write_text(canonical_dumps(data))
+    capsys.readouterr()
+    assert run(["verify", str(out)]) == 1
+    assert "are not the draws" in capsys.readouterr().err
 
 
 def test_order_serialises_its_ambient_once(monkeypatch, capsys):

@@ -39,8 +39,7 @@ def test_weighted_hypergraph_validation():
 def test_weight_accessors():
     h = weighted_hypergraph(4, 2, [((0, 1), Fraction(3, 2)), ((2, 3), 1)])
     assert h.total_weight == Fraction(5, 2)
-    assert h.weight((1, 0)) == Fraction(3, 2)
-    assert h.weight((0, 2)) == 0
+    assert h.weights == (((0, 1), Fraction(3, 2)), ((2, 3), Fraction(1)))
 
 
 def test_weight_of_counts_rainbow_sets():

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import keisler_lab
-from keisler_lab._record import Factory, FrozenRecordError, Record
+from keisler_lab._record import FrozenRecordError, Record
 
 _MISSING = object()
 
@@ -30,8 +30,7 @@ def _validate(self):
         raise ValueError("a must be set and nonnegative")
 
 
-# name -> (fields, {field: default}, validating?); a default of
-# Factory(list) is dataclasses.field(default_factory=list) in the twin
+# name -> (fields, {field: default}, validating?)
 SHAPES = {
     "One": (("a",), {}, False),
     "Two": (("a", "b"), {}, False),
@@ -39,7 +38,7 @@ SHAPES = {
     "OneChecked": (("a",), {}, True),
     "TwoDefault": (("a", "b"), {"b": 7}, False),
     "ThreeDefaults": (("a", "b", "c"), {"b": None, "c": "z"}, True),
-    "TwoFactory": (("a", "b"), {"b": Factory(list)}, False),
+    "TwoCallableDefault": (("a", "b"), {"b": list}, False),
 }
 
 
@@ -55,10 +54,7 @@ def _twin(name, fields, defaults, checked):
     spec = []
     for f in fields:
         default = defaults.get(f, _MISSING)
-        if isinstance(default, Factory):
-            spec.append((f, object, dataclasses.field(
-                default_factory=default.make)))
-        elif default is _MISSING:
+        if default is _MISSING:
             spec.append((f, object))
         else:
             spec.append((f, object, default))
@@ -162,14 +158,6 @@ def test_assignment_and_deletion_raise(name):
         assert issubclass(error, AttributeError)
         assert tuple(getattr(obj, f) for f in fields) == tuple(
             range(len(fields)))
-
-
-def test_factory_default_is_fresh_per_instance():
-    record, twin = PAIRS["TwoFactory"]
-    for cls in (record, twin):
-        first, second = cls(1), cls(1)
-        assert first.b == [] and first.b is not second.b
-        assert cls(1, b=[2]).b == [2]
 
 
 def test_callable_default_is_not_called():

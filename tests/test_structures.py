@@ -13,7 +13,9 @@ from keisler_lab.structures import (
     Feq2Structure,
     FreenessViolation,
     Hypergraph,
-    _FreeBuilder,
+    _add_edge,
+    _closes_clique,
+    _extends_to_clique,
     _search_clique,
     add_vertex_with_links,
     alpha_s,
@@ -166,18 +168,19 @@ def generic_maximal_free(n: int, r: int, s: int, seed: int) -> Hypergraph:
     """random_maximal_free through the generic clique search."""
     candidates = list(itertools.combinations(range(n), r))
     random.Random(seed).shuffle(candidates)
-    builder = _FreeBuilder(n, r, s)
+    masks, kept = {}, []
     for e in candidates:
-        if not builder._extends_to_clique(e):
-            builder.add(e)
-    return Hypergraph(r, n, frozenset(builder.edges))
+        if not _extends_to_clique(masks, e, s):
+            kept.append(e)
+            _add_edge(masks, e)
+    return Hypergraph(r, n, frozenset(kept))
 
 
 def generic_is_maximal_free(h: Hypergraph, s: int) -> bool:
     if _search_clique(h, s) is not None:
         return False
-    builder = _FreeBuilder(h.n, h.r, s, sorted(h.edges))
-    return all(e in h.edges or builder._extends_to_clique(e)
+    masks = h.subedge_masks
+    return all(e in h.edges or _extends_to_clique(masks, e, s)
                for e in itertools.combinations(range(h.n), h.r))
 
 
@@ -200,8 +203,8 @@ def test_clique_kernel_matches_the_generic_search(case):
     # an arbitrary r-graph, free or not
     h = random_hypergraph(rng, n, r, density)
     assert find_clique(h, s) == _search_clique(h, s)
-    builder = _FreeBuilder(n, r, s, sorted(h.edges))
-    assert all(builder.creates_clique(e) == builder._extends_to_clique(e)
+    masks = h.subedge_masks
+    assert all(_closes_clique(masks, e, s) == _extends_to_clique(masks, e, s)
                for e in sets)
     assert is_maximal_free(h, s) == generic_is_maximal_free(h, s)
     # a maximal free one, and the same with some edges removed
@@ -243,11 +246,12 @@ def random_free(rng: random.Random, n: int, r: int, s: int,
                 p: float) -> Hypergraph:
     """A K^r_s-free r-graph: each candidate kept with probability p unless
     it would complete an s-clique."""
-    builder = _FreeBuilder(n, r, s)
+    masks, kept = {}, []
     for e in itertools.combinations(range(n), r):
-        if rng.random() < p and not builder.creates_clique(e):
-            builder.add(e)
-    return Hypergraph(r, n, frozenset(builder.edges))
+        if rng.random() < p and not _closes_clique(masks, e, s):
+            kept.append(e)
+            _add_edge(masks, e)
+    return Hypergraph(r, n, frozenset(kept))
 
 
 def check_extension(h: Hypergraph, links: list, s: int):
@@ -422,8 +426,7 @@ def test_embed_c5_into_petersen(petersen):
 def test_embed_absence_is_proven(petersen):
     k3 = Hypergraph(2, 3, frozenset({(0, 1), (0, 2), (1, 2)}))
     result = embed_search(k3, petersen)
-    assert result.mapping is None
-    assert result.proven_absent
+    assert result.mapping is None and not result.exhausted
 
 
 def test_embed_budget_exhaustion():
@@ -434,7 +437,6 @@ def test_embed_budget_exhaustion():
     assert is_induced_embedding(pattern, host, found.mapping)
     starved = embed_search(pattern, host, budget=3)
     assert starved.mapping is None and starved.exhausted
-    assert not starved.proven_absent
 
 
 def test_embed_rejects_arity_mismatch():
@@ -442,6 +444,8 @@ def test_embed_rejects_arity_mismatch():
     g3 = Hypergraph(3, 5, frozenset())
     with pytest.raises(ValueError):
         embed_search(g2, g3)
+    with pytest.raises(ValueError, match="graphs"):
+        embed_search(g3, g3)  # the search runs over neighbour bitsets
 
 
 def test_is_induced_embedding_checks_non_edges():
