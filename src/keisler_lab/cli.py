@@ -202,15 +202,20 @@ def _cmd_adversary(args) -> int:
                         lambda: adversary_witness(tuples, ambient, args.s))
 
 
+def _draw_subset(rng: random.Random, n: int, m_size: int) -> list[int]:
+    """A satprobe's designated subset: the first draw of the generator
+    seeded with --seed.  verify draws it again from the report's config."""
+    if not 1 <= m_size <= n:
+        raise FormatError(f"--m-size must lie in 1..{n} for this ambient")
+    return sorted(rng.sample(range(n), m_size))
+
+
 def _cmd_satprobe(args) -> int:
     ambient = parse_structure_spec(args.ambient)
     if not isinstance(ambient, Hypergraph):
         raise FormatError("satprobe needs a hypergraph ambient")
-    if not 1 <= args.m_size <= ambient.n:
-        raise FormatError(
-            f"--m-size must lie in 1..{ambient.n} for this ambient")
     rng = random.Random(args.seed)
-    subset = sorted(rng.sample(range(ambient.n), args.m_size))
+    subset = _draw_subset(rng, ambient.n, args.m_size)
     aggregate = args.params is None
     if aggregate and args.n_params is None:
         raise FormatError("need --params or --n-params")
@@ -300,6 +305,16 @@ def _resolve_input(name: str, entry: dict, overrides: dict):
     return obj, actual, entry["digest"]
 
 
+def _subset_is_drawn(config: dict, witness: dict,
+                     ambient: Hypergraph) -> bool:
+    # a satprobe report records the seed of its subset only in config
+    seed, m_size = config.get("seed"), config.get("m_size")
+    if not isinstance(seed, int) or not isinstance(m_size, int):
+        raise FormatError("satprobe config needs integer seed and m_size")
+    return witness["m_subset"] == _draw_subset(random.Random(seed),
+                                               ambient.n, m_size)
+
+
 def _cmd_verify(args) -> int:
     overrides = {}
     for item in args.input or []:
@@ -332,10 +347,16 @@ def _cmd_verify(args) -> int:
         resolved[name] = obj
     try:
         recomputed = recompute_certified(theorem, data["witness"], resolved)
+        drawn = theorem != "dfsnotfim-sat" or _subset_is_drawn(
+            data.get("config"), data["witness"], resolved["ambient"])
     except (KeyError, TypeError, IndexError, AttributeError) as exc:
         raise FormatError(
             f"report payload does not match the {theorem!r} schema "
             f"({exc!r})") from None
+    if not drawn:
+        print("witness field 'm_subset' is not the subset drawn from the "
+              "config's seed and m_size", file=sys.stderr)
+        return EXIT_CERT
     fresh = [c.to_json_dict() for c in recomputed]
     recorded = data["certified"]
     if fresh != recorded:

@@ -9,10 +9,12 @@ are not sorted ascending.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import os
 import tempfile
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _string
 from math import comb
 from typing import Optional, Union
 
@@ -177,9 +179,96 @@ def weighted_from_json(payload: dict) -> WeightedHypergraph:
 # ---------------------------------------------------------------------------
 
 def canonical_dumps(payload) -> str:
-    """Stable human-readable JSON: sorted keys, two-space indent."""
-    return json.dumps(payload, sort_keys=True, indent=2,
-                      ensure_ascii=True) + "\n"
+    """Stable human-readable JSON: sorted keys, two-space indent.
+
+    The bytes are those of json.dumps(payload, sort_keys=True, indent=2,
+    ensure_ascii=True) + "\\n", written in one recursive pass instead of
+    the standard library's pure-Python indenting encoder.  Payloads hold
+    dicts with str keys, lists, tuples, str, int, float, bool and None;
+    any other key or value raises TypeError.
+    """
+    parts: list[str] = []
+    _encode(payload, "\n", parts.append)
+    parts.append("\n")
+    return "".join(parts)
+
+
+_INF = float("inf")
+_INT = {int}
+_SEQUENCES = {list, tuple}
+
+
+def _float(value: float) -> str:
+    # json's rule: repr, with NaN and the infinities spelled as JavaScript
+    if value != value:
+        return "NaN"
+    if value == _INF:
+        return "Infinity"
+    if value == -_INF:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+def _encode(value, nl: str, emit) -> None:
+    # nl is a newline plus the indent of the line value starts on; the
+    # checks run in json's order, so a bool is never written as an int
+    if isinstance(value, str):
+        emit(_string(value))
+    elif value is None:
+        emit("null")
+    elif value is True:
+        emit("true")
+    elif value is False:
+        emit("false")
+    elif isinstance(value, int):
+        emit(int.__repr__(value))
+    elif isinstance(value, float):
+        emit(_float(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            emit("[]")
+            return
+        inner = nl + "  "
+        kinds = set(map(type, value))
+        if kinds == _INT:
+            emit("[" + inner + ("," + inner).join(map(int.__repr__, value))
+                 + nl + "]")
+            return
+        if kinds <= _SEQUENCES:
+            widths = set(map(len, value))
+            if (len(widths) == 1 and set(map(
+                    type, itertools.chain.from_iterable(value))) == _INT):
+                # equal-length int lists, such as an edge list: one
+                # "%d" template per item, filled in a single format
+                row = ("[" + ",".join([inner + "  %d"] * widths.pop())
+                       + inner + "]")
+                template = ("," + inner).join([row] * len(value))
+                emit("[" + inner + template % tuple(
+                    itertools.chain.from_iterable(value)) + nl + "]")
+                return
+        sep = "[" + inner
+        for item in value:
+            emit(sep)
+            _encode(item, inner, emit)
+            sep = "," + inner
+        emit(nl + "]")
+    elif isinstance(value, dict):
+        if not value:
+            emit("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise TypeError(f"report keys must be str, got "
+                                f"{type(key).__name__} {key!r}")
+            emit(sep + _string(key) + ": ")
+            _encode(value[key], inner, emit)
+            sep = "," + inner
+        emit(nl + "}")
+    else:
+        raise TypeError(f"cannot write a {type(value).__name__} "
+                        f"into a report")
 
 
 def digest(payload) -> str:

@@ -359,8 +359,9 @@ def random_maximal_free(n: int, r: int, s: int, seed: int) -> Hypergraph:
 
     Candidate edges are visited in a seeded random order and kept whenever
     they do not complete an s-clique, so the result is maximal and
-    deterministic for a given seed.  Each candidate asks _closes_clique,
-    which for s = r + 1 is one AND of r bitsets.
+    deterministic for a given seed.  For s = r + 1 the loop runs the
+    _closers AND itself, one AND of r bitsets per candidate, and records a
+    kept edge in masks as _add_edge would; larger s asks _closes_clique.
     """
     if not (s > r >= 2):
         raise ValueError("need s > r >= 2")
@@ -371,10 +372,25 @@ def random_maximal_free(n: int, r: int, s: int, seed: int) -> Hypergraph:
     rng.shuffle(candidates)
     masks: dict[tuple[int, ...], int] = {}
     kept = []
-    for e in candidates:
-        if not _closes_clique(masks, e, s):
+    if s == r + 1:
+        combinations, get = itertools.combinations, masks.get
+        for e in candidates:
+            common = -1
+            for tau in combinations(e, r - 1):
+                common &= get(tau, 0)
+                if not common:
+                    break
+            if common:
+                continue
             kept.append(e)
-            _add_edge(masks, e)
+            # combinations leaves out e[r-1], ..., e[0] in turn
+            for tau, v in zip(combinations(e, r - 1), reversed(e)):
+                masks[tau] = get(tau, 0) | 1 << v
+    else:
+        for e in candidates:
+            if not _closes_clique(masks, e, s):
+                kept.append(e)
+                _add_edge(masks, e)
     return _trusted(r, n, frozenset(kept))
 
 
@@ -384,6 +400,8 @@ def is_maximal_free(h: Hypergraph, s: int) -> bool:
     A free h is maximal iff _closes_clique holds for every non-edge, over
     h.subedge_masks.  For triangle-free graphs that is one pass per vertex
     u: every vertex other than u is a neighbour of u or a neighbour of one.
+    Otherwise, for s = r + 1, a plain loop over the non-edges runs the
+    _closers AND itself; larger s asks _closes_clique.
     """
     if not is_free(h, s):
         return False
@@ -398,8 +416,18 @@ def is_maximal_free(h: Hypergraph, s: int) -> bool:
                 return False
         return True
     masks = h.subedge_masks
-    return all(e in h.edges or _closes_clique(masks, e, s)
-               for e in itertools.combinations(range(h.n), h.r))
+    non_edges = itertools.filterfalse(
+        h.edges.__contains__, itertools.combinations(range(h.n), h.r))
+    if s == h.r + 1:
+        combinations, get = itertools.combinations, masks.get
+        for e in non_edges:
+            common = -1
+            for tau in combinations(e, h.r - 1):
+                common &= get(tau, 0)
+                if not common:
+                    return False
+        return True
+    return all(_closes_clique(masks, e, s) for e in non_edges)
 
 
 def cyclic_graph(n: int, connections: Iterable[int]) -> Hypergraph:

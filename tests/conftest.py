@@ -15,7 +15,7 @@ import pytest
 from keisler_lab.coloring import (Coloring, WeightedHypergraph,
                                   weighted_hypergraph)
 from keisler_lab.measures import FiniteMeasure, make_measure
-from keisler_lab.structures import Hypergraph
+from keisler_lab.structures import Hypergraph, _add_edge, _closes_clique
 
 
 def random_graph(rng: random.Random, n: int, p: float = 0.5) -> Hypergraph:
@@ -40,6 +40,21 @@ def random_hypergraph(rng: random.Random, n: int, r: int,
     edges = [e for e in itertools.combinations(range(n), r)
              if rng.random() < p]
     return Hypergraph(r, n, frozenset(edges))
+
+
+def random_maximal_free_oracle(n: int, r: int, s: int,
+                               seed: int) -> Hypergraph:
+    """random_maximal_free as one _closes_clique and one _add_edge call per
+    candidate, the loop that the generator inlines for s = r + 1."""
+    candidates = list(itertools.combinations(range(n), r))
+    random.Random(seed).shuffle(candidates)
+    masks: dict[tuple[int, ...], int] = {}
+    kept = []
+    for e in candidates:
+        if not _closes_clique(masks, e, s):
+            kept.append(e)
+            _add_edge(masks, e)
+    return Hypergraph(r, n, frozenset(kept))
 
 
 def random_weighted(rng: random.Random, n: int, r: int,

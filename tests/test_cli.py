@@ -830,6 +830,42 @@ def test_verify_redraws_satprobe_params(tmp_path, capsys):
     assert "are not the draws" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mode", [["--params", "0"],
+                                  ["--trials", "2", "--n-params", "1"]])
+def test_verify_redraws_the_satprobe_subset(mode, tmp_path, capsys):
+    out = tmp_path / "probe.json"
+    assert run(["satprobe", "--ambient", "gen:20:3:4:seed=3", "--m-size",
+                "3", "--seed", "9", *mode, "--output", str(out)]) == 0
+    data = read_report(out)
+    witness = data["witness"]
+    entry = (witness if witness["mode"] == "single"
+             else next(e for e in witness["results"] if e["found"]))
+    # a pair outside the subset with no edge through it and the parameters,
+    # made the hit and added to m_subset: every certification still holds
+    ambient = parse_structure_spec("gen:20:3:4:seed=3")
+    pair = next(p for p in itertools.combinations(range(20), 2)
+                if not set(p) & set(witness["m_subset"] + entry["params"])
+                and not any(ambient.has_edge(p + (b,))
+                            for b in entry["params"]))
+    entry["witness"] = list(pair)
+    witness["m_subset"] = sorted(witness["m_subset"] + list(pair))
+    out.write_text(canonical_dumps(data))
+    capsys.readouterr()
+    assert run(["verify", str(out)]) == 2
+    assert "'m_subset'" in capsys.readouterr().err
+
+
+def test_verify_satprobe_needs_the_subset_config(tmp_path, capsys):
+    out = tmp_path / "probe.json"
+    assert run(SATPROBE + ["--params", "3,5", "--output", str(out)]) == 0
+    data = read_report(out)
+    del data["config"]["m_size"]
+    out.write_text(canonical_dumps(data))
+    capsys.readouterr()
+    assert run(["verify", str(out)]) == 1
+    assert "seed and m_size" in capsys.readouterr().err
+
+
 def test_order_serialises_its_ambient_once(monkeypatch, capsys):
     # one structure_to_json serves both the input's kind and its digest
     import keisler_lab.cli as cli

@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_graph, random_weighted
 from keisler_lab.serialize import (
@@ -123,6 +124,53 @@ def test_canonical_dumps_is_stable():
     assert a == b
     assert a.endswith("\n")
     assert "\n  " in a  # indented
+
+
+def json_oracle(payload) -> str:
+    """The standard library's bytes, which canonical_dumps reproduces."""
+    return json.dumps(payload, sort_keys=True, indent=2,
+                      ensure_ascii=True) + "\n"
+
+
+@pytest.mark.parametrize("payload", [
+    {}, [], (), {"a": {}, "b": [], "c": ()}, [[], {}, ()],
+    {"\u00e9\u2603 \"q\" \\ \x00\x1f\t": ["caf\u00e9", "\n\r\"\x7f",
+                                            "\U0001f600"]},
+    [-1, 0, 10 ** 40, -10 ** 40], [True, 1], [[1, 2], [True, 3]],
+    [[1, 2], [3]], [[1, 2, 3], [4, 5, 6]], ([1, 2], (3, 4)), [[], []],
+    [-0.0, 1e300, float("nan"), float("inf"), -float("inf"), 0.1],
+    [[1.0, 2], [3, 4]], [1, [2]], None, True, 7, "x", 2.5,
+])
+def test_canonical_dumps_matches_json_on_edge_cases(payload):
+    assert canonical_dumps(payload) == json_oracle(payload)
+
+
+_TEXT = st.text(max_size=6)
+_INTS = st.integers() | st.integers(-2 ** 70, 2 ** 70)
+_SCALARS = (st.none() | st.booleans() | _INTS | _TEXT
+            | st.floats(allow_nan=True, allow_infinity=True))
+# int rows of one width, bools mixed in: the shape of an edge list
+_ROWS = st.integers(0, 3).flatmap(lambda k: st.lists(
+    st.lists(_INTS | st.booleans(), min_size=k, max_size=k), max_size=4))
+_PAYLOADS = st.recursive(
+    _SCALARS | st.lists(_INTS | st.booleans(), max_size=5) | _ROWS,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(_TEXT, inner, max_size=4)),
+    max_leaves=20)
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(_PAYLOADS)
+def test_canonical_dumps_matches_json(payload):
+    assert canonical_dumps(payload) == json_oracle(payload)
+
+
+@pytest.mark.parametrize("payload", [{1: "a"}, {"a": {1: 2}}, {1, 2},
+                                     {"a": [set()]}, [Fraction(1, 2)]])
+def test_canonical_dumps_rejects_other_types(payload):
+    with pytest.raises(TypeError):
+        canonical_dumps(payload)
 
 
 def test_digest_ignores_key_order_and_separates_values():

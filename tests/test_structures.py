@@ -6,7 +6,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_graph, random_hypergraph
+from conftest import (random_graph, random_hypergraph,
+                      random_maximal_free_oracle)
 from keisler_lab import structures
 from keisler_lab.structures import (
     AlphaResult,
@@ -158,6 +159,33 @@ def test_is_maximal_free_rejects_extendable():
     assert not is_maximal_free(Hypergraph(2, 3, frozenset()), 3)
     k3 = Hypergraph(2, 3, frozenset({(0, 1), (0, 2), (1, 2)}))
     assert not is_maximal_free(k3, 3)
+
+
+@st.composite
+def generation_cases(draw):
+    r = draw(st.sampled_from((2, 3, 4)))
+    s = r + draw(st.sampled_from((1, 2)))
+    return draw(st.integers(0, 14)), r, s, draw(st.integers(0, 2 ** 32))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(generation_cases())
+def test_generation_loops_match_the_closes_clique_oracle(case):
+    n, r, s, seed = case
+    g = random_maximal_free(n, r, s, seed)
+    assert g == random_maximal_free_oracle(n, r, s, seed)
+
+    def oracle(h: Hypergraph) -> bool:
+        masks = h.subedge_masks
+        return is_free(h, s) and all(
+            e in h.edges or _closes_clique(masks, e, s)
+            for e in itertools.combinations(range(n), r))
+    assert is_maximal_free(g, s) and oracle(g)
+    if g.edges:
+        # g is free, so the removed edge closes no clique of the rest
+        dropped = random.Random(seed).choice(sorted(g.edges))
+        thinned = Hypergraph(r, n, g.edges - {dropped})
+        assert not is_maximal_free(thinned, s) and not oracle(thinned)
 
 
 # ---------------------------------------------------------------------------
