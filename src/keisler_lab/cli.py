@@ -15,21 +15,19 @@ import random
 import sys
 from typing import Optional, Sequence
 
-from .coloring import greedy_coloring
+from .coloring import WeightedHypergraph
 from .logic import ParseError, parse_phi
-from .measures import SELFTEST_CHECKS
 from .serialize import (FormatError, atomic_write_text, canonical_dumps,
                         digest, load_json, load_structure, load_weighted,
                         parse_rational, parse_structure_spec,
-                        rational_to_json, structure_digest, structure_to_json,
-                        weighted_to_json)
+                        structure_digest, structure_to_json, weighted_to_json)
 from .structures import (Feq2Structure, FreenessViolation, Hypergraph,
                          build_tp2_grid)
 from .witnesses import (PIPELINES, EmbeddingNotFound, PreconditionFailed,
-                        WitnessReport, _check_tuple_count, _color_certified,
-                        _gen_certified, _measures_certified,
-                        adversary_witness, fam_witness, order_witness,
-                        recompute_certified, sat_probe, tp2_witness)
+                        WitnessReport, _check_tuple_count, adversary_witness,
+                        color_witness, fam_witness, gen_witness,
+                        measures_witness, order_witness, recompute_certified,
+                        sat_probe, tp2_witness)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -66,17 +64,28 @@ def _write_report(args, report: WitnessReport) -> int:
     return _exit_for(report)
 
 
+def _input_entry(obj, source: str) -> dict:
+    """How a report records an input: its kind, digest and source."""
+    if isinstance(obj, WeightedHypergraph):
+        return {"kind": "weighted-hypergraph",
+                "digest": digest(weighted_to_json(obj)), "source": source}
+    # one serialisation serves both the kind and the digest
+    sjson = structure_to_json(obj)
+    return {"kind": sjson["kind"], "digest": structure_digest(obj, sjson),
+            "source": source}
+
+
 def _run_witness(args, theorem: str, sources: dict, builder) -> int:
-    """Run a witness builder; a failed precondition still writes a report,
-    with the failed inequality, and exits 2."""
+    """Run a witness builder and record its inputs, {name: (source,
+    object)}; a failed precondition still writes a report, with the failed
+    inequality, and exits 2."""
     try:
         report = builder()
     except PreconditionFailed as exc:
-        report = exc.report(theorem, {name: obj
-                                      for name, (_, obj) in sources.items()})
+        report = exc.report(theorem)
         print(f"error: {exc}", file=sys.stderr)
-    for name, (spec, _) in sources.items():
-        report.inputs[name]["source"] = spec
+    for name, (source, obj) in sources.items():
+        report.inputs[name] = _input_entry(obj, source)
     return _write_report(args, report)
 
 
@@ -84,29 +93,11 @@ def _run_witness(args, theorem: str, sources: dict, builder) -> int:
 # gen
 # ---------------------------------------------------------------------------
 
-def _describe(j: dict) -> str:
-    # j is the structure's JSON form
-    if j["kind"] == "hypergraph":
-        return (f"hypergraph with n={j['n']}, r={j['r']} "
-                f"and {len(j['edges'])} edges")
-    return (f"parameterized equivalence with {j['objects']} objects "
-            f"and {j['parameters']} parameters")
-
-
 def _cmd_gen(args) -> int:
-    structure = parse_structure_spec(args.spec)
-    sjson = structure_to_json(structure)
-    # the witness embeds sjson itself, so one digest serves both checks
-    sdigest = structure_digest(structure, sjson)
-    report = WitnessReport(
-        theorem="gen",
-        inputs={},
-        witness={"spec": args.spec, "digest": sdigest, "structure": sjson},
-        certified=tuple(_gen_certified(args.spec, structure, sdigest,
-                                       sdigest)),
-        log=(f"resolved {args.spec} to a {_describe(sjson)}",))
+    report = gen_witness(args.spec)
     if args.structure_out is not None:
-        atomic_write_text(args.structure_out, canonical_dumps(sjson))
+        atomic_write_text(args.structure_out,
+                          canonical_dumps(report.witness["structure"]))
     return _write_report(args, report)
 
 
@@ -116,24 +107,9 @@ def _cmd_gen(args) -> int:
 
 def _cmd_color(args) -> int:
     wh = load_weighted(args.input)
-    coloring = greedy_coloring(wh)
-    certs, weight, bound, brute_payload = _color_certified(
-        wh, coloring, args.brute)
-    report = WitnessReport(
-        theorem="coloring-bound",
-        inputs={"weighted": {"kind": "weighted-hypergraph",
-                             "digest": digest(weighted_to_json(wh)),
-                             "source": args.input}},
-        witness={"coloring": list(coloring),
-                 "weight": rational_to_json(weight),
-                 "guarantee": rational_to_json(bound),
-                 "total_weight": rational_to_json(wh.total_weight),
-                 "brute": brute_payload},
-        certified=tuple(certs),
-        log=(f"greedy colouring splits weight {weight} "
-             f"of {wh.total_weight}",
-             f"guarantee (r!/r^r)*w(V) = {bound}",))
-    return _write_report(args, report)
+    sources = {"weighted": (args.input, wh)}
+    return _run_witness(args, "coloring-bound", sources,
+                        lambda: color_witness(wh, args.brute))
 
 
 # ---------------------------------------------------------------------------
@@ -141,20 +117,13 @@ def _cmd_color(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_check_measures(args) -> int:
-    certs, outcome = _measures_certified(args.seed, args.cases)
+    report = measures_witness(args.seed, args.cases)
     if args.format == "csv":
         lines = ["check,passed,cases"]
-        lines += [f"{check},{outcome.passed[check]},{args.cases}"
-                  for check in SELFTEST_CHECKS]
+        lines += [f"{check},{passed},{args.cases}"
+                  for check, passed in report.witness["passed"].items()]
         _emit("\n".join(lines) + "\n", args.output)
-        return EXIT_OK if all(c.holds for c in certs) else EXIT_CERT
-    report = WitnessReport(
-        theorem="measure-algebra",
-        inputs={},
-        witness={"seed": args.seed, "cases": args.cases,
-                 "passed": dict(outcome.passed)},
-        certified=tuple(certs),
-        log=(f"ran {args.cases} seeded random measure cases",))
+        return _exit_for(report)
     return _write_report(args, report)
 
 
@@ -186,20 +155,28 @@ def _cmd_adversary(args) -> int:
         raise FormatError("adversary needs a hypergraph ambient")
     if args.r is None:
         args.r = ambient.r  # the report's config records the resolved r
-    if args.r != ambient.r:
-        raise FormatError(
-            f"--r {args.r} does not match the ambient arity {ambient.r}")
-    if args.n < 1:
-        raise FormatError("--n must be positive")
-    _check_tuple_count(args.n)
-    if ambient.n == 0:
-        raise FormatError("ambient has no vertices to draw tuples from")
-    rng = random.Random(args.seed)
-    tuples = [tuple(rng.randrange(ambient.n) for _ in range(args.r - 1))
-              for _ in range(args.n)]
+    tuples = _draw_tuples(args.seed, args.n, args.r, ambient)
     sources = {"ambient": (args.ambient, ambient)}
     return _run_witness(args, "dfsnotfim-adversary", sources,
                         lambda: adversary_witness(tuples, ambient, args.s))
+
+
+def _draw_tuples(seed: int, n: int, r: int,
+                 ambient: Hypergraph) -> list[tuple[int, ...]]:
+    """An adversary's n tuples of r - 1 ambient vertices, drawn from the
+    generator seeded with --seed.  verify draws them again from the
+    report's config."""
+    if r != ambient.r:
+        raise FormatError(f"--r {r} does not match the ambient arity "
+                          f"{ambient.r}")
+    if n < 1:
+        raise FormatError("--n must be positive")
+    _check_tuple_count(n)
+    if ambient.n == 0:
+        raise FormatError("ambient has no vertices to draw tuples from")
+    rng = random.Random(seed)
+    return [tuple(rng.randrange(ambient.n) for _ in range(r - 1))
+            for _ in range(n)]
 
 
 def _draw_subset(rng: random.Random, n: int, m_size: int) -> list[int]:
@@ -236,7 +213,7 @@ def _cmd_satprobe(args) -> int:
     else:
         params = _parse_int_list(args.params, "--params")
         report = sat_probe(ambient, subset, params)
-    report.inputs["ambient"]["source"] = args.ambient
+    report.inputs["ambient"] = _input_entry(ambient, args.ambient)
     if args.format == "csv":
         lines = ["trial,found,witness"]
         for i, entry in enumerate(report.witness["results"]):
@@ -293,26 +270,75 @@ def _resolve_input(name: str, entry: dict, overrides: dict):
             f"input {name!r} has no recorded source; pass --input {name}=PATH")
     if entry["kind"] == "weighted-hypergraph":
         obj = load_weighted(source)
-        actual = digest(weighted_to_json(obj))
     else:
         obj = parse_structure_spec(source)
-        sjson = structure_to_json(obj)
-        actual = structure_digest(obj, sjson)
-        if sjson["kind"] != entry["kind"]:
-            raise FormatError(
-                f"input {name!r} resolved to kind {sjson['kind']!r}, "
-                f"report says {entry['kind']!r}")
-    return obj, actual, entry["digest"]
+    actual = _input_entry(obj, source)
+    if actual["kind"] != entry["kind"]:
+        raise FormatError(
+            f"input {name!r} resolved to kind {actual['kind']!r}, "
+            f"report says {entry['kind']!r}")
+    return obj, actual["digest"], entry["digest"]
 
 
-def _subset_is_drawn(config: dict, witness: dict,
-                     ambient: Hypergraph) -> bool:
-    # a satprobe report records the seed of its subset only in config
-    seed, m_size = config.get("seed"), config.get("m_size")
+def _undrawn(theorem: str, config, witness: dict,
+             resolved: dict) -> Optional[str]:
+    """Draw again what an adversary or satprobe report drew from --seed,
+    which only its config records; the message naming the first witness
+    field that differs, or None."""
+    if (theorem not in ("dfsnotfim-adversary", "dfsnotfim-sat")
+            or "precondition_failed" in witness):
+        return None
+    ambient = resolved["ambient"]
+    if not isinstance(config, dict):
+        raise FormatError("report has no config object to draw from")
+    seed = config.get("seed")
+    if theorem == "dfsnotfim-adversary":
+        n, r = config.get("n"), config.get("r")
+        if not all(isinstance(v, int) for v in (seed, n, r)):
+            raise FormatError("adversary config needs integer seed, n and r")
+        tuples = _draw_tuples(seed, n, r, ambient)
+        if witness["tuples"] != [list(t) for t in tuples]:
+            return ("witness field 'tuples' is not the tuples drawn from the "
+                    "config's seed, n and r")
+        return None
+    m_size = config.get("m_size")
     if not isinstance(seed, int) or not isinstance(m_size, int):
         raise FormatError("satprobe config needs integer seed and m_size")
-    return witness["m_subset"] == _draw_subset(random.Random(seed),
-                                               ambient.n, m_size)
+    rng = random.Random(seed)
+    if witness["m_subset"] != _draw_subset(rng, ambient.n, m_size):
+        return ("witness field 'm_subset' is not the subset drawn from the "
+                "config's seed and m_size")
+    if witness["mode"] != "single" and witness["seed"] != rng.randrange(
+            2 ** 63):
+        return ("witness field 'seed' is not the probe seed drawn after the "
+                "subset from the config's seed")
+    return None
+
+
+class _Absent:
+    def __repr__(self):
+        return "(absent)"
+
+
+_ABSENT = _Absent()
+
+
+def _first_difference(recorded, fresh, path: str = ""):
+    """Where two JSON values first differ, in sorted key order: the dotted
+    path (list items as [i]) and both values there, or None when they are
+    equal.  Equality is Python's, so 1, 1.0 and true are equal."""
+    if isinstance(recorded, dict) and isinstance(fresh, dict):
+        pairs = ((f"{path}.{key}" if path else key,
+                  recorded.get(key, _ABSENT), fresh.get(key, _ABSENT))
+                 for key in sorted(recorded.keys() | fresh.keys()))
+    elif (isinstance(recorded, list) and isinstance(fresh, list)
+          and len(recorded) == len(fresh)):
+        pairs = ((f"{path}[{i}]", a, b)
+                 for i, (a, b) in enumerate(zip(recorded, fresh)))
+    else:
+        return None if recorded == fresh else (path, recorded, fresh)
+    return next((_first_difference(a, b, sub)
+                 for sub, a, b in pairs if a != b), None)
 
 
 def _cmd_verify(args) -> int:
@@ -345,19 +371,18 @@ def _cmd_verify(args) -> int:
                   file=sys.stderr)
             return EXIT_CERT
         resolved[name] = obj
+    witness = data["witness"]
     try:
-        recomputed = recompute_certified(theorem, data["witness"], resolved)
-        drawn = theorem != "dfsnotfim-sat" or _subset_is_drawn(
-            data.get("config"), data["witness"], resolved["ambient"])
+        recomputed = recompute_certified(theorem, witness, resolved)
+        undrawn = _undrawn(theorem, data.get("config"), witness, resolved)
     except (KeyError, TypeError, IndexError, AttributeError) as exc:
         raise FormatError(
             f"report payload does not match the {theorem!r} schema "
             f"({exc!r})") from None
-    if not drawn:
-        print("witness field 'm_subset' is not the subset drawn from the "
-              "config's seed and m_size", file=sys.stderr)
+    if undrawn is not None:
+        print(undrawn, file=sys.stderr)
         return EXIT_CERT
-    fresh = [c.to_json_dict() for c in recomputed]
+    fresh = [c.to_json_dict() for c in recomputed.certified]
     recorded = data["certified"]
     if fresh != recorded:
         for i, entry in enumerate(fresh):
@@ -370,7 +395,13 @@ def _cmd_verify(args) -> int:
             print(f"report records {len(recorded)} certifications, "
                   f"recomputation yields {len(fresh)}", file=sys.stderr)
         return EXIT_CERT
-    if not all(c.holds for c in recomputed):
+    difference = _first_difference(witness, recomputed.witness)
+    if difference is not None:
+        path, have, made = difference
+        print(f"witness field {path!r} does not reproduce:"
+              f"\n  recorded   {have}\n  recomputed {made}", file=sys.stderr)
+        return EXIT_CERT
+    if not recomputed.all_hold:
         print("report reproduces, but contains a failed certification",
               file=sys.stderr)
         return EXIT_CERT

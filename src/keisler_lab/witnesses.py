@@ -1,9 +1,12 @@
 """Finite-scale witness experiments and their certified reports.
 
 Each experiment returns a WitnessReport: a payload describing the object
-built, a list of certified exact inequalities, and a log.  Every
-certified value can be recomputed from the payload and the input
-structures alone, which is what the report verifier does.
+built, a list of certified exact inequalities, and a log.  Each report
+tag has one builder.  The runner calls it with no recorded witness; the
+verifier calls it again with the report's witness as `recorded`, from
+which the builder takes its expensive choices (an embedding, a
+colouring and its links, probe hits) instead of searching again, and
+compares the certifications and the witness it returns with the report.
 """
 
 from __future__ import annotations
@@ -15,19 +18,19 @@ from math import comb, factorial
 from typing import Mapping, Optional, Sequence
 
 from ._record import Record
-from .coloring import (brute_best, greedy_coloring, guarantee_value,
-                       weight_of, weighted_hypergraph)
-from .logic import (And, Eq, Not, ObjectVar, ParamVar, PhiAnalysis,
-                    PhiPartition, Rel, analyze_phi, evaluate, format_formula,
-                    make_assignment, parse_phi)
+from .coloring import (WeightedHypergraph, brute_best, greedy_coloring,
+                       guarantee_value, weight_of, weighted_hypergraph)
+from .logic import (And, Eq, Not, ObjectVar, ParamVar, PhiPartition, Rel,
+                    analyze_phi, evaluate, format_formula, make_assignment,
+                    parse_phi)
 from .measures import SELFTEST_CHECKS, measure_algebra_selftest, sup_error
 from .serialize import (FormatError, digest, parse_structure_spec,
                         rational_from_json, rational_to_json,
                         structure_digest, structure_to_json)
-from .structures import (_MAX_GRID_K, AlphaResult, Feq2Structure,
-                         FreenessViolation, Hypergraph, add_vertex_with_links,
-                         alpha_s, embed_search, grid_object, grid_target,
-                         is_free, is_induced_embedding, is_maximal_free)
+from .structures import (_MAX_GRID_K, Feq2Structure, FreenessViolation,
+                         Hypergraph, add_vertex_with_links, alpha_s,
+                         embed_search, grid_object, grid_target, is_free,
+                         is_induced_embedding, is_maximal_free)
 
 _DOMAIN_CAP = 10 ** 6
 
@@ -42,17 +45,15 @@ class PreconditionFailed(Exception):
         self.rhs = Fraction(rhs)
         super().__init__(f"precondition {name}: {lhs} {op} {rhs} is false")
 
-    def report(self, theorem: str,
-               inputs: Mapping[str, object]) -> WitnessReport:
-        """The report of a run on these input structures that stopped
-        here: the failed inequality verbatim, which recompute_certified
-        reads back."""
+    def report(self, theorem: str) -> WitnessReport:
+        """The report of a run that stopped here: the failed inequality
+        verbatim, which recompute_certified reads back."""
         payload = {"precondition_failed": self.name, "op": self.op,
                    "lhs": rational_to_json(self.lhs),
                    "rhs": rational_to_json(self.rhs)}
         return WitnessReport(
-            theorem, {name: _input_entry(obj) for name, obj in inputs.items()},
-            payload, (Certified(self.name, self.op, self.lhs, self.rhs),),
+            theorem, {}, payload,
+            (Certified(self.name, self.op, self.lhs, self.rhs),),
             (str(self),))
 
 
@@ -121,6 +122,9 @@ def _require(checks: Sequence[Certified]) -> None:
 
 
 class WitnessReport(Record):
+    """A report as the builders return it; the runner fills `inputs` with
+    the kind, digest and source of each input structure it resolved."""
+
     theorem: str
     inputs: dict
     witness: dict
@@ -139,53 +143,73 @@ class WitnessReport(Record):
                 "log": list(self.log)}
 
 
-def _input_entry(structure) -> dict:
-    # one serialisation serves both the kind and the digest
-    sjson = structure_to_json(structure)
-    return {"kind": sjson["kind"],
-            "digest": structure_digest(structure, sjson)}
-
-
 # ---------------------------------------------------------------------------
 # Resolved structures, greedy colourings and the measure-algebra self-test
 # ---------------------------------------------------------------------------
 
-def _gen_certified(spec: str, structure, recorded_digest: str,
-                   embedded_digest: str) -> list[Certified]:
-    certs = [
-        _bool_cert("digest-match",
-                   structure_digest(structure) == recorded_digest),
-        _bool_cert("embedded-match", embedded_digest == recorded_digest),
-    ]
-    head = spec.split(":", 1)[0]
+def _describe(sjson: dict) -> str:
+    if sjson["kind"] == "hypergraph":
+        return (f"hypergraph with n={sjson['n']}, r={sjson['r']} "
+                f"and {len(sjson['edges'])} edges")
+    return (f"parameterized equivalence with {sjson['objects']} objects "
+            f"and {sjson['parameters']} parameters")
+
+
+def gen_witness(spec: str, recorded: Optional[dict] = None) -> WitnessReport:
+    """Resolve a structure spec and certify it: freeness and maximality
+    for gen, freeness and the alpha target for searchalpha.
+
+    The witness embeds the structure's JSON.  The runner digests it once;
+    rebuilt from a recorded witness, digest-match digests the regenerated
+    structure and embedded-match the recorded JSON, independently.
+    """
+    structure = parse_structure_spec(spec)
+    head, *fields = spec.split(":")
+    checks = []
     if head == "gen":
-        s = int(spec.split(":")[3])
-        certs.append(_bool_cert("free", is_free(structure, s)))
-        certs.append(_bool_cert("maximal-free", is_maximal_free(structure, s)))
+        s = int(fields[2])
+        checks.append(_bool_cert("free", is_free(structure, s)))
+        checks.append(_bool_cert("maximal-free",
+                                 is_maximal_free(structure, s)))
     elif head == "searchalpha":
-        fields = spec.split(":")
-        s, target = int(fields[2]), int(fields[3])
-        certs.append(_bool_cert("free", is_free(structure, s)))
-        certs.append(Certified("alpha-target", "<=",
-                               Fraction(alpha_s(structure, s).value),
-                               Fraction(target)))
-    return certs
+        s, target = int(fields[1]), int(fields[2])
+        checks.append(_bool_cert("free", is_free(structure, s)))
+        checks.append(Certified("alpha-target", "<=",
+                                Fraction(alpha_s(structure, s).value),
+                                Fraction(target)))
+    sjson = structure_to_json(structure)
+    sdigest = structure_digest(structure, sjson)
+    if recorded is None:
+        recorded_digest = embedded_digest = sdigest
+    else:
+        recorded_digest = recorded["digest"]
+        embedded_digest = digest(recorded["structure"])
+    certified = [
+        _bool_cert("digest-match", sdigest == recorded_digest),
+        _bool_cert("embedded-match", embedded_digest == recorded_digest),
+        *checks,
+    ]
+    return WitnessReport(
+        theorem="gen",
+        inputs={},
+        witness={"spec": spec, "digest": sdigest, "structure": sjson},
+        certified=tuple(certified),
+        log=(f"resolved {spec} to a {_describe(sjson)}",))
 
 
-def _recompute_gen(witness: dict, inputs: Mapping[str, object]):
-    # digest-match from the regenerated structure, embedded-match from
-    # the JSON the report embeds: two independent digests
-    structure = parse_structure_spec(witness["spec"])
-    return _gen_certified(witness["spec"], structure, witness["digest"],
-                          digest(witness["structure"]))
-
-
-def _color_certified(wh, coloring, with_brute: bool):
+def color_witness(wh: WeightedHypergraph, brute: bool,
+                  recorded: Optional[dict] = None) -> WitnessReport:
+    """Certify that the greedy colouring splits at least (r!/r^r) * w(V);
+    brute also enumerates every colouring and certifies that the best
+    split is at least the greedy one and that the average is the bound.
+    A recorded colouring is used instead of colouring again."""
+    coloring = (greedy_coloring(wh) if recorded is None
+                else tuple(int(c) for c in recorded["coloring"]))
     weight = weight_of(wh, coloring)
     bound = guarantee_value(wh)
-    certs = [Certified("greedy-bound", ">=", weight, bound)]
+    certified = [Certified("greedy-bound", ">=", weight, bound)]
     brute_payload = None
-    if with_brute:
+    if brute:
         result = brute_best(wh)
         brute_payload = {
             "best_coloring": list(result.best_coloring),
@@ -193,19 +217,22 @@ def _color_certified(wh, coloring, with_brute: bool):
             "average_weight": rational_to_json(result.average_weight),
             "colorings": result.colorings,
         }
-        certs.append(Certified("brute-ge-greedy", ">=",
-                               result.best_weight, weight))
-        certs.append(Certified("average-identity", "==",
-                               result.average_weight, bound))
-    return certs, weight, bound, brute_payload
-
-
-def _recompute_color(witness: dict, inputs: Mapping[str, object]):
-    wh = inputs["weighted"]
-    coloring = tuple(int(c) for c in witness["coloring"])
-    certs, _, _, _ = _color_certified(wh, coloring,
-                                      witness.get("brute") is not None)
-    return certs
+        certified.append(Certified("brute-ge-greedy", ">=",
+                                   result.best_weight, weight))
+        certified.append(Certified("average-identity", "==",
+                                   result.average_weight, bound))
+    return WitnessReport(
+        theorem="coloring-bound",
+        inputs={},
+        witness={"coloring": list(coloring),
+                 "weight": rational_to_json(weight),
+                 "guarantee": rational_to_json(bound),
+                 "total_weight": rational_to_json(wh.total_weight),
+                 "brute": brute_payload},
+        certified=tuple(certified),
+        log=(f"greedy colouring splits weight {weight} "
+             f"of {wh.total_weight}",
+             f"guarantee (r!/r^r)*w(V) = {bound}"))
 
 
 # each case draws and compares a few random measures (about 0.6 ms); the
@@ -213,23 +240,25 @@ def _recompute_color(witness: dict, inputs: Mapping[str, object]):
 _MAX_SELFTEST_CASES = 10_000
 
 
-def _measures_certified(seed: int, cases: int):
+def measures_witness(seed: int, cases: int) -> WitnessReport:
+    """Run the seeded measure-algebra self-test and certify that every
+    check passed on every case."""
     if cases < 1:
         raise FormatError("--cases must be positive")
     if cases > _MAX_SELFTEST_CASES:
         raise FormatError(f"--cases {cases} may not exceed "
                           f"{_MAX_SELFTEST_CASES}")
     outcome = measure_algebra_selftest(seed, cases)
-    certs = [Certified(check, "==", Fraction(outcome.passed[check]),
-                       Fraction(cases))
-             for check in SELFTEST_CHECKS]
-    return certs, outcome
-
-
-def _recompute_measures(witness: dict, inputs: Mapping[str, object]):
-    certs, _ = _measures_certified(int(witness["seed"]),
-                                   int(witness["cases"]))
-    return certs
+    return WitnessReport(
+        theorem="measure-algebra",
+        inputs={},
+        witness={"seed": seed, "cases": cases,
+                 "passed": dict(outcome.passed)},
+        certified=tuple(Certified(check, "==",
+                                  Fraction(outcome.passed[check]),
+                                  Fraction(cases))
+                        for check in SELFTEST_CHECKS),
+        log=(f"ran {cases} seeded random measure cases",))
 
 
 # ---------------------------------------------------------------------------
@@ -246,85 +275,103 @@ def _select_profile(analysis) -> int:
                                         len(analysis.profiles[t].neq), t))
 
 
-class _FamSetup(Record):
-    """What the fam experiment knows before an embedding is chosen."""
-
-    analysis: PhiAnalysis
-    t_star: int
-    alpha: AlphaResult
-    checks: tuple[Certified, ...]  # the preconditions, in the order tried
-
-
-def _negation(phi: PhiPartition) -> PhiPartition:
-    return PhiPartition(Not(phi.formula), phi.object_arity, phi.param_arity)
-
-
 # the branch and bound of alpha_s on the sample graph; the largest count in
 # use is 250 (an edgeless 250-vertex graph), and 10^4 nodes take about 2 s
 # on a 1,000-vertex graph
 _MAX_ALPHA_NODES = 10_000
 
 
-def _fam_preconditions(analysis: PhiAnalysis, epsilon: Fraction,
-                       ambient: Hypergraph, graph: Hypergraph,
-                       s: int) -> _FamSetup:
-    """Precondition stage of the experiment on the analysed working
-    formula; shared by the runner and the verifier."""
+def fam_witness(phi: PhiPartition, epsilon: Fraction, ambient: Hypergraph,
+                graph: Hypergraph, s: int = 3, *,
+                embed_budget: Optional[int] = None,
+                recorded: Optional[dict] = None) -> WitnessReport:
+    """Certify that the average over an embedded copy of the sample graph
+    approximates the isolated-vertex type on the formula.
+
+    The sample graph must be small-alpha relative to the requested
+    accuracy: n > 2*ell/epsilon and alpha_s(graph) < (epsilon/2k) * n for
+    the chosen disjunct, else PreconditionFailed.  When no disjunct of phi
+    is satisfiable by an isolated vertex the experiment runs on the
+    negation and certifies the complementary values.
+
+    Rebuilt from a recorded witness, the recorded embedding replaces the
+    search and the preconditions are certified rather than required.  An
+    embedding that is not induced (only a recorded one can be) stops the
+    report there.
+    """
+    epsilon = Fraction(epsilon)
+    if epsilon <= 0:
+        raise ValueError("epsilon must be positive")
+    if ambient.r != 2 or graph.r != 2:
+        raise ValueError("experiment is defined over graphs (r = 2)")
+    if s < 3:
+        raise ValueError("s must be at least 3")
+    if graph.n == 0:
+        raise ValueError("sample graph needs at least one vertex")
+
+    analysis = analyze_phi(phi)
+    negated = not analysis.generic_indices
+    if negated:
+        analysis = analyze_phi(PhiPartition(Not(phi.formula),
+                                            phi.object_arity,
+                                            phi.param_arity))
     t_star = _select_profile(analysis)
     profile = analysis.profiles[t_star]
     k = len(profile.neg_edge)
+    ell = len(profile.neq)
     n = graph.n
     alpha = alpha_s(graph, s, _MAX_ALPHA_NODES)
     if not alpha.exact:
         raise FormatError(f"alpha_s of the sample graph did not finish "
                           f"within {_MAX_ALPHA_NODES} nodes")
-    checks = [Certified("sample-size", ">", Fraction(n),
-                        Fraction(2 * len(profile.neq)) / epsilon)]
-    if k > 0:
-        checks.append(Certified("alpha-bound", "<", Fraction(alpha.value),
-                                epsilon * n / (2 * k)))
-    checks.append(_bool_cert("pattern-free", is_free(graph, s)))
-    checks.append(_bool_cert("ambient-free", is_free(ambient, s)))
-    return _FamSetup(analysis, t_star, alpha, tuple(checks))
+    sample_size = Certified("sample-size", ">", Fraction(n),
+                            Fraction(2 * ell) / epsilon)
+    alpha_bound = ([Certified("alpha-bound", "<", Fraction(alpha.value),
+                              epsilon * n / (2 * k))] if k > 0 else [])
+    pattern_free = _bool_cert("pattern-free", is_free(graph, s))
+    ambient_free = _bool_cert("ambient-free", is_free(ambient, s))
 
-
-def _fam_certified(setup: _FamSetup, epsilon: Fraction, ambient: Hypergraph,
-                   graph: Hypergraph, abar: Sequence[int]):
-    """Scan stage: certified values computed from the embedded points
-    alone; shared by the runner and the verifier.  An embedding that is
-    not induced (only a recorded one can be) stops the stage there."""
-    work = setup.analysis.phi
-    profile = setup.analysis.profiles[setup.t_star]
-    k = len(profile.neg_edge)
-    ell = len(profile.neq)
-    n = graph.n
-    alpha = setup.alpha
-    m = work.param_arity
+    if recorded is None:
+        _require([sample_size, *alpha_bound, pattern_free, ambient_free])
+        embedding = embed_search(graph, ambient, budget=embed_budget)
+        if embedding.mapping is None:
+            raise EmbeddingNotFound(embedding.exhausted, embedding.nodes)
+        abar = embedding.mapping
+        found = f"embedding found after {embedding.nodes} nodes"
+    else:
+        abar = tuple(recorded["embedding"])
+        found = "embedding read from the report"
+    m = analysis.phi.param_arity
     if ambient.n ** m > _DOMAIN_CAP:
         raise ValueError(
             f"parameter domain of size {ambient.n}^{m} exceeds {_DOMAIN_CAP}")
-
-    checks = {c.name: c for c in setup.checks}
     induced = _bool_cert("embedding-induced",
                          is_induced_embedding(graph, ambient, abar))
-    certified = [checks["ambient-free"], checks["pattern-free"], induced]
-    if not induced.holds:
-        return certified, {}
-    certified.append(checks["sample-size"])
-    if k > 0:
-        certified.append(checks["alpha-bound"])
+    if not induced.holds:  # only a recorded embedding can stop here
+        return WitnessReport("famnotfim", {}, {},
+                             (ambient_free, pattern_free, induced), ())
 
     z_cap = Fraction(ell + k * alpha.value)
     scan = sup_error(
-        setup.analysis, ambient, abar, setup.t_star, epsilon=epsilon,
+        analysis, ambient, abar, t_star, epsilon=epsilon,
         certified_bound=(z_cap / n if not profile.residual else None))
-    certified.append(Certified("sup-error", "<", scan.sup_error, epsilon))
-    certified.append(Certified("violation-bound", "<=",
-                               Fraction(scan.violation_max), z_cap))
-
-    details = {
+    certified = [
+        ambient_free, pattern_free, induced, sample_size, *alpha_bound,
+        Certified("sup-error", "<", scan.sup_error, epsilon),
+        Certified("violation-bound", "<=", Fraction(scan.violation_max),
+                  z_cap),
+    ]
+    witness = {
+        "phi": format_formula(phi.formula),
+        "object_arity": phi.object_arity,
+        "param_arity": phi.param_arity,
+        "negated": negated,
+        "epsilon": rational_to_json(epsilon),
+        "s": s,
+        "graph_n": n,
+        "embedding": list(abar),
         "profile": {
-            "index": setup.t_star,
+            "index": t_star,
             "neg_edge": sorted(profile.neg_edge),
             "neq": sorted(profile.neq),
             "pos_edge": sorted(profile.pos_edge),
@@ -342,87 +389,22 @@ def _fam_certified(setup: _FamSetup, epsilon: Fraction, ambient: Hypergraph,
                                      if scan.violation_params is not None
                                      else None)},
     }
-    return certified, details
-
-
-def fam_witness(phi: PhiPartition, epsilon: Fraction, ambient: Hypergraph,
-                graph: Hypergraph, s: int = 3, *,
-                embed_budget: Optional[int] = None) -> WitnessReport:
-    """Certify that the average over an embedded copy of the sample graph
-    approximates the isolated-vertex type on the formula.
-
-    The sample graph must be small-alpha relative to the requested
-    accuracy: n > 2*ell/epsilon and alpha_s(graph) < (epsilon/2k) * n for
-    the chosen disjunct, else PreconditionFailed.  When no disjunct of phi
-    is satisfiable by an isolated vertex the experiment runs on the
-    negation and certifies the complementary values.
-    """
-    epsilon = Fraction(epsilon)
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    if ambient.r != 2 or graph.r != 2:
-        raise ValueError("experiment is defined over graphs (r = 2)")
-    if s < 3:
-        raise ValueError("s must be at least 3")
-    if graph.n == 0:
-        raise ValueError("sample graph needs at least one vertex")
-
-    analysis = analyze_phi(phi)
-    negated = not analysis.generic_indices
-    if negated:
-        analysis = analyze_phi(_negation(phi))
-    setup = _fam_preconditions(analysis, epsilon, ambient, graph, s)
-    _require(setup.checks)
-
-    embedding = embed_search(graph, ambient, budget=embed_budget)
-    if embedding.mapping is None:
-        raise EmbeddingNotFound(embedding.exhausted, embedding.nodes)
-    abar = embedding.mapping
-
-    certified, details = _fam_certified(setup, epsilon, ambient, graph, abar)
-    witness = {
-        "phi": format_formula(phi.formula),
-        "object_arity": phi.object_arity,
-        "param_arity": phi.param_arity,
-        "negated": negated,
-        "epsilon": rational_to_json(epsilon),
-        "s": s,
-        "graph_n": graph.n,
-        "embedding": list(abar),
-        **details,
-    }
     log = [
         f"formula splits into {len(analysis.profiles)} disjuncts, "
         f"{len(analysis.generic_indices)} generic",
         f"negation branch taken: {negated}",
-        f"chose disjunct {details['profile']['index']} with "
-        f"k={details['k']}, ell={details['ell']}",
-        f"alpha_s(pattern, {s}) = {setup.alpha.value}",
-        f"embedding found after {embedding.nodes} nodes",
-        f"exhaustive scan of {details['sup']['samples_scanned']} "
-        f"parameter tuples",
+        f"chose disjunct {t_star} with k={k}, ell={ell}",
+        f"alpha_s(pattern, {s}) = {alpha.value}",
+        found,
+        f"exhaustive scan of {scan.samples_scanned} parameter tuples",
     ]
     return WitnessReport(
         theorem="famnotfim",
-        inputs={"ambient": _input_entry(ambient),
-                "graph": _input_entry(graph)},
+        inputs={},
         witness=witness,
         certified=tuple(certified),
         log=tuple(log),
     )
-
-
-def _recompute_fam(witness: dict, inputs: Mapping[str, object]):
-    phi = parse_phi(witness["phi"], witness["object_arity"],
-                    witness["param_arity"])
-    analysis = analyze_phi(_negation(phi) if witness["negated"] else phi)
-    epsilon = rational_from_json(witness["epsilon"])
-    ambient, graph = inputs["ambient"], inputs["graph"]
-    setup = _fam_preconditions(analysis, epsilon, ambient, graph,
-                               int(witness["s"]))
-    certified, _ = _fam_certified(setup, epsilon, ambient, graph,
-                                  tuple(witness["embedding"]))
-    return certified
 
 
 # ---------------------------------------------------------------------------
@@ -434,12 +416,31 @@ def _recompute_fam(witness: dict, inputs: Mapping[str, object]):
 _MAX_ORDER_Q = 1_000
 
 
-def _order_certified(ambient: Hypergraph, s: int, q: int):
+def order_witness(ambient: Hypergraph, s: int, q: int, *,
+                  recorded: Optional[dict] = None) -> WitnessReport:
+    """Extend the ambient graph by 2q pairwise non-adjacent vertices and a
+    vertex linked to exactly the even-indexed ones, certifying the
+    alternating pattern and that freeness survives.
+
+    The added chain is independent and the last vertex links only to chain
+    vertices, so for s >= 3 no extension can complete a clique.  The report
+    records no links, so a rebuild (recorded given) re-derives the same
+    extension and cannot meet a FreenessViolation either; it certifies a
+    non-free ambient instead of raising PreconditionFailed.
+    """
+    if ambient.r != 2:
+        raise ValueError("order witness is defined over graphs")
+    if s < 3:
+        raise ValueError("s must be at least 3")
+    if q < 0:
+        raise ValueError("q must be nonnegative")
     if q > _MAX_ORDER_Q:
         raise FormatError(f"q = {q} may not exceed {_MAX_ORDER_Q}")
     ambient_free = _bool_cert("ambient-free", is_free(ambient, s))
-    if not ambient_free.holds:
-        return [ambient_free], {}  # the extension needs a free ambient
+    if recorded is None:
+        _require([ambient_free])
+    elif not ambient_free.holds:  # the extension needs a free ambient
+        return WitnessReport("order", {}, {}, (ambient_free,), ())
     chain = list(range(ambient.n, ambient.n + 2 * q))
     extended = ambient
     for _ in range(2 * q):
@@ -459,46 +460,17 @@ def _order_certified(ambient: Hypergraph, s: int, q: int):
         Certified("alternation", "==", Fraction(matches), Fraction(2 * q)),
         _bool_cert("extended-free", is_free(extended, s)),
     ]
-    details = {"chain": chain, "witness_vertex": star,
-               "adjacency": adjacency}
-    return certified, details
-
-
-def order_witness(ambient: Hypergraph, s: int, q: int) -> WitnessReport:
-    """Extend the ambient graph by 2q pairwise non-adjacent vertices and a
-    vertex linked to exactly the even-indexed ones, certifying the
-    alternating pattern and that freeness survives.
-
-    The added chain is independent and the last vertex links only to chain
-    vertices, so for s >= 3 no extension can complete a clique.  The report
-    records no links, so verify re-derives the same extension and cannot
-    meet a FreenessViolation either.
-    """
-    if ambient.r != 2:
-        raise ValueError("order witness is defined over graphs")
-    if s < 3:
-        raise ValueError("s must be at least 3")
-    if q < 0:
-        raise ValueError("q must be nonnegative")
-    certified, details = _order_certified(ambient, s, q)
-    _require(certified[:1])  # ambient-free, the one precondition
-    witness = {"s": s, "q": q, "base_n": ambient.n, **details}
     log = ([f"added {2 * q} isolated vertices and one linked to the "
             f"{q} even positions"] if q > 0
            else ["q = 0: degenerate report, no extension made"])
     return WitnessReport(
         theorem="order",
-        inputs={"ambient": _input_entry(ambient)},
-        witness=witness,
+        inputs={},
+        witness={"s": s, "q": q, "base_n": ambient.n, "chain": chain,
+                 "witness_vertex": star, "adjacency": adjacency},
         certified=tuple(certified),
         log=tuple(log),
     )
-
-
-def _recompute_order(witness: dict, inputs: Mapping[str, object]):
-    certified, _ = _order_certified(inputs["ambient"], int(witness["s"]),
-                                    int(witness["q"]))
-    return certified
 
 
 # ---------------------------------------------------------------------------
@@ -534,83 +506,18 @@ def _check_tuple_count(n: int) -> None:
                           f"{_MAX_ADVERSARY_TUPLES}")
 
 
-def _adversary_certified(ambient: Hypergraph, s: int, tuples: Sequence[tuple],
-                         coloring: Optional[Sequence[int]] = None,
-                         links: Optional[Sequence[tuple]] = None):
-    """Certified values of the adversary construction; shared by the runner
-    and the verifier.  Without a recorded coloring and links the greedy
-    colouring and its split sets are chosen here."""
-    _check_tuple_count(len(tuples))
-    ambient_free = _bool_cert("ambient-free", is_free(ambient, s))
-    if not ambient_free.holds:
-        return [ambient_free], {}  # the extension needs a free ambient
-    r = ambient.r
-    arity = r - 1
-    distinct = [t for t in tuples if len(set(t)) == arity]
-    m = len(distinct)
-    vertices = sorted({v for t in distinct for v in t})
-    index = {v: i for i, v in enumerate(vertices)}
-    weights: dict[tuple[int, ...], int] = {}
-    for t in distinct:
-        key = tuple(sorted(index[v] for v in t))
-        weights[key] = weights.get(key, 0) + 1
-    wh = weighted_hypergraph(len(vertices), arity,
-                             ((key, Fraction(c)) for key, c in weights.items()))
-    if coloring is None:
-        sets = comb(len(vertices), arity)
-        if sets > _MAX_SPLIT_SETS:
-            raise FormatError(f"C({len(vertices)}, {arity}) = {sets} split "
-                              f"sets may not exceed {_MAX_SPLIT_SETS}")
-        coloring = greedy_coloring(wh)
-        links = [tuple(vertices[i] for i in combo)
-                 for combo in itertools.combinations(range(len(vertices)),
-                                                     arity)
-                 if len({coloring[i] for i in combo}) == arity]
-    w_chi = weight_of(wh, coloring)
-    target = adversary_fraction(r)
-    weight = Certified("coloring-weight", ">=", w_chi, target * m)
-
-    try:
-        extended = add_vertex_with_links(ambient, links, s)
-    except FreenessViolation:
-        # only recorded links can get here (a tampered report): the split
-        # sets chosen above never complete a clique
-        return [ambient_free, weight,
-                _bool_cert("extended-free", False)], {}
-    star = extended.n - 1
-    phi = _no_edge_formula(r)
-    violations = [
-        not evaluate(extended, phi.formula, make_assignment(t, (star,)))
-        for t in tuples]
-    fraction = Fraction(sum(violations), len(tuples))
-
-    certified = [
-        ambient_free,
-        weight,
-        _bool_cert("extended-free", is_free(extended, s)),
-        Certified("violated-fraction", ">=", fraction, target),
-    ]
-    details = {"coloring": list(coloring),
-               "links": [list(l) for l in links],
-               "witness_vertex": star,
-               "violations": [int(v) for v in violations],
-               "fraction": rational_to_json(fraction),
-               "coloring_weight": rational_to_json(w_chi),
-               "distinct_count": m,
-               "vertices": vertices}
-    return certified, details
-
-
 def adversary_witness(tuples: Sequence[Sequence[int]], ambient: Hypergraph,
-                      s: int) -> WitnessReport:
+                      s: int, *,
+                      recorded: Optional[dict] = None) -> WitnessReport:
     """Attach one fresh vertex whose links are the colour-split (r-1)-sets
     of a greedy colouring, so that the no-edge formula fails on at least
     the guaranteed fraction of the input tuples.
 
     Tuples with repeated entries count as violations outright.  The links
     cannot complete an s-clique (more pairwise distinct colours would be
-    needed than exist).  Links edited into a report can: verify then
-    certifies extended-free as failing.
+    needed than exist).  A rebuild (recorded given) takes the recorded
+    colouring and links instead; links edited into a report can complete
+    a clique, and extended-free is then certified as failing.
     """
     r = ambient.r
     if r < 3:
@@ -621,6 +528,7 @@ def adversary_witness(tuples: Sequence[Sequence[int]], ambient: Hypergraph,
         raise ValueError("s must exceed the arity")
     if not tuples:
         raise ValueError("at least one input tuple is required")
+    _check_tuple_count(len(tuples))
     arity = r - 1
     clean: list[tuple[int, ...]] = []
     for t in tuples:
@@ -631,35 +539,81 @@ def adversary_witness(tuples: Sequence[Sequence[int]], ambient: Hypergraph,
             raise ValueError(f"tuple {t} out of range")
         clean.append(t)
 
-    certified, details = _adversary_certified(ambient, s, clean)
-    _require(certified[:1])  # ambient-free, the one precondition
+    theorem = "dfsnotfim-adversary"
+    ambient_free = _bool_cert("ambient-free", is_free(ambient, s))
+    if recorded is None:
+        _require([ambient_free])
+    elif not ambient_free.holds:  # the extension needs a free ambient
+        return WitnessReport(theorem, {}, {}, (ambient_free,), ())
+    distinct = [t for t in clean if len(set(t)) == arity]
+    m = len(distinct)
+    vertices = sorted({v for t in distinct for v in t})
+    index = {v: i for i, v in enumerate(vertices)}
+    weights: dict[tuple[int, ...], int] = {}
+    for t in distinct:
+        key = tuple(sorted(index[v] for v in t))
+        weights[key] = weights.get(key, 0) + 1
+    wh = weighted_hypergraph(len(vertices), arity,
+                             ((key, Fraction(c)) for key, c in weights.items()))
+    if recorded is None:
+        sets = comb(len(vertices), arity)
+        if sets > _MAX_SPLIT_SETS:
+            raise FormatError(f"C({len(vertices)}, {arity}) = {sets} split "
+                              f"sets may not exceed {_MAX_SPLIT_SETS}")
+        coloring = greedy_coloring(wh)
+        links = [tuple(vertices[i] for i in combo)
+                 for combo in itertools.combinations(range(len(vertices)),
+                                                     arity)
+                 if len({coloring[i] for i in combo}) == arity]
+    else:
+        coloring = tuple(recorded["coloring"])
+        links = [tuple(l) for l in recorded["links"]]
+    w_chi = weight_of(wh, coloring)
+    target = adversary_fraction(r)
+    weight = Certified("coloring-weight", ">=", w_chi, target * m)
+
+    try:
+        extended = add_vertex_with_links(ambient, links, s)
+    except FreenessViolation:
+        # only recorded links can get here (a tampered report): the split
+        # sets chosen above never complete a clique
+        return WitnessReport(theorem, {}, {}, (
+            ambient_free, weight, _bool_cert("extended-free", False)), ())
+    star = extended.n - 1
+    phi = _no_edge_formula(r)
+    violations = [
+        not evaluate(extended, phi.formula, make_assignment(t, (star,)))
+        for t in clean]
+    fraction = Fraction(sum(violations), len(clean))
+
+    certified = [
+        ambient_free,
+        weight,
+        _bool_cert("extended-free", is_free(extended, s)),
+        Certified("violated-fraction", ">=", fraction, target),
+    ]
     witness = {"r": r, "s": s, "tuples": [list(t) for t in clean],
-               **details}
+               "coloring": list(coloring),
+               "links": [list(l) for l in links],
+               "witness_vertex": star,
+               "violations": [int(v) for v in violations],
+               "fraction": rational_to_json(fraction),
+               "coloring_weight": rational_to_json(w_chi),
+               "distinct_count": m,
+               "vertices": vertices}
     log = [
-        f"{len(clean)} tuples, {details['distinct_count']} with distinct "
-        f"entries over {len(details['vertices'])} vertices",
-        f"greedy colouring splits weight "
-        f"{rational_from_json(details['coloring_weight'])} "
-        f"of {details['distinct_count']}",
-        f"witness vertex {details['witness_vertex']} linked to "
-        f"{len(details['links'])} split sets",
+        f"{len(clean)} tuples, {m} with distinct entries over "
+        f"{len(vertices)} vertices",
+        f"greedy colouring splits weight {w_chi} of {m}",
+        f"witness vertex {star} linked to {len(links)} split sets",
     ]
     return WitnessReport(
-        theorem="dfsnotfim-adversary",
-        inputs={"ambient": _input_entry(ambient)},
+        theorem=theorem,
+        inputs={},
         witness=witness,
         certified=tuple(certified),
         log=tuple(log),
     )
-
-
-def _recompute_adversary(witness: dict, inputs: Mapping[str, object]):
-    certified, _ = _adversary_certified(
-        inputs["ambient"], int(witness["s"]),
-        [tuple(t) for t in witness["tuples"]],
-        tuple(witness["coloring"]),
-        [tuple(l) for l in witness["links"]])
-    return certified
 
 
 # ---------------------------------------------------------------------------
@@ -700,60 +654,22 @@ def _check_probe_scan(trials: int, m: int, arity: int, n_params: int) -> None:
             f"{_MAX_PROBE_SCAN}")
 
 
-def _probe_draws(n: int, trials: int, n_params: int,
-                 seed: int) -> list[list[int]]:
-    """The parameters of each aggregate-mode trial, drawn from the seed;
-    shared by the runner and the verifier."""
-    rng = random.Random(seed)
-    return [[rng.randrange(n) for _ in range(n_params)]
-            for _ in range(trials)]
-
-
-def _sat_certified(ambient: Hypergraph, witness: dict) -> list[Certified]:
-    """Certified values of a probe from its recorded hits; shared by the
-    runner and the verifier.  A hit is valid when it is a distinct
-    (r-1)-tuple of the designated subset and no edge runs through it and
-    any parameter of its draw.  Aggregate draws must be those of the
-    recorded seed, trials and n_params."""
-    subset = set(witness["m_subset"])
-
-    def valid(hit, params) -> bool:
-        hit = tuple(hit)
-        return (len(set(hit)) == ambient.r - 1 and subset.issuperset(hit)
-                and all(not ambient.has_edge(hit + (b,)) for b in params))
-
-    if witness["mode"] == "single":
-        if not witness["found"]:
-            return []
-        return [_bool_cert("witness-valid",
-                           valid(witness["witness"], witness["params"]))]
-    results = witness["results"]
-    _check_probe_size(len(results),
-                      max((len(entry["params"]) for entry in results),
-                          default=0))
-    trials, n_params = int(witness["trials"]), int(witness["n_params"])
-    _check_probe_size(trials, n_params)
-    if [entry["params"] for entry in results] != _probe_draws(
-            ambient.n, trials, n_params, int(witness["seed"])):
-        raise FormatError("recorded params are not the draws of the "
-                          "recorded seed, trials and n_params")
-    hits = [entry for entry in results if entry["found"]]
-    ok = sum(1 for entry in hits if valid(entry["witness"], entry["params"]))
-    return [Certified("witnesses-valid", "==", Fraction(ok),
-                      Fraction(len(hits)))]
-
-
 def sat_probe(ambient: Hypergraph, subset: Sequence[int],
               params: Optional[Sequence[int]] = None, *,
               trials: Optional[int] = None, n_params: Optional[int] = None,
-              seed: Optional[int] = None) -> WitnessReport:
+              seed: Optional[int] = None,
+              recorded: Optional[dict] = None) -> WitnessReport:
     """Search a designated vertex subset for a distinct (r-1)-tuple with no
     edge through any of the parameters.
 
     With explicit params a single exhaustive scan runs; a miss is an
     ordinary outcome at finite scale.  Aggregate mode (trials, n_params,
     seed) draws seeded random parameter sets and reports the success rate
-    instead of asserting one.
+    instead of asserting one.  A rebuild (recorded given) takes the
+    recorded hits instead of scanning; the aggregate draws must be those
+    of the seed.  A hit is certified valid when it is a distinct
+    (r-1)-tuple of the subset and no edge runs through it and any
+    parameter of its draw.
     """
     subset = sorted({int(v) for v in subset})
     if any(not 0 <= v < ambient.n for v in subset):
@@ -765,44 +681,71 @@ def sat_probe(ambient: Hypergraph, subset: Sequence[int],
         if any(not 0 <= b < ambient.n for b in params):
             raise ValueError("parameters out of range")
         _check_probe_scan(1, len(subset), arity, len(params))
-        found = _probe_once(ambient, subset, params)
-        witness = {"mode": "single", "m_subset": subset,
-                   "params": list(params),
-                   "found": found is not None,
-                   "witness": list(found) if found is not None else None}
-        if found is not None:
-            log = [f"witness {list(found)} avoids edges through "
-                   f"{len(params)} parameters"]
-        else:
-            log = [f"no {arity}-tuple in a subset of {len(subset)} avoids "
-                   f"all {len(params)} parameters; honest miss at this scale"]
+        draws = [params]
     else:
         if trials is None or n_params is None or seed is None:
             raise ValueError("aggregate mode needs trials, n_params and seed")
         if trials < 1 or n_params < 0:
             raise ValueError(
                 "trials must be positive and n_params nonnegative")
+        if recorded is not None:
+            # the recorded trials are sized before anything is drawn
+            _check_probe_size(
+                len(recorded["results"]),
+                max((len(entry["params"]) for entry in recorded["results"]),
+                    default=0))
         _check_probe_size(trials, n_params)
         _check_probe_scan(trials, len(subset), arity, n_params)
         if ambient.n == 0 and n_params > 0:
             raise ValueError("cannot draw parameters from an empty host")
-        results = []
-        for draw in _probe_draws(ambient.n, trials, n_params, seed):
-            found = _probe_once(ambient, subset, draw)
-            results.append({"params": draw,
-                            "found": found is not None,
-                            "witness": (list(found) if found is not None
-                                        else None)})
-        hits = sum(1 for entry in results if entry["found"])
+        rng = random.Random(seed)
+        draws = [[rng.randrange(ambient.n) for _ in range(n_params)]
+                 for _ in range(trials)]
+        if recorded is not None and draws != [
+                entry["params"] for entry in recorded["results"]]:
+            raise FormatError("recorded params are not the draws of the "
+                              "recorded seed, trials and n_params")
+
+    members = set(subset)
+
+    def valid(hit, draw) -> bool:
+        return (len(set(hit)) == arity and members.issuperset(hit)
+                and all(not ambient.has_edge(hit + (b,)) for b in draw))
+
+    if recorded is None:
+        hits = [_probe_once(ambient, subset, draw) for draw in draws]
+    else:
+        entries = [recorded] if params is not None else recorded["results"]
+        hits = [tuple(entry["witness"]) if entry["found"] else None
+                for entry in entries]
+    results = [{"params": draw, "found": hit is not None,
+                "witness": list(hit) if hit is not None else None}
+               for draw, hit in zip(draws, hits)]
+    found = [(hit, draw) for hit, draw in zip(hits, draws) if hit is not None]
+    ok = sum(1 for hit, draw in found if valid(hit, draw))
+
+    if params is not None:
+        witness = {"mode": "single", "m_subset": subset, **results[0]}
+        certified = [_bool_cert("witness-valid", ok == 1)] if found else []
+        if found:
+            log = [f"witness {results[0]['witness']} avoids edges through "
+                   f"{len(params)} parameters"]
+        else:
+            log = [f"no {arity}-tuple in a subset of {len(subset)} avoids "
+                   f"all {len(params)} parameters; honest miss at this scale"]
+    else:
         witness = {"mode": "aggregate", "m_subset": subset, "trials": trials,
                    "n_params": n_params, "seed": seed, "results": results,
-                   "success_rate": rational_to_json(Fraction(hits, trials))}
-        log = [f"{hits} of {trials} seeded parameter draws admit a witness"]
+                   "success_rate": rational_to_json(
+                       Fraction(len(found), trials))}
+        certified = [Certified("witnesses-valid", "==", Fraction(ok),
+                               Fraction(len(found)))]
+        log = [f"{len(found)} of {trials} seeded parameter draws admit a "
+               f"witness"]
     return WitnessReport(
         theorem="dfsnotfim-sat",
-        inputs={"ambient": _input_entry(ambient)},
-        witness=witness, certified=tuple(_sat_certified(ambient, witness)),
-        log=tuple(log))
+        inputs={},
+        witness=witness, certified=tuple(certified), log=tuple(log))
 
 
 # ---------------------------------------------------------------------------
@@ -829,7 +772,41 @@ def _check_grid_size(k: int, parameters: int,
             f"parameters may not exceed {_MAX_GRID_SCAN} checks")
 
 
-def _tp2_certified(f: Feq2Structure, k: int, paths: Sequence[tuple]):
+def tp2_witness(f: Feq2Structure, k: int, sample: Optional[int] = None,
+                seed: Optional[int] = None, *,
+                recorded: Optional[dict] = None) -> WitnessReport:
+    """Certify the two-dimensional pattern on a k-grid: cells of one row
+    are pairwise 2-inconsistent relative to the row target, while every
+    checked path through the grid is realized by a single parameter.
+
+    sample=None checks all k^k paths; otherwise `sample` distinct paths
+    are drawn with the seed.  A rebuild (recorded given) sizes the scan
+    by the recorded paths first, and they must be the paths derived.
+    """
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    _check_grid_size(k, f.parameters, sample if recorded is None
+                     else len(recorded["checked_paths"]))
+    if f.objects < k * k + k:
+        raise GridTooSmall(k * k + k, f.objects)
+    if sample is None:
+        paths = [list(p) for p in itertools.product(range(k), repeat=k)]
+    else:
+        if seed is None:
+            raise ValueError("sampling paths requires a seed")
+        total = k ** k
+        if not 1 <= sample <= total:
+            raise ValueError(f"sample must lie in 1..{total}")
+        paths = []  # in ascending order of their base-k codes
+        for code in sorted(random.Random(seed).sample(range(total), sample)):
+            digits = []
+            for _ in range(k):
+                code, d = divmod(code, k)
+                digits.append(d)
+            paths.append(digits[::-1])
+    if recorded is not None and paths != recorded["checked_paths"]:
+        raise FormatError("checked_paths are not the paths of the recorded "
+                          "k, sample and seed")
     row_pairs = 0
     row_failures = []
     for i in range(k):
@@ -858,98 +835,74 @@ def _tp2_certified(f: Feq2Structure, k: int, paths: Sequence[tuple]):
         Certified("paths-consistent", "==", Fraction(consistent),
                   Fraction(len(paths))),
     ]
-    details = {"row_pairs": row_pairs, "row_failures": row_failures,
-               "path_params": path_params}
-    return certified, details
-
-
-def _tp2_paths(k: int, sample: Optional[int],
-               seed: Optional[int]) -> list[tuple[int, ...]]:
-    """The paths a tp2 witness checks: all k^k when sample is None, else
-    `sample` distinct ones drawn with the seed, in ascending order; shared
-    by the runner and the verifier, after _check_grid_size."""
-    if sample is None:
-        return list(itertools.product(range(k), repeat=k))
-    if seed is None:
-        raise ValueError("sampling paths requires a seed")
-    total = k ** k
-    if not 1 <= sample <= total:
-        raise ValueError(f"sample must lie in 1..{total}")
-    paths = []
-    for code in sorted(random.Random(seed).sample(range(total), sample)):
-        digits = []
-        for _ in range(k):
-            code, d = divmod(code, k)
-            digits.append(d)
-        paths.append(tuple(reversed(digits)))
-    return paths
-
-
-def tp2_witness(f: Feq2Structure, k: int, sample: Optional[int] = None,
-                seed: Optional[int] = None) -> WitnessReport:
-    """Certify the two-dimensional pattern on a k-grid: cells of one row
-    are pairwise 2-inconsistent relative to the row target, while every
-    checked path through the grid is realized by a single parameter.
-
-    sample=None checks all k^k paths; otherwise `sample` distinct paths
-    are drawn with the seed.
-    """
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    _check_grid_size(k, f.parameters, sample)
-    if f.objects < k * k + k:
-        raise GridTooSmall(k * k + k, f.objects)
-    paths = _tp2_paths(k, sample, seed)
     sample_info = None if sample is None else {"seed": seed, "count": sample}
-    certified, details = _tp2_certified(f, k, paths)
-    witness = {"k": k, "sample": sample_info,
-               "checked_paths": [list(p) for p in paths], **details}
-    log = [f"checked {details['row_pairs']} same-row pairs and "
+    witness = {"k": k, "sample": sample_info, "checked_paths": paths,
+               "row_pairs": row_pairs, "row_failures": row_failures,
+               "path_params": path_params}
+    log = [f"checked {row_pairs} same-row pairs and "
            f"{len(paths)} of {k ** k} paths"]
     return WitnessReport(
         theorem="tp2",
-        inputs={"structure": _input_entry(f)},
+        inputs={},
         witness=witness, certified=tuple(certified), log=tuple(log))
 
 
+# ---------------------------------------------------------------------------
+# The pipeline table: every report tag, the inputs its report names, and how
+# verify rebuilds it: read the request fields, call the builder
+# ---------------------------------------------------------------------------
+
+def _recompute_fam(witness: dict, inputs: Mapping[str, object]):
+    phi = parse_phi(witness["phi"], witness["object_arity"],
+                    witness["param_arity"])
+    return fam_witness(phi, rational_from_json(witness["epsilon"]),
+                       inputs["ambient"], inputs["graph"], int(witness["s"]),
+                       recorded=witness)
+
+
+def _recompute_sat(witness: dict, inputs: Mapping[str, object]):
+    if witness["mode"] == "single":
+        return sat_probe(inputs["ambient"], witness["m_subset"],
+                         witness["params"], recorded=witness)
+    return sat_probe(inputs["ambient"], witness["m_subset"],
+                     trials=int(witness["trials"]),
+                     n_params=int(witness["n_params"]),
+                     seed=int(witness["seed"]), recorded=witness)
+
+
 def _recompute_tp2(witness: dict, inputs: Mapping[str, object]):
-    f, k = inputs["structure"], int(witness["k"])
-    recorded = [tuple(p) for p in witness["checked_paths"]]
-    _check_grid_size(k, f.parameters, len(recorded))
     info = witness["sample"]
-    paths = (_tp2_paths(k, None, None) if info is None
-             else _tp2_paths(k, int(info["count"]), int(info["seed"])))
-    if paths != recorded:
-        raise FormatError("checked_paths are not the paths of the recorded "
-                          "k, sample and seed")
-    certified, _ = _tp2_certified(f, k, paths)
-    return certified
+    sample, seed = ((None, None) if info is None
+                    else (int(info["count"]), int(info["seed"])))
+    return tp2_witness(inputs["structure"], int(witness["k"]), sample, seed,
+                       recorded=witness)
 
 
-# ---------------------------------------------------------------------------
-# The pipeline table: every report tag, the inputs its report names, and the
-# recomputation that verify runs
-# ---------------------------------------------------------------------------
-
+# each entry: the inputs a report names, and its rebuild from the witness w
 PIPELINES = {
-    "gen": ((), _recompute_gen),
-    "coloring-bound": (("weighted",), _recompute_color),
-    "measure-algebra": ((), _recompute_measures),
+    "gen": ((), lambda w, inputs: gen_witness(w["spec"], recorded=w)),
+    "coloring-bound": (("weighted",), lambda w, inputs: color_witness(
+        inputs["weighted"], w.get("brute") is not None, recorded=w)),
+    "measure-algebra": ((), lambda w, inputs: measures_witness(
+        int(w["seed"]), int(w["cases"]))),
     "famnotfim": (("ambient", "graph"), _recompute_fam),
-    "order": (("ambient",), _recompute_order),
-    "dfsnotfim-adversary": (("ambient",), _recompute_adversary),
-    "dfsnotfim-sat": (("ambient",), lambda witness, inputs: _sat_certified(
-        inputs["ambient"], witness)),
+    "order": (("ambient",), lambda w, inputs: order_witness(
+        inputs["ambient"], int(w["s"]), int(w["q"]), recorded=w)),
+    "dfsnotfim-adversary": (("ambient",), lambda w, inputs: adversary_witness(
+        w["tuples"], inputs["ambient"], int(w["s"]), recorded=w)),
+    "dfsnotfim-sat": (("ambient",), _recompute_sat),
     "tp2": (("structure",), _recompute_tp2),
 }
 
 
 def recompute_certified(theorem: str, witness: dict,
-                        inputs: Mapping[str, object]) -> list[Certified]:
-    """Re-derive the certified inequalities of a report from its payload
-    and resolved inputs; used by the verifier.  A report whose
-    precondition failed carries that inequality verbatim: there is no
-    witness object to recompute from, and one that holds is refused."""
+                        inputs: Mapping[str, object]) -> WitnessReport:
+    """Rebuild a report from its witness and resolved inputs, through the
+    builder the runner used, with the witness as `recorded`; the verifier
+    compares the certifications and the witness of the result with the
+    report's.  A report whose precondition failed carries that inequality
+    verbatim: there is no witness object to rebuild from, and one that
+    holds is refused."""
     try:
         names, recompute = PIPELINES[theorem]
     except KeyError:
@@ -963,8 +916,9 @@ def recompute_certified(theorem: str, witness: dict,
             raise FormatError(f"precondition {failed.name}: the recorded "
                               f"{failed.lhs} {failed.op} {failed.rhs} holds, "
                               f"so it cannot have stopped the run")
-        return [failed]
+        return PreconditionFailed(failed.name, failed.op, failed.lhs,
+                                  failed.rhs).report(theorem)
     missing = [name for name in names if name not in inputs]
     if missing:
         raise FormatError(f"report lacks required inputs: {missing}")
-    return list(recompute(witness, inputs))
+    return recompute(witness, inputs)

@@ -14,6 +14,7 @@ from keisler_lab.serialize import (canonical_dumps, digest, load_structure,
                                    structure_to_json, weighted_to_json)
 from keisler_lab.structures import (Feq2Structure, Hypergraph, build_tp2_grid,
                                     cyclic_graph)
+from keisler_lab.witnesses import adversary_witness, sat_probe
 
 HEADLINE_FAM = ["fam", "--phi", "!E(x1,y1) & x1 != y1", "--epsilon", "4/5",
                 "--graph", "circulant:13:1,5",
@@ -855,6 +856,56 @@ def test_verify_redraws_the_satprobe_subset(mode, tmp_path, capsys):
     assert "'m_subset'" in capsys.readouterr().err
 
 
+def forge(data, report):
+    """Replace a report's witness, certifications and log with another's."""
+    fresh = report.to_json_dict()
+    data.update({key: fresh[key] for key in ("witness", "certified", "log")})
+
+
+def test_verify_redraws_the_satprobe_seed(tmp_path, capsys):
+    out = tmp_path / "probe.json"
+    assert run(SATPROBE + ["--trials", "5", "--n-params", "2",
+                           "--output", str(out)]) == 0
+    data = read_report(out)
+    # a consistent probe of the same subset from a seed of one's choosing
+    forge(data, sat_probe(parse_structure_spec("gen:20:3:4:seed=3"),
+                          data["witness"]["m_subset"], trials=5, n_params=2,
+                          seed=12345))
+    out.write_text(canonical_dumps(data))
+    capsys.readouterr()
+    assert run(["verify", str(out)]) == 2
+    assert "witness field 'seed'" in capsys.readouterr().err
+
+
+def test_verify_redraws_the_adversary_tuples(tmp_path, capsys):
+    out = tmp_path / "adv.json"
+    ambient_spec = "gen:60:3:4:seed=5"
+    assert run(["adversary", "--ambient", ambient_spec, "--n", "30",
+                "--seed", "11", "--s", "4", "--output", str(out)]) == 0
+    data = read_report(out)
+    # thirty copies of one pair: every certification holds
+    forged = adversary_witness([(1, 2)] * 30,
+                               parse_structure_spec(ambient_spec), 4)
+    assert forged.all_hold
+    forge(data, forged)
+    out.write_text(canonical_dumps(data))
+    capsys.readouterr()
+    assert run(["verify", str(out)]) == 2
+    assert "witness field 'tuples'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["seed", "n", "r"])
+def test_verify_adversary_needs_the_tuple_config(key, tmp_path, capsys):
+    out = tmp_path / "adv.json"
+    assert run(ADVERSARY + ["--n", "10", "--output", str(out)]) == 0
+    data = read_report(out)
+    del data["config"][key]
+    out.write_text(canonical_dumps(data))
+    capsys.readouterr()
+    assert run(["verify", str(out)]) == 1
+    assert "integer seed, n and r" in capsys.readouterr().err
+
+
 def test_verify_satprobe_needs_the_subset_config(tmp_path, capsys):
     out = tmp_path / "probe.json"
     assert run(SATPROBE + ["--params", "3,5", "--output", str(out)]) == 0
@@ -917,6 +968,66 @@ def test_satprobe_flag_conflicts():
     assert run(base + ["--params", "1", "--trials", "3"]) == 1
     assert run(base) == 1  # neither explicit params nor aggregate size
     assert run(base + ["--params", "1", "--format", "csv"]) == 1
+
+
+# ---------------------------------------------------------------------------
+# verify compares the whole witness
+# ---------------------------------------------------------------------------
+
+def _tamper_fam(w):
+    w["alpha"]["value"] = 99
+    w["violation_max"]["params"] = [7]
+
+
+def _flip_first(key):
+    def edit(w):
+        w[key][0] = 1 - w[key][0]  # booleans and 0/1 counts alike
+    return edit
+
+
+# per report tag: a run, an edit of a witness detail that no certification
+# reads, and the first field verify names.  gen has no such detail: every
+# field of its witness feeds digest-match or embedded-match
+WITNESS_TAMPERS = {
+    "famnotfim": (FAM_GEN50, _tamper_fam, "alpha.value"),
+    "coloring-bound": (
+        ["color", "--input", "WEIGHTS"],
+        lambda w: w.update(total_weight=rational_to_json(Fraction(99))),
+        "total_weight."),
+    "measure-algebra": (
+        ["check-measures", "--seed", "5", "--cases", "10"],
+        lambda w: w["passed"].update(associativity=9),
+        "passed.associativity"),
+    "order": (["order", "--ambient", "gen:20:2:3:seed=1", "--q", "2"],
+              _flip_first("adjacency"), "adjacency[0]"),
+    "dfsnotfim-adversary": (ADVERSARY + ["--n", "10"],
+                            _flip_first("violations"), "violations[0]"),
+    "dfsnotfim-sat": (
+        SATPROBE + ["--trials", "5", "--n-params", "2"],
+        lambda w: w.update(success_rate=rational_to_json(Fraction(1, 7))),
+        "success_rate."),
+    "tp2": (["tp2", "--k", "2"],
+            lambda w: w["path_params"].__setitem__(0, w["path_params"][0] + 1),
+            "path_params[0]"),
+}
+
+
+@pytest.mark.parametrize("tag", sorted(WITNESS_TAMPERS))
+def test_verify_names_a_tampered_witness_field(tag, tmp_path, capsys):
+    argv, edit, field = WITNESS_TAMPERS[tag]
+    argv = [str(write_weighted(tmp_path)) if a == "WEIGHTS" else a
+            for a in argv]
+    out = tmp_path / "report.json"
+    assert run(argv + ["--output", str(out)]) == 0
+    data = read_report(out)
+    assert data["theorem"] == tag
+    edit(data["witness"])
+    out.write_text(canonical_dumps(data))
+    capsys.readouterr()
+    assert run(["verify", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"witness field '{field}" in err
+    assert "does not reproduce" in err and "certification" not in err
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,10 @@
 
 Each case in golden/digests.json is run in a fresh working directory with
 relative --input/--output names, because the report echoes those paths
-(in config and inputs.*.source).  A golden may change only together with
-a CHANGES.md line that names the report and says why it changed.
+(in config and inputs.*.source).  Each report is then verified where it
+was written, and verify must exit with the code the run did.  A golden
+may change only together with a CHANGES.md line that names the report
+and says why it changed.
 """
 
 import hashlib
@@ -52,3 +54,7 @@ def test_report_bytes_match_golden(name, tmp_path, monkeypatch, capsys):
     assert run(case["argv"] + ["--output", "report.json"]) == case["exit"]
     blob = (tmp_path / "report.json").read_bytes()
     assert hashlib.sha256(blob).hexdigest() == case["sha256"], name
+    # verify rebuilds the report, certifications and witness, from the
+    # same directory; a false witness mismatch (say, a tuple against the
+    # list the report holds) would exit 2 here
+    assert run(["verify", "report.json"]) == case["exit"], name

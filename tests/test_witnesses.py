@@ -1,6 +1,7 @@
 """Certified witness pipelines and their recomputation hooks."""
 
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ import pytest
 from keisler_lab import measures, witnesses
 from keisler_lab.logic import (compile_mask, evaluate, make_assignment,
                                parse_phi)
+from keisler_lab.serialize import canonical_dumps
 from keisler_lab.structures import (
     Feq2Structure,
     Hypergraph,
@@ -58,8 +60,12 @@ def cert_json(report: WitnessReport) -> list[dict]:
 
 
 def assert_recompute_matches(report: WitnessReport, inputs: dict) -> None:
-    fresh = recompute_certified(report.theorem, report.witness, inputs)
-    assert [c.to_json_dict() for c in fresh] == cert_json(report)
+    # rebuilt from the witness as a report file holds it, as verify does:
+    # the same certifications and the same witness
+    witness = json.loads(canonical_dumps(report.witness))
+    fresh = recompute_certified(report.theorem, witness, inputs)
+    assert cert_json(fresh) == cert_json(report)
+    assert fresh.witness == witness
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +339,7 @@ def test_adversary_tamper_is_visible(ambient60):
     tampered["coloring"] = [1] * len(report.witness["coloring"])
     fresh = recompute_certified(report.theorem, tampered,
                                 {"ambient": ambient60})
-    assert [c.to_json_dict() for c in fresh] != cert_json(report)
+    assert cert_json(fresh) != cert_json(report)
 
 
 def test_adversary_validation(ambient60):
