@@ -283,8 +283,9 @@ def _resolve_input(name: str, entry: dict, overrides: dict):
 def _undrawn(theorem: str, config, witness: dict,
              resolved: dict) -> Optional[str]:
     """Draw again what an adversary or satprobe report drew from --seed,
-    which only its config records; the message naming the first witness
-    field that differs, or None."""
+    which only its config records, and hold a probe's request (params, or
+    trials and n_params) to the config's; the message naming the first
+    witness field that differs, or None."""
     if (theorem not in ("dfsnotfim-adversary", "dfsnotfim-sat")
             or "precondition_failed" in witness):
         return None
@@ -308,8 +309,17 @@ def _undrawn(theorem: str, config, witness: dict,
     if witness["m_subset"] != _draw_subset(rng, ambient.n, m_size):
         return ("witness field 'm_subset' is not the subset drawn from the "
                 "config's seed and m_size")
-    if witness["mode"] != "single" and witness["seed"] != rng.randrange(
-            2 ** 63):
+    if witness["mode"] == "single":
+        params = config.get("params")
+        if not isinstance(params, str) or witness["params"] != (
+                _parse_int_list(params, "--params")):
+            return "witness field 'params' is not the config's params"
+        return None
+    for key, asked in (("trials", config.get("trials", 1)),
+                       ("n_params", config.get("n_params"))):
+        if witness[key] != asked:
+            return f"witness field {key!r} is not the config's {key}"
+    if witness["seed"] != rng.randrange(2 ** 63):
         return ("witness field 'seed' is not the probe seed drawn after the "
                 "subset from the config's seed")
     return None

@@ -93,6 +93,26 @@ class Hypergraph(Record):
         return tuple(adj)
 
     @cached_property
+    def links(self) -> tuple[dict[int, int], ...]:
+        """Per-vertex link rows; 3-graphs (r = 3) only.
+
+        links[a][b], for a < b, is the bitset of the c with {a, b, c} an
+        edge, so the vertices closing the triple a < b < c into a K^3_4
+        are links[a][b] & links[a][c] & links[b][c]: the rows of the
+        s = r + 1 kernel with the pair unpacked, where subedge_masks keys
+        them by tuple.  A row is a dict holding only the b that share an
+        edge with a, so the table takes O(n + |E|) space; an n-by-n table
+        would take about 800 MB at the 10,000 vertices a structure file
+        may declare.
+        """
+        if self.r != 3:
+            raise ValueError("link rows are only defined for r = 3")
+        links: list[dict[int, int]] = [{} for _ in range(self.n)]
+        for a, b, c in self.edges:
+            _link(links, a, b, c)
+        return tuple(links)
+
+    @cached_property
     def subedge_masks(self) -> dict[tuple[int, ...], int]:
         """Map each (r-1)-subset of an edge to the bitset of its extensions."""
         masks: dict[tuple[int, ...], int] = {}
@@ -193,6 +213,14 @@ def _add_edge(masks: dict[tuple[int, ...], int], e: tuple[int, ...]) -> None:
         masks[key] = masks.get(key, 0) | 1 << e[i]
 
 
+def _link(links: Sequence[dict[int, int]], a: int, b: int, c: int) -> None:
+    # record the edge a < b < c in the link rows of Hypergraph.links
+    la, lb = links[a], links[b]
+    la[b] = la.get(b, 0) | 1 << c
+    la[c] = la.get(c, 0) | 1 << b
+    lb[c] = lb.get(c, 0) | 1 << a
+
+
 def _extend_clique(masks: Mapping[tuple[int, ...], int], prefix: list[int],
                    common: int, need: int, r: int) -> Optional[list[int]]:
     # prefix is a partial clique; common holds the vertices completing every
@@ -234,23 +262,38 @@ def find_clique(h: Hypergraph, s: int) -> Optional[tuple[int, ...]]:
     edges, or None.
 
     For s = r + 1 every such set is an edge e plus a vertex completing all
-    (r-1)-subsets of e, so the edges are walked in sorted order and the
-    first one with a completing vertex, joined by its least one, is the
-    answer: one AND of r bitsets per edge.  Larger s goes through the
-    generic backtracking search over the (r-1)-subset masks.
+    (r-1)-subsets of e, so the answer is the least edge with a completing
+    vertex, joined by its least one: one AND of r bitsets per edge.  The
+    bitsets are rows of h.adjacency at r = 2 and of h.links at r = 3,
+    read with the edge unpacked, and h.subedge_masks through _closers at
+    r >= 4.  Larger s goes through the generic backtracking search over
+    the (r-1)-subset masks.
     """
     if s <= h.r:
         raise ValueError("clique size must exceed the arity")
     if s == h.r + 1:
-        masks = h.subedge_masks
-        for e in sorted(h.edges):
-            closers = _closers(masks, e)
-            if closers:
-                # the r least vertices of a clique e + {v} span an edge
-                # with a closer, and no edge before e has one: they are
-                # e, so every closer of e lies above e[-1]
-                return e + ((closers & -closers).bit_length() - 1,)
-        return None
+        if h.r == 2:
+            adj = h.adjacency
+            closers = (adj[a] & adj[b] for a, b in h.edges)
+        elif h.r == 3:
+            links = h.links
+            closers = (links[a][b] & links[a][c] & links[b][c]
+                       for a, b, c in h.edges)
+        else:
+            masks = h.subedge_masks
+            closers = (_closers(masks, e) for e in h.edges)
+        # closers walks the same unchanged set as zip, so in the same
+        # order; the min of the closing edges spares sorting every edge
+        closing = {e: common for e, common in zip(h.edges, closers)
+                   if common}
+        if not closing:
+            return None
+        e = min(closing)
+        common = closing[e]
+        # the r least vertices of a clique e + {v} span an edge with a
+        # closer, and no edge below e has one: they are e, so every closer
+        # of e lies above e[-1]
+        return e + ((common & -common).bit_length() - 1,)
     return _search_clique(h, s)
 
 
@@ -359,9 +402,11 @@ def random_maximal_free(n: int, r: int, s: int, seed: int) -> Hypergraph:
 
     Candidate edges are visited in a seeded random order and kept whenever
     they do not complete an s-clique, so the result is maximal and
-    deterministic for a given seed.  For s = r + 1 the loop runs the
-    _closers AND itself, one AND of r bitsets per candidate, and records a
-    kept edge in masks as _add_edge would; larger s asks _closes_clique.
+    deterministic for a given seed.  Two (r, s) take a table path that
+    reads the s = r + 1 kernel from per-vertex rows with the candidate
+    unpacked: (2, 3) keeps neighbour bitsets as in Hypergraph.adjacency,
+    and (3, 4) keeps sparse link rows as in Hypergraph.links.  Every other
+    (r, s) records kept edges with _add_edge and asks _closes_clique.
     """
     if not (s > r >= 2):
         raise ValueError("need s > r >= 2")
@@ -370,44 +415,58 @@ def random_maximal_free(n: int, r: int, s: int, seed: int) -> Hypergraph:
     rng = random.Random(seed)
     candidates = list(itertools.combinations(range(n), r))
     rng.shuffle(candidates)
-    masks: dict[tuple[int, ...], int] = {}
     kept = []
-    if s == r + 1:
-        combinations, get = itertools.combinations, masks.get
+    if r == 2 and s == 3:
+        adj = [0] * n
         for e in candidates:
-            common = -1
-            for tau in combinations(e, r - 1):
-                common &= get(tau, 0)
-                if not common:
-                    break
-            if common:
+            a, b = e
+            if adj[a] & adj[b]:
                 continue
             kept.append(e)
-            # combinations leaves out e[r-1], ..., e[0] in turn
-            for tau, v in zip(combinations(e, r - 1), reversed(e)):
-                masks[tau] = get(tau, 0) | 1 << v
+            adj[a] |= 1 << b
+            adj[b] |= 1 << a
+        tables = {"adjacency": tuple(adj)}
+    elif r == 3 and s == 4:
+        links: list[dict[int, int]] = [{} for _ in range(n)]
+        for e in candidates:
+            a, b, c = e
+            la = links[a]
+            if la.get(b, 0) & la.get(c, 0) & links[b].get(c, 0):
+                continue
+            kept.append(e)
+            _link(links, a, b, c)
+        tables = {"links": tuple(links)}
     else:
+        masks: dict[tuple[int, ...], int] = {}
         for e in candidates:
             if not _closes_clique(masks, e, s):
                 kept.append(e)
                 _add_edge(masks, e)
-    return _trusted(r, n, frozenset(kept))
+        tables = {"subedge_masks": masks}
+    g = _trusted(r, n, frozenset(kept))
+    # the rows built here are the ones g would build from its edges: they
+    # fill its cached property, which is_free and is_maximal_free read
+    g.__dict__.update(tables)
+    return g
 
 
 def is_maximal_free(h: Hypergraph, s: int) -> bool:
     """True iff h is K^r_s-free and every absent edge would break that.
 
     A free h is maximal iff _closes_clique holds for every non-edge, over
-    h.subedge_masks.  For triangle-free graphs that is one pass per vertex
-    u: every vertex other than u is a neighbour of u or a neighbour of one.
-    Otherwise, for s = r + 1, a plain loop over the non-edges runs the
-    _closers AND itself; larger s asks _closes_clique.
+    h.subedge_masks.  Two (r, s) take a table path instead.  For
+    triangle-free graphs it is one pass per vertex u over h.adjacency:
+    every vertex other than u is a neighbour of u or a neighbour of one.
+    For K^3_4-free 3-graphs it is one pass per pair a < b over h.links:
+    each c > b outside links[a][b] must have a closer in
+    links[a][b] & links[a][c] & links[b][c].  Every other (r, s) asks
+    _closes_clique of each non-edge.
     """
     if not is_free(h, s):
         return False
+    full = (1 << h.n) - 1
     if h.r == 2 and s == 3:
         adj = h.adjacency
-        full = (1 << h.n) - 1
         for u in range(h.n):
             reach = adj[u] | 1 << u
             for w in _bits(adj[u]):
@@ -415,18 +474,20 @@ def is_maximal_free(h: Hypergraph, s: int) -> bool:
             if reach != full:
                 return False
         return True
+    if h.r == 3 and s == 4:
+        links = h.links
+        for a in range(h.n):
+            la = links[a]
+            for b in range(a + 1, h.n):
+                ab, lb = la.get(b, 0), links[b]
+                # the c > b with {a, b, c} not an edge
+                for c in _bits(full & ~ab & -(2 << b)):
+                    if not ab & la.get(c, 0) & lb.get(c, 0):
+                        return False
+        return True
     masks = h.subedge_masks
     non_edges = itertools.filterfalse(
         h.edges.__contains__, itertools.combinations(range(h.n), h.r))
-    if s == h.r + 1:
-        combinations, get = itertools.combinations, masks.get
-        for e in non_edges:
-            common = -1
-            for tau in combinations(e, h.r - 1):
-                common &= get(tau, 0)
-                if not common:
-                    return False
-        return True
     return all(_closes_clique(masks, e, s) for e in non_edges)
 
 

@@ -45,7 +45,8 @@ def random_hypergraph(rng: random.Random, n: int, r: int,
 def random_maximal_free_oracle(n: int, r: int, s: int,
                                seed: int) -> Hypergraph:
     """random_maximal_free as one _closes_clique and one _add_edge call per
-    candidate, the loop that the generator inlines for s = r + 1."""
+    candidate, the loop whose s = r + 1 kernel the generator reads from
+    per-vertex rows at (r, s) = (2, 3) and (3, 4)."""
     candidates = list(itertools.combinations(range(n), r))
     random.Random(seed).shuffle(candidates)
     masks: dict[tuple[int, ...], int] = {}

@@ -894,6 +894,42 @@ def test_verify_redraws_the_adversary_tuples(tmp_path, capsys):
     assert "witness field 'tuples'" in capsys.readouterr().err
 
 
+def test_verify_holds_single_satprobe_params_to_the_config(tmp_path,
+                                                          capsys):
+    out = tmp_path / "probe.json"
+    assert run(SATPROBE + ["--params", "3,5", "--output", str(out)]) == 0
+    data = read_report(out)
+    # a consistent probe of the same subset over parameters of one's choosing
+    forge(data, sat_probe(parse_structure_spec("gen:20:3:4:seed=3"),
+                          data["witness"]["m_subset"], [0, 1, 2]))
+    out.write_text(canonical_dumps(data))
+    capsys.readouterr()
+    assert run(["verify", str(out)]) == 2
+    assert "witness field 'params'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, trials, n_params", [("trials", 1, 2),
+                                                    ("n_params", 6, 1)])
+def test_verify_holds_the_satprobe_request_to_the_config(key, trials,
+                                                         n_params, tmp_path,
+                                                         capsys):
+    out = tmp_path / "probe.json"
+    assert run(["satprobe", "--ambient", "gen:20:3:4:seed=3", "--m-size",
+                "4", "--seed", "9", "--trials", "6", "--n-params", "2",
+                "--output", str(out)]) == 0
+    data = read_report(out)
+    witness = data["witness"]
+    # a consistent probe of the same subset and seed, asked for other
+    # sizes: at trials=1 it keeps only the first draws
+    forge(data, sat_probe(parse_structure_spec("gen:20:3:4:seed=3"),
+                          witness["m_subset"], trials=trials,
+                          n_params=n_params, seed=witness["seed"]))
+    out.write_text(canonical_dumps(data))
+    capsys.readouterr()
+    assert run(["verify", str(out)]) == 2
+    assert f"witness field {key!r}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("key", ["seed", "n", "r"])
 def test_verify_adversary_needs_the_tuple_config(key, tmp_path, capsys):
     out = tmp_path / "adv.json"

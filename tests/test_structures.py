@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -32,7 +33,8 @@ from keisler_lab.structures import (
     random_maximal_free,
     search_small_alpha,
 )
-from keisler_lab.serialize import structure_digest
+from keisler_lab.serialize import (_MAX_FILE_N, structure_digest,
+                                   structure_from_json, structure_to_json)
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +246,55 @@ def test_clique_kernel_matches_the_generic_search(case):
     thinned = Hypergraph(r, n, g.edges - removed)
     assert (is_maximal_free(thinned, s)
             == generic_is_maximal_free(thinned, s))
+
+
+@pytest.mark.parametrize("n, seed", [(40, 0), (40, 7), (60, 1), (60, 2)])
+def test_link_rows_match_the_generic_search_at_bench_scale(n, seed):
+    # bit positions far above the hypothesis cases, and the dense late
+    # phase of generation, where most candidates close a K^3_4
+    r, s = 3, 4
+    g = random_maximal_free(n, r, s, seed)
+    assert g == random_maximal_free_oracle(n, r, s, seed)
+    rng = random.Random(seed)
+    for density in (0.1, 0.3):
+        h = random_hypergraph(rng, n, r, density)
+        found = find_clique(h, s)
+        assert found is not None and found == _search_clique(h, s)
+    # rebuilt from the edges, so the tables are the graph's own
+    fresh = Hypergraph(r, n, g.edges)
+    assert is_maximal_free(fresh, s) and generic_is_maximal_free(fresh, s)
+    removed = set(rng.sample(sorted(g.edges), 3))
+    thinned = Hypergraph(r, n, g.edges - removed)
+    assert not is_maximal_free(thinned, s)
+    assert not generic_is_maximal_free(thinned, s)
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(generation_cases())
+def test_generation_leaves_the_tables_of_its_result(case):
+    n, r, s, seed = case
+    g = random_maximal_free(n, r, s, seed)
+    name = {(2, 3): "adjacency", (3, 4): "links"}.get((r, s),
+                                                      "subedge_masks")
+    assert name in vars(g)
+    assert getattr(g, name) == getattr(Hypergraph(r, n, g.edges), name)
+
+
+def test_link_rows_are_sparse_at_the_file_cap():
+    # one K^3_4 among the highest vertices of a file-sized 3-graph; an
+    # n-by-n table of rows would take about 800 MB here
+    n = _MAX_FILE_N
+    clique = (n - 4, n - 3, n - 2, n - 1)
+    edges = {*itertools.combinations(clique, 3), (0, 1, 2), (0, n // 2, n - 1)}
+    h = structure_from_json(structure_to_json(Hypergraph(3, n, edges)))
+    tracemalloc.start()
+    try:
+        found = find_clique(h, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert found == clique
+    assert peak < 16 * 2 ** 20
 
 
 def test_find_clique_generic_path_for_larger_s(monkeypatch):
