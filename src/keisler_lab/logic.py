@@ -56,6 +56,9 @@ class ObjectVar(Record):
     def __post_init__(self):
         if self.index < 1:
             raise ValueError("variable indices start at 1")
+        # the assignment key (kind, index); not a field, so equality and
+        # hashing ignore it
+        object.__setattr__(self, "key", (0, self.index))
 
 
 class ParamVar(Record):
@@ -64,6 +67,7 @@ class ParamVar(Record):
     def __post_init__(self):
         if self.index < 1:
             raise ValueError("variable indices start at 1")
+        object.__setattr__(self, "key", (1, self.index))
 
 
 Term = Union[ObjectVar, ParamVar]
@@ -315,19 +319,39 @@ def substitute(f: Formula, mapping: Mapping[Term, Term]) -> Formula:
 # Evaluation
 # ---------------------------------------------------------------------------
 
+class Assignment(dict):
+    """Variable values keyed by Term.key, (0, i) for x_i and (1, j) for y_j.
+
+    ObjectVar(i) and ParamVar(i) hash alike (the hash of the field tuple
+    (i,)), so a dict keyed by terms pays two __eq__ calls per lookup that
+    finds the other kind's variable first; evaluate looks up the key
+    tuples instead.  Indexing by a term reads its key's entry.
+    """
+
+    def __missing__(self, t):
+        if isinstance(t, (ObjectVar, ParamVar)) and t.key in self:
+            return self[t.key]
+        raise KeyError(t)
+
+
 def make_assignment(objects: Sequence[int] = (),
-                    params: Sequence[int] = ()) -> dict[Term, int]:
+                    params: Sequence[int] = ()) -> Assignment:
     """Positional assignment: objects[i] binds x(i+1), params[j] binds y(j+1)."""
-    out: dict[Term, int] = {}
+    out = Assignment()
     for i, v in enumerate(objects):
-        out[ObjectVar(i + 1)] = int(v)
+        out[0, i + 1] = int(v)
     for j, v in enumerate(params):
-        out[ParamVar(j + 1)] = int(v)
+        out[1, j + 1] = int(v)
     return out
 
 
 def _atom_value(structure, atom: Atom, assignment: Mapping[Term, int]) -> bool:
     def value(t: Term) -> int:
+        try:
+            return assignment[t.key]
+        except KeyError:
+            pass
+        # a mapping keyed by the terms themselves
         try:
             return assignment[t]
         except KeyError:
@@ -349,7 +373,9 @@ def _atom_value(structure, atom: Atom, assignment: Mapping[Term, int]) -> bool:
 
 
 def evaluate(structure, f: Formula, assignment: Mapping[Term, int]) -> bool:
-    """Truth of f in the structure under a total assignment."""
+    """Truth of f in the structure under a total assignment: a mapping
+    from each variable's key (Term.key), as make_assignment builds it, or
+    from the variable itself, to its value."""
     if isinstance(f, (Rel, Eq)):
         return _atom_value(structure, f, assignment)
     if isinstance(f, Not):

@@ -59,14 +59,37 @@ Storable = Union[Hypergraph, Feq2Structure]
 
 def structure_to_json(structure: Storable) -> dict:
     if isinstance(structure, Hypergraph):
+        if structure.r == 3:
+            edges = _link_edges(structure.links)
+        else:
+            edges = [list(e) for e in sorted(structure.edges)]
         return {"kind": "hypergraph", "r": structure.r, "n": structure.n,
-                "edges": [list(e) for e in sorted(structure.edges)]}
+                "edges": edges}
     if isinstance(structure, Feq2Structure):
         return {"kind": "feq2", "objects": structure.objects,
                 "parameters": structure.parameters,
                 "classes": [[list(b) for b in blocks]
                             for blocks in structure.classes]}
     raise FormatError(f"cannot serialize {type(structure).__name__}")
+
+
+def _link_edges(links) -> list[list[int]]:
+    # the edges a < b < c of a 3-graph in sorted order, read off its link
+    # rows (Hypergraph.links): row a holds the b > a, and links[a][b] the
+    # c, so taking a ascending, b ascending and the bits of links[a][b]
+    # above b lists each edge once, in order, without sorting the edge set.
+    # For a generated graph these are the rows generation built and
+    # is_free and is_maximal_free certified.
+    edges = []
+    append = edges.append
+    for a, row in enumerate(links):
+        for b in sorted(row):
+            m = row[b] & -(2 << b)
+            while m:
+                low = m & -m
+                append([a, b, low.bit_length() - 1])
+                m ^= low
+    return edges
 
 
 def _expect_int(value, what: str) -> int:

@@ -397,24 +397,49 @@ def add_vertex_with_links(h: Hypergraph, links: Iterable[Iterable[int]],
     return _extension(h, new_edges, s)
 
 
+def _shuffle(rng: random.Random, seq: list) -> None:
+    """Shuffle seq in place with the draws of rng.shuffle(seq).
+
+    CPython's shuffle is Fisher-Yates from the top: for i from len - 1
+    down to 1 it swaps seq[i] with seq[j], j drawn below i + 1 by
+    getrandbits((i + 1).bit_length()) and drawn again while j > i.  This
+    loop makes the same getrandbits calls without the per-element method
+    call of Random._randbelow, so it leaves the same order and the same
+    generator state.  The draw width k is fixed for every i from
+    2^(k-1) - 1 to 2^k - 2, so it is computed once per such block.
+    """
+    getrandbits = rng.getrandbits
+    top = len(seq) - 1
+    while top > 0:
+        k = (top + 1).bit_length()
+        bottom = (1 << (k - 1)) - 1
+        for i in range(top, bottom - 1, -1):
+            j = getrandbits(k)
+            while j > i:
+                j = getrandbits(k)
+            seq[i], seq[j] = seq[j], seq[i]
+        top = bottom - 1
+
+
 def random_maximal_free(n: int, r: int, s: int, seed: int) -> Hypergraph:
     """Greedy random construction of a maximal K^r_s-free r-graph.
 
-    Candidate edges are visited in a seeded random order and kept whenever
-    they do not complete an s-clique, so the result is maximal and
-    deterministic for a given seed.  Two (r, s) take a table path that
-    reads the s = r + 1 kernel from per-vertex rows with the candidate
-    unpacked: (2, 3) keeps neighbour bitsets as in Hypergraph.adjacency,
-    and (3, 4) keeps sparse link rows as in Hypergraph.links.  Every other
-    (r, s) records kept edges with _add_edge and asks _closes_clique.
+    Candidate edges are visited in a seeded random order (_shuffle, the
+    draws of random.Random(seed).shuffle) and kept whenever they do not
+    complete an s-clique, so the result is maximal and deterministic for a
+    given seed.  Two (r, s) take a table path that reads the s = r + 1
+    kernel from per-vertex rows with the candidate unpacked: (2, 3) keeps
+    neighbour bitsets as in Hypergraph.adjacency, and (3, 4) keeps dense
+    n-by-n rows, rows[a][b] for a < b as links[a][b], converted once at
+    the end into the sparse rows of Hypergraph.links.  Every other (r, s)
+    records kept edges with _add_edge and asks _closes_clique.
     """
     if not (s > r >= 2):
         raise ValueError("need s > r >= 2")
     if n < 0:
         raise ValueError("vertex count must be nonnegative")
-    rng = random.Random(seed)
     candidates = list(itertools.combinations(range(n), r))
-    rng.shuffle(candidates)
+    _shuffle(random.Random(seed), candidates)
     kept = []
     if r == 2 and s == 3:
         adj = [0] * n
@@ -427,15 +452,20 @@ def random_maximal_free(n: int, r: int, s: int, seed: int) -> Hypergraph:
             adj[b] |= 1 << a
         tables = {"adjacency": tuple(adj)}
     elif r == 3 and s == 4:
-        links: list[dict[int, int]] = [{} for _ in range(n)]
+        # n^2 entries; the C(n, 3) candidates above outnumber them
+        # from n = 9
+        rows = [[0] * n for _ in range(n)]
         for e in candidates:
             a, b, c = e
-            la = links[a]
-            if la.get(b, 0) & la.get(c, 0) & links[b].get(c, 0):
+            ra, rb = rows[a], rows[b]
+            if ra[b] & ra[c] & rb[c]:
                 continue
             kept.append(e)
-            _link(links, a, b, c)
-        tables = {"links": tuple(links)}
+            ra[b] |= 1 << c
+            ra[c] |= 1 << b
+            rb[c] |= 1 << a
+        tables = {"links": tuple({b: m for b, m in enumerate(row) if m}
+                                 for row in rows)}
     else:
         masks: dict[tuple[int, ...], int] = {}
         for e in candidates:
@@ -445,7 +475,8 @@ def random_maximal_free(n: int, r: int, s: int, seed: int) -> Hypergraph:
         tables = {"subedge_masks": masks}
     g = _trusted(r, n, frozenset(kept))
     # the rows built here are the ones g would build from its edges: they
-    # fill its cached property, which is_free and is_maximal_free read
+    # fill its cached property, which is_free, is_maximal_free and
+    # serialize.structure_to_json read
     g.__dict__.update(tables)
     return g
 
@@ -468,9 +499,12 @@ def is_maximal_free(h: Hypergraph, s: int) -> bool:
     if h.r == 2 and s == 3:
         adj = h.adjacency
         for u in range(h.n):
-            reach = adj[u] | 1 << u
-            for w in _bits(adj[u]):
-                reach |= adj[w]
+            m = adj[u]
+            reach = m | 1 << u
+            while m:
+                low = m & -m
+                reach |= adj[low.bit_length() - 1]
+                m ^= low
             if reach != full:
                 return False
         return True
@@ -481,9 +515,13 @@ def is_maximal_free(h: Hypergraph, s: int) -> bool:
             for b in range(a + 1, h.n):
                 ab, lb = la.get(b, 0), links[b]
                 # the c > b with {a, b, c} not an edge
-                for c in _bits(full & ~ab & -(2 << b)):
+                m = full & ~ab & -(2 << b)
+                while m:
+                    low = m & -m
+                    c = low.bit_length() - 1
                     if not ab & la.get(c, 0) & lb.get(c, 0):
                         return False
+                    m ^= low
         return True
     masks = h.subedge_masks
     non_edges = itertools.filterfalse(

@@ -179,6 +179,28 @@ def test_make_assignment_positional():
     assert asn[ParamVar(1)] == 2
 
 
+def test_assignments_are_keyed_by_kind_and_index(monkeypatch):
+    asn = make_assignment((4, 7), (2,))
+    assert dict(asn) == {(0, 1): 4, (0, 2): 7, (1, 1): 2}
+    assert ObjectVar(1).key == (0, 1) and ParamVar(1).key == (1, 1)
+    with pytest.raises(KeyError):
+        asn[ParamVar(2)]
+    g = Hypergraph(2, 3, frozenset({(0, 1)}))
+    f = parse_formula("E(x1,y1) & x1 != x2 & y1 = y1")
+    # a mapping keyed by the terms themselves is still read
+    assert evaluate(g, f, {ObjectVar(1): 0, ObjectVar(2): 2, ParamVar(1): 1})
+    with pytest.raises(EvalError, match="y1"):
+        evaluate(g, f, {ObjectVar(1): 0, ObjectVar(2): 2})
+    # x_i and y_i hash alike, but a lookup compares no terms
+    calls = []
+    for cls in (ObjectVar, ParamVar):
+        eq = cls.__eq__
+        monkeypatch.setattr(cls, "__eq__",
+                            lambda a, b, eq=eq: calls.append(1) or eq(a, b))
+    assert evaluate(g, f, make_assignment((1, 2), (0,)))
+    assert calls == []
+
+
 def test_evaluate_graph_semantics():
     g = Hypergraph(2, 4, frozenset({(0, 1), (2, 3)}))
     f = parse_formula("E(x1,y1)")

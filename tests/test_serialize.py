@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_graph, random_weighted
+from conftest import random_graph, random_hypergraph, random_weighted
 from keisler_lab.serialize import (
     FormatError,
     atomic_write_text,
@@ -29,7 +29,9 @@ from keisler_lab.serialize import (
 )
 from keisler_lab.structures import (
     Feq2Structure,
+    FreenessViolation,
     Hypergraph,
+    add_vertex_with_links,
     build_tp2_grid,
     cyclic_graph,
     random_maximal_free,
@@ -76,6 +78,50 @@ def test_structure_round_trips():
     assert structure_from_json(structure_to_json(three)) == three
     f = build_tp2_grid(2)
     assert structure_from_json(structure_to_json(f)) == f
+
+
+@st.composite
+def three_graphs(draw):
+    """3-graphs from every source a report serialises: built from edges,
+    generated (with the generator's link rows at s = 4, rows built from
+    the edges at s = 5), loaded from a payload, and extended by vertices;
+    n = 0 and isolated vertices included."""
+    source = draw(st.sampled_from(("edges", "generated", "file", "extended")))
+    n = draw(st.integers(0, 13))
+    seed = draw(st.integers(0, 2 ** 32))
+    rng = random.Random(seed)
+    if source == "generated":
+        return random_maximal_free(n, 3, draw(st.sampled_from((4, 5))), seed)
+    # the edges lie among the first k vertices; the rest are isolated
+    k = draw(st.integers(0, n))
+    density = draw(st.sampled_from((0.1, 0.4, 0.8)))
+    edges = random_hypergraph(rng, k, 3, density).edges
+    if source == "edges":
+        return Hypergraph(3, n, edges)
+    if source == "file":
+        payload = [list(e) for e in edges]
+        rng.shuffle(payload)
+        return structure_from_json({"kind": "hypergraph", "r": 3, "n": n,
+                                    "edges": payload})
+    h = random_maximal_free(k, 3, 4, seed)
+    for _ in range(n - k):
+        pairs = [(a, b) for a in range(h.n) for b in range(a + 1, h.n)]
+        links = rng.sample(pairs, min(len(pairs), rng.randint(0, 4)))
+        try:
+            h = add_vertex_with_links(h, links, 4)
+        except FreenessViolation:
+            h = add_vertex_with_links(h, [], 4)
+    return h
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(three_graphs())
+def test_three_graph_edges_read_off_the_link_rows_are_the_sorted_edges(h):
+    expected = [list(e) for e in sorted(h.edges)]
+    assert structure_to_json(h)["edges"] == expected
+    # the same once the rows are cached, and for a fresh copy of the graph
+    assert structure_to_json(h)["edges"] == expected
+    assert structure_to_json(Hypergraph(3, h.n, h.edges))["edges"] == expected
 
 
 def test_structure_from_json_rejections():

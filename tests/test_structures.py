@@ -5,7 +5,7 @@ import random
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import (random_graph, random_hypergraph,
                       random_maximal_free_oracle)
@@ -163,6 +163,27 @@ def test_is_maximal_free_rejects_extendable():
     assert not is_maximal_free(k3, 3)
 
 
+def test_shuffle_makes_the_draws_of_random_shuffle():
+    lengths = [*range(71), 127, 128, 129, 255, 256, 257, 1000, 34_220]
+    for length in lengths:
+        for seed in (0, 1, 4, 2 ** 40 + 3):
+            expected, got = list(range(length)), list(range(length))
+            oracle, rng = random.Random(seed), random.Random(seed)
+            oracle.shuffle(expected)
+            structures._shuffle(rng, got)
+            assert got == expected, (length, seed)
+            # the same draws consumed, so the generator states agree
+            assert rng.getstate() == oracle.getstate(), (length, seed)
+
+
+def test_generation_does_not_call_random_shuffle(monkeypatch):
+    def refuse(self, x):
+        raise AssertionError("random.Random.shuffle called")
+    monkeypatch.setattr(random.Random, "shuffle", refuse)
+    for n, r, s in ((12, 2, 3), (10, 3, 4), (9, 3, 5)):
+        assert is_maximal_free(random_maximal_free(n, r, s, 1), s)
+
+
 @st.composite
 def generation_cases(draw):
     r = draw(st.sampled_from((2, 3, 4)))
@@ -271,6 +292,8 @@ def test_link_rows_match_the_generic_search_at_bench_scale(n, seed):
 
 @settings(derandomize=True, database=None, max_examples=100, deadline=None)
 @given(generation_cases())
+@example((60, 3, 4, 1)).via("bench scale: gen:60:3:4 at seed 1")
+@example((60, 3, 4, 4)).via("bench scale: gen:60:3:4 at seed 4")
 def test_generation_leaves_the_tables_of_its_result(case):
     n, r, s, seed = case
     g = random_maximal_free(n, r, s, seed)
