@@ -16,7 +16,7 @@ The decorator compiles its generated methods with `exec` at every import,
 and its module pulls in `inspect`; for the package's 26 records that was
 more than half of the package's import time.  Here every method comes
 from code compiled once into the `.pyc`: closures built per class in
-`__init_subclass__`, and for one or two fields the templates below.
+`__init_subclass__`.
 """
 
 from __future__ import annotations
@@ -92,81 +92,23 @@ def _make_init(cls, fields: tuple[str, ...], post):
     # one positional argument per field is the fast path; anything else
     # goes through _bind
     n = len(fields)
-    if n == 1:
-        name, = fields
 
-        def __init__(self, *args, **kwargs):
-            if kwargs or len(args) != 1:
-                args = _bind(cls, args, kwargs)
-            _setattr(self, name, args[0])
-            if post is not None:
-                post(self)
-    elif n == 2:
-        first, second = fields
-
-        def __init__(self, *args, **kwargs):
-            if kwargs or len(args) != 2:
-                args = _bind(cls, args, kwargs)
-            _setattr(self, first, args[0])
-            _setattr(self, second, args[1])
-            if post is not None:
-                post(self)
-    else:
-        def __init__(self, *args, **kwargs):
-            if kwargs or len(args) != n:
-                args = _bind(cls, args, kwargs)
-            for name, value in zip(fields, args):
-                _setattr(self, name, value)
-            if post is not None:
-                post(self)
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != n:
+            args = _bind(cls, args, kwargs)
+        for name, value in zip(fields, args):
+            _setattr(self, name, value)
+        if post is not None:
+            post(self)
     return __init__
 
 
-# Formula variables and connectives have one or two fields, and evaluate
-# hashes and compares them millions of times in the differential tests.
-# For them, _renamed copies these templates with the placeholder
-# attributes _f0 and _f1 renamed to the fields (CodeType.replace; nothing
-# is compiled), so the methods read attributes directly, as hand-written
-# ones would, instead of calling an attribute getter.
-
-def _eq1(self, other):
-    if other.__class__ is self.__class__:
-        return (self._f0,) == (other._f0,)
-    return NotImplemented
-
-
-def _hash1(self):
-    return hash((self._f0,))
-
-
-def _eq2(self, other):
-    if other.__class__ is self.__class__:
-        return (self._f0, self._f1) == (other._f0, other._f1)
-    return NotImplemented
-
-
-def _hash2(self):
-    return hash((self._f0, self._f1))
-
-
-_TEMPLATES = {1: (_eq1, _hash1), 2: (_eq2, _hash2)}
-_PLACEHOLDERS = ("_f0", "_f1")
-
-
-def _renamed(template, fields: tuple[str, ...], name: str):
-    code = template.__code__
-    names = tuple(fields[_PLACEHOLDERS.index(n)] if n in _PLACEHOLDERS
-                  else n for n in code.co_names)
-    return type(template)(code.replace(co_names=names, co_name=name),
-                          template.__globals__, name)
-
-
 def _make_eq_hash(fields: tuple[str, ...]):
-    if len(fields) in _TEMPLATES:
-        eq, hash_ = _TEMPLATES[len(fields)]
-        return (_renamed(eq, fields, "__eq__"),
-                _renamed(hash_, fields, "__hash__"))
-    key = attrgetter(*fields) if fields else lambda self: ()
+    # the key is always a tuple, a 1-tuple for one field, so that the
+    # hash is a frozen data class's and a field that is not equal to
+    # itself (NaN) still compares equal by identity
+    get = attrgetter(*fields) if fields else lambda self: ()
+    key = (lambda self: (get(self),)) if len(fields) == 1 else get
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:

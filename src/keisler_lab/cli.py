@@ -203,10 +203,6 @@ def _cmd_satprobe(args) -> int:
         raise FormatError("csv output is only defined for aggregate mode")
     if aggregate:
         trials = args.trials if args.trials is not None else 1
-        if trials < 1:
-            raise FormatError("--trials must be positive")
-        if args.n_params < 0:
-            raise FormatError("--n-params must be nonnegative")
         probe_seed = rng.randrange(2 ** 63)
         report = sat_probe(ambient, subset, trials=trials,
                            n_params=args.n_params, seed=probe_seed)
@@ -234,8 +230,6 @@ def _cmd_tp2(args) -> int:
     else:
         structure = build_tp2_grid(args.k)
         source = f"tp2grid:{args.k}"
-    if args.sample is not None and args.seed is None:
-        raise FormatError("--sample requires --seed")
     return _run_witness(args, "tp2", {"structure": (source, structure)},
                         lambda: tp2_witness(structure, args.k,
                                             sample=args.sample,
@@ -246,8 +240,6 @@ def _cmd_order(args) -> int:
     ambient = parse_structure_spec(args.ambient)
     if not isinstance(ambient, Hypergraph):
         raise FormatError("order needs a hypergraph ambient")
-    if args.q < 0:
-        raise FormatError("--q must be nonnegative")
     sources = {"ambient": (args.ambient, ambient)}
     return _run_witness(args, "order", sources,
                         lambda: order_witness(ambient, args.s, args.q))

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import re
 from functools import cached_property
+from operator import attrgetter
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from ._record import Record
@@ -399,24 +400,20 @@ class Literal(Record):
         return Not(self.atom) if self.negated else self.atom
 
 
-def _term_key(t: Term) -> tuple[int, int]:
-    return (0 if isinstance(t, ObjectVar) else 1, t.index)
-
-
 def _canonical_atom(atom: Atom) -> Atom:
     # E, R and = are symmetric under evaluation, so argument order is free
     if isinstance(atom, Eq):
-        left, right = sorted((atom.left, atom.right), key=_term_key)
+        left, right = sorted((atom.left, atom.right), key=attrgetter("key"))
         return Eq(left, right)
-    return Rel(atom.name, tuple(sorted(atom.args, key=_term_key)))
+    return Rel(atom.name, tuple(sorted(atom.args, key=attrgetter("key"))))
 
 
 def _literal_key(lit: Literal):
     atom = lit.atom
     if isinstance(atom, Eq):
-        head = (1, "=", (_term_key(atom.left), _term_key(atom.right)))
+        head = (1, "=", (atom.left.key, atom.right.key))
     else:
-        head = (0, atom.name, tuple(_term_key(a) for a in atom.args))
+        head = (0, atom.name, tuple(a.key for a in atom.args))
     return head + (lit.negated,)
 
 

@@ -303,15 +303,10 @@ def digest(payload) -> str:
 
 def structure_digest(structure: Storable,
                      sjson: Optional[dict] = None) -> str:
-    """digest(structure_to_json(structure)), computed once per structure
-    and cached on it: structures are immutable.  A caller that already
-    holds structure_to_json(structure) passes it as sjson, so that it is
-    not built again."""
-    memo = structure._digest_memo
-    if "sha256" not in memo:
-        memo["sha256"] = digest(structure_to_json(structure)
-                                if sjson is None else sjson)
-    return memo["sha256"]
+    """digest(structure_to_json(structure)).  A caller that already holds
+    structure_to_json(structure) passes it as sjson, so that it is not
+    built again."""
+    return digest(structure_to_json(structure) if sjson is None else sjson)
 
 
 def atomic_write_text(path: str, text: str) -> None:

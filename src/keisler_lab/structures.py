@@ -125,11 +125,6 @@ class Hypergraph(Record):
         """is_free's global answers, keyed by s."""
         return {}
 
-    @cached_property
-    def _digest_memo(self) -> dict[str, str]:
-        """serialize.structure_digest's answer, once computed."""
-        return {}
-
 
 def _trusted(r: int, n: int, edges: frozenset[tuple[int, ...]],
              free_s: Optional[int] = None) -> Hypergraph:
@@ -191,11 +186,6 @@ class Feq2Structure(Record):
                     m[x] = b
             maps.append(m)
         return tuple(maps)
-
-    @cached_property
-    def _digest_memo(self) -> dict[str, str]:
-        """serialize.structure_digest's answer, once computed."""
-        return {}
 
     def same_class(self, z: int, x: int, y: int) -> bool:
         return self._block_of[z][x] is self._block_of[z][y]

@@ -1093,6 +1093,48 @@ def test_order_cli_and_verify(tmp_path):
     assert run(["verify", str(out)]) == 0
 
 
+@pytest.mark.parametrize("argv, ambient_n", [
+    (["order", "--ambient", "gen:20:2:3:seed=1", "--q", "3"], 20),
+    (["adversary", "--ambient", "gen:12:3:4:seed=5", "--n", "10",
+      "--seed", "11", "--s", "4"], 12),
+], ids=["order", "adversary"])
+def test_extension_makes_one_global_search_per_phase(argv, ambient_n,
+                                                      tmp_path, monkeypatch):
+    # extended-free follows from ambient-free and the extension's own
+    # search through the new vertex, so the ambient's find_clique is the
+    # only global search, in the report and again in verify
+    import keisler_lab.structures as structures
+    real = structures.find_clique
+    searched = []
+
+    def counting(h, s):
+        searched.append(h.n)
+        return real(h, s)
+    monkeypatch.setattr(structures, "find_clique", counting)
+    out = tmp_path / "r.json"
+    assert run(argv + ["--output", str(out)]) == 0
+    assert searched == [ambient_n]
+    searched.clear()
+    assert run(["verify", str(out)]) == 0
+    assert searched == [ambient_n]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["order", "--ambient", "gen:20:2:3:seed=1", "--q", "-1"],
+     "q must be nonnegative"),
+    (["tp2", "--k", "2", "--sample", "3"], "requires a seed"),
+    (SATPROBE + ["--trials", "0", "--n-params", "2"], "trials must be"),
+    (SATPROBE + ["--n-params", "-1"], "n_params nonnegative"),
+], ids=["order-q", "tp2-sample", "satprobe-trials", "satprobe-n-params"])
+def test_builder_refuses_a_bad_request_without_a_report(argv, message,
+                                                        tmp_path, capsys):
+    # each request is checked once, in its witness builder, before any work
+    out = tmp_path / "r.json"
+    assert run(argv + ["--output", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_check_measures_json_and_csv(tmp_path):
     out = tmp_path / "m.json"
     argv = ["check-measures", "--seed", "5", "--cases", "10",
