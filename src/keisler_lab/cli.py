@@ -11,23 +11,17 @@ input error.
 from __future__ import annotations
 
 import argparse
-import random
 import sys
 from typing import Optional, Sequence
 
 from .coloring import WeightedHypergraph
-from .logic import ParseError, parse_phi
 from .serialize import (FormatError, atomic_write_text, canonical_dumps,
-                        digest, load_json, load_structure, load_weighted,
-                        parse_rational, parse_structure_spec,
-                        structure_digest, structure_to_json, weighted_to_json)
-from .structures import (Feq2Structure, FreenessViolation, Hypergraph,
-                         build_tp2_grid)
-from .witnesses import (PIPELINES, EmbeddingNotFound, PreconditionFailed,
-                        WitnessReport, _check_tuple_count, adversary_witness,
-                        color_witness, fam_witness, gen_witness,
-                        measures_witness, order_witness, recompute_certified,
-                        sat_probe, tp2_witness)
+                        digest, load_json, load_weighted,
+                        parse_structure_spec, structure_digest,
+                        structure_to_json, weighted_to_json)
+from .structures import FreenessViolation
+from .witnesses import (PIPELINES, EmbeddingNotFound, WitnessReport,
+                        build_report, recompute_certified, request_sources)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -55,15 +49,6 @@ def _exit_for(report: WitnessReport) -> int:
     return EXIT_OK if report.all_hold else EXIT_CERT
 
 
-def _write_report(args, report: WitnessReport) -> int:
-    """Emit the report under its config, the parsed options as given."""
-    config = {key: value for key, value in vars(args).items()
-              if value is not None and key != "func"}
-    _emit(canonical_dumps({"config": config, **report.to_json_dict()}),
-          args.output)
-    return _exit_for(report)
-
-
 def _input_entry(obj, source: str) -> dict:
     """How a report records an input: its kind, digest and source."""
     if isinstance(obj, WeightedHypergraph):
@@ -75,174 +60,62 @@ def _input_entry(obj, source: str) -> dict:
             "source": source}
 
 
-def _run_witness(args, theorem: str, sources: dict, builder) -> int:
-    """Run a witness builder and record its inputs, {name: (source,
-    object)}; a failed precondition still writes a report, with the failed
-    inequality, and exits 2."""
-    try:
-        report = builder()
-    except PreconditionFailed as exc:
-        report = exc.report(theorem)
-        print(f"error: {exc}", file=sys.stderr)
-    for name, (source, obj) in sources.items():
-        report.inputs[name] = _input_entry(obj, source)
-    return _write_report(args, report)
+def _load(name: str, source: str):
+    """Resolve an input source: a weights file, or a structure spec."""
+    if name == "weighted":
+        return load_weighted(source)
+    return parse_structure_spec(source)
 
 
-# ---------------------------------------------------------------------------
-# gen
-# ---------------------------------------------------------------------------
-
-def _cmd_gen(args) -> int:
-    report = gen_witness(args.spec)
-    if args.structure_out is not None:
-        atomic_write_text(args.structure_out,
-                          canonical_dumps(report.witness["structure"]))
-    return _write_report(args, report)
+# the report tag of each report subcommand
+_TAGS = {"gen": "gen", "color": "coloring-bound",
+         "check-measures": "measure-algebra", "fam": "famnotfim",
+         "order": "order", "adversary": "dfsnotfim-adversary",
+         "satprobe": "dfsnotfim-sat", "tp2": "tp2"}
 
 
-# ---------------------------------------------------------------------------
-# color
-# ---------------------------------------------------------------------------
-
-def _cmd_color(args) -> int:
-    wh = load_weighted(args.input)
-    sources = {"weighted": (args.input, wh)}
-    return _run_witness(args, "coloring-bound", sources,
-                        lambda: color_witness(wh, args.brute))
-
-
-# ---------------------------------------------------------------------------
-# check-measures
-# ---------------------------------------------------------------------------
-
-def _cmd_check_measures(args) -> int:
-    report = measures_witness(args.seed, args.cases)
-    if args.format == "csv":
+def _csv(report: WitnessReport) -> str:
+    witness = report.witness
+    if report.theorem == "measure-algebra":
         lines = ["check,passed,cases"]
-        lines += [f"{check},{passed},{args.cases}"
-                  for check, passed in report.witness["passed"].items()]
-        _emit("\n".join(lines) + "\n", args.output)
-        return _exit_for(report)
-    return _write_report(args, report)
-
-
-# ---------------------------------------------------------------------------
-# witness subcommands
-# ---------------------------------------------------------------------------
-
-def _cmd_fam(args) -> int:
-    try:
-        phi = parse_phi(args.phi)
-    except ParseError as exc:
-        raise FormatError(f"--phi: {exc}") from None
-    epsilon = parse_rational(args.epsilon)
-    graph = parse_structure_spec(args.graph)
-    ambient = parse_structure_spec(args.ambient)
-    if not isinstance(graph, Hypergraph) or not isinstance(ambient, Hypergraph):
-        raise FormatError("fam needs hypergraph inputs")
-    sources = {"ambient": (args.ambient, ambient),
-               "graph": (args.graph, graph)}
-    return _run_witness(
-        args, "famnotfim", sources,
-        lambda: fam_witness(phi, epsilon, ambient, graph, args.s,
-                            embed_budget=args.budget))
-
-
-def _cmd_adversary(args) -> int:
-    ambient = parse_structure_spec(args.ambient)
-    if not isinstance(ambient, Hypergraph):
-        raise FormatError("adversary needs a hypergraph ambient")
-    if args.r is None:
-        args.r = ambient.r  # the report's config records the resolved r
-    tuples = _draw_tuples(args.seed, args.n, args.r, ambient)
-    sources = {"ambient": (args.ambient, ambient)}
-    return _run_witness(args, "dfsnotfim-adversary", sources,
-                        lambda: adversary_witness(tuples, ambient, args.s))
-
-
-def _draw_tuples(seed: int, n: int, r: int,
-                 ambient: Hypergraph) -> list[tuple[int, ...]]:
-    """An adversary's n tuples of r - 1 ambient vertices, drawn from the
-    generator seeded with --seed.  verify draws them again from the
-    report's config."""
-    if r != ambient.r:
-        raise FormatError(f"--r {r} does not match the ambient arity "
-                          f"{ambient.r}")
-    if n < 1:
-        raise FormatError("--n must be positive")
-    _check_tuple_count(n)
-    if ambient.n == 0:
-        raise FormatError("ambient has no vertices to draw tuples from")
-    rng = random.Random(seed)
-    return [tuple(rng.randrange(ambient.n) for _ in range(r - 1))
-            for _ in range(n)]
-
-
-def _draw_subset(rng: random.Random, n: int, m_size: int) -> list[int]:
-    """A satprobe's designated subset: the first draw of the generator
-    seeded with --seed.  verify draws it again from the report's config."""
-    if not 1 <= m_size <= n:
-        raise FormatError(f"--m-size must lie in 1..{n} for this ambient")
-    return sorted(rng.sample(range(n), m_size))
-
-
-def _cmd_satprobe(args) -> int:
-    ambient = parse_structure_spec(args.ambient)
-    if not isinstance(ambient, Hypergraph):
-        raise FormatError("satprobe needs a hypergraph ambient")
-    rng = random.Random(args.seed)
-    subset = _draw_subset(rng, ambient.n, args.m_size)
-    aggregate = args.params is None
-    if aggregate and args.n_params is None:
-        raise FormatError("need --params or --n-params")
-    if not aggregate and (args.trials is not None
-                          or args.n_params is not None):
-        raise FormatError("--params excludes --trials/--n-params")
-    if args.format == "csv" and not aggregate:
+        lines += [f"{check},{passed},{witness['cases']}"
+                  for check, passed in witness["passed"].items()]
+    elif witness.get("mode") != "aggregate":
         raise FormatError("csv output is only defined for aggregate mode")
-    if aggregate:
-        trials = args.trials if args.trials is not None else 1
-        probe_seed = rng.randrange(2 ** 63)
-        report = sat_probe(ambient, subset, trials=trials,
-                           n_params=args.n_params, seed=probe_seed)
     else:
-        params = _parse_int_list(args.params, "--params")
-        report = sat_probe(ambient, subset, params)
-    report.inputs["ambient"] = _input_entry(ambient, args.ambient)
-    if args.format == "csv":
         lines = ["trial,found,witness"]
-        for i, entry in enumerate(report.witness["results"]):
+        for i, entry in enumerate(witness["results"]):
             found = entry["found"]
             cell = "-".join(str(v) for v in entry["witness"]) if found else ""
             lines.append(f"{i},{int(found)},{cell}")
-        _emit("\n".join(lines) + "\n", args.output)
-        return _exit_for(report)
-    return _write_report(args, report)
+    return "\n".join(lines) + "\n"
 
 
-def _cmd_tp2(args) -> int:
-    if args.input is not None:
-        structure = load_structure(args.input)
-        if not isinstance(structure, Feq2Structure):
-            raise FormatError("tp2 needs a parameterized equivalence input")
-        source = args.input
+def _cmd_report(args) -> int:
+    """Run a report subcommand.  The parsed options are the request and
+    the report's config: the inputs it names are resolved, and the report
+    is built by the request function that verify calls too.  A failed
+    precondition still writes a report, with the failed inequality, and
+    exits 2."""
+    theorem = _TAGS[args.subcommand]
+    config = {key: value for key, value in vars(args).items()
+              if value is not None and key != "func"}
+    sources = request_sources(theorem, config)
+    inputs = {name: _load(name, source) for name, source in sources.items()}
+    report = build_report(theorem, config, inputs)
+    if "precondition_failed" in report.witness:
+        print(f"error: {report.log[0]}", file=sys.stderr)
+    for name, source in sources.items():
+        report.inputs[name] = _input_entry(inputs[name], source)
+    if "structure_out" in config:
+        atomic_write_text(config["structure_out"],
+                          canonical_dumps(report.witness["structure"]))
+    if config.get("format") == "csv":
+        _emit(_csv(report), config.get("output"))
     else:
-        structure = build_tp2_grid(args.k)
-        source = f"tp2grid:{args.k}"
-    return _run_witness(args, "tp2", {"structure": (source, structure)},
-                        lambda: tp2_witness(structure, args.k,
-                                            sample=args.sample,
-                                            seed=args.seed))
-
-
-def _cmd_order(args) -> int:
-    ambient = parse_structure_spec(args.ambient)
-    if not isinstance(ambient, Hypergraph):
-        raise FormatError("order needs a hypergraph ambient")
-    sources = {"ambient": (args.ambient, ambient)}
-    return _run_witness(args, "order", sources,
-                        lambda: order_witness(ambient, args.s, args.q))
+        _emit(canonical_dumps({"config": config, **report.to_json_dict()}),
+              config.get("output"))
+    return _exit_for(report)
 
 
 # ---------------------------------------------------------------------------
@@ -260,61 +133,13 @@ def _resolve_input(name: str, entry: dict, overrides: dict):
     else:
         raise FormatError(
             f"input {name!r} has no recorded source; pass --input {name}=PATH")
-    if entry["kind"] == "weighted-hypergraph":
-        obj = load_weighted(source)
-    else:
-        obj = parse_structure_spec(source)
+    obj = _load(name, source)
     actual = _input_entry(obj, source)
     if actual["kind"] != entry["kind"]:
         raise FormatError(
             f"input {name!r} resolved to kind {actual['kind']!r}, "
             f"report says {entry['kind']!r}")
     return obj, actual["digest"], entry["digest"]
-
-
-def _undrawn(theorem: str, config, witness: dict,
-             resolved: dict) -> Optional[str]:
-    """Draw again what an adversary or satprobe report drew from --seed,
-    which only its config records, and hold a probe's request (params, or
-    trials and n_params) to the config's; the message naming the first
-    witness field that differs, or None."""
-    if (theorem not in ("dfsnotfim-adversary", "dfsnotfim-sat")
-            or "precondition_failed" in witness):
-        return None
-    ambient = resolved["ambient"]
-    if not isinstance(config, dict):
-        raise FormatError("report has no config object to draw from")
-    seed = config.get("seed")
-    if theorem == "dfsnotfim-adversary":
-        n, r = config.get("n"), config.get("r")
-        if not all(isinstance(v, int) for v in (seed, n, r)):
-            raise FormatError("adversary config needs integer seed, n and r")
-        tuples = _draw_tuples(seed, n, r, ambient)
-        if witness["tuples"] != [list(t) for t in tuples]:
-            return ("witness field 'tuples' is not the tuples drawn from the "
-                    "config's seed, n and r")
-        return None
-    m_size = config.get("m_size")
-    if not isinstance(seed, int) or not isinstance(m_size, int):
-        raise FormatError("satprobe config needs integer seed and m_size")
-    rng = random.Random(seed)
-    if witness["m_subset"] != _draw_subset(rng, ambient.n, m_size):
-        return ("witness field 'm_subset' is not the subset drawn from the "
-                "config's seed and m_size")
-    if witness["mode"] == "single":
-        params = config.get("params")
-        if not isinstance(params, str) or witness["params"] != (
-                _parse_int_list(params, "--params")):
-            return "witness field 'params' is not the config's params"
-        return None
-    for key, asked in (("trials", config.get("trials", 1)),
-                       ("n_params", config.get("n_params"))):
-        if witness[key] != asked:
-            return f"witness field {key!r} is not the config's {key}"
-    if witness["seed"] != rng.randrange(2 ** 63):
-        return ("witness field 'seed' is not the probe seed drawn after the "
-                "subset from the config's seed")
-    return None
 
 
 class _Absent:
@@ -353,12 +178,15 @@ def _cmd_verify(args) -> int:
     data = load_json(args.report)
     if not isinstance(data, dict):
         raise FormatError("report must be a JSON object")
-    for key in ("theorem", "inputs", "witness", "certified", "log"):
+    for key in ("theorem", "config", "inputs", "witness", "certified",
+                "log"):
         if key not in data:
             raise FormatError(f"report is missing the {key!r} key")
-    theorem = data["theorem"]
+    theorem, config = data["theorem"], data["config"]
     if theorem not in PIPELINES:
         raise FormatError(f"unknown theorem tag {theorem!r}")
+    if not isinstance(config, dict):
+        raise FormatError("config must be an object")
     if not isinstance(data["inputs"], dict):
         raise FormatError("inputs must be an object")
     if not isinstance(data["certified"], list):
@@ -375,33 +203,36 @@ def _cmd_verify(args) -> int:
         resolved[name] = obj
     witness = data["witness"]
     try:
-        recomputed = recompute_certified(theorem, witness, resolved)
-        undrawn = _undrawn(theorem, data.get("config"), witness, resolved)
+        for name, source in request_sources(theorem, config).items():
+            have = data["inputs"].get(name, {}).get("source", source)
+            if have != source:
+                print(f"input {name!r}: the config asks for {source!r}, "
+                      f"the report records {have!r}", file=sys.stderr)
+                return EXIT_CERT
+        recomputed = recompute_certified(theorem, config, witness, resolved)
     except (KeyError, TypeError, IndexError, AttributeError) as exc:
         raise FormatError(
             f"report payload does not match the {theorem!r} schema "
             f"({exc!r})") from None
-    if undrawn is not None:
-        print(undrawn, file=sys.stderr)
-        return EXIT_CERT
+    # every certification that does not reproduce, then the first witness
+    # field that differs
     fresh = [c.to_json_dict() for c in recomputed.certified]
     recorded = data["certified"]
-    if fresh != recorded:
-        for i, entry in enumerate(fresh):
-            have = recorded[i] if i < len(recorded) else None
-            if entry != have:
-                print(f"certification {entry['name']!r} does not reproduce:"
-                      f"\n  recorded   {have}\n  recomputed {entry}",
-                      file=sys.stderr)
-        if len(recorded) != len(fresh):
-            print(f"report records {len(recorded)} certifications, "
-                  f"recomputation yields {len(fresh)}", file=sys.stderr)
-        return EXIT_CERT
+    for i, entry in enumerate(fresh):
+        have = recorded[i] if i < len(recorded) else None
+        if entry != have:
+            print(f"certification {entry['name']!r} does not reproduce:"
+                  f"\n  recorded   {have}\n  recomputed {entry}",
+                  file=sys.stderr)
+    if len(recorded) != len(fresh):
+        print(f"report records {len(recorded)} certifications, "
+              f"recomputation yields {len(fresh)}", file=sys.stderr)
     difference = _first_difference(witness, recomputed.witness)
     if difference is not None:
         path, have, made = difference
         print(f"witness field {path!r} does not reproduce:"
               f"\n  recorded   {have}\n  recomputed {made}", file=sys.stderr)
+    if fresh != recorded or difference is not None:
         return EXIT_CERT
     if not recomputed.all_hold:
         print("report reproduces, but contains a failed certification",
@@ -415,14 +246,6 @@ def _cmd_verify(args) -> int:
 # parser assembly and entry point
 # ---------------------------------------------------------------------------
 
-def _parse_int_list(text: str, what: str) -> list[int]:
-    try:
-        return [int(v) for v in text.split(",") if v != ""]
-    except ValueError:
-        raise FormatError(f"{what} needs comma-separated integers, "
-                          f"got {text!r}") from None
-
-
 def _build_parser() -> _Parser:
     parser = _Parser(prog="keisler-lab",
                      description="Finite-scale measure and witness "
@@ -435,7 +258,7 @@ def _build_parser() -> _Parser:
                                 "tp2grid:k | file:PATH")
     p.add_argument("--output", help="report path (default stdout)")
     p.add_argument("--structure-out", help="also write the bare structure")
-    p.set_defaults(func=_cmd_gen)
+    p.set_defaults(func=_cmd_report)
 
     p = sub.add_parser("color", help="greedy splitting colouring with the "
                                      "exact guarantee")
@@ -444,7 +267,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--brute", action="store_true",
                    help="also enumerate all colourings (small inputs)")
     p.add_argument("--output")
-    p.set_defaults(func=_cmd_color)
+    p.set_defaults(func=_cmd_report)
 
     p = sub.add_parser("fam", help="average approximation of the isolated "
                                    "vertex type")
@@ -456,7 +279,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--s", type=int, default=3)
     p.add_argument("--budget", type=int, help="embedding search node budget")
     p.add_argument("--output")
-    p.set_defaults(func=_cmd_fam)
+    p.set_defaults(func=_cmd_report)
 
     p = sub.add_parser("adversary", help="vertex falsifying the no-edge "
                                          "formula on a guaranteed fraction")
@@ -466,7 +289,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--r", type=int, help="must match the ambient arity")
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--output")
-    p.set_defaults(func=_cmd_adversary)
+    p.set_defaults(func=_cmd_report)
 
     p = sub.add_parser("satprobe", help="search a subset for a tuple with "
                                         "no edge through the parameters")
@@ -480,7 +303,7 @@ def _build_parser() -> _Parser:
                    help="aggregate mode parameters per trial")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--output")
-    p.set_defaults(func=_cmd_satprobe)
+    p.set_defaults(func=_cmd_report)
 
     p = sub.add_parser("tp2", help="grid rows inconsistent, paths consistent")
     p.add_argument("--k", type=int, required=True)
@@ -489,14 +312,14 @@ def _build_parser() -> _Parser:
     p.add_argument("--sample", type=int, help="check this many sampled paths")
     p.add_argument("--seed", type=int)
     p.add_argument("--output")
-    p.set_defaults(func=_cmd_tp2)
+    p.set_defaults(func=_cmd_report)
 
     p = sub.add_parser("order", help="alternating link pattern witness")
     p.add_argument("--ambient", required=True)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--s", type=int, default=3)
     p.add_argument("--output")
-    p.set_defaults(func=_cmd_order)
+    p.set_defaults(func=_cmd_report)
 
     p = sub.add_parser("check-measures", help="seeded self-test of the "
                                               "measure algebra")
@@ -504,7 +327,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--cases", type=int, default=20)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--output")
-    p.set_defaults(func=_cmd_check_measures)
+    p.set_defaults(func=_cmd_report)
 
     p = sub.add_parser("verify", help="recompute a report's certifications")
     p.add_argument("report", help="report JSON path")

@@ -759,18 +759,18 @@ class EmbedResult(Record):
 
 
 def _embed_order(g: Hypergraph) -> list[int]:
-    # most-connected-first keeps the candidate sets small early
+    """Most-connected-first keeps the candidate sets small early: next is
+    the vertex with the most placed neighbours, then the highest degree,
+    then the lowest index."""
+    touching = [0] * g.n  # placed neighbours, kept as vertices are placed
     remaining = set(range(g.n))
     order: list[int] = []
-    placed: set[int] = set()
     while remaining:
-        def contact(v: int) -> tuple[int, int, int]:
-            touching = sum(1 for e in g.edges if v in e and placed & set(e))
-            return (touching, g.degrees[v], -v)
-        v = max(remaining, key=contact)
+        v = max(remaining, key=lambda u: (touching[u], g.degrees[u], -u))
         order.append(v)
-        placed.add(v)
         remaining.remove(v)
+        for w in _bits(g.adjacency[v]):
+            touching[w] += 1
     return order
 
 
@@ -787,7 +787,6 @@ def embed_search(g: Hypergraph, h: Hypergraph,
     order = _embed_order(g)
     image = [-1] * g.n
     nodes = 0
-    exhausted = False
     full = (1 << h.n) - 1
     h_adj = h.adjacency
     g_adj = g.adjacency
@@ -805,26 +804,29 @@ def embed_search(g: Hypergraph, h: Hypergraph,
                 return
         yield from _bits(mask)
 
-    def place(pos: int, used: int) -> bool:
-        nonlocal nodes, exhausted
-        if pos == g.n:
-            return True
-        for v in candidates(pos, used):
-            nodes += 1
-            if budget is not None and nodes > budget:
-                exhausted = True
-                return False
-            image[order[pos]] = v
-            if place(pos + 1, used | (1 << v)):
-                return True
-            if exhausted:
-                return False
-        image[order[pos]] = -1
-        return False
-
-    if place(0, 0):
-        return EmbedResult(tuple(image), False, nodes)
-    return EmbedResult(None, exhausted, nodes)
+    # one candidate iterator per placed position on an explicit stack, in
+    # the order of a recursive backtrack (a recursion would overflow near
+    # a thousand sample vertices)
+    stack = [candidates(0, 0)]
+    used = 0
+    while stack:
+        u = order[len(stack) - 1]
+        if image[u] >= 0:  # the previous candidate here led nowhere
+            used &= ~(1 << image[u])
+        v = next(stack[-1], -1)
+        if v < 0:
+            image[u] = -1
+            stack.pop()
+            continue
+        nodes += 1
+        if budget is not None and nodes > budget:
+            return EmbedResult(None, True, nodes)
+        image[u] = v
+        used |= 1 << v
+        if len(stack) == g.n:
+            return EmbedResult(tuple(image), False, nodes)
+        stack.append(candidates(len(stack), used))
+    return EmbedResult(None, False, nodes)
 
 
 def is_induced_embedding(g: Hypergraph, h: Hypergraph,

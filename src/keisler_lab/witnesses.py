@@ -2,11 +2,15 @@
 
 Each experiment returns a WitnessReport: a payload describing the object
 built, a list of certified exact inequalities, and a log.  Each report
-tag has one builder.  The runner calls it with no recorded witness; the
-verifier calls it again with the report's witness as `recorded`, from
-which the builder takes its expensive choices (an embedding, a
-colouring and its links, probe hits) instead of searching again, and
-compares the certifications and the witness it returns with the report.
+tag has one request function in PIPELINES, build(config, inputs,
+recorded=None): it reads every request field from the report's config,
+makes the seeded draws, and calls the tag's builder on the resolved
+input structures.  The runner calls it with no recorded witness; the
+verifier calls it again on the report's config with the report's
+witness as `recorded`, from which the builder takes only its expensive
+choices (an embedding, a colouring and its links, probe hits) instead
+of searching again, and compares the certifications and the witness it
+returns with the report.
 """
 
 from __future__ import annotations
@@ -20,13 +24,13 @@ from typing import Mapping, Optional, Sequence
 from ._record import Record
 from .coloring import (WeightedHypergraph, brute_best, greedy_coloring,
                        guarantee_value, weight_of, weighted_hypergraph)
-from .logic import (And, Eq, Not, ObjectVar, ParamVar, PhiPartition, Rel,
-                    analyze_phi, evaluate, format_formula, make_assignment,
-                    parse_phi)
+from .logic import (And, Eq, Not, ObjectVar, ParamVar, ParseError,
+                    PhiPartition, Rel, analyze_phi, evaluate, format_formula,
+                    make_assignment, parse_phi)
 from .measures import SELFTEST_CHECKS, measure_algebra_selftest, sup_error
-from .serialize import (FormatError, digest, parse_structure_spec,
-                        rational_from_json, rational_to_json,
-                        structure_digest, structure_to_json)
+from .serialize import (FormatError, digest, parse_rational,
+                        parse_structure_spec, rational_from_json,
+                        rational_to_json, structure_digest, structure_to_json)
 from .structures import (_MAX_GRID_K, Feq2Structure, FreenessViolation,
                          Hypergraph, add_vertex_with_links, alpha_s,
                          embed_search, grid_object, grid_target, is_free,
@@ -46,8 +50,9 @@ class PreconditionFailed(Exception):
         super().__init__(f"precondition {name}: {lhs} {op} {rhs} is false")
 
     def report(self, theorem: str) -> WitnessReport:
-        """The report of a run that stopped here: the failed inequality
-        verbatim, which recompute_certified reads back."""
+        """The report of a run that stopped here: the failed inequality.
+        verify rebuilds the same request, which must stop at the same
+        inequality."""
         payload = {"precondition_failed": self.name, "op": self.op,
                    "lhs": rational_to_json(self.lhs),
                    "rhs": rational_to_json(self.rhs)}
@@ -279,6 +284,9 @@ def _select_profile(analysis) -> int:
 # use is 250 (an edgeless 250-vertex graph), and 10^4 nodes take about 2 s
 # on a 1,000-vertex graph
 _MAX_ALPHA_NODES = 10_000
+# the embedding search when --budget is absent; the largest count in use is
+# 3,811 nodes, and 10^6 nodes take about 3.5 s
+_MAX_EMBED_NODES = 10 ** 6
 
 
 def fam_witness(phi: PhiPartition, epsilon: Fraction, ambient: Hypergraph,
@@ -294,10 +302,10 @@ def fam_witness(phi: PhiPartition, epsilon: Fraction, ambient: Hypergraph,
     is satisfiable by an isolated vertex the experiment runs on the
     negation and certifies the complementary values.
 
-    Rebuilt from a recorded witness, the recorded embedding replaces the
-    search and the preconditions are certified rather than required.  An
-    embedding that is not induced (only a recorded one can be) stops the
-    report there.
+    The embedding search stops after embed_budget nodes, _MAX_EMBED_NODES
+    when none is given.  Rebuilt from a recorded witness, the recorded
+    embedding replaces the search.  An embedding that is not induced (only
+    a recorded one can be) stops the report there.
     """
     epsilon = Fraction(epsilon)
     if epsilon <= 0:
@@ -308,6 +316,10 @@ def fam_witness(phi: PhiPartition, epsilon: Fraction, ambient: Hypergraph,
         raise ValueError("s must be at least 3")
     if graph.n == 0:
         raise ValueError("sample graph needs at least one vertex")
+    budget = _MAX_EMBED_NODES if embed_budget is None else embed_budget
+    if not 1 <= budget <= _MAX_EMBED_NODES:
+        raise FormatError(f"--budget {budget} must lie in "
+                          f"1..{_MAX_EMBED_NODES}")
 
     analysis = analyze_phi(phi)
     negated = not analysis.generic_indices
@@ -331,9 +343,9 @@ def fam_witness(phi: PhiPartition, epsilon: Fraction, ambient: Hypergraph,
     pattern_free = _bool_cert("pattern-free", is_free(graph, s))
     ambient_free = _bool_cert("ambient-free", is_free(ambient, s))
 
+    _require([sample_size, *alpha_bound, pattern_free, ambient_free])
     if recorded is None:
-        _require([sample_size, *alpha_bound, pattern_free, ambient_free])
-        embedding = embed_search(graph, ambient, budget=embed_budget)
+        embedding = embed_search(graph, ambient, budget=budget)
         if embedding.mapping is None:
             raise EmbeddingNotFound(embedding.exhausted, embedding.nodes)
         abar = embedding.mapping
@@ -427,17 +439,15 @@ def _extended_free(ambient_free: Certified) -> Certified:
     return _bool_cert("extended-free", ambient_free.holds)
 
 
-def order_witness(ambient: Hypergraph, s: int, q: int, *,
-                  recorded: Optional[dict] = None) -> WitnessReport:
+def order_witness(ambient: Hypergraph, s: int, q: int) -> WitnessReport:
     """Extend the ambient graph by 2q pairwise non-adjacent vertices and a
     vertex linked to exactly the even-indexed ones, certifying the
     alternating pattern and that freeness survives.
 
     The added chain is independent and the last vertex links only to chain
     vertices, so for s >= 3 no extension can complete a clique.  The report
-    records no links, so a rebuild (recorded given) re-derives the same
-    extension and cannot meet a FreenessViolation either; it certifies a
-    non-free ambient instead of raising PreconditionFailed.
+    records no links, so verify re-derives the same extension and takes
+    nothing from the recorded witness.
     """
     if ambient.r != 2:
         raise ValueError("order witness is defined over graphs")
@@ -448,10 +458,7 @@ def order_witness(ambient: Hypergraph, s: int, q: int, *,
     if q > _MAX_ORDER_Q:
         raise FormatError(f"q = {q} may not exceed {_MAX_ORDER_Q}")
     ambient_free = _bool_cert("ambient-free", is_free(ambient, s))
-    if recorded is None:
-        _require([ambient_free])
-    elif not ambient_free.holds:  # the extension needs a free ambient
-        return WitnessReport("order", {}, {}, (ambient_free,), ())
+    _require([ambient_free])
     chain = list(range(ambient.n, ambient.n + 2 * q))
     extended = ambient
     for _ in range(2 * q):
@@ -517,6 +524,23 @@ def _check_tuple_count(n: int) -> None:
                           f"{_MAX_ADVERSARY_TUPLES}")
 
 
+def _draw_tuples(seed: int, n: int, r: int,
+                 ambient: Hypergraph) -> list[tuple[int, ...]]:
+    """An adversary's n tuples of r - 1 ambient vertices, drawn from the
+    generator seeded with --seed."""
+    if r != ambient.r:
+        raise FormatError(f"--r {r} does not match the ambient arity "
+                          f"{ambient.r}")
+    if n < 1:
+        raise FormatError("--n must be positive")
+    _check_tuple_count(n)
+    if ambient.n == 0:
+        raise FormatError("ambient has no vertices to draw tuples from")
+    rng = random.Random(seed)
+    return [tuple(rng.randrange(ambient.n) for _ in range(r - 1))
+            for _ in range(n)]
+
+
 def adversary_witness(tuples: Sequence[Sequence[int]], ambient: Hypergraph,
                       s: int, *,
                       recorded: Optional[dict] = None) -> WitnessReport:
@@ -552,10 +576,7 @@ def adversary_witness(tuples: Sequence[Sequence[int]], ambient: Hypergraph,
 
     theorem = "dfsnotfim-adversary"
     ambient_free = _bool_cert("ambient-free", is_free(ambient, s))
-    if recorded is None:
-        _require([ambient_free])
-    elif not ambient_free.holds:  # the extension needs a free ambient
-        return WitnessReport(theorem, {}, {}, (ambient_free,), ())
+    _require([ambient_free])
     distinct = [t for t in clean if len(set(t)) == arity]
     m = len(distinct)
     vertices = sorted({v for t in distinct for v in t})
@@ -630,6 +651,22 @@ def adversary_witness(tuples: Sequence[Sequence[int]], ambient: Hypergraph,
 # ---------------------------------------------------------------------------
 # Satisfiability probe for the no-edge formula
 # ---------------------------------------------------------------------------
+
+def _draw_subset(rng: random.Random, n: int, m_size: int) -> list[int]:
+    """A satprobe's designated subset: the first draw of the generator
+    seeded with --seed."""
+    if not 1 <= m_size <= n:
+        raise FormatError(f"--m-size must lie in 1..{n} for this ambient")
+    return sorted(rng.sample(range(n), m_size))
+
+
+def _parse_int_list(text: str, what: str) -> list[int]:
+    try:
+        return [int(v) for v in text.split(",") if v != ""]
+    except ValueError:
+        raise FormatError(f"{what} needs comma-separated integers, "
+                          f"got {text!r}") from None
+
 
 def _probe_once(ambient: Hypergraph, subset: Sequence[int],
                 params: Sequence[int]) -> Optional[tuple[int, ...]]:
@@ -715,7 +752,7 @@ def sat_probe(ambient: Hypergraph, subset: Sequence[int],
         if recorded is not None and draws != [
                 entry["params"] for entry in recorded["results"]]:
             raise FormatError("recorded params are not the draws of the "
-                              "recorded seed, trials and n_params")
+                              "config's seed, trials and n_params")
 
     members = set(subset)
 
@@ -816,7 +853,7 @@ def tp2_witness(f: Feq2Structure, k: int, sample: Optional[int] = None,
                 digits.append(d)
             paths.append(digits[::-1])
     if recorded is not None and paths != recorded["checked_paths"]:
-        raise FormatError("checked_paths are not the paths of the recorded "
+        raise FormatError("checked_paths are not the paths of the config's "
                           "k, sample and seed")
     row_pairs = 0
     row_failures = []
@@ -859,65 +896,147 @@ def tp2_witness(f: Feq2Structure, k: int, sample: Optional[int] = None,
 
 
 # ---------------------------------------------------------------------------
-# The pipeline table: every report tag, the inputs its report names, and how
-# verify rebuilds it: read the request fields, call the builder
+# The pipeline table: every report tag, the inputs its report names, where
+# its config says they come from, and its request function
 # ---------------------------------------------------------------------------
 
-def _recompute_fam(witness: dict, inputs: Mapping[str, object]):
-    phi = parse_phi(witness["phi"], witness["object_arity"],
-                    witness["param_arity"])
-    return fam_witness(phi, rational_from_json(witness["epsilon"]),
-                       inputs["ambient"], inputs["graph"], int(witness["s"]),
-                       recorded=witness)
+def _expect(obj, kind, message: str):
+    if not isinstance(obj, kind):
+        raise FormatError(message)
+    return obj
 
 
-def _recompute_sat(witness: dict, inputs: Mapping[str, object]):
-    if witness["mode"] == "single":
-        return sat_probe(inputs["ambient"], witness["m_subset"],
-                         witness["params"], recorded=witness)
-    return sat_probe(inputs["ambient"], witness["m_subset"],
-                     trials=int(witness["trials"]),
-                     n_params=int(witness["n_params"]),
-                     seed=int(witness["seed"]), recorded=witness)
+def _sources(**keys):
+    """sources(config) of inputs whose sources config[key] names."""
+    return lambda config: {name: config[key] for name, key in keys.items()}
 
 
-def _recompute_tp2(witness: dict, inputs: Mapping[str, object]):
-    info = witness["sample"]
-    sample, seed = ((None, None) if info is None
-                    else (int(info["count"]), int(info["seed"])))
-    return tp2_witness(inputs["structure"], int(witness["k"]), sample, seed,
-                       recorded=witness)
+def _tp2_sources(config) -> dict:
+    return {"structure": config.get("input", f"tp2grid:{config['k']}")}
 
 
-# each entry: the inputs a report names, and its rebuild from the witness w
+def _gen_request(config, inputs, recorded=None) -> WitnessReport:
+    return gen_witness(config["spec"], recorded)
+
+
+def _color_request(config, inputs, recorded=None) -> WitnessReport:
+    return color_witness(inputs["weighted"], config["brute"], recorded)
+
+
+def _measures_request(config, inputs, recorded=None) -> WitnessReport:
+    return measures_witness(config["seed"], config["cases"])
+
+
+def _fam_request(config, inputs, recorded=None) -> WitnessReport:
+    try:
+        phi = parse_phi(config["phi"])
+    except ParseError as exc:
+        raise FormatError(f"--phi: {exc}") from None
+    message = "fam needs hypergraph inputs"
+    return fam_witness(phi, parse_rational(config["epsilon"]),
+                       _expect(inputs["ambient"], Hypergraph, message),
+                       _expect(inputs["graph"], Hypergraph, message),
+                       config["s"], embed_budget=config.get("budget"),
+                       recorded=recorded)
+
+
+def _order_request(config, inputs, recorded=None) -> WitnessReport:
+    ambient = _expect(inputs["ambient"], Hypergraph,
+                      "order needs a hypergraph ambient")
+    return order_witness(ambient, config["s"], config["q"])
+
+
+def _adversary_request(config, inputs, recorded=None) -> WitnessReport:
+    ambient = _expect(inputs["ambient"], Hypergraph,
+                      "adversary needs a hypergraph ambient")
+    r = config.setdefault("r", ambient.r)  # the config records the r used
+    tuples = _draw_tuples(config["seed"], config["n"], r, ambient)
+    return adversary_witness(tuples, ambient, config["s"],
+                             recorded=recorded)
+
+
+def _sat_request(config, inputs, recorded=None) -> WitnessReport:
+    ambient = _expect(inputs["ambient"], Hypergraph,
+                      "satprobe needs a hypergraph ambient")
+    rng = random.Random(config["seed"])
+    subset = _draw_subset(rng, ambient.n, config["m_size"])
+    if "params" in config:
+        if "trials" in config or "n_params" in config:
+            raise FormatError("--params excludes --trials/--n-params")
+        return sat_probe(ambient, subset,
+                         _parse_int_list(config["params"], "--params"),
+                         recorded=recorded)
+    if "n_params" not in config:
+        raise FormatError("need --params or --n-params")
+    # the probe seed is the next draw after the subset
+    return sat_probe(ambient, subset, trials=config.get("trials", 1),
+                     n_params=config["n_params"],
+                     seed=rng.randrange(2 ** 63), recorded=recorded)
+
+
+def _tp2_request(config, inputs, recorded=None) -> WitnessReport:
+    structure = _expect(inputs["structure"], Feq2Structure,
+                        "tp2 needs a parameterized equivalence input")
+    return tp2_witness(structure, config["k"], config.get("sample"),
+                       config.get("seed"), recorded=recorded)
+
+
+_AMBIENT = _sources(ambient="ambient")
+# each entry: the inputs a report names, sources(config), and build(config,
+# inputs, recorded=None)
 PIPELINES = {
-    "gen": ((), lambda w, inputs: gen_witness(w["spec"], recorded=w)),
-    "coloring-bound": (("weighted",), lambda w, inputs: color_witness(
-        inputs["weighted"], w.get("brute") is not None, recorded=w)),
-    "measure-algebra": ((), lambda w, inputs: measures_witness(
-        int(w["seed"]), int(w["cases"]))),
-    "famnotfim": (("ambient", "graph"), _recompute_fam),
-    "order": (("ambient",), lambda w, inputs: order_witness(
-        inputs["ambient"], int(w["s"]), int(w["q"]), recorded=w)),
-    "dfsnotfim-adversary": (("ambient",), lambda w, inputs: adversary_witness(
-        w["tuples"], inputs["ambient"], int(w["s"]), recorded=w)),
-    "dfsnotfim-sat": (("ambient",), _recompute_sat),
-    "tp2": (("structure",), _recompute_tp2),
+    "gen": ((), _sources(), _gen_request),
+    "coloring-bound": (("weighted",), _sources(weighted="input"),
+                       _color_request),
+    "measure-algebra": ((), _sources(), _measures_request),
+    "famnotfim": (("ambient", "graph"),
+                  _sources(ambient="ambient", graph="graph"), _fam_request),
+    "order": (("ambient",), _AMBIENT, _order_request),
+    "dfsnotfim-adversary": (("ambient",), _AMBIENT, _adversary_request),
+    "dfsnotfim-sat": (("ambient",), _AMBIENT, _sat_request),
+    "tp2": (("structure",), _tp2_sources, _tp2_request),
 }
 
 
-def recompute_certified(theorem: str, witness: dict,
-                        inputs: Mapping[str, object]) -> WitnessReport:
-    """Rebuild a report from its witness and resolved inputs, through the
-    builder the runner used, with the witness as `recorded`; the verifier
-    compares the certifications and the witness of the result with the
-    report's.  A report whose precondition failed carries that inequality
-    verbatim: there is no witness object to rebuild from, and one that
-    holds is refused."""
+class _Request(dict):
+    """A recorded config: reading a field it lacks names that field."""
+
+    def __missing__(self, key):
+        raise FormatError(f"config has no {key!r} field")
+
+
+def request_sources(theorem: str, config: dict) -> dict:
+    """The source of each input, as the config of a request names it."""
+    return PIPELINES[theorem][1](_Request(config))
+
+
+def build_report(theorem: str, config: dict, inputs: Mapping[str, object],
+                 recorded: Optional[dict] = None) -> WitnessReport:
+    """The report of a request, through its tag's build; a precondition
+    that fails yields the report of that failure."""
     try:
-        names, recompute = PIPELINES[theorem]
+        return PIPELINES[theorem][2](config, inputs, recorded)
+    except PreconditionFailed as exc:
+        return exc.report(theorem)
+
+
+def recompute_certified(theorem: str, config: dict, witness: dict,
+                        inputs: Mapping[str, object]) -> WitnessReport:
+    """Rebuild a report from its config and resolved inputs through the
+    runner's own build, with the witness as `recorded`; the verifier
+    compares the certifications and the witness of the result with the
+    report's.  A report whose precondition failed is rebuilt as the
+    runner built it, with nothing recorded; one whose recorded inequality
+    holds is refused.  So is a config that lacks a field the build
+    resolves, such as the adversary's r, which the runner records."""
+    try:
+        names = PIPELINES[theorem][0]
     except KeyError:
         raise ValueError(f"unknown theorem tag {theorem!r}") from None
+    missing = [name for name in names if name not in inputs]
+    if missing:
+        raise FormatError(f"report lacks required inputs: {missing}")
+    recorded = witness
     if isinstance(witness, dict) and "precondition_failed" in witness:
         failed = Certified(str(witness["precondition_failed"]),
                            str(witness["op"]),
@@ -927,9 +1046,10 @@ def recompute_certified(theorem: str, witness: dict,
             raise FormatError(f"precondition {failed.name}: the recorded "
                               f"{failed.lhs} {failed.op} {failed.rhs} holds, "
                               f"so it cannot have stopped the run")
-        return PreconditionFailed(failed.name, failed.op, failed.lhs,
-                                  failed.rhs).report(theorem)
-    missing = [name for name in names if name not in inputs]
-    if missing:
-        raise FormatError(f"report lacks required inputs: {missing}")
-    return recompute(witness, inputs)
+        recorded = None
+    request = _Request(config)
+    report = build_report(theorem, request, inputs, recorded)
+    added = sorted(request.keys() - config.keys())
+    if added:
+        raise FormatError(f"config has no {added[0]!r} field")
+    return report

@@ -214,7 +214,7 @@ def test_verify_dnf_cap_on_an_edited_phi(tmp_path, capsys):
     out = tmp_path / "fam.json"
     assert run(FAM_GEN50 + ["--output", str(out)]) == 0
     data = read_report(out)
-    data["witness"].update(phi=WIDE_PHI, param_arity=13)
+    data["config"]["phi"] = WIDE_PHI
     out.write_text(canonical_dumps(data))
     capsys.readouterr()
     assert run(["verify", str(out)]) == 1
@@ -244,6 +244,43 @@ def test_fam_budget_miss_is_usage_error(capsys):
     code = run(HEADLINE_FAM + ["--budget", "3"])
     assert code == 1
     assert "embedding" in capsys.readouterr().err.lower()
+
+
+# just over the embedding-search cap of 10^6 nodes, given as --budget or
+# taken when --budget is absent
+def test_over_cap_fam_budget_fails_fast(tmp_path, monkeypatch, capsys):
+    import keisler_lab.witnesses as witnesses
+    out = tmp_path / "fam.json"
+    assert run(FAM_GEN50 + ["--budget", "1000000", "--output", str(out)]) == 0
+    data = read_report(out)
+    data["config"]["budget"] = 1_000_001
+    out.write_text(canonical_dumps(data))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an over-cap budget reached the search")
+    monkeypatch.setattr(witnesses, "embed_search", refuse)
+    capsys.readouterr()
+    assert run(FAM_GEN50 + ["--budget", "1000001"]) == 1
+    assert run(["verify", str(out)]) == 1
+    assert capsys.readouterr().err.count("must lie in 1..1000000") == 2
+
+
+def test_fam_without_budget_searches_up_to_the_cap(monkeypatch, capsys):
+    import keisler_lab.witnesses as witnesses
+    monkeypatch.setattr(witnesses, "_MAX_EMBED_NODES", 5)
+    assert run(FAM_GEN50) == 1
+    assert "search budget exhausted, 6 nodes" in capsys.readouterr().err
+
+
+def test_fam_embeds_a_999_cycle_into_itself(tmp_path, capsys):
+    # the embedding search keeps its own stack: recursing once per placed
+    # vertex would run out of Python frames at this size
+    out = tmp_path / "fam.json"
+    assert run(["fam", "--phi", "x1 != y1", "--epsilon", "4/5",
+                "--graph", "circulant:999:1", "--ambient", "circulant:999:1",
+                "--budget", "100000", "--output", str(out)]) == 0
+    assert run(["verify", str(out)]) == 0
+    assert "verified: 6 certifications reproduced" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +313,45 @@ def test_verify_detects_input_tamper(tmp_path, capsys):
     out.write_text(canonical_dumps(data))
     assert run(["verify", str(out)]) == 2
     assert "digest mismatch" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value, named", [
+    ("q", 7, "certification 'alternation' does not reproduce"),
+    ("ambient", "gen:100:2:3:seed=2",
+     "input 'ambient': the config asks for 'gen:100:2:3:seed=2'"),
+], ids=["q", "ambient"])
+def test_verify_holds_the_report_to_its_config(key, value, named, tmp_path,
+                                               capsys):
+    # the config is the request: verify rebuilds the report from it, and
+    # holds the recorded input sources to the ones it names
+    out = tmp_path / "order.json"
+    assert run(["order", "--ambient", "gen:100:2:3:seed=1", "--q", "10",
+                "--output", str(out)]) == 0
+    data = read_report(out)
+    data["config"][key] = value
+    out.write_text(canonical_dumps(data))
+    capsys.readouterr()
+    assert run(["verify", str(out)]) == 2
+    assert named in capsys.readouterr().err
+
+
+def test_verify_rebuilds_a_precondition_report(tmp_path, capsys):
+    # alpha-bound fails (2 < 2); renamed to sample-size at 100 < 2 the
+    # recorded inequality still fails, but it is not where the request stops
+    out = tmp_path / "fam5.json"
+    assert run(["fam", "--phi", "!E(x1,y1) & x1 != y1", "--epsilon", "4/5",
+                "--graph", "circulant:5:1", "--ambient", "gen:200:2:3:seed=9",
+                "--output", str(out)]) == 2
+    data = read_report(out)
+    hundred = rational_to_json(Fraction(100))
+    data["witness"].update(precondition_failed="sample-size", lhs=hundred)
+    data["certified"][0].update(name="sample-size", lhs=hundred)
+    out.write_text(canonical_dumps(data))
+    capsys.readouterr()
+    assert run(["verify", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "certification 'alpha-bound' does not reproduce" in err
+    assert "report reproduces" not in err
 
 
 def test_verify_rejects_malformed_reports(tmp_path):
@@ -332,7 +408,7 @@ def test_verify_rederives_tp2_paths(edit, tmp_path, capsys):
         for cert in data["certified"]:
             cert.update(lhs=cert["rhs"], holds=True)
     else:
-        data["witness"]["sample"]["seed"] = 4
+        data["config"]["seed"] = 4
     out.write_text(canonical_dumps(data))
     capsys.readouterr()
     assert run(["verify", str(out)]) == 1
@@ -381,7 +457,7 @@ def test_verify_rejects_over_cap_source(spec, tmp_path, monkeypatch, capsys):
     gen_out = tmp_path / "gen.json"
     assert run(["gen", "gen:20:2:3:seed=1", "--output", str(gen_out)]) == 0
     gen_data = read_report(gen_out)
-    gen_data["witness"]["spec"] = spec
+    gen_data["config"]["spec"] = spec
     gen_out.write_text(canonical_dumps(gen_data))
     refuse_to_build(monkeypatch)
     capsys.readouterr()
@@ -502,7 +578,7 @@ def test_verify_rejects_over_cap_order_q(tmp_path, monkeypatch, capsys):
     assert run(["order", "--ambient", "gen:20:2:3:seed=1", "--q", "2",
                 "--output", str(out)]) == 0
     data = read_report(out)
-    data["witness"]["q"] = 1001
+    data["config"]["q"] = 1001
     out.write_text(canonical_dumps(data))
     refuse_to_extend(monkeypatch)
     capsys.readouterr()
@@ -521,7 +597,7 @@ def test_verify_rejects_over_cap_cases(tmp_path, monkeypatch, capsys):
     assert run(["check-measures", "--seed", "5", "--cases", "10",
                 "--output", str(out)]) == 0
     data = read_report(out)
-    data["witness"]["cases"] = 10001
+    data["config"]["cases"] = 10001
     out.write_text(canonical_dumps(data))
     refuse_to_selftest(monkeypatch)
     capsys.readouterr()
@@ -589,11 +665,12 @@ def test_verify_rejects_over_cap_structure_file(payload, tmp_path,
 def refuse_to_draw_tuples(monkeypatch):
     import types
 
-    import keisler_lab.cli as cli
+    import keisler_lab.witnesses as witnesses
 
     def refuse(*args, **kwargs):
         raise AssertionError("a capped tuple count reached the draw")
-    monkeypatch.setattr(cli, "random", types.SimpleNamespace(Random=refuse))
+    monkeypatch.setattr(witnesses, "random",
+                        types.SimpleNamespace(Random=refuse))
 
 
 def refuse_to_colour(monkeypatch):
@@ -633,8 +710,9 @@ def test_verify_rejects_over_cap_adversary_tuples(tmp_path, monkeypatch,
     out = tmp_path / "adv.json"
     assert run(ADVERSARY + ["--n", "10", "--output", str(out)]) == 0
     data = read_report(out)
-    data["witness"]["tuples"] = [[0, 1]] * 1001
+    data["config"]["n"] = 1001
     out.write_text(canonical_dumps(data))
+    refuse_to_draw_tuples(monkeypatch)
     refuse_to_colour(monkeypatch)
     capsys.readouterr()
     assert run(["verify", str(out)]) == 1
@@ -728,8 +806,8 @@ def test_over_cap_tp2_fails_fast(k, objects, parameters, tmp_path,
 
 
 @pytest.mark.parametrize("edit", [
-    {"k": 7},
-    {"checked_paths": [[0, 0]] * 9_999},   # (2 + 9,999) x 1,000 checks
+    {"config": {"k": 7}},
+    {"witness": {"checked_paths": [[0, 0]] * 9_999}},  # (2 + 9,999) x 1,000
 ])
 def test_verify_rejects_over_cap_tp2(edit, tmp_path, monkeypatch, capsys):
     sfile = tmp_path / "pairings.json"
@@ -739,7 +817,8 @@ def test_verify_rejects_over_cap_tp2(edit, tmp_path, monkeypatch, capsys):
     assert run(["tp2", "--k", "2", "--input", str(sfile),
                 "--output", str(out)]) == 2
     data = read_report(out)
-    data["witness"].update(edit)
+    for part, fields in edit.items():
+        data[part].update(fields)
     out.write_text(canonical_dumps(data))
     refuse_to_scan_grid(monkeypatch)
     capsys.readouterr()
@@ -867,14 +946,20 @@ def test_verify_redraws_the_satprobe_seed(tmp_path, capsys):
     assert run(SATPROBE + ["--trials", "5", "--n-params", "2",
                            "--output", str(out)]) == 0
     data = read_report(out)
-    # a consistent probe of the same subset from a seed of one's choosing
-    forge(data, sat_probe(parse_structure_spec("gen:20:3:4:seed=3"),
-                          data["witness"]["m_subset"], trials=5, n_params=2,
-                          seed=12345))
+    # the probe seed is the config's next draw after the subset
+    data["witness"]["seed"] = 12345
     out.write_text(canonical_dumps(data))
     capsys.readouterr()
     assert run(["verify", str(out)]) == 2
     assert "witness field 'seed'" in capsys.readouterr().err
+    # a consistent probe of the same subset from a seed of one's choosing:
+    # its recorded hits belong to other draws than the config's
+    forge(data, sat_probe(parse_structure_spec("gen:20:3:4:seed=3"),
+                          data["witness"]["m_subset"], trials=5, n_params=2,
+                          seed=12345))
+    out.write_text(canonical_dumps(data))
+    assert run(["verify", str(out)]) == 1
+    assert "are not the draws" in capsys.readouterr().err
 
 
 def test_verify_redraws_the_adversary_tuples(tmp_path, capsys):
@@ -883,15 +968,21 @@ def test_verify_redraws_the_adversary_tuples(tmp_path, capsys):
     assert run(["adversary", "--ambient", ambient_spec, "--n", "30",
                 "--seed", "11", "--s", "4", "--output", str(out)]) == 0
     data = read_report(out)
-    # thirty copies of one pair: every certification holds
+    # the tuples are drawn from the config's seed, n and r
+    data["witness"]["tuples"][0] = [1, 2]
+    out.write_text(canonical_dumps(data))
+    capsys.readouterr()
+    assert run(["verify", str(out)]) == 2
+    assert "witness field 'tuples[0]" in capsys.readouterr().err
+    # thirty copies of one pair: every certification holds, and its
+    # recorded colouring does not fit the tuples the config draws
     forged = adversary_witness([(1, 2)] * 30,
                                parse_structure_spec(ambient_spec), 4)
     assert forged.all_hold
     forge(data, forged)
     out.write_text(canonical_dumps(data))
-    capsys.readouterr()
-    assert run(["verify", str(out)]) == 2
-    assert "witness field 'tuples'" in capsys.readouterr().err
+    assert run(["verify", str(out)]) == 1
+    assert "colouring covers 2 of" in capsys.readouterr().err
 
 
 def test_verify_holds_single_satprobe_params_to_the_config(tmp_path,
@@ -919,15 +1010,20 @@ def test_verify_holds_the_satprobe_request_to_the_config(key, trials,
                 "--output", str(out)]) == 0
     data = read_report(out)
     witness = data["witness"]
-    # a consistent probe of the same subset and seed, asked for other
-    # sizes: at trials=1 it keeps only the first draws
-    forge(data, sat_probe(parse_structure_spec("gen:20:3:4:seed=3"),
-                          witness["m_subset"], trials=trials,
-                          n_params=n_params, seed=witness["seed"]))
+    witness[key] = {"trials": trials, "n_params": n_params}[key]
     out.write_text(canonical_dumps(data))
     capsys.readouterr()
     assert run(["verify", str(out)]) == 2
     assert f"witness field {key!r}" in capsys.readouterr().err
+    # a consistent probe of the same subset and seed, asked for other
+    # sizes (at trials=1 it keeps only the first draws), makes other draws
+    # than the config asks for
+    forge(data, sat_probe(parse_structure_spec("gen:20:3:4:seed=3"),
+                          witness["m_subset"], trials=trials,
+                          n_params=n_params, seed=witness["seed"]))
+    out.write_text(canonical_dumps(data))
+    assert run(["verify", str(out)]) == 1
+    assert "are not the draws" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("key", ["seed", "n", "r"])
@@ -939,7 +1035,7 @@ def test_verify_adversary_needs_the_tuple_config(key, tmp_path, capsys):
     out.write_text(canonical_dumps(data))
     capsys.readouterr()
     assert run(["verify", str(out)]) == 1
-    assert "integer seed, n and r" in capsys.readouterr().err
+    assert f"config has no {key!r} field" in capsys.readouterr().err
 
 
 def test_verify_satprobe_needs_the_subset_config(tmp_path, capsys):
@@ -950,7 +1046,7 @@ def test_verify_satprobe_needs_the_subset_config(tmp_path, capsys):
     out.write_text(canonical_dumps(data))
     capsys.readouterr()
     assert run(["verify", str(out)]) == 1
-    assert "seed and m_size" in capsys.readouterr().err
+    assert "config has no 'm_size' field" in capsys.readouterr().err
 
 
 def test_order_serialises_its_ambient_once(monkeypatch, capsys):

@@ -8,10 +8,12 @@ may change only together with a CHANGES.md line that names the report
 and says why it changed.
 """
 
+import copy
 import hashlib
 import itertools
 import json
 import random
+import shutil
 from fractions import Fraction
 from pathlib import Path
 
@@ -58,3 +60,47 @@ def test_report_bytes_match_golden(name, tmp_path, monkeypatch, capsys):
     # same directory; a false witness mismatch (say, a tuple against the
     # list the report holds) would exit 2 here
     assert run(["verify", "report.json"]) == case["exit"], name
+
+
+# config fields that say where a report goes and in what form, not what it
+# certifies
+NOT_REQUEST = {"subcommand", "output", "structure_out", "format"}
+
+
+def edited(key: str, value, directory: Path):
+    """Another valid value for the config field key."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, int):
+        return value + 1
+    if key == "phi":
+        return f"({value}) & x1 = x1"
+    if key == "epsilon":
+        return str(Fraction(value) + Fraction(1, 100))
+    if (directory / value).is_file():  # the same input under another name
+        shutil.copy(directory / value, directory / f"copy-{value}")
+        return f"copy-{value}"
+    head, sep, seed = value.rpartition(":seed=")
+    if sep:
+        return f"{head}:seed={int(seed) + 1}"
+    kind, n, distances = value.split(":")  # circulant:n:d1,d2
+    return f"{kind}:{int(n) + 1}:{distances}"
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_verify_refuses_an_edited_request(name, tmp_path, monkeypatch,
+                                          capsys):
+    # verify rebuilds a report from its config, so every request field is
+    # read: a report whose config field alone is edited does not verify
+    case = GOLDEN[name]
+    monkeypatch.chdir(tmp_path)
+    write_inputs(tmp_path)
+    assert run(case["argv"] + ["--output", "report.json"]) == case["exit"]
+    report = json.loads((tmp_path / "report.json").read_text())
+    keys = sorted(report["config"].keys() - NOT_REQUEST)
+    assert keys, name
+    for key in keys:
+        data = copy.deepcopy(report)
+        data["config"][key] = edited(key, data["config"][key], tmp_path)
+        (tmp_path / "edited.json").write_text(canonical_dumps(data))
+        assert run(["verify", "edited.json"]) != 0, (name, key)

@@ -541,6 +541,75 @@ def test_embed_budget_exhaustion():
     assert starved.mapping is None and starved.exhausted
 
 
+def recursive_embed_search(g, h, budget=None):
+    """The recursive backtrack that embed_search's loop replaced: the
+    oracle of its visit order and node count, as (mapping, exhausted,
+    nodes)."""
+    if g.n == 0:
+        return (), False, 0
+    if g.n > h.n:
+        return None, False, 0
+    order, remaining = [], set(range(g.n))
+    while remaining:  # most placed neighbours, then degree, then least index
+        v = max(remaining, key=lambda v: (
+            sum(1 for e in g.edges if v in e and set(order) & set(e)),
+            g.degrees[v], -v))
+        order.append(v)
+        remaining.remove(v)
+    image = [-1] * g.n
+    state = {"nodes": 0, "exhausted": False}
+
+    def candidates(pos, used):
+        u, mask = order[pos], (1 << h.n) - 1 & ~used
+        for w in order[:pos]:
+            x = image[w]
+            mask &= (h.adjacency[x] if g.adjacency[u] >> w & 1
+                     else ~h.adjacency[x])
+        return list(structures._bits(mask))
+
+    def place(pos, used):
+        if pos == g.n:
+            return True
+        for v in candidates(pos, used):
+            state["nodes"] += 1
+            if budget is not None and state["nodes"] > budget:
+                state["exhausted"] = True
+                return False
+            image[order[pos]] = v
+            if place(pos + 1, used | 1 << v):
+                return True
+            if state["exhausted"]:
+                return False
+        image[order[pos]] = -1
+        return False
+
+    if place(0, 0):
+        return tuple(image), False, state["nodes"]
+    return None, state["exhausted"], state["nodes"]
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), n_host=st.integers(0, 12),
+       n_pattern=st.integers(0, 8), p=st.sampled_from([0.2, 0.5, 0.8]),
+       induced=st.booleans(),
+       budget=st.one_of(st.none(), st.integers(1, 40)))
+def test_embed_search_visits_as_the_recursive_backtrack(
+        seed, n_host, n_pattern, p, induced, budget):
+    rng = random.Random(seed)
+    host = random_graph(rng, n_host, p)
+    if induced and n_pattern <= n_host:
+        # an induced copy of a random vertex subset: an embedding exists
+        keep = rng.sample(range(n_host), n_pattern)
+        pattern = Hypergraph(2, n_pattern, frozenset(
+            (i, j) for i, j in itertools.combinations(range(n_pattern), 2)
+            if host.has_edge(tuple(sorted((keep[i], keep[j]))))))
+    else:
+        pattern = random_graph(rng, n_pattern, p)
+    result = embed_search(pattern, host, budget)
+    assert (result.mapping, result.exhausted, result.nodes) == \
+        recursive_embed_search(pattern, host, budget)
+
+
 def test_embed_rejects_arity_mismatch():
     g2 = Hypergraph(2, 3, frozenset())
     g3 = Hypergraph(3, 5, frozenset())

@@ -59,13 +59,23 @@ def cert_json(report: WitnessReport) -> list[dict]:
     return [c.to_json_dict() for c in report.certified]
 
 
-def assert_recompute_matches(report: WitnessReport, inputs: dict) -> None:
+def assert_rebuild_matches(report: WitnessReport, rebuild) -> None:
     # rebuilt from the witness as a report file holds it, as verify does:
     # the same certifications and the same witness
     witness = json.loads(canonical_dumps(report.witness))
-    fresh = recompute_certified(report.theorem, witness, inputs)
+    fresh = rebuild(witness)
     assert cert_json(fresh) == cert_json(report)
     assert fresh.witness == witness
+
+
+def assert_recompute_matches(report: WitnessReport, config: dict,
+                             inputs: dict) -> None:
+    # the request as a report's config records it
+    assert_rebuild_matches(report, lambda witness: recompute_certified(
+        report.theorem, config, witness, inputs))
+
+
+FAM_CONFIG = {"phi": NO_EDGE, "epsilon": "4/5", "s": 3}
 
 
 # ---------------------------------------------------------------------------
@@ -131,8 +141,8 @@ def test_fam_headline_instance(ambient200, circulant13):
     by_name = {c.name: c for c in report.certified}
     assert by_name["violation-bound"].rhs == 5
     assert by_name["sup-error"].lhs == Fraction(5, 13)
-    assert_recompute_matches(report, {"ambient": ambient200,
-                                      "graph": circulant13})
+    assert_recompute_matches(report, FAM_CONFIG, {"ambient": ambient200,
+                                                  "graph": circulant13})
 
 
 def test_fam_negation_branch(ambient200, circulant13):
@@ -147,8 +157,8 @@ def test_fam_negation_branch(ambient200, circulant13):
     assert w["sup"]["sup_error"] == {"num": 4, "den": 13, "decimal": 4 / 13}
     assert w["violation_max"]["count"] == 4
     assert "alpha-bound" in [c.name for c in report.certified]
-    assert_recompute_matches(report, {"ambient": ambient200,
-                                      "graph": circulant13})
+    assert_recompute_matches(report, {**FAM_CONFIG, "phi": "E(x1,y1)"},
+                             {"ambient": ambient200, "graph": circulant13})
 
 
 def test_fam_five_cycle_misses_alpha_bound(ambient200):
@@ -226,7 +236,7 @@ def test_fam_scans_the_parameter_domain_once(ambient200, circulant13,
                          circulant13)
     assert report.witness["sup"]["samples_scanned"] == 200
     assert calls == {"mask": 200, "evaluate": 0, "analyze_phi": 1}
-    recompute_certified(report.theorem, report.witness,
+    recompute_certified(report.theorem, FAM_CONFIG, report.witness,
                         {"ambient": ambient200, "graph": circulant13})
     assert calls == {"mask": 2 * 200, "evaluate": 0, "analyze_phi": 2}
 
@@ -260,7 +270,7 @@ def test_order_witness_alternation():
     assert w["adjacency"] == [False, True] * 4
     by_name = {c.name: c for c in report.certified}
     assert by_name["alternation"].lhs == 8 == by_name["alternation"].rhs
-    assert_recompute_matches(report, {"ambient": ambient})
+    assert_recompute_matches(report, {"s": 3, "q": 4}, {"ambient": ambient})
 
 
 def test_order_witness_degenerate():
@@ -270,7 +280,7 @@ def test_order_witness_degenerate():
     assert report.witness["witness_vertex"] is None
     assert report.witness["adjacency"] == []
     assert any("degenerate" in line for line in report.log)
-    assert_recompute_matches(report, {"ambient": ambient})
+    assert_recompute_matches(report, {"s": 3, "q": 0}, {"ambient": ambient})
 
 
 def test_order_witness_validation():
@@ -305,7 +315,8 @@ def test_adversary_single_pair():
     assert w["violations"] == [1]
     assert w["fraction"] == {"num": 1, "den": 1, "decimal": 1.0}
     assert w["links"] == [[0, 1]]
-    assert_recompute_matches(report, {"ambient": ambient})
+    assert_rebuild_matches(report, lambda witness: adversary_witness(
+        [(0, 1)], ambient, 4, recorded=witness))
 
 
 def test_adversary_degenerate_tuples_count_as_violations():
@@ -328,7 +339,9 @@ def test_adversary_seeded_instance(ambient60):
     links = [tuple(l) for l in report.witness["links"]]
     extended = add_vertex_with_links(ambient60, links, 4)
     assert is_free(extended, 4)
-    assert_recompute_matches(report, {"ambient": ambient60})
+    # the tuples are those a config with seed 11 and n 30 draws
+    assert_recompute_matches(report, {"seed": 11, "n": 30, "r": 3, "s": 4},
+                             {"ambient": ambient60})
 
 
 def test_adversary_tamper_is_visible(ambient60):
@@ -337,8 +350,9 @@ def test_adversary_tamper_is_visible(ambient60):
     report = adversary_witness(tuples, ambient60, 4)
     tampered = dict(report.witness)
     tampered["coloring"] = [1] * len(report.witness["coloring"])
-    fresh = recompute_certified(report.theorem, tampered,
-                                {"ambient": ambient60})
+    fresh = recompute_certified(report.theorem,
+                                {"seed": 11, "n": 12, "r": 3, "s": 4},
+                                tampered, {"ambient": ambient60})
     assert cert_json(fresh) != cert_json(report)
 
 
@@ -370,7 +384,8 @@ def test_sat_probe_single_hit():
     assert w["mode"] == "single" and w["found"] is True
     assert w["witness"] == [0, 3]  # lexicographically first non-edge pair
     assert report.all_hold and len(report.certified) == 1
-    assert_recompute_matches(report, {"ambient": ambient})
+    assert_rebuild_matches(report, lambda witness: sat_probe(
+        ambient, [0, 1, 3], params=[2], recorded=witness))
 
 
 def test_sat_probe_single_miss_is_honest():
@@ -382,7 +397,8 @@ def test_sat_probe_single_miss_is_honest():
     assert report.certified == ()
     assert report.all_hold  # vacuously: nothing was claimed
     assert any("miss" in line for line in report.log)
-    assert_recompute_matches(report, {"ambient": complete})
+    assert_rebuild_matches(report, lambda witness: sat_probe(
+        complete, [0, 1, 2], params=[3], recorded=witness))
 
 
 def test_sat_probe_parameter_inside_subset():
@@ -414,7 +430,8 @@ def test_sat_probe_aggregate():
     (cert,) = first.certified
     assert cert.name == "witnesses-valid" and cert.holds
     assert cert.rhs == hits
-    assert_recompute_matches(first, {"ambient": ambient})
+    assert_rebuild_matches(first, lambda witness: sat_probe(
+        ambient, range(12), trials=6, n_params=2, seed=9, recorded=witness))
 
 
 def test_sat_probe_validation():
@@ -444,7 +461,8 @@ def test_tp2_full_enumeration_k2():
     by_name = {c.name: c for c in report.certified}
     assert by_name["rows-inconsistent"].lhs == 2
     assert by_name["paths-consistent"].lhs == 4
-    assert_recompute_matches(report, {"structure": build_tp2_grid(2)})
+    assert_recompute_matches(report, {"k": 2},
+                             {"structure": build_tp2_grid(2)})
 
 
 def test_tp2_trivial_k1():
@@ -463,7 +481,8 @@ def test_tp2_sampled_k4():
     assert by_name["paths-consistent"].lhs == 50 == by_name["paths-consistent"].rhs
     again = tp2_witness(f, 4, sample=50, seed=3)
     assert report.to_json_dict() == again.to_json_dict()
-    assert_recompute_matches(report, {"structure": f})
+    assert_recompute_matches(report, {"k": 4, "sample": 50, "seed": 3},
+                             {"structure": f})
 
 
 def test_tp2_missing_path_parameter_fails_honestly():
@@ -496,7 +515,7 @@ def test_tp2_validation():
 
 def test_required_inputs_table():
     # one table names every report tag that verify accepts
-    assert {tag: names for tag, (names, _) in PIPELINES.items()} == {
+    assert {tag: names for tag, (names, _, _) in PIPELINES.items()} == {
         "gen": (),
         "coloring-bound": ("weighted",),
         "measure-algebra": (),
@@ -510,4 +529,4 @@ def test_required_inputs_table():
 
 def test_recompute_rejects_unknown_tag():
     with pytest.raises(ValueError):
-        recompute_certified("nope", {}, {})
+        recompute_certified("nope", {}, {}, {})
