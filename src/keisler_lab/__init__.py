@@ -28,9 +28,8 @@ from .coloring import (BruteResult, WeightedHypergraph, brute_best,
                        weighted_hypergraph)
 from .serialize import (FormatError, canonical_dumps, digest, load_structure,
                         load_weighted, parse_rational, parse_structure_spec,
-                        structure_digest, structure_from_json,
-                        structure_to_json, weighted_from_json,
-                        weighted_to_json)
+                        structure_from_json, structure_to_json,
+                        weighted_from_json, weighted_to_json)
 from .witnesses import (Certified, EmbeddingNotFound, GridTooSmall,
                         PreconditionFailed, WitnessReport, adversary_fraction,
                         adversary_witness, fam_witness, order_witness,
@@ -57,8 +56,8 @@ __all__ = [
     "make_measure", "measure_algebra_selftest", "mu_eval", "order_witness",
     "parse_formula", "parse_phi", "parse_rational", "parse_structure_spec",
     "product", "random_maximal_free", "recompute_certified", "residual_holds",
-    "sat_probe", "search_small_alpha", "structure_digest",
-    "structure_from_json", "structure_to_json", "substitute", "sup_error",
-    "to_dnf", "tp2_witness", "variables", "weight_of", "weighted_from_json",
-    "weighted_hypergraph", "weighted_to_json",
+    "sat_probe", "search_small_alpha", "structure_from_json",
+    "structure_to_json", "substitute", "sup_error", "to_dnf", "tp2_witness",
+    "variables", "weight_of", "weighted_from_json", "weighted_hypergraph",
+    "weighted_to_json",
 ]

@@ -17,8 +17,8 @@ from typing import Optional, Sequence
 from .coloring import WeightedHypergraph
 from .serialize import (FormatError, atomic_write_text, canonical_dumps,
                         digest, load_json, load_weighted,
-                        parse_structure_spec, structure_digest,
-                        structure_to_json, weighted_to_json)
+                        parse_structure_spec, structure_to_json,
+                        weighted_to_json)
 from .structures import FreenessViolation
 from .witnesses import (PIPELINES, EmbeddingNotFound, WitnessReport,
                         build_report, recompute_certified, request_sources)
@@ -56,8 +56,7 @@ def _input_entry(obj, source: str) -> dict:
                 "digest": digest(weighted_to_json(obj)), "source": source}
     # one serialisation serves both the kind and the digest
     sjson = structure_to_json(obj)
-    return {"kind": sjson["kind"], "digest": structure_digest(obj, sjson),
-            "source": source}
+    return {"kind": sjson["kind"], "digest": digest(sjson), "source": source}
 
 
 def _load(name: str, source: str):
@@ -91,29 +90,42 @@ def _csv(report: WitnessReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _report(theorem: str, config: dict, overrides: Optional[dict] = None,
+            recorded: Optional[dict] = None) -> tuple[WitnessReport, dict]:
+    """The one path from a request to its report, for the runner and for
+    verify: resolve the inputs the config names (an override changes only
+    where one is read from), build the report, rebuilt from `recorded`
+    when given, and record each input's kind, digest and the config's
+    source."""
+    sources = request_sources(theorem, config)
+    inputs = {name: _load(name, (overrides or {}).get(name, source))
+              for name, source in sources.items()}
+    if recorded is None:
+        report = build_report(theorem, config, inputs)
+    else:
+        report = recompute_certified(theorem, config, recorded, inputs)
+    return report, {name: _input_entry(inputs[name], source)
+                    for name, source in sources.items()}
+
+
 def _cmd_report(args) -> int:
     """Run a report subcommand.  The parsed options are the request and
-    the report's config: the inputs it names are resolved, and the report
-    is built by the request function that verify calls too.  A failed
-    precondition still writes a report, with the failed inequality, and
-    exits 2."""
+    the report's config.  A failed precondition still writes a report,
+    with the failed inequality, and exits 2."""
     theorem = _TAGS[args.subcommand]
     config = {key: value for key, value in vars(args).items()
               if value is not None and key != "func"}
-    sources = request_sources(theorem, config)
-    inputs = {name: _load(name, source) for name, source in sources.items()}
-    report = build_report(theorem, config, inputs)
+    report, inputs = _report(theorem, config)
     if "precondition_failed" in report.witness:
         print(f"error: {report.log[0]}", file=sys.stderr)
-    for name, source in sources.items():
-        report.inputs[name] = _input_entry(inputs[name], source)
     if "structure_out" in config:
         atomic_write_text(config["structure_out"],
                           canonical_dumps(report.witness["structure"]))
     if config.get("format") == "csv":
         _emit(_csv(report), config.get("output"))
     else:
-        _emit(canonical_dumps({"config": config, **report.to_json_dict()}),
+        _emit(canonical_dumps({"config": config, "inputs": inputs,
+                               **report.to_json_dict()}),
               config.get("output"))
     return _exit_for(report)
 
@@ -121,26 +133,6 @@ def _cmd_report(args) -> int:
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
-
-def _resolve_input(name: str, entry: dict, overrides: dict):
-    if not isinstance(entry, dict) or "digest" not in entry \
-            or "kind" not in entry:
-        raise FormatError(f"input {name!r} entry is malformed")
-    if name in overrides:
-        source = overrides[name]
-    elif "source" in entry:
-        source = entry["source"]
-    else:
-        raise FormatError(
-            f"input {name!r} has no recorded source; pass --input {name}=PATH")
-    obj = _load(name, source)
-    actual = _input_entry(obj, source)
-    if actual["kind"] != entry["kind"]:
-        raise FormatError(
-            f"input {name!r} resolved to kind {actual['kind']!r}, "
-            f"report says {entry['kind']!r}")
-    return obj, actual["digest"], entry["digest"]
-
 
 class _Absent:
     def __repr__(self):
@@ -192,30 +184,15 @@ def _cmd_verify(args) -> int:
     if not isinstance(data["certified"], list):
         raise FormatError("certified must be a list")
 
-    resolved = {}
-    for name, entry in data["inputs"].items():
-        obj, actual, recorded = _resolve_input(name, entry, overrides)
-        if actual != recorded:
-            print(f"digest mismatch on input {name!r}: report has "
-                  f"{recorded}, resolved input has {actual}",
-                  file=sys.stderr)
-            return EXIT_CERT
-        resolved[name] = obj
-    witness = data["witness"]
     try:
-        for name, source in request_sources(theorem, config).items():
-            have = data["inputs"].get(name, {}).get("source", source)
-            if have != source:
-                print(f"input {name!r}: the config asks for {source!r}, "
-                      f"the report records {have!r}", file=sys.stderr)
-                return EXIT_CERT
-        recomputed = recompute_certified(theorem, config, witness, resolved)
+        recomputed, inputs = _report(theorem, config, overrides,
+                                     data["witness"])
     except (KeyError, TypeError, IndexError, AttributeError) as exc:
         raise FormatError(
             f"report payload does not match the {theorem!r} schema "
             f"({exc!r})") from None
-    # every certification that does not reproduce, then the first witness
-    # field that differs
+    # every certification that does not reproduce, then the first field
+    # that differs in the witness and in the inputs
     fresh = [c.to_json_dict() for c in recomputed.certified]
     recorded = data["certified"]
     for i, entry in enumerate(fresh):
@@ -227,12 +204,14 @@ def _cmd_verify(args) -> int:
     if len(recorded) != len(fresh):
         print(f"report records {len(recorded)} certifications, "
               f"recomputation yields {len(fresh)}", file=sys.stderr)
-    difference = _first_difference(witness, recomputed.witness)
-    if difference is not None:
-        path, have, made = difference
-        print(f"witness field {path!r} does not reproduce:"
+    differences = [(part, difference) for part, difference in (
+        ("witness", _first_difference(data["witness"], recomputed.witness)),
+        ("input", _first_difference(data["inputs"], inputs)))
+        if difference is not None]
+    for part, (path, have, made) in differences:
+        print(f"{part} field {path!r} does not reproduce:"
               f"\n  recorded   {have}\n  recomputed {made}", file=sys.stderr)
-    if fresh != recorded or difference is not None:
+    if fresh != recorded or differences:
         return EXIT_CERT
     if not recomputed.all_hold:
         print("report reproduces, but contains a failed certification",

@@ -16,7 +16,7 @@ import tempfile
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _string
 from math import comb
-from typing import Optional, Union
+from typing import Union
 
 from .coloring import WeightedHypergraph
 from .structures import (Feq2Structure, Hypergraph, build_tp2_grid,
@@ -299,14 +299,6 @@ def digest(payload) -> str:
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"),
                       ensure_ascii=True).encode("utf-8")
     return "sha256:" + hashlib.sha256(blob).hexdigest()
-
-
-def structure_digest(structure: Storable,
-                     sjson: Optional[dict] = None) -> str:
-    """digest(structure_to_json(structure)).  A caller that already holds
-    structure_to_json(structure) passes it as sjson, so that it is not
-    built again."""
-    return digest(structure_to_json(structure) if sjson is None else sjson)
 
 
 def atomic_write_text(path: str, text: str) -> None:

@@ -550,53 +550,61 @@ class AlphaResult(Record):
 
 
 def _color_sort(cand: int, adj: Sequence[int]) -> list[tuple[int, int]]:
-    # Greedy colouring of the candidate set; the colour number bounds the
-    # size of any clique inside the class prefix.
-    classes: list[int] = []
+    # Greedy colouring of the candidate set, class by class: each class
+    # takes, in ascending order, every uncoloured vertex adjacent to none
+    # taken before it, which is first-fit over the vertices in ascending
+    # order.  The colour number bounds the size of any clique inside the
+    # class prefix.
     order: list[tuple[int, int]] = []
-    for v in _bits(cand):
-        for c, cls in enumerate(classes):
-            if cls & adj[v] == 0:
-                classes[c] |= 1 << v
-                break
-        else:
-            classes.append(1 << v)
-    for c, cls in enumerate(classes, start=1):
-        for v in _bits(cls):
+    c = 0
+    while cand:
+        c += 1
+        q = cand
+        while q:
+            low = q & -q
+            v = low.bit_length() - 1
             order.append((v, c))
+            cand ^= low
+            q &= ~(adj[v] | low)
     return order
 
 
 def _max_clique(adj: Sequence[int], n: int, budget: Optional[int]):
-    best = 0
+    """Branch and bound for a largest clique, on an explicit stack in the
+    visit order of the recursive search: one frame [colour-sorted vertices
+    left, candidates left] per expanded candidate set, each but the first
+    opened by the vertex on top of `current` (a recursion would overflow
+    at a clique of about a thousand vertices)."""
     best_set: tuple[int, ...] = ()
-    nodes = 0
-    exhausted = False
-
-    def expand(cand: int, current: list[int]) -> None:
-        nonlocal best, best_set, nodes, exhausted
-        nodes += 1
-        if budget is not None and nodes > budget:
-            exhausted = True
-            return
-        for v, bound in reversed(_color_sort(cand, adj)):
-            if exhausted:
-                return
-            if len(current) + bound <= best:
-                return
+    current: list[int] = []
+    nodes = 1
+    if budget is not None and nodes > budget:
+        return 0, best_set, False, nodes
+    full = (1 << n) - 1
+    stack = [[_color_sort(full, adj), full]]
+    while stack:
+        frame = stack[-1]
+        order, cand = frame
+        if order and len(current) + order[-1][1] > len(best_set):
+            v = order.pop()[0]
             current.append(v)
-            if len(current) > best:
-                best = len(current)
+            if len(current) > len(best_set):
                 best_set = tuple(current)
             sub = cand & adj[v]
             if sub:
-                expand(sub, current)
-            current.pop()
-            cand &= ~(1 << v)
-
-    if n > 0:
-        expand((1 << n) - 1, [])
-    return best, best_set, not exhausted, nodes
+                nodes += 1
+                if budget is not None and nodes > budget:
+                    return len(best_set), best_set, False, nodes
+                stack.append([_color_sort(sub, adj), sub])
+                continue
+        else:  # no vertex left can beat the best: the frame returns
+            stack.pop()
+            if not stack:
+                break
+            frame = stack[-1]
+        # the branch through the last vertex taken is closed
+        frame[1] &= ~(1 << current.pop())
+    return len(best_set), best_set, True, nodes
 
 
 def _has_clique_mask(adj: Sequence[int], cand: int, size: int) -> bool:
@@ -632,34 +640,32 @@ def alpha_s(g: Hypergraph, s: int, budget: Optional[int] = None) -> AlphaResult:
         value, witness, exact, nodes = _max_clique(comp, n, budget)
         return AlphaResult(value, exact, tuple(sorted(witness)), nodes)
 
+    # a depth-first search over include/exclude of each vertex in index
+    # order, including first; each stack entry is one call of the
+    # recursive search (index, chosen set), and the exclude branch waits
+    # under the include branch (a recursion would overflow near a
+    # thousand vertices)
     best = 0
     best_set: tuple[int, ...] = ()
     nodes = 0
-    exhausted = False
-
-    def rec(idx: int, chosen: list[int], chosen_mask: int) -> None:
-        nonlocal best, best_set, nodes, exhausted
+    stack = [(0, 0)]
+    while stack:
+        v, chosen = stack.pop()
         nodes += 1
         if budget is not None and nodes > budget:
-            exhausted = True
-            return
-        if idx == n or len(chosen) + (n - idx) <= best:
-            return
-        v = idx
+            return AlphaResult(best, False, best_set, nodes)
+        size = chosen.bit_count()
+        if v == n or size + (n - v) <= best:
+            continue
+        stack.append((v + 1, chosen))
         # including v is allowed unless it completes a K_{s-1} inside chosen
-        if not _has_clique_mask(adj, adj[v] & chosen_mask, s - 2):
-            chosen.append(v)
-            if len(chosen) > best:
-                best = len(chosen)
-                best_set = tuple(chosen)
-            rec(idx + 1, chosen, chosen_mask | (1 << v))
-            chosen.pop()
-            if exhausted:
-                return
-        rec(idx + 1, chosen, chosen_mask)
-
-    rec(0, [], 0)
-    return AlphaResult(best, not exhausted, best_set, nodes)
+        if not _has_clique_mask(adj, adj[v] & chosen, s - 2):
+            chosen |= 1 << v
+            if size + 1 > best:
+                best = size + 1
+                best_set = tuple(_bits(chosen))
+            stack.append((v + 1, chosen))
+    return AlphaResult(best, True, best_set, nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -831,15 +837,24 @@ def embed_search(g: Hypergraph, h: Hypergraph,
 
 def is_induced_embedding(g: Hypergraph, h: Hypergraph,
                          mapping: Sequence[int]) -> bool:
-    """Check a candidate map: injective and edge set preserved both ways."""
-    if g.r != h.r or len(mapping) != g.n:
-        return False
-    if len(set(mapping)) != g.n:
+    """Check a candidate map of the graph g into the graph h: injective,
+    and each vertex's neighbour row, mapped, is the row of its image
+    restricted to the image set."""
+    if g.r != 2 or h.r != 2:
+        raise ValueError("embeddings are checked for graphs (r = 2)")
+    if len(mapping) != g.n or len(set(mapping)) != g.n:
         return False
     if any(not 0 <= v < h.n for v in mapping):
         return False
-    for combo in itertools.combinations(range(g.n), g.r):
-        if g.has_edge(combo) != h.has_edge(tuple(mapping[v] for v in combo)):
+    image = 0
+    for v in mapping:
+        image |= 1 << v
+    h_adj = h.adjacency
+    for u, row in enumerate(g.adjacency):
+        mapped = 0
+        for w in _bits(row):
+            mapped |= 1 << mapping[w]
+        if mapped != h_adj[mapping[u]] & image:
             return False
     return True
 

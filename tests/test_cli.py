@@ -74,8 +74,9 @@ def test_gen_structure_out(tmp_path):
 
 def test_gen_serialises_and_digests_the_structure_once(tmp_path,
                                                        monkeypatch, capsys):
-    # the runner digests the JSON its witness embeds once; verify digests
-    # the regenerated structure and the embedded JSON independently
+    # the runner digests the JSON its witness embeds once, and so does
+    # verify: the rebuilt witness must equal the recorded one, digest and
+    # structure alike
     import keisler_lab.cli as cli
     import keisler_lab.serialize as serialize
     import keisler_lab.witnesses as witnesses
@@ -95,7 +96,7 @@ def test_gen_serialises_and_digests_the_structure_once(tmp_path,
     assert calls == {"structure_to_json": 1, "digest": 1}
     calls.update(structure_to_json=0, digest=0)
     assert run(["verify", str(out)]) == 0
-    assert calls == {"structure_to_json": 1, "digest": 2}
+    assert calls == {"structure_to_json": 1, "digest": 1}
     assert "4 certifications reproduced" in capsys.readouterr().out
 
 
@@ -283,6 +284,29 @@ def test_fam_embeds_a_999_cycle_into_itself(tmp_path, capsys):
     assert "verified: 6 certifications reproduced" in capsys.readouterr().out
 
 
+def test_fam_alpha_4_of_a_999_cycle(tmp_path, capsys):
+    # alpha_s at s = 4 keeps its own stack: the subset search goes one
+    # level deeper per sample vertex
+    out = tmp_path / "fam.json"
+    assert run(["fam", "--phi", "x1 != y1", "--epsilon", "4/5",
+                "--graph", "circulant:999:1", "--ambient", "circulant:999:1",
+                "--s", "4", "--output", str(out)]) == 0
+    assert read_report(out)["witness"]["alpha"]["value"] == 999
+    assert run(["verify", str(out)]) == 0
+    assert "verified: 6 certifications reproduced" in capsys.readouterr().out
+
+
+def test_fam_edgeless_1000_sample_is_an_error_not_a_crash(capsys):
+    # alpha_s at s = 3 of an edgeless sample is a clique search a thousand
+    # levels deep; it finishes, and the sample does not fit the ambient
+    assert run(["fam", "--phi", "x1 != y1", "--epsilon", "4/5",
+                "--graph", "circulant:1000:", "--ambient",
+                "circulant:999:1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: no induced embedding")
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # verify hardening
 # ---------------------------------------------------------------------------
@@ -312,18 +336,19 @@ def test_verify_detects_input_tamper(tmp_path, capsys):
     data["inputs"]["ambient"]["source"] = "gen:20:2:3:seed=2"
     out.write_text(canonical_dumps(data))
     assert run(["verify", str(out)]) == 2
-    assert "digest mismatch" in capsys.readouterr().err
+    assert "input field 'ambient.source' does not reproduce" \
+        in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("key, value, named", [
     ("q", 7, "certification 'alternation' does not reproduce"),
     ("ambient", "gen:100:2:3:seed=2",
-     "input 'ambient': the config asks for 'gen:100:2:3:seed=2'"),
+     "input field 'ambient.digest' does not reproduce"),
 ], ids=["q", "ambient"])
 def test_verify_holds_the_report_to_its_config(key, value, named, tmp_path,
                                                capsys):
-    # the config is the request: verify rebuilds the report from it, and
-    # holds the recorded input sources to the ones it names
+    # the config is the request: verify rebuilds the report from it,
+    # inputs included, and compares the inputs as it does the witness
     out = tmp_path / "order.json"
     assert run(["order", "--ambient", "gen:100:2:3:seed=1", "--q", "10",
                 "--output", str(out)]) == 0
@@ -333,6 +358,71 @@ def test_verify_holds_the_report_to_its_config(key, value, named, tmp_path,
     capsys.readouterr()
     assert run(["verify", str(out)]) == 2
     assert named in capsys.readouterr().err
+
+
+def _edit_kind(inputs):
+    inputs["ambient"]["kind"] = "feq2"
+
+
+def _edit_digest(inputs):
+    inputs["ambient"]["digest"] = "sha256:" + "0" * 64
+
+
+def _edit_source(inputs):
+    inputs["ambient"]["source"] = "gen:100:2:3:seed=2"
+
+
+def _add_input(inputs):
+    inputs["graph"] = dict(inputs["ambient"])
+
+
+# each edit of the recorded inputs, and the first path verify names
+INPUT_EDITS = {
+    "kind": (_edit_kind, "ambient.kind"),
+    "digest": (_edit_digest, "ambient.digest"),
+    "source": (_edit_source, "ambient.source"),
+    "dropped": (lambda inputs: inputs.pop("ambient"), "ambient"),
+    "extra": (_add_input, "graph"),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(INPUT_EDITS))
+def test_verify_names_the_first_differing_input_field(edit, tmp_path,
+                                                      capsys):
+    # verify resolves the inputs the config names and compares what it
+    # records for them with the report's inputs, as it does the witness
+    edit_inputs, path = INPUT_EDITS[edit]
+    out = tmp_path / "order.json"
+    assert run(["order", "--ambient", "gen:100:2:3:seed=1", "--q", "10",
+                "--output", str(out)]) == 0
+    data = read_report(out)
+    edit_inputs(data["inputs"])
+    out.write_text(canonical_dumps(data))
+    capsys.readouterr()
+    assert run(["verify", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"input field {path!r} does not reproduce" in err
+    assert "certification" not in err and "witness field" not in err
+
+
+def test_verify_input_override_records_the_config_source(tmp_path, capsys):
+    # --input changes only where a structure is read from: the entry it
+    # makes names the config's source, so the same structure read from
+    # elsewhere verifies, and another structure names its digest
+    out = tmp_path / "order.json"
+    assert run(["order", "--ambient", "gen:100:2:3:seed=1", "--q", "10",
+                "--output", str(out)]) == 0
+    same, other = tmp_path / "same.json", tmp_path / "other.json"
+    for path, spec in ((same, "gen:100:2:3:seed=1"),
+                       (other, "gen:100:2:3:seed=2")):
+        path.write_text(canonical_dumps(structure_to_json(
+            parse_structure_spec(spec))))
+    capsys.readouterr()
+    assert run(["verify", str(out), "--input", f"ambient={same}"]) == 0
+    assert run(["verify", str(out), "--input", f"ambient={other}"]) == 2
+    err = capsys.readouterr().err
+    assert "input field 'ambient.digest' does not reproduce" in err
+    assert "ambient.source" not in err
 
 
 def test_verify_rebuilds_a_precondition_report(tmp_path, capsys):
@@ -452,7 +542,7 @@ def test_verify_rejects_over_cap_source(spec, tmp_path, monkeypatch, capsys):
     assert run(["order", "--ambient", "gen:20:2:3:seed=1", "--q", "2",
                 "--output", str(out)]) == 0
     data = read_report(out)
-    data["inputs"]["ambient"]["source"] = spec
+    data["config"]["ambient"] = spec
     out.write_text(canonical_dumps(data))
     gen_out = tmp_path / "gen.json"
     assert run(["gen", "gen:20:2:3:seed=1", "--output", str(gen_out)]) == 0
@@ -1118,9 +1208,10 @@ def _flip_first(key):
 
 
 # per report tag: a run, an edit of a witness detail that no certification
-# reads, and the first field verify names.  gen has no such detail: every
-# field of its witness feeds digest-match or embedded-match
+# reads, and the first field verify names
 WITNESS_TAMPERS = {
+    "gen": (["gen", "gen:20:2:3:seed=1"],
+            lambda w: w.update(digest="sha256:" + "0" * 64), "digest"),
     "famnotfim": (FAM_GEN50, _tamper_fam, "alpha.value"),
     "coloring-bound": (
         ["color", "--input", "WEIGHTS"],

@@ -33,8 +33,8 @@ from keisler_lab.structures import (
     random_maximal_free,
     search_small_alpha,
 )
-from keisler_lab.serialize import (_MAX_FILE_N, structure_digest,
-                                   structure_from_json, structure_to_json)
+from keisler_lab.serialize import (_MAX_FILE_N, digest, structure_from_json,
+                                   structure_to_json)
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +428,7 @@ def test_is_free_is_memoised_per_structure(monkeypatch):
     links = [(0, 1), (2, 3), (4, 5)]
     extended = add_vertex_with_links(h, links, 4)
     fresh = Hypergraph(3, 13, h.edges | {sigma + (12,) for sigma in links})
-    before = (hash(extended), structure_digest(extended))
+    before = (hash(extended), digest(structure_to_json(extended)))
     calls.clear()
     assert is_free(extended, 4)  # a global search, not the extension mark
     assert calls == [4]
@@ -436,8 +436,8 @@ def test_is_free_is_memoised_per_structure(monkeypatch):
     assert calls == [4]
     assert is_free(extended, 5) and calls == [4, 5]
     assert extended == fresh and hash(extended) == hash(fresh)
-    assert (hash(extended), structure_digest(extended)) == before
-    assert structure_digest(fresh) == before[1]
+    assert (hash(extended), digest(structure_to_json(extended))) == before
+    assert digest(structure_to_json(fresh)) == before[1]
 
 
 # ---------------------------------------------------------------------------
@@ -496,6 +496,109 @@ def test_alpha_budget_returns_inexact():
     spent = alpha_s(g, 3, budget=2)
     assert not spent.exact
     assert spent.value <= alpha_s(g, 3).value
+
+
+def first_fit_color_sort(cand, adj):
+    """The vertex-by-vertex first-fit colouring that _color_sort's class by
+    class construction replaced: each vertex, ascending, joins the first
+    class holding none of its neighbours; listed class by class."""
+    classes = []
+    for v in structures._bits(cand):
+        for c, cls in enumerate(classes):
+            if cls & adj[v] == 0:
+                classes[c] |= 1 << v
+                break
+        else:
+            classes.append(1 << v)
+    return [(v, c) for c, cls in enumerate(classes, start=1)
+            for v in structures._bits(cls)]
+
+
+def recursive_alpha_s(g, s, budget=None):
+    """The recursive searches that alpha_s's loops replaced, over
+    first-fit colourings: the oracle of their value, witness, exactness
+    and node count, as an AlphaResult."""
+    n, adj = g.n, g.adjacency
+    state = {"best": 0, "set": (), "nodes": 0, "exhausted": False}
+
+    def improve(chosen):
+        if len(chosen) > state["best"]:
+            state["best"], state["set"] = len(chosen), tuple(chosen)
+
+    def spent():
+        state["nodes"] += 1
+        if budget is not None and state["nodes"] > budget:
+            state["exhausted"] = True
+        return state["exhausted"]
+
+    def expand(cand, current, comp):
+        if spent():
+            return
+        for v, bound in reversed(first_fit_color_sort(cand, comp)):
+            if state["exhausted"] or len(current) + bound <= state["best"]:
+                return
+            current.append(v)
+            improve(current)
+            if cand & comp[v]:
+                expand(cand & comp[v], current, comp)
+            current.pop()
+            cand &= ~(1 << v)
+
+    def rec(idx, chosen, chosen_mask):
+        if spent() or idx == n or len(chosen) + (n - idx) <= state["best"]:
+            return
+        if not structures._has_clique_mask(adj, adj[idx] & chosen_mask,
+                                           s - 2):
+            chosen.append(idx)
+            improve(chosen)
+            rec(idx + 1, chosen, chosen_mask | (1 << idx))
+            chosen.pop()
+            if state["exhausted"]:
+                return
+        rec(idx + 1, chosen, chosen_mask)
+
+    if n == 0:
+        return AlphaResult(0, True, (), 0)
+    if s == 3:
+        full = (1 << n) - 1
+        expand(full, [], [full & ~adj[v] & ~(1 << v) for v in range(n)])
+        witness = tuple(sorted(state["set"]))
+    else:
+        rec(0, [], 0)
+        witness = state["set"]
+    return AlphaResult(state["best"], not state["exhausted"], witness,
+                       state["nodes"])
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), n=st.integers(0, 30),
+       p=st.sampled_from([0.1, 0.3, 0.5, 0.8]), s=st.integers(3, 5),
+       budget=st.one_of(st.none(), st.integers(1, 60)))
+def test_alpha_visits_as_the_recursive_search(seed, n, p, s, budget):
+    # the subset search of s > 3 is exponential in n: at most 16 vertices
+    g = random_graph(random.Random(seed), n if s == 3 else min(n, 16), p)
+    assert alpha_s(g, s, budget) == recursive_alpha_s(g, s, budget)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), n=st.integers(0, 40),
+       p=st.sampled_from([0.05, 0.2, 0.5, 0.9]))
+def test_color_sort_is_first_fit(seed, n, p):
+    rng = random.Random(seed)
+    adj = random_graph(rng, n, p).adjacency
+    cand = rng.getrandbits(n) if n else 0
+    assert structures._color_sort(cand, adj) == \
+        first_fit_color_sort(cand, adj)
+
+
+def test_alpha_runs_past_the_recursion_limit():
+    # a thousand levels deep in both searches: the 1,000-vertex edgeless
+    # graph at s = 3 and the triangle-free 999-cycle at s = 4
+    edgeless = alpha_s(Hypergraph(2, 1000, frozenset()), 3)
+    assert (edgeless.value, edgeless.exact) == (1000, True)
+    assert edgeless.witness == tuple(range(1000))
+    cycle = alpha_s(cyclic_graph(999, [1]), 4, budget=10_000)
+    assert (cycle.value, cycle.exact) == (999, True)
 
 
 def test_search_small_alpha_hits_circulant_scale():
@@ -625,6 +728,47 @@ def test_is_induced_embedding_checks_non_edges():
     assert not is_induced_embedding(c4, k4, (0, 1, 2, 3))
     assert is_induced_embedding(c4, c4, (0, 1, 2, 3))
     assert not is_induced_embedding(c4, c4, (0, 2, 1, 3))
+
+
+def edge_by_edge_induced(g, h, mapping):
+    """The r-set by r-set check that is_induced_embedding's rows replaced:
+    injective, in range, and every pair an edge iff its image is."""
+    if len(mapping) != g.n or len(set(mapping)) != g.n:
+        return False
+    if any(not 0 <= v < h.n for v in mapping):
+        return False
+    return all(g.has_edge(pair) == h.has_edge(tuple(mapping[v] for v in pair))
+               for pair in itertools.combinations(range(g.n), 2))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(seed=st.integers(0, 10 ** 6), n_host=st.integers(0, 10),
+       n_pattern=st.integers(0, 8), p=st.sampled_from([0.2, 0.5, 0.8]),
+       induced=st.booleans())
+def test_is_induced_embedding_matches_the_edge_by_edge_check(
+        seed, n_host, n_pattern, p, induced):
+    rng = random.Random(seed)
+    host = random_graph(rng, n_host, p)
+    if induced and n_pattern <= n_host:
+        # an induced copy of a random vertex subset, mapped to itself
+        mapping = rng.sample(range(n_host), n_pattern)
+        pattern = Hypergraph(2, n_pattern, frozenset(
+            (i, j) for i, j in itertools.combinations(range(n_pattern), 2)
+            if host.has_edge((mapping[i], mapping[j]))))
+        if pattern.n and rng.random() < 0.5:
+            # a repeated or out-of-range vertex, or another vertex
+            mapping[rng.randrange(pattern.n)] = rng.randrange(n_host + 2)
+    else:
+        pattern = random_graph(rng, n_pattern, p)
+        mapping = [rng.randrange(n_host + 1) for _ in range(n_pattern)]
+    assert is_induced_embedding(pattern, host, mapping) == \
+        edge_by_edge_induced(pattern, host, mapping)
+
+
+def test_is_induced_embedding_is_for_graphs():
+    g3 = Hypergraph(3, 3, frozenset())
+    with pytest.raises(ValueError, match="graphs"):
+        is_induced_embedding(g3, g3, (0, 1, 2))
 
 
 def test_embed_search_matches_brute_on_corpus():

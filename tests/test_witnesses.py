@@ -102,13 +102,13 @@ def test_certified_json_shape():
 
 
 def test_witness_report_json_shape():
-    report = WitnessReport("tag", {}, {"x": 1},
+    report = WitnessReport("tag", {"x": 1},
                            (Certified("c", "==", Fraction(1), Fraction(1)),),
                            ("line",))
     payload = report.to_json_dict()
-    assert set(payload) == {"theorem", "inputs", "witness", "certified", "log"}
+    assert set(payload) == {"theorem", "witness", "certified", "log"}
     assert report.all_hold
-    bad = WitnessReport("tag", {}, {},
+    bad = WitnessReport("tag", {},
                         (Certified("c", "==", Fraction(0), Fraction(1)),), ())
     assert not bad.all_hold
 
