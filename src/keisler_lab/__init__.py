@@ -32,8 +32,8 @@ from .serialize import (FormatError, canonical_dumps, digest, load_structure,
                         weighted_from_json, weighted_to_json)
 from .witnesses import (Certified, EmbeddingNotFound, GridTooSmall,
                         PreconditionFailed, WitnessReport, adversary_fraction,
-                        adversary_witness, fam_witness, order_witness,
-                        recompute_certified, sat_probe, tp2_witness)
+                        adversary_witness, build_report, fam_witness,
+                        order_witness, sat_probe, tp2_witness)
 
 __version__ = "0.1.0"
 
@@ -47,15 +47,15 @@ __all__ = [
     "SearchResult", "SelfTestOutcome", "WeightedHypergraph", "WitnessReport",
     "ZeroMassError", "add_vertex_with_links", "adversary_fraction",
     "adversary_witness", "alpha_s", "analyze_phi", "brute_best",
-    "build_tp2_grid", "canonical_dumps", "compile_mask", "cyclic_graph",
-    "digest", "dnf_to_formula",
+    "build_report", "build_tp2_grid", "canonical_dumps", "compile_mask",
+    "cyclic_graph", "digest", "dnf_to_formula",
     "embed_search", "evaluate", "fam_witness", "find_clique",
     "format_formula", "greedy_coloring", "grid_object", "grid_target",
     "guarantee_value", "is_free", "is_induced_embedding", "is_maximal_free",
     "load_structure", "load_weighted", "localize", "make_assignment",
     "make_measure", "measure_algebra_selftest", "mu_eval", "order_witness",
     "parse_formula", "parse_phi", "parse_rational", "parse_structure_spec",
-    "product", "random_maximal_free", "recompute_certified", "residual_holds",
+    "product", "random_maximal_free", "residual_holds",
     "sat_probe", "search_small_alpha", "structure_from_json",
     "structure_to_json", "substitute", "sup_error", "to_dnf", "tp2_witness",
     "variables", "weight_of", "weighted_from_json", "weighted_hypergraph",

@@ -21,7 +21,7 @@ from .serialize import (FormatError, atomic_write_text, canonical_dumps,
                         weighted_to_json)
 from .structures import FreenessViolation
 from .witnesses import (PIPELINES, EmbeddingNotFound, WitnessReport,
-                        build_report, recompute_certified, request_sources)
+                        build_report, request_sources)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -94,18 +94,20 @@ def _report(theorem: str, config: dict, overrides: Optional[dict] = None,
             recorded: Optional[dict] = None) -> tuple[WitnessReport, dict]:
     """The one path from a request to its report, for the runner and for
     verify: resolve the inputs the config names (an override changes only
-    where one is read from), build the report, rebuilt from `recorded`
-    when given, and record each input's kind, digest and the config's
-    source."""
+    where one is read from, and must name one of them), build the report,
+    rebuilt from `recorded` when given, and record each input's kind,
+    digest and the config's source."""
     sources = request_sources(theorem, config)
-    inputs = {name: _load(name, (overrides or {}).get(name, source))
+    overrides = overrides or {}
+    unknown = sorted(overrides.keys() - sources.keys())
+    if unknown:
+        raise FormatError(f"--input {unknown[0]!r} is not an input of this "
+                          f"report; its inputs are {sorted(sources)}")
+    inputs = {name: _load(name, overrides.get(name, source))
               for name, source in sources.items()}
-    if recorded is None:
-        report = build_report(theorem, config, inputs)
-    else:
-        report = recompute_certified(theorem, config, recorded, inputs)
-    return report, {name: _input_entry(inputs[name], source)
-                    for name, source in sources.items()}
+    return (build_report(theorem, config, inputs, recorded),
+            {name: _input_entry(inputs[name], source)
+             for name, source in sources.items()})
 
 
 def _cmd_report(args) -> int:

@@ -320,25 +320,14 @@ def substitute(f: Formula, mapping: Mapping[Term, Term]) -> Formula:
 # Evaluation
 # ---------------------------------------------------------------------------
 
-class Assignment(dict):
-    """Variable values keyed by Term.key, (0, i) for x_i and (1, j) for y_j.
-
-    ObjectVar(i) and ParamVar(i) hash alike (the hash of the field tuple
-    (i,)), so a dict keyed by terms pays two __eq__ calls per lookup that
-    finds the other kind's variable first; evaluate looks up the key
-    tuples instead.  Indexing by a term reads its key's entry.
-    """
-
-    def __missing__(self, t):
-        if isinstance(t, (ObjectVar, ParamVar)) and t.key in self:
-            return self[t.key]
-        raise KeyError(t)
-
-
 def make_assignment(objects: Sequence[int] = (),
-                    params: Sequence[int] = ()) -> Assignment:
-    """Positional assignment: objects[i] binds x(i+1), params[j] binds y(j+1)."""
-    out = Assignment()
+                    params: Sequence[int] = ()) -> dict:
+    """Positional assignment keyed by Term.key: objects[i] binds x(i+1)
+    as (0, i + 1), params[j] binds y(j+1) as (1, j + 1).
+
+    ObjectVar(i) and ParamVar(i) hash alike, so a dict keyed by terms
+    would pay __eq__ calls per lookup; evaluate looks up the key tuples."""
+    out = {}
     for i, v in enumerate(objects):
         out[0, i + 1] = int(v)
     for j, v in enumerate(params):
@@ -346,15 +335,10 @@ def make_assignment(objects: Sequence[int] = (),
     return out
 
 
-def _atom_value(structure, atom: Atom, assignment: Mapping[Term, int]) -> bool:
+def _atom_value(structure, atom: Atom, assignment: Mapping) -> bool:
     def value(t: Term) -> int:
         try:
             return assignment[t.key]
-        except KeyError:
-            pass
-        # a mapping keyed by the terms themselves
-        try:
-            return assignment[t]
         except KeyError:
             raise EvalError(f"no value assigned to {_format_term(t)}") from None
 
@@ -373,10 +357,10 @@ def _atom_value(structure, atom: Atom, assignment: Mapping[Term, int]) -> bool:
     raise EvalError(f"cannot evaluate formulas over {type(structure).__name__}")
 
 
-def evaluate(structure, f: Formula, assignment: Mapping[Term, int]) -> bool:
+def evaluate(structure, f: Formula, assignment: Mapping) -> bool:
     """Truth of f in the structure under a total assignment: a mapping
-    from each variable's key (Term.key), as make_assignment builds it, or
-    from the variable itself, to its value."""
+    from each variable's key (Term.key) to its value, as make_assignment
+    builds it."""
     if isinstance(f, (Rel, Eq)):
         return _atom_value(structure, f, assignment)
     if isinstance(f, Not):

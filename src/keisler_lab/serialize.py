@@ -304,17 +304,25 @@ def digest(payload) -> str:
 def atomic_write_text(path: str, text: str) -> None:
     """Write via a temporary file in the target directory plus rename, so a
     process that crashes mid-write never leaves a half-written report.
-    Nothing is fsynced, so the write may not survive a power loss."""
+    The file is fsynced before the rename and its directory after, so a
+    written report also survives a power loss."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".json")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(text)
+            handle.flush()
+            os.fsync(handle.fileno())
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+    dir_fd = os.open(directory, os.O_RDONLY)
+    try:
+        os.fsync(dir_fd)
+    finally:
+        os.close(dir_fd)
 
 
 def load_json(path: str):

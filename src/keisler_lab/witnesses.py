@@ -29,8 +29,8 @@ from .logic import (And, Eq, Not, ObjectVar, ParamVar, ParseError,
                     make_assignment, parse_phi)
 from .measures import SELFTEST_CHECKS, measure_algebra_selftest, sup_error
 from .serialize import (FormatError, digest, parse_rational,
-                        parse_structure_spec, rational_from_json,
-                        rational_to_json, structure_to_json)
+                        parse_structure_spec, rational_to_json,
+                        structure_to_json)
 from .structures import (_MAX_GRID_K, Feq2Structure, FreenessViolation,
                          Hypergraph, add_vertex_with_links, alpha_s,
                          embed_search, grid_object, grid_target, is_free,
@@ -331,6 +331,10 @@ def fam_witness(phi: PhiPartition, epsilon: Fraction, ambient: Hypergraph,
     ambient_free = _bool_cert("ambient-free", is_free(ambient, s))
 
     _require([sample_size, *alpha_bound, pattern_free, ambient_free])
+    m = analysis.phi.param_arity
+    if ambient.n ** m > _DOMAIN_CAP:
+        raise ValueError(
+            f"parameter domain of size {ambient.n}^{m} exceeds {_DOMAIN_CAP}")
     if recorded is None:
         embedding = embed_search(graph, ambient, budget=budget)
         if embedding.mapping is None:
@@ -340,10 +344,6 @@ def fam_witness(phi: PhiPartition, epsilon: Fraction, ambient: Hypergraph,
     else:
         abar = tuple(recorded["embedding"])
         found = "embedding read from the report"
-    m = analysis.phi.param_arity
-    if ambient.n ** m > _DOMAIN_CAP:
-        raise ValueError(
-            f"parameter domain of size {ambient.n}^{m} exceeds {_DOMAIN_CAP}")
     induced = _bool_cert("embedding-induced",
                          is_induced_embedding(graph, ambient, abar))
     if not induced.holds:  # only a recorded embedding can stop here
@@ -698,8 +698,8 @@ def sat_probe(ambient: Hypergraph, subset: Sequence[int],
     ordinary outcome at finite scale.  Aggregate mode (trials, n_params,
     seed) draws seeded random parameter sets and reports the success rate
     instead of asserting one.  A rebuild (recorded given) takes the
-    recorded hits instead of scanning; the aggregate draws must be those
-    of the seed.  A hit is certified valid when it is a distinct
+    recorded hit of each draw instead of scanning; the draws are always
+    the request's.  A hit is certified valid when it is a distinct
     (r-1)-tuple of the subset and no edge runs through it and any
     parameter of its draw.
     """
@@ -720,12 +720,6 @@ def sat_probe(ambient: Hypergraph, subset: Sequence[int],
         if trials < 1 or n_params < 0:
             raise ValueError(
                 "trials must be positive and n_params nonnegative")
-        if recorded is not None:
-            # the recorded trials are sized before anything is drawn
-            _check_probe_size(
-                len(recorded["results"]),
-                max((len(entry["params"]) for entry in recorded["results"]),
-                    default=0))
         _check_probe_size(trials, n_params)
         _check_probe_scan(trials, len(subset), arity, n_params)
         if ambient.n == 0 and n_params > 0:
@@ -733,10 +727,6 @@ def sat_probe(ambient: Hypergraph, subset: Sequence[int],
         rng = random.Random(seed)
         draws = [[rng.randrange(ambient.n) for _ in range(n_params)]
                  for _ in range(trials)]
-        if recorded is not None and draws != [
-                entry["params"] for entry in recorded["results"]]:
-            raise FormatError("recorded params are not the draws of the "
-                              "config's seed, trials and n_params")
 
     members = set(subset)
 
@@ -747,9 +737,12 @@ def sat_probe(ambient: Hypergraph, subset: Sequence[int],
     if recorded is None:
         hits = [_probe_once(ambient, subset, draw) for draw in draws]
     else:
+        # the recorded hit of each draw of the request: entries past the
+        # draws are not read, and a draw without an entry has no hit
         entries = [recorded] if params is not None else recorded["results"]
         hits = [tuple(entry["witness"]) if entry["found"] else None
-                for entry in entries]
+                for entry, _ in zip(entries, draws)]
+        hits += [None] * (len(draws) - len(hits))
     results = [{"params": draw, "found": hit is not None,
                 "witness": list(hit) if hit is not None else None}
                for draw, hit in zip(draws, hits)]
@@ -804,20 +797,17 @@ def _check_grid_size(k: int, parameters: int,
 
 
 def tp2_witness(f: Feq2Structure, k: int, sample: Optional[int] = None,
-                seed: Optional[int] = None, *,
-                recorded: Optional[dict] = None) -> WitnessReport:
+                seed: Optional[int] = None) -> WitnessReport:
     """Certify the two-dimensional pattern on a k-grid: cells of one row
     are pairwise 2-inconsistent relative to the row target, while every
     checked path through the grid is realized by a single parameter.
 
     sample=None checks all k^k paths; otherwise `sample` distinct paths
-    are drawn with the seed.  A rebuild (recorded given) sizes the scan
-    by the recorded paths first, and they must be the paths derived.
+    are drawn with the seed.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    _check_grid_size(k, f.parameters, sample if recorded is None
-                     else len(recorded["checked_paths"]))
+    _check_grid_size(k, f.parameters, sample)
     if f.objects < k * k + k:
         raise GridTooSmall(k * k + k, f.objects)
     if sample is None:
@@ -835,9 +825,6 @@ def tp2_witness(f: Feq2Structure, k: int, sample: Optional[int] = None,
                 code, d = divmod(code, k)
                 digits.append(d)
             paths.append(digits[::-1])
-    if recorded is not None and paths != recorded["checked_paths"]:
-        raise FormatError("checked_paths are not the paths of the config's "
-                          "k, sample and seed")
     row_pairs = 0
     row_failures = []
     for i in range(k):
@@ -878,8 +865,8 @@ def tp2_witness(f: Feq2Structure, k: int, sample: Optional[int] = None,
 
 
 # ---------------------------------------------------------------------------
-# The pipeline table: every report tag, the inputs its report names, where
-# its config says they come from, and its request function
+# The pipeline table: every report tag, where its config says its inputs
+# come from, and its request function
 # ---------------------------------------------------------------------------
 
 def _expect(obj, kind, message: str):
@@ -960,28 +947,26 @@ def _tp2_request(config, inputs, recorded=None) -> WitnessReport:
     structure = _expect(inputs["structure"], Feq2Structure,
                         "tp2 needs a parameterized equivalence input")
     return tp2_witness(structure, config["k"], config.get("sample"),
-                       config.get("seed"), recorded=recorded)
+                       config.get("seed"))
 
 
 _AMBIENT = _sources(ambient="ambient")
-# each entry: the inputs a report names, sources(config), and build(config,
-# inputs, recorded=None)
+# each entry: sources(config), the source of each input the report names,
+# and build(config, inputs, recorded=None)
 PIPELINES = {
-    "gen": ((), _sources(), _gen_request),
-    "coloring-bound": (("weighted",), _sources(weighted="input"),
-                       _color_request),
-    "measure-algebra": ((), _sources(), _measures_request),
-    "famnotfim": (("ambient", "graph"),
-                  _sources(ambient="ambient", graph="graph"), _fam_request),
-    "order": (("ambient",), _AMBIENT, _order_request),
-    "dfsnotfim-adversary": (("ambient",), _AMBIENT, _adversary_request),
-    "dfsnotfim-sat": (("ambient",), _AMBIENT, _sat_request),
-    "tp2": (("structure",), _tp2_sources, _tp2_request),
+    "gen": (_sources(), _gen_request),
+    "coloring-bound": (_sources(weighted="input"), _color_request),
+    "measure-algebra": (_sources(), _measures_request),
+    "famnotfim": (_sources(ambient="ambient", graph="graph"), _fam_request),
+    "order": (_AMBIENT, _order_request),
+    "dfsnotfim-adversary": (_AMBIENT, _adversary_request),
+    "dfsnotfim-sat": (_AMBIENT, _sat_request),
+    "tp2": (_tp2_sources, _tp2_request),
 }
 
 
 class _Request(dict):
-    """A recorded config: reading a field it lacks names that field."""
+    """A request's config: reading a field it lacks names that field."""
 
     def __missing__(self, key):
         raise FormatError(f"config has no {key!r} field")
@@ -989,49 +974,26 @@ class _Request(dict):
 
 def request_sources(theorem: str, config: dict) -> dict:
     """The source of each input, as the config of a request names it."""
-    return PIPELINES[theorem][1](_Request(config))
+    return PIPELINES[theorem][0](_Request(config))
 
 
 def build_report(theorem: str, config: dict, inputs: Mapping[str, object],
                  recorded: Optional[dict] = None) -> WitnessReport:
     """The report of a request, through its tag's build; a precondition
-    that fails yields the report of that failure."""
-    try:
-        return PIPELINES[theorem][2](config, inputs, recorded)
-    except PreconditionFailed as exc:
-        return exc.report(theorem)
-
-
-def recompute_certified(theorem: str, config: dict, witness: dict,
-                        inputs: Mapping[str, object]) -> WitnessReport:
-    """Rebuild a report from its config and resolved inputs through the
-    runner's own build, with the witness as `recorded`; the verifier
-    compares the certifications and the witness of the result with the
-    report's.  A report whose precondition failed is rebuilt as the
-    runner built it, with nothing recorded; one whose recorded inequality
-    holds is refused.  So is a config that lacks a field the build
-    resolves, such as the adversary's r, which the runner records."""
-    try:
-        names = PIPELINES[theorem][0]
-    except KeyError:
-        raise ValueError(f"unknown theorem tag {theorem!r}") from None
-    missing = [name for name in names if name not in inputs]
-    if missing:
-        raise FormatError(f"report lacks required inputs: {missing}")
-    recorded = witness
-    if isinstance(witness, dict) and "precondition_failed" in witness:
-        failed = Certified(str(witness["precondition_failed"]),
-                           str(witness["op"]),
-                           rational_from_json(witness["lhs"]),
-                           rational_from_json(witness["rhs"]))
-        if failed.holds:
-            raise FormatError(f"precondition {failed.name}: the recorded "
-                              f"{failed.lhs} {failed.op} {failed.rhs} holds, "
-                              f"so it cannot have stopped the run")
-        recorded = None
+    that fails yields the report of that failure.  The runner records in
+    config every field the build resolves (the adversary's r).  verify
+    passes the report's witness as `recorded`: a recorded failed
+    precondition is rebuilt with nothing recorded, and the config may not
+    gain a field."""
     request = _Request(config)
-    report = build_report(theorem, request, inputs, recorded)
+    choices = (None if isinstance(recorded, dict)
+               and "precondition_failed" in recorded else recorded)
+    try:
+        report = PIPELINES[theorem][1](request, inputs, choices)
+    except PreconditionFailed as exc:
+        report = exc.report(theorem)
     added = sorted(request.keys() - config.keys())
-    if added:
+    if added and recorded is not None:
         raise FormatError(f"config has no {added[0]!r} field")
+    config.update(request)
     return report

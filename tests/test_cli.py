@@ -266,6 +266,29 @@ def test_over_cap_fam_budget_fails_fast(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err.count("must lie in 1..1000000") == 2
 
 
+# four parameters over a 50-vertex ambient: 50^4 tuples, over the 10^6 cap
+# on the parameter domain, which is checked before any embedding is sought
+def test_fam_domain_cap_precedes_the_embedding(tmp_path, monkeypatch,
+                                               capsys):
+    import keisler_lab.witnesses as witnesses
+    out = tmp_path / "fam.json"
+    assert run(FAM_GEN50 + ["--output", str(out)]) == 0
+    phi = "!E(x1,y1) & x1 != y1 & x1 != y2 & x1 != y3 & x1 != y4"
+    data = read_report(out)
+    data["config"]["phi"] = phi
+    out.write_text(canonical_dumps(data))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an over-cap domain reached the embedding")
+    monkeypatch.setattr(witnesses, "embed_search", refuse)
+    monkeypatch.setattr(witnesses, "is_induced_embedding", refuse)
+    capsys.readouterr()
+    assert run(["fam", "--phi", phi, *FAM_GEN50[3:]]) == 1
+    assert run(["verify", str(out)]) == 1
+    assert capsys.readouterr().err.count(
+        "parameter domain of size 50^4 exceeds 1000000") == 2
+
+
 def test_fam_without_budget_searches_up_to_the_cap(monkeypatch, capsys):
     import keisler_lab.witnesses as witnesses
     monkeypatch.setattr(witnesses, "_MAX_EMBED_NODES", 5)
@@ -425,6 +448,16 @@ def test_verify_input_override_records_the_config_source(tmp_path, capsys):
     assert "ambient.source" not in err
 
 
+def test_verify_refuses_a_misspelt_input_override(tmp_path, capsys):
+    out = tmp_path / "order.json"
+    assert run(["order", "--ambient", "gen:20:2:3:seed=1", "--q", "2",
+                "--output", str(out)]) == 0
+    capsys.readouterr()
+    assert run(["verify", str(out), "--input", "ambiant=/nonexistent"]) == 1
+    err = capsys.readouterr().err
+    assert "'ambiant'" in err and "['ambient']" in err
+
+
 def test_verify_rebuilds_a_precondition_report(tmp_path, capsys):
     # alpha-bound fails (2 < 2); renamed to sample-size at 100 < 2 the
     # recorded inequality still fails, but it is not where the request stops
@@ -463,7 +496,9 @@ def test_verify_rejects_malformed_reports(tmp_path):
 
 
 def test_verify_refuses_a_precondition_report_that_holds(tmp_path, capsys):
-    # K5 is not triangle-free: order stops at ambient-free and exits 2
+    # K5 is not triangle-free: order stops at ambient-free and exits 2.  A
+    # recorded inequality edited to hold is rebuilt from the request, which
+    # stops at the real one
     out = tmp_path / "order.json"
     assert run(["order", "--ambient", "circulant:5:1,2", "--q", "2",
                 "--output", str(out)]) == 2
@@ -473,8 +508,9 @@ def test_verify_refuses_a_precondition_report_that_holds(tmp_path, capsys):
     data["certified"][0].update(lhs=one, holds=True)
     out.write_text(canonical_dumps(data))
     capsys.readouterr()
-    assert run(["verify", str(out)]) == 1
-    assert "cannot have stopped the run" in capsys.readouterr().err
+    assert run(["verify", str(out)]) == 2
+    assert ("certification 'ambient-free' does not reproduce"
+            in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("edit", ["paths", "seed"])
@@ -501,8 +537,12 @@ def test_verify_rederives_tp2_paths(edit, tmp_path, capsys):
         data["config"]["seed"] = 4
     out.write_text(canonical_dumps(data))
     capsys.readouterr()
-    assert run(["verify", str(out)]) == 1
-    assert "checked_paths are not the paths" in capsys.readouterr().err
+    # the paths come from the config's k, sample and seed, never the report
+    assert run(["verify", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "witness field 'checked_paths[" in err
+    assert ("certification 'paths-consistent' does not reproduce" in err) \
+        == (edit == "paths")
 
 
 OVER_CAP_SPECS = [
@@ -829,8 +869,12 @@ def test_verify_rejects_over_cap_satprobe(trials, n_params, tmp_path,
     out.write_text(canonical_dumps(data))
     refuse_to_probe(monkeypatch)
     capsys.readouterr()
-    assert run(["verify", str(out)]) == 1
-    assert "exceed" in capsys.readouterr().err
+    # the rebuild reads one recorded entry per draw of the config's 5
+    # trials of 2 parameters, so the oversized results are never walked
+    assert run(["verify", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "witness field 'results" in err
+    assert "exceed" not in err
 
 
 # just over the cap on a probe's scan, trials x C(m, r - 1) x n-params <= 10^7:
@@ -900,6 +944,9 @@ def test_over_cap_tp2_fails_fast(k, objects, parameters, tmp_path,
     {"witness": {"checked_paths": [[0, 0]] * 9_999}},  # (2 + 9,999) x 1,000
 ])
 def test_verify_rejects_over_cap_tp2(edit, tmp_path, monkeypatch, capsys):
+    # over the cap in the config, verify refuses before the scan; over it
+    # only in the recorded paths, it scans the config's 2 row pairs and 4
+    # paths and names the paths
     sfile = tmp_path / "pairings.json"
     write_pairings(sfile, 6, 1_000)
     out = tmp_path / "tp2.json"
@@ -910,10 +957,21 @@ def test_verify_rejects_over_cap_tp2(edit, tmp_path, monkeypatch, capsys):
     for part, fields in edit.items():
         data[part].update(fields)
     out.write_text(canonical_dumps(data))
-    refuse_to_scan_grid(monkeypatch)
     capsys.readouterr()
-    assert run(["verify", str(out)]) == 1
-    assert "exceed" in capsys.readouterr().err
+    if "config" in edit:
+        refuse_to_scan_grid(monkeypatch)
+        assert run(["verify", str(out)]) == 1
+        assert "exceed" in capsys.readouterr().err
+        return
+    checks = []
+    same_class = Feq2Structure.same_class
+    monkeypatch.setattr(Feq2Structure, "same_class",
+                        lambda *args: checks.append(1) or same_class(*args))
+    assert run(["verify", str(out)]) == 2
+    assert len(checks) <= (2 + 4) * 1_000 * 2
+    err = capsys.readouterr().err
+    assert "witness field 'checked_paths'" in err
+    assert "exceed" not in err
 
 
 # ---------------------------------------------------------------------------
@@ -988,7 +1046,8 @@ def test_verify_redraws_satprobe_params(tmp_path, capsys):
     assert run(SATPROBE + ["--trials", "5", "--n-params", "2",
                            "--output", str(out)]) == 0
     data = read_report(out)
-    entry = next(e for e in data["witness"]["results"] if e["found"])
+    i, entry = next((i, e) for i, e in enumerate(data["witness"]["results"])
+                    if e["found"])
     # parameters inside the hit: no edge runs through a repeated vertex,
     # so the hit stays valid and only the draw is wrong
     edited = [entry["witness"][0]] * 2
@@ -996,8 +1055,31 @@ def test_verify_redraws_satprobe_params(tmp_path, capsys):
     entry["params"] = edited
     out.write_text(canonical_dumps(data))
     capsys.readouterr()
-    assert run(["verify", str(out)]) == 1
-    assert "are not the draws" in capsys.readouterr().err
+    assert run(["verify", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"witness field 'results[{i}].params" in err
+    assert "certification" not in err
+
+
+def test_verify_refuses_truncated_satprobe_results(tmp_path, capsys):
+    # every draw of the request has a result: a report that keeps only the
+    # first, its rate and certification edited to match, does not verify
+    out = tmp_path / "probe.json"
+    assert run(SATPROBE + ["--trials", "5", "--n-params", "2",
+                           "--output", str(out)]) == 0
+    data = read_report(out)
+    witness = data["witness"]
+    del witness["results"][1:]
+    found = int(witness["results"][0]["found"])
+    witness["success_rate"] = rational_to_json(Fraction(found, 5))
+    data["certified"][0].update(lhs=rational_to_json(Fraction(found)),
+                                rhs=rational_to_json(Fraction(found)))
+    out.write_text(canonical_dumps(data))
+    capsys.readouterr()
+    assert run(["verify", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "witness field 'results' does not reproduce" in err
+    assert "certification" not in err
 
 
 @pytest.mark.parametrize("mode", [["--params", "0"],
@@ -1048,8 +1130,10 @@ def test_verify_redraws_the_satprobe_seed(tmp_path, capsys):
                           data["witness"]["m_subset"], trials=5, n_params=2,
                           seed=12345))
     out.write_text(canonical_dumps(data))
-    assert run(["verify", str(out)]) == 1
-    assert "are not the draws" in capsys.readouterr().err
+    assert run(["verify", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "certification 'witnesses-valid' does not reproduce" in err
+    assert "witness field 'results[0].params" in err
 
 
 def test_verify_redraws_the_adversary_tuples(tmp_path, capsys):
@@ -1112,8 +1196,9 @@ def test_verify_holds_the_satprobe_request_to_the_config(key, trials,
                           witness["m_subset"], trials=trials,
                           n_params=n_params, seed=witness["seed"]))
     out.write_text(canonical_dumps(data))
-    assert run(["verify", str(out)]) == 1
-    assert "are not the draws" in capsys.readouterr().err
+    assert run(["verify", str(out)]) == 2
+    named = {"trials": "results", "n_params": "n_params"}[key]
+    assert f"witness field {named!r}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("key", ["seed", "n", "r"])

@@ -174,23 +174,25 @@ def test_variables_and_substitute():
 
 def test_make_assignment_positional():
     asn = make_assignment((4, 7), (2,))
-    assert asn[ObjectVar(1)] == 4
-    assert asn[ObjectVar(2)] == 7
-    assert asn[ParamVar(1)] == 2
+    assert asn[ObjectVar(1).key] == 4
+    assert asn[ObjectVar(2).key] == 7
+    assert asn[ParamVar(1).key] == 2
 
 
 def test_assignments_are_keyed_by_kind_and_index(monkeypatch):
     asn = make_assignment((4, 7), (2,))
-    assert dict(asn) == {(0, 1): 4, (0, 2): 7, (1, 1): 2}
+    assert asn == {(0, 1): 4, (0, 2): 7, (1, 1): 2}
     assert ObjectVar(1).key == (0, 1) and ParamVar(1).key == (1, 1)
     with pytest.raises(KeyError):
-        asn[ParamVar(2)]
+        asn[ParamVar(2).key]
     g = Hypergraph(2, 3, frozenset({(0, 1)}))
     f = parse_formula("E(x1,y1) & x1 != x2 & y1 = y1")
-    # a mapping keyed by the terms themselves is still read
-    assert evaluate(g, f, {ObjectVar(1): 0, ObjectVar(2): 2, ParamVar(1): 1})
+    # a mapping keyed by the terms themselves is not an assignment: the
+    # first variable it does not bind by key is named
+    with pytest.raises(EvalError, match="x1"):
+        evaluate(g, f, {ObjectVar(1): 0, ObjectVar(2): 2, ParamVar(1): 1})
     with pytest.raises(EvalError, match="y1"):
-        evaluate(g, f, {ObjectVar(1): 0, ObjectVar(2): 2})
+        evaluate(g, f, {(0, 1): 0, (0, 2): 2})
     # x_i and y_i hash alike, but a lookup compares no terms
     calls = []
     for cls in (ObjectVar, ParamVar):

@@ -260,6 +260,25 @@ def test_atomic_write_and_load(tmp_path):
     assert leftovers == []
 
 
+def test_atomic_write_fsyncs_the_file_and_its_directory(tmp_path,
+                                                        monkeypatch):
+    synced = []
+    fsync = os.fsync
+    monkeypatch.setattr(os, "fsync", lambda fd: synced.append(fd) or fsync(fd))
+    path = tmp_path / "out.json"
+    atomic_write_text(str(path), canonical_dumps({"v": 1}))
+    assert len(synced) == 2
+    assert load_json(str(path)) == {"v": 1}
+
+    def failing(fd):
+        raise OSError("fsync failed")
+    monkeypatch.setattr(os, "fsync", failing)
+    other = tmp_path / "other.json"
+    with pytest.raises(OSError, match="fsync failed"):
+        atomic_write_text(str(other), canonical_dumps({"v": 2}))
+    assert sorted(os.listdir(tmp_path)) == ["out.json"]
+
+
 def test_load_structure_and_weighted(tmp_path):
     g = cyclic_graph(7, [2])
     path = tmp_path / "graph.json"

@@ -30,9 +30,9 @@ from keisler_lab.witnesses import (
     WitnessReport,
     adversary_fraction,
     adversary_witness,
+    build_report,
     fam_witness,
     order_witness,
-    recompute_certified,
     sat_probe,
     tp2_witness,
 )
@@ -71,8 +71,8 @@ def assert_rebuild_matches(report: WitnessReport, rebuild) -> None:
 def assert_recompute_matches(report: WitnessReport, config: dict,
                              inputs: dict) -> None:
     # the request as a report's config records it
-    assert_rebuild_matches(report, lambda witness: recompute_certified(
-        report.theorem, config, witness, inputs))
+    assert_rebuild_matches(report, lambda witness: build_report(
+        report.theorem, config, inputs, recorded=witness))
 
 
 FAM_CONFIG = {"phi": NO_EDGE, "epsilon": "4/5", "s": 3}
@@ -236,8 +236,9 @@ def test_fam_scans_the_parameter_domain_once(ambient200, circulant13,
                          circulant13)
     assert report.witness["sup"]["samples_scanned"] == 200
     assert calls == {"mask": 200, "evaluate": 0, "analyze_phi": 1}
-    recompute_certified(report.theorem, FAM_CONFIG, report.witness,
-                        {"ambient": ambient200, "graph": circulant13})
+    build_report(report.theorem, FAM_CONFIG,
+                 {"ambient": ambient200, "graph": circulant13},
+                 recorded=report.witness)
     assert calls == {"mask": 2 * 200, "evaluate": 0, "analyze_phi": 2}
 
 
@@ -350,9 +351,9 @@ def test_adversary_tamper_is_visible(ambient60):
     report = adversary_witness(tuples, ambient60, 4)
     tampered = dict(report.witness)
     tampered["coloring"] = [1] * len(report.witness["coloring"])
-    fresh = recompute_certified(report.theorem,
-                                {"seed": 11, "n": 12, "r": 3, "s": 4},
-                                tampered, {"ambient": ambient60})
+    fresh = build_report(report.theorem,
+                         {"seed": 11, "n": 12, "r": 3, "s": 4},
+                         {"ambient": ambient60}, recorded=tampered)
     assert cert_json(fresh) != cert_json(report)
 
 
@@ -514,8 +515,11 @@ def test_tp2_validation():
 # ---------------------------------------------------------------------------
 
 def test_required_inputs_table():
-    # one table names every report tag that verify accepts
-    assert {tag: names for tag, (names, _, _) in PIPELINES.items()} == {
+    # one table names every report tag that verify accepts, and the keys
+    # of its sources are the inputs a report names
+    config = {"input": "i", "ambient": "a", "graph": "g", "k": 2}
+    assert {tag: tuple(sources(config))
+            for tag, (sources, _) in PIPELINES.items()} == {
         "gen": (),
         "coloring-bound": ("weighted",),
         "measure-algebra": (),
@@ -526,7 +530,3 @@ def test_required_inputs_table():
         "tp2": ("structure",),
     }
 
-
-def test_recompute_rejects_unknown_tag():
-    with pytest.raises(ValueError):
-        recompute_certified("nope", {}, {}, {})
