@@ -90,13 +90,13 @@ def _csv(report: WitnessReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _report(theorem: str, config: dict, overrides: Optional[dict] = None,
-            recorded: Optional[dict] = None) -> tuple[WitnessReport, dict]:
+def _report(theorem: str, config: dict, overrides: Optional[dict] = None
+            ) -> tuple[WitnessReport, dict]:
     """The one path from a request to its report, for the runner and for
     verify: resolve the inputs the config names (an override changes only
     where one is read from, and must name one of them), build the report,
-    rebuilt from `recorded` when given, and record each input's kind,
-    digest and the config's source."""
+    and record each input's kind, digest and the config's source.  Returns
+    the report and its JSON document."""
     sources = request_sources(theorem, config)
     overrides = overrides or {}
     unknown = sorted(overrides.keys() - sources.keys())
@@ -105,9 +105,11 @@ def _report(theorem: str, config: dict, overrides: Optional[dict] = None,
                           f"report; its inputs are {sorted(sources)}")
     inputs = {name: _load(name, overrides.get(name, source))
               for name, source in sources.items()}
-    return (build_report(theorem, config, inputs, recorded),
-            {name: _input_entry(inputs[name], source)
-             for name, source in sources.items()})
+    report = build_report(theorem, config, inputs)
+    entries = {name: _input_entry(inputs[name], source)
+               for name, source in sources.items()}
+    return report, {"config": config, "inputs": entries,
+                    **report.to_json_dict()}
 
 
 def _cmd_report(args) -> int:
@@ -117,7 +119,7 @@ def _cmd_report(args) -> int:
     theorem = _TAGS[args.subcommand]
     config = {key: value for key, value in vars(args).items()
               if value is not None and key != "func"}
-    report, inputs = _report(theorem, config)
+    report, document = _report(theorem, config)
     if "precondition_failed" in report.witness:
         print(f"error: {report.log[0]}", file=sys.stderr)
     if "structure_out" in config:
@@ -126,9 +128,7 @@ def _cmd_report(args) -> int:
     if config.get("format") == "csv":
         _emit(_csv(report), config.get("output"))
     else:
-        _emit(canonical_dumps({"config": config, "inputs": inputs,
-                               **report.to_json_dict()}),
-              config.get("output"))
+        _emit(canonical_dumps(document), config.get("output"))
     return _exit_for(report)
 
 
@@ -147,13 +147,20 @@ _ABSENT = _Absent()
 def _first_difference(recorded, fresh, path: str = ""):
     """Where two JSON values first differ, in sorted key order: the dotted
     path (list items as [i]) and both values there, or None when they are
-    equal.  Equality is Python's, so 1, 1.0 and true are equal."""
+    equal.  Lists of different lengths are named by their lengths and the
+    first index at which they differ, not printed whole.  Equality is
+    Python's, so 1, 1.0 and true are equal."""
     if isinstance(recorded, dict) and isinstance(fresh, dict):
         pairs = ((f"{path}.{key}" if path else key,
                   recorded.get(key, _ABSENT), fresh.get(key, _ABSENT))
                  for key in sorted(recorded.keys() | fresh.keys()))
-    elif (isinstance(recorded, list) and isinstance(fresh, list)
-          and len(recorded) == len(fresh)):
+    elif isinstance(recorded, list) and isinstance(fresh, list):
+        if len(recorded) != len(fresh):
+            first = next((i for i, (a, b) in enumerate(zip(recorded, fresh))
+                          if a != b), min(len(recorded), len(fresh)))
+            return (path, f"a list of length {len(recorded)}",
+                    f"a list of length {len(fresh)}; they first differ at "
+                    f"[{first}]")
         pairs = ((f"{path}[{i}]", a, b)
                  for i, (a, b) in enumerate(zip(recorded, fresh)))
     else:
@@ -186,17 +193,18 @@ def _cmd_verify(args) -> int:
     if not isinstance(data["certified"], list):
         raise FormatError("certified must be a list")
 
+    # the rebuild writes the fields it resolves (the adversary's r) into
+    # its own copy of the config, which is then compared with the report's
+    config = dict(config)
     try:
-        recomputed, inputs = _report(theorem, config, overrides,
-                                     data["witness"])
+        recomputed, rebuilt = _report(theorem, config, overrides)
     except (KeyError, TypeError, IndexError, AttributeError) as exc:
         raise FormatError(
-            f"report payload does not match the {theorem!r} schema "
+            f"report config is not a valid {theorem!r} request "
             f"({exc!r})") from None
     # every certification that does not reproduce, then the first field
-    # that differs in the witness and in the inputs
-    fresh = [c.to_json_dict() for c in recomputed.certified]
-    recorded = data["certified"]
+    # that differs in each other part of the report
+    fresh, recorded = rebuilt["certified"], data["certified"]
     for i, entry in enumerate(fresh):
         have = recorded[i] if i < len(recorded) else None
         if entry != have:
@@ -206,10 +214,11 @@ def _cmd_verify(args) -> int:
     if len(recorded) != len(fresh):
         print(f"report records {len(recorded)} certifications, "
               f"recomputation yields {len(fresh)}", file=sys.stderr)
-    differences = [(part, difference) for part, difference in (
-        ("witness", _first_difference(data["witness"], recomputed.witness)),
-        ("input", _first_difference(data["inputs"], inputs)))
-        if difference is not None]
+    differences = [(part, difference) for part, key in (
+        ("witness", "witness"), ("input", "inputs"), ("config", "config"),
+        ("log", "log"))
+        if (difference := _first_difference(data[key], rebuilt[key]))
+        is not None]
     for part, (path, have, made) in differences:
         print(f"{part} field {path!r} does not reproduce:"
               f"\n  recorded   {have}\n  recomputed {made}", file=sys.stderr)
@@ -310,7 +319,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--output")
     p.set_defaults(func=_cmd_report)
 
-    p = sub.add_parser("verify", help="recompute a report's certifications")
+    p = sub.add_parser("verify", help="rebuild a report and compare it")
     p.add_argument("report", help="report JSON path")
     p.add_argument("--input", action="append",
                    help="override an input source as name=path")

@@ -331,6 +331,8 @@ def load_json(path: str):
             return json.load(handle)
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: invalid JSON ({exc})") from None
+    except RecursionError:
+        raise FormatError(f"{path}: JSON nested too deeply") from None
 
 
 def load_structure(path: str) -> Storable:

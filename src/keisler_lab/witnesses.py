@@ -2,15 +2,12 @@
 
 Each experiment returns a WitnessReport: a payload describing the object
 built, a list of certified exact inequalities, and a log.  Each report
-tag has one request function in PIPELINES, build(config, inputs,
-recorded=None): it reads every request field from the report's config,
-makes the seeded draws, and calls the tag's builder on the resolved
-input structures.  The runner calls it with no recorded witness; the
-verifier calls it again on the report's config with the report's
-witness as `recorded`, from which the builder takes only its expensive
-choices (an embedding, a colouring and its links, probe hits) instead
-of searching again, and compares the certifications and the witness it
-returns with the report.
+tag has one request function in PIPELINES, build(config, inputs): it
+reads every request field from the report's config, makes the seeded
+draws, and calls the tag's builder on the resolved input structures.
+The runner and the verifier call it alike; the verifier builds again
+from the report's config, searching as the runner did, and compares the
+report it gets with the recorded one.
 """
 
 from __future__ import annotations
@@ -31,9 +28,9 @@ from .measures import SELFTEST_CHECKS, measure_algebra_selftest, sup_error
 from .serialize import (FormatError, digest, parse_rational,
                         parse_structure_spec, rational_to_json,
                         structure_to_json)
-from .structures import (_MAX_GRID_K, Feq2Structure, FreenessViolation,
-                         Hypergraph, add_vertex_with_links, alpha_s,
-                         embed_search, grid_object, grid_target, is_free,
+from .structures import (_MAX_GRID_K, Feq2Structure, Hypergraph,
+                         add_vertex_with_links, alpha_s, embed_search,
+                         grid_object, grid_target, is_free,
                          is_induced_embedding, is_maximal_free)
 
 _DOMAIN_CAP = 10 ** 6
@@ -191,14 +188,11 @@ def gen_witness(spec: str) -> WitnessReport:
         log=(f"resolved {spec} to a {_describe(sjson)}",))
 
 
-def color_witness(wh: WeightedHypergraph, brute: bool,
-                  recorded: Optional[dict] = None) -> WitnessReport:
+def color_witness(wh: WeightedHypergraph, brute: bool) -> WitnessReport:
     """Certify that the greedy colouring splits at least (r!/r^r) * w(V);
     brute also enumerates every colouring and certifies that the best
-    split is at least the greedy one and that the average is the bound.
-    A recorded colouring is used instead of colouring again."""
-    coloring = (greedy_coloring(wh) if recorded is None
-                else tuple(int(c) for c in recorded["coloring"]))
+    split is at least the greedy one and that the average is the bound."""
+    coloring = greedy_coloring(wh)
     weight = weight_of(wh, coloring)
     bound = guarantee_value(wh)
     certified = [Certified("greedy-bound", ">=", weight, bound)]
@@ -278,8 +272,7 @@ _MAX_EMBED_NODES = 10 ** 6
 
 def fam_witness(phi: PhiPartition, epsilon: Fraction, ambient: Hypergraph,
                 graph: Hypergraph, s: int = 3, *,
-                embed_budget: Optional[int] = None,
-                recorded: Optional[dict] = None) -> WitnessReport:
+                embed_budget: Optional[int] = None) -> WitnessReport:
     """Certify that the average over an embedded copy of the sample graph
     approximates the isolated-vertex type on the formula.
 
@@ -290,9 +283,7 @@ def fam_witness(phi: PhiPartition, epsilon: Fraction, ambient: Hypergraph,
     negation and certifies the complementary values.
 
     The embedding search stops after embed_budget nodes, _MAX_EMBED_NODES
-    when none is given.  Rebuilt from a recorded witness, the recorded
-    embedding replaces the search.  An embedding that is not induced (only
-    a recorded one can be) stops the report there.
+    when none is given.
     """
     epsilon = Fraction(epsilon)
     if epsilon <= 0:
@@ -335,20 +326,12 @@ def fam_witness(phi: PhiPartition, epsilon: Fraction, ambient: Hypergraph,
     if ambient.n ** m > _DOMAIN_CAP:
         raise ValueError(
             f"parameter domain of size {ambient.n}^{m} exceeds {_DOMAIN_CAP}")
-    if recorded is None:
-        embedding = embed_search(graph, ambient, budget=budget)
-        if embedding.mapping is None:
-            raise EmbeddingNotFound(embedding.exhausted, embedding.nodes)
-        abar = embedding.mapping
-        found = f"embedding found after {embedding.nodes} nodes"
-    else:
-        abar = tuple(recorded["embedding"])
-        found = "embedding read from the report"
+    embedding = embed_search(graph, ambient, budget=budget)
+    if embedding.mapping is None:
+        raise EmbeddingNotFound(embedding.exhausted, embedding.nodes)
+    abar = embedding.mapping
     induced = _bool_cert("embedding-induced",
                          is_induced_embedding(graph, ambient, abar))
-    if not induced.holds:  # only a recorded embedding can stop here
-        return WitnessReport("famnotfim", {},
-                             (ambient_free, pattern_free, induced), ())
 
     z_cap = Fraction(ell + k * alpha.value)
     scan = sup_error(
@@ -394,7 +377,7 @@ def fam_witness(phi: PhiPartition, epsilon: Fraction, ambient: Hypergraph,
         f"negation branch taken: {negated}",
         f"chose disjunct {t_star} with k={k}, ell={ell}",
         f"alpha_s(pattern, {s}) = {alpha.value}",
-        found,
+        f"embedding found after {embedding.nodes} nodes",
         f"exhaustive scan of {scan.samples_scanned} parameter tuples",
     ]
     return WitnessReport(
@@ -431,9 +414,7 @@ def order_witness(ambient: Hypergraph, s: int, q: int) -> WitnessReport:
     alternating pattern and that freeness survives.
 
     The added chain is independent and the last vertex links only to chain
-    vertices, so for s >= 3 no extension can complete a clique.  The report
-    records no links, so verify re-derives the same extension and takes
-    nothing from the recorded witness.
+    vertices, so for s >= 3 no extension can complete a clique.
     """
     if ambient.r != 2:
         raise ValueError("order witness is defined over graphs")
@@ -527,17 +508,14 @@ def _draw_tuples(seed: int, n: int, r: int,
 
 
 def adversary_witness(tuples: Sequence[Sequence[int]], ambient: Hypergraph,
-                      s: int, *,
-                      recorded: Optional[dict] = None) -> WitnessReport:
+                      s: int) -> WitnessReport:
     """Attach one fresh vertex whose links are the colour-split (r-1)-sets
     of a greedy colouring, so that the no-edge formula fails on at least
     the guaranteed fraction of the input tuples.
 
     Tuples with repeated entries count as violations outright.  The links
     cannot complete an s-clique (more pairwise distinct colours would be
-    needed than exist).  A rebuild (recorded given) takes the recorded
-    colouring and links instead; links edited into a report can complete
-    a clique, and extended-free is then certified as failing.
+    needed than exist).
     """
     r = ambient.r
     if r < 3:
@@ -559,7 +537,6 @@ def adversary_witness(tuples: Sequence[Sequence[int]], ambient: Hypergraph,
             raise ValueError(f"tuple {t} out of range")
         clean.append(t)
 
-    theorem = "dfsnotfim-adversary"
     ambient_free = _bool_cert("ambient-free", is_free(ambient, s))
     _require([ambient_free])
     distinct = [t for t in clean if len(set(t)) == arity]
@@ -572,30 +549,17 @@ def adversary_witness(tuples: Sequence[Sequence[int]], ambient: Hypergraph,
         weights[key] = weights.get(key, 0) + 1
     wh = weighted_hypergraph(len(vertices), arity,
                              ((key, Fraction(c)) for key, c in weights.items()))
-    if recorded is None:
-        sets = comb(len(vertices), arity)
-        if sets > _MAX_SPLIT_SETS:
-            raise FormatError(f"C({len(vertices)}, {arity}) = {sets} split "
-                              f"sets may not exceed {_MAX_SPLIT_SETS}")
-        coloring = greedy_coloring(wh)
-        links = [tuple(vertices[i] for i in combo)
-                 for combo in itertools.combinations(range(len(vertices)),
-                                                     arity)
-                 if len({coloring[i] for i in combo}) == arity]
-    else:
-        coloring = tuple(recorded["coloring"])
-        links = [tuple(l) for l in recorded["links"]]
+    sets = comb(len(vertices), arity)
+    if sets > _MAX_SPLIT_SETS:
+        raise FormatError(f"C({len(vertices)}, {arity}) = {sets} split "
+                          f"sets may not exceed {_MAX_SPLIT_SETS}")
+    coloring = greedy_coloring(wh)
+    links = [tuple(vertices[i] for i in combo)
+             for combo in itertools.combinations(range(len(vertices)), arity)
+             if len({coloring[i] for i in combo}) == arity]
     w_chi = weight_of(wh, coloring)
     target = adversary_fraction(r)
-    weight = Certified("coloring-weight", ">=", w_chi, target * m)
-
-    try:
-        extended = add_vertex_with_links(ambient, links, s)
-    except FreenessViolation:
-        # only recorded links can get here (a tampered report): the split
-        # sets chosen above never complete a clique
-        return WitnessReport(theorem, {}, (
-            ambient_free, weight, _bool_cert("extended-free", False)), ())
+    extended = add_vertex_with_links(ambient, links, s)
     star = extended.n - 1
     phi = _no_edge_formula(r)
     violations = [
@@ -605,7 +569,7 @@ def adversary_witness(tuples: Sequence[Sequence[int]], ambient: Hypergraph,
 
     certified = [
         ambient_free,
-        weight,
+        Certified("coloring-weight", ">=", w_chi, target * m),
         _extended_free(ambient_free),
         Certified("violated-fraction", ">=", fraction, target),
     ]
@@ -625,7 +589,7 @@ def adversary_witness(tuples: Sequence[Sequence[int]], ambient: Hypergraph,
         f"witness vertex {star} linked to {len(links)} split sets",
     ]
     return WitnessReport(
-        theorem=theorem,
+        theorem="dfsnotfim-adversary",
         witness=witness,
         certified=tuple(certified),
         log=tuple(log),
@@ -689,19 +653,16 @@ def _check_probe_scan(trials: int, m: int, arity: int, n_params: int) -> None:
 def sat_probe(ambient: Hypergraph, subset: Sequence[int],
               params: Optional[Sequence[int]] = None, *,
               trials: Optional[int] = None, n_params: Optional[int] = None,
-              seed: Optional[int] = None,
-              recorded: Optional[dict] = None) -> WitnessReport:
+              seed: Optional[int] = None) -> WitnessReport:
     """Search a designated vertex subset for a distinct (r-1)-tuple with no
     edge through any of the parameters.
 
     With explicit params a single exhaustive scan runs; a miss is an
     ordinary outcome at finite scale.  Aggregate mode (trials, n_params,
     seed) draws seeded random parameter sets and reports the success rate
-    instead of asserting one.  A rebuild (recorded given) takes the
-    recorded hit of each draw instead of scanning; the draws are always
-    the request's.  A hit is certified valid when it is a distinct
-    (r-1)-tuple of the subset and no edge runs through it and any
-    parameter of its draw.
+    instead of asserting one.  A hit is certified valid when it is a
+    distinct (r-1)-tuple of the subset and no edge runs through it and
+    any parameter of its draw.
     """
     subset = sorted({int(v) for v in subset})
     if any(not 0 <= v < ambient.n for v in subset):
@@ -734,15 +695,7 @@ def sat_probe(ambient: Hypergraph, subset: Sequence[int],
         return (len(set(hit)) == arity and members.issuperset(hit)
                 and all(not ambient.has_edge(hit + (b,)) for b in draw))
 
-    if recorded is None:
-        hits = [_probe_once(ambient, subset, draw) for draw in draws]
-    else:
-        # the recorded hit of each draw of the request: entries past the
-        # draws are not read, and a draw without an entry has no hit
-        entries = [recorded] if params is not None else recorded["results"]
-        hits = [tuple(entry["witness"]) if entry["found"] else None
-                for entry, _ in zip(entries, draws)]
-        hits += [None] * (len(draws) - len(hits))
+    hits = [_probe_once(ambient, subset, draw) for draw in draws]
     results = [{"params": draw, "found": hit is not None,
                 "witness": list(hit) if hit is not None else None}
                for draw, hit in zip(draws, hits)]
@@ -884,19 +837,19 @@ def _tp2_sources(config) -> dict:
     return {"structure": config.get("input", f"tp2grid:{config['k']}")}
 
 
-def _gen_request(config, inputs, recorded=None) -> WitnessReport:
+def _gen_request(config, inputs) -> WitnessReport:
     return gen_witness(config["spec"])
 
 
-def _color_request(config, inputs, recorded=None) -> WitnessReport:
-    return color_witness(inputs["weighted"], config["brute"], recorded)
+def _color_request(config, inputs) -> WitnessReport:
+    return color_witness(inputs["weighted"], config["brute"])
 
 
-def _measures_request(config, inputs, recorded=None) -> WitnessReport:
+def _measures_request(config, inputs) -> WitnessReport:
     return measures_witness(config["seed"], config["cases"])
 
 
-def _fam_request(config, inputs, recorded=None) -> WitnessReport:
+def _fam_request(config, inputs) -> WitnessReport:
     try:
         phi = parse_phi(config["phi"])
     except ParseError as exc:
@@ -905,26 +858,24 @@ def _fam_request(config, inputs, recorded=None) -> WitnessReport:
     return fam_witness(phi, parse_rational(config["epsilon"]),
                        _expect(inputs["ambient"], Hypergraph, message),
                        _expect(inputs["graph"], Hypergraph, message),
-                       config["s"], embed_budget=config.get("budget"),
-                       recorded=recorded)
+                       config["s"], embed_budget=config.get("budget"))
 
 
-def _order_request(config, inputs, recorded=None) -> WitnessReport:
+def _order_request(config, inputs) -> WitnessReport:
     ambient = _expect(inputs["ambient"], Hypergraph,
                       "order needs a hypergraph ambient")
     return order_witness(ambient, config["s"], config["q"])
 
 
-def _adversary_request(config, inputs, recorded=None) -> WitnessReport:
+def _adversary_request(config, inputs) -> WitnessReport:
     ambient = _expect(inputs["ambient"], Hypergraph,
                       "adversary needs a hypergraph ambient")
     r = config.setdefault("r", ambient.r)  # the config records the r used
     tuples = _draw_tuples(config["seed"], config["n"], r, ambient)
-    return adversary_witness(tuples, ambient, config["s"],
-                             recorded=recorded)
+    return adversary_witness(tuples, ambient, config["s"])
 
 
-def _sat_request(config, inputs, recorded=None) -> WitnessReport:
+def _sat_request(config, inputs) -> WitnessReport:
     ambient = _expect(inputs["ambient"], Hypergraph,
                       "satprobe needs a hypergraph ambient")
     rng = random.Random(config["seed"])
@@ -933,17 +884,16 @@ def _sat_request(config, inputs, recorded=None) -> WitnessReport:
         if "trials" in config or "n_params" in config:
             raise FormatError("--params excludes --trials/--n-params")
         return sat_probe(ambient, subset,
-                         _parse_int_list(config["params"], "--params"),
-                         recorded=recorded)
+                         _parse_int_list(config["params"], "--params"))
     if "n_params" not in config:
         raise FormatError("need --params or --n-params")
     # the probe seed is the next draw after the subset
     return sat_probe(ambient, subset, trials=config.get("trials", 1),
                      n_params=config["n_params"],
-                     seed=rng.randrange(2 ** 63), recorded=recorded)
+                     seed=rng.randrange(2 ** 63))
 
 
-def _tp2_request(config, inputs, recorded=None) -> WitnessReport:
+def _tp2_request(config, inputs) -> WitnessReport:
     structure = _expect(inputs["structure"], Feq2Structure,
                         "tp2 needs a parameterized equivalence input")
     return tp2_witness(structure, config["k"], config.get("sample"),
@@ -952,7 +902,7 @@ def _tp2_request(config, inputs, recorded=None) -> WitnessReport:
 
 _AMBIENT = _sources(ambient="ambient")
 # each entry: sources(config), the source of each input the report names,
-# and build(config, inputs, recorded=None)
+# and build(config, inputs)
 PIPELINES = {
     "gen": (_sources(), _gen_request),
     "coloring-bound": (_sources(weighted="input"), _color_request),
@@ -977,23 +927,15 @@ def request_sources(theorem: str, config: dict) -> dict:
     return PIPELINES[theorem][0](_Request(config))
 
 
-def build_report(theorem: str, config: dict, inputs: Mapping[str, object],
-                 recorded: Optional[dict] = None) -> WitnessReport:
+def build_report(theorem: str, config: dict,
+                 inputs: Mapping[str, object]) -> WitnessReport:
     """The report of a request, through its tag's build; a precondition
-    that fails yields the report of that failure.  The runner records in
-    config every field the build resolves (the adversary's r).  verify
-    passes the report's witness as `recorded`: a recorded failed
-    precondition is rebuilt with nothing recorded, and the config may not
-    gain a field."""
+    that fails yields the report of that failure.  Every field the build
+    resolves (the adversary's r) is recorded in config."""
     request = _Request(config)
-    choices = (None if isinstance(recorded, dict)
-               and "precondition_failed" in recorded else recorded)
     try:
-        report = PIPELINES[theorem][1](request, inputs, choices)
+        report = PIPELINES[theorem][1](request, inputs)
     except PreconditionFailed as exc:
         report = exc.report(theorem)
-    added = sorted(request.keys() - config.keys())
-    if added and recorded is not None:
-        raise FormatError(f"config has no {added[0]!r} field")
     config.update(request)
     return report

@@ -174,11 +174,12 @@ def test_verify_names_embedding_induced_on_tampered_embedding(
     }[tamper]
     out.write_text(canonical_dumps(data))
     capsys.readouterr()
+    # the rebuild searches for its own embedding, which is induced: the
+    # edited one is a witness field that does not reproduce
     assert run(["verify", str(out)]) == 2
     err = capsys.readouterr().err
-    assert "'embedding-induced' does not reproduce" in err
-    # the scan stage stops there: no sup-error or violation-bound to name
-    assert "'sup-error'" not in err and "error:" not in err
+    assert "witness field 'embedding" in err
+    assert "certification" not in err and "error:" not in err
 
 
 def test_fam_precondition_report_and_verify(tmp_path, capsys):
@@ -493,6 +494,39 @@ def test_verify_rejects_malformed_reports(tmp_path):
         "witness": {"precondition_failed": "ambient-free", "op": "==",
                     "rhs": {"num": 1, "den": 1}}}))
     assert run(["verify", str(no_lhs)]) == 1
+
+
+@pytest.mark.parametrize("argv, key, value", [
+    (["order", "--ambient", "gen:20:2:3:seed=1", "--q", "2"], "q", "7"),
+    (["tp2", "--k", "2", "--input", "GRID"], "k", 2.0),
+], ids=["order", "tp2"])
+def test_verify_names_the_config_on_a_value_of_another_type(
+        argv, key, value, tmp_path, capsys):
+    # the value reaches the builder, which cannot use it: a usage error that
+    # names the config, not a traceback
+    grid = tmp_path / "grid.json"
+    grid.write_text(canonical_dumps(structure_to_json(build_tp2_grid(2))))
+    out = tmp_path / "report.json"
+    argv = [str(grid) if a == "GRID" else a for a in argv]
+    assert run(argv + ["--output", str(out)]) == 0
+    data = read_report(out)
+    data["config"][key] = value
+    out.write_text(canonical_dumps(data))
+    capsys.readouterr()
+    assert run(["verify", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"report config is not a valid {data['theorem']!r} request" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [["verify", "DEEP"],
+                                  ["color", "--input", "DEEP"]],
+                         ids=["verify", "color"])
+def test_deeply_nested_json_is_a_usage_error(argv, tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000)
+    assert run([str(deep) if a == "DEEP" else a for a in argv]) == 1
+    assert "nested too deeply" in capsys.readouterr().err
 
 
 def test_verify_refuses_a_precondition_report_that_holds(tmp_path, capsys):
@@ -813,7 +847,7 @@ def refuse_to_colour(monkeypatch):
 
 
 def refuse_to_probe(monkeypatch):
-    # the runner's draw loop probes, verify's loop looks up edges
+    # the draw loop probes, and the certification looks up edges
     import keisler_lab.witnesses as witnesses
 
     def refuse(*args, **kwargs):
@@ -867,10 +901,9 @@ def test_verify_rejects_over_cap_satprobe(trials, n_params, tmp_path,
     entry = {"params": [0] * n_params, "found": False, "witness": None}
     data["witness"]["results"] = [entry] * trials
     out.write_text(canonical_dumps(data))
-    refuse_to_probe(monkeypatch)
     capsys.readouterr()
-    # the rebuild reads one recorded entry per draw of the config's 5
-    # trials of 2 parameters, so the oversized results are never walked
+    # the rebuild probes the config's 5 trials of 2 parameters, within the
+    # caps, and names the oversized results
     assert run(["verify", str(out)]) == 2
     err = capsys.readouterr().err
     assert "witness field 'results" in err
@@ -993,15 +1026,16 @@ def test_verify_names_extended_free_on_tampered_links(tmp_path, capsys):
     assert run(["adversary", "--ambient", "gen:12:3:4:seed=5", "--n", "10",
                 "--seed", "11", "--s", "4", "--output", str(out)]) == 0
     data = read_report(out)
-    # every pair linked: the fresh vertex completes a K^3_4 with any triple
+    # every pair linked: the fresh vertex would complete a K^3_4 with any
+    # triple, but the rebuild links its own split sets and names the field
     data["witness"]["links"] = [list(p)
                                 for p in itertools.combinations(range(12), 2)]
     out.write_text(canonical_dumps(data))
     capsys.readouterr()
     assert run(["verify", str(out)]) == 2
     err = capsys.readouterr().err
-    assert "'extended-free' does not reproduce" in err
-    assert "internal error" not in err
+    assert "witness field 'links' does not reproduce" in err
+    assert "certification" not in err and "internal error" not in err
 
 
 def test_adversary_arity_mismatch(capsys):
@@ -1037,8 +1071,13 @@ def test_verify_names_the_probe_cert_on_an_edited_hit(mode, name, edit,
         entry["witness"] = [max(set(range(20)) - set(witness["m_subset"]))]
     out.write_text(canonical_dumps(data))
     capsys.readouterr()
+    # the rebuild probes the draw again and finds its own, valid hit: the
+    # edited hit is a witness field that does not reproduce
     assert run(["verify", str(out)]) == 2
-    assert f"'{name}' does not reproduce" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    field = "witness" if witness["mode"] == "single" else "results[0].witness"
+    assert f"witness field '{field}" in err
+    assert f"'{name}'" not in err
 
 
 def test_verify_redraws_satprobe_params(tmp_path, capsys):
@@ -1063,7 +1102,8 @@ def test_verify_redraws_satprobe_params(tmp_path, capsys):
 
 def test_verify_refuses_truncated_satprobe_results(tmp_path, capsys):
     # every draw of the request has a result: a report that keeps only the
-    # first, its rate and certification edited to match, does not verify
+    # first, its rate and certification edited to match, does not verify,
+    # and the lengths, not the lists, are named
     out = tmp_path / "probe.json"
     assert run(SATPROBE + ["--trials", "5", "--n-params", "2",
                            "--output", str(out)]) == 0
@@ -1078,8 +1118,26 @@ def test_verify_refuses_truncated_satprobe_results(tmp_path, capsys):
     capsys.readouterr()
     assert run(["verify", str(out)]) == 2
     err = capsys.readouterr().err
+    assert "certification 'witnesses-valid' does not reproduce" in err
+    assert ("witness field 'results' does not reproduce:\n"
+            "  recorded   a list of length 1\n"
+            "  recomputed a list of length 5; they first differ at [1]"
+            in err)
+
+
+def test_verify_names_a_longer_list_briefly(tmp_path, capsys):
+    out = tmp_path / "probe.json"
+    assert run(SATPROBE + ["--trials", "5", "--n-params", "2",
+                           "--output", str(out)]) == 0
+    data = read_report(out)
+    data["witness"]["results"] = (data["witness"]["results"] * 200)[:1000]
+    out.write_text(canonical_dumps(data))
+    capsys.readouterr()
+    assert run(["verify", str(out)]) == 2
+    err = capsys.readouterr().err
     assert "witness field 'results' does not reproduce" in err
-    assert "certification" not in err
+    assert "length 1000" in err and "first differ at [5]" in err
+    assert len(err.encode()) < 2_000
 
 
 @pytest.mark.parametrize("mode", [["--params", "0"],
@@ -1125,15 +1183,13 @@ def test_verify_redraws_the_satprobe_seed(tmp_path, capsys):
     assert run(["verify", str(out)]) == 2
     assert "witness field 'seed'" in capsys.readouterr().err
     # a consistent probe of the same subset from a seed of one's choosing:
-    # its recorded hits belong to other draws than the config's
+    # the rebuild makes the config's draws, not the recorded ones
     forge(data, sat_probe(parse_structure_spec("gen:20:3:4:seed=3"),
                           data["witness"]["m_subset"], trials=5, n_params=2,
                           seed=12345))
     out.write_text(canonical_dumps(data))
     assert run(["verify", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert "certification 'witnesses-valid' does not reproduce" in err
-    assert "witness field 'results[0].params" in err
+    assert "witness field 'results[0].params" in capsys.readouterr().err
 
 
 def test_verify_redraws_the_adversary_tuples(tmp_path, capsys):
@@ -1148,15 +1204,15 @@ def test_verify_redraws_the_adversary_tuples(tmp_path, capsys):
     capsys.readouterr()
     assert run(["verify", str(out)]) == 2
     assert "witness field 'tuples[0]" in capsys.readouterr().err
-    # thirty copies of one pair: every certification holds, and its
-    # recorded colouring does not fit the tuples the config draws
+    # thirty copies of one pair: every certification holds, and the
+    # rebuild colours the tuples the config draws instead
     forged = adversary_witness([(1, 2)] * 30,
                                parse_structure_spec(ambient_spec), 4)
     assert forged.all_hold
     forge(data, forged)
     out.write_text(canonical_dumps(data))
-    assert run(["verify", str(out)]) == 1
-    assert "colouring covers 2 of" in capsys.readouterr().err
+    assert run(["verify", str(out)]) == 2
+    assert "witness field 'coloring'" in capsys.readouterr().err
 
 
 def test_verify_holds_single_satprobe_params_to_the_config(tmp_path,
@@ -1209,8 +1265,13 @@ def test_verify_adversary_needs_the_tuple_config(key, tmp_path, capsys):
     del data["config"][key]
     out.write_text(canonical_dumps(data))
     capsys.readouterr()
-    assert run(["verify", str(out)]) == 1
-    assert f"config has no {key!r} field" in capsys.readouterr().err
+    if key == "r":
+        # the rebuild takes r from the ambient and records it in its config
+        assert run(["verify", str(out)]) == 2
+        assert "config field 'r' does not reproduce" in capsys.readouterr().err
+    else:
+        assert run(["verify", str(out)]) == 1
+        assert f"config has no {key!r} field" in capsys.readouterr().err
 
 
 def test_verify_satprobe_needs_the_subset_config(tmp_path, capsys):

@@ -20,12 +20,11 @@ from pathlib import Path
 import pytest
 
 from conftest import random_weighted
-from keisler_lab.cli import _load as load_input, run
+from keisler_lab.cli import run
 from keisler_lab.coloring import weighted_hypergraph
 from keisler_lab.serialize import (canonical_dumps, structure_to_json,
                                    weighted_to_json)
 from keisler_lab.structures import Hypergraph
-from keisler_lab.witnesses import build_report, request_sources
 
 GOLDEN = json.loads(
     (Path(__file__).parent / "golden" / "digests.json").read_text())
@@ -63,46 +62,19 @@ def test_report_bytes_match_golden(name, tmp_path, monkeypatch, capsys):
     assert run(["verify", "report.json"]) == case["exit"], name
 
 
-class KeyRecording(dict):
-    """A recorded witness that notes each top-level key a rebuild reads."""
-
-    def __init__(self, witness):
-        super().__init__(witness)
-        self.read = set()
-
-    def __getitem__(self, key):
-        self.read.add(key)
-        return super().__getitem__(key)
-
-    def get(self, key, default=None):
-        self.read.add(key)
-        return super().get(key, default)
-
-
-# the report subcommands whose rebuild takes choices from the witness
-TAKES_RECORDED = {"fam", "color", "adversary", "satprobe"}
-
-
-@pytest.mark.parametrize("name", sorted(
-    name for name, case in GOLDEN.items()
-    if case["argv"][0] in TAKES_RECORDED))
-def test_recorded_choices_are_witness_fields(name, tmp_path, monkeypatch):
-    # verify takes a rebuild's expensive choices from the report's witness
-    # unchecked; that is sound only while every key it reads is a field of
-    # the rebuilt witness, which verify compares with the report's
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_verify_refuses_an_edited_log(name, tmp_path, monkeypatch, capsys):
+    # verify compares every part of a report with its rebuild, the log too
     case = GOLDEN[name]
     monkeypatch.chdir(tmp_path)
     write_inputs(tmp_path)
     assert run(case["argv"] + ["--output", "report.json"]) == case["exit"]
     report = json.loads((tmp_path / "report.json").read_text())
-    theorem, config = report["theorem"], report["config"]
-    inputs = {key: load_input(key, source) for key, source
-              in request_sources(theorem, config).items()}
-    recorded = KeyRecording(report["witness"])
-    rebuilt = build_report(theorem, config, inputs, recorded)
-    assert rebuilt.witness == report["witness"], name
-    assert recorded.read <= rebuilt.witness.keys(), name
-    assert recorded.read or "precondition_failed" in recorded, name
+    report["log"][0] += " (edited)"
+    (tmp_path / "edited.json").write_text(canonical_dumps(report))
+    capsys.readouterr()
+    assert run(["verify", "edited.json"]) == 2, name
+    assert "log field '[0]' does not reproduce" in capsys.readouterr().err
 
 
 # config fields that say where a report goes and in what form, not what it
