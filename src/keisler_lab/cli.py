@@ -14,14 +14,11 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
-from .coloring import WeightedHypergraph
 from .serialize import (FormatError, atomic_write_text, canonical_dumps,
-                        digest, load_json, load_weighted,
-                        parse_structure_spec, structure_to_json,
-                        weighted_to_json)
+                        load_json)
 from .structures import FreenessViolation
 from .witnesses import (PIPELINES, EmbeddingNotFound, WitnessReport,
-                        build_report, request_sources)
+                        build_report)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -49,23 +46,6 @@ def _exit_for(report: WitnessReport) -> int:
     return EXIT_OK if report.all_hold else EXIT_CERT
 
 
-def _input_entry(obj, source: str) -> dict:
-    """How a report records an input: its kind, digest and source."""
-    if isinstance(obj, WeightedHypergraph):
-        return {"kind": "weighted-hypergraph",
-                "digest": digest(weighted_to_json(obj)), "source": source}
-    # one serialisation serves both the kind and the digest
-    sjson = structure_to_json(obj)
-    return {"kind": sjson["kind"], "digest": digest(sjson), "source": source}
-
-
-def _load(name: str, source: str):
-    """Resolve an input source: a weights file, or a structure spec."""
-    if name == "weighted":
-        return load_weighted(source)
-    return parse_structure_spec(source)
-
-
 # the report tag of each report subcommand
 _TAGS = {"gen": "gen", "color": "coloring-bound",
          "check-measures": "measure-algebra", "fam": "famnotfim",
@@ -90,28 +70,6 @@ def _csv(report: WitnessReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _report(theorem: str, config: dict, overrides: Optional[dict] = None
-            ) -> tuple[WitnessReport, dict]:
-    """The one path from a request to its report, for the runner and for
-    verify: resolve the inputs the config names (an override changes only
-    where one is read from, and must name one of them), build the report,
-    and record each input's kind, digest and the config's source.  Returns
-    the report and its JSON document."""
-    sources = request_sources(theorem, config)
-    overrides = overrides or {}
-    unknown = sorted(overrides.keys() - sources.keys())
-    if unknown:
-        raise FormatError(f"--input {unknown[0]!r} is not an input of this "
-                          f"report; its inputs are {sorted(sources)}")
-    inputs = {name: _load(name, overrides.get(name, source))
-              for name, source in sources.items()}
-    report = build_report(theorem, config, inputs)
-    entries = {name: _input_entry(inputs[name], source)
-               for name, source in sources.items()}
-    return report, {"config": config, "inputs": entries,
-                    **report.to_json_dict()}
-
-
 def _cmd_report(args) -> int:
     """Run a report subcommand.  The parsed options are the request and
     the report's config.  A failed precondition still writes a report,
@@ -119,7 +77,7 @@ def _cmd_report(args) -> int:
     theorem = _TAGS[args.subcommand]
     config = {key: value for key, value in vars(args).items()
               if value is not None and key != "func"}
-    report, document = _report(theorem, config)
+    report, document = build_report(theorem, config)
     if "precondition_failed" in report.witness:
         print(f"error: {report.log[0]}", file=sys.stderr)
     if "structure_out" in config:
@@ -144,12 +102,20 @@ class _Absent:
 _ABSENT = _Absent()
 
 
+def _brief(value) -> str:
+    """A value named by its type and size rather than printed whole."""
+    if isinstance(value, (dict, list, str)):
+        return f"a {type(value).__name__} of length {len(value)}"
+    return repr(value)
+
+
 def _first_difference(recorded, fresh, path: str = ""):
     """Where two JSON values first differ, in sorted key order: the dotted
     path (list items as [i]) and both values there, or None when they are
-    equal.  Lists of different lengths are named by their lengths and the
-    first index at which they differ, not printed whole.  Equality is
-    Python's, so 1, 1.0 and true are equal."""
+    equal.  Values of two types are named by their types and sizes, and
+    lists of two lengths by both lengths and the first index at which they
+    differ, so neither is printed whole.  Equality is Python's, so 1, 1.0
+    and true are equal."""
     if isinstance(recorded, dict) and isinstance(fresh, dict):
         pairs = ((f"{path}.{key}" if path else key,
                   recorded.get(key, _ABSENT), fresh.get(key, _ABSENT))
@@ -163,10 +129,18 @@ def _first_difference(recorded, fresh, path: str = ""):
                     f"[{first}]")
         pairs = ((f"{path}[{i}]", a, b)
                  for i, (a, b) in enumerate(zip(recorded, fresh)))
+    elif recorded == fresh:
+        return None
+    elif type(recorded) is not type(fresh):
+        return path, _brief(recorded), _brief(fresh)
     else:
-        return None if recorded == fresh else (path, recorded, fresh)
+        return path, recorded, fresh
     return next((_first_difference(a, b, sub)
                  for sub, a, b in pairs if a != b), None)
+
+
+# how verify names a field under each top-level key
+_PARTS = {"inputs": "input"}
 
 
 def _cmd_verify(args) -> int:
@@ -179,32 +153,23 @@ def _cmd_verify(args) -> int:
     data = load_json(args.report)
     if not isinstance(data, dict):
         raise FormatError("report must be a JSON object")
-    for key in ("theorem", "config", "inputs", "witness", "certified",
-                "log"):
-        if key not in data:
-            raise FormatError(f"report is missing the {key!r} key")
-    theorem, config = data["theorem"], data["config"]
-    if theorem not in PIPELINES:
+    theorem, config = data.get("theorem"), data.get("config")
+    if not isinstance(theorem, str) or theorem not in PIPELINES:
         raise FormatError(f"unknown theorem tag {theorem!r}")
     if not isinstance(config, dict):
         raise FormatError("config must be an object")
-    if not isinstance(data["inputs"], dict):
-        raise FormatError("inputs must be an object")
-    if not isinstance(data["certified"], list):
+    recorded = data.get("certified")
+    if not isinstance(recorded, list):
         raise FormatError("certified must be a list")
-
-    # the rebuild writes the fields it resolves (the adversary's r) into
-    # its own copy of the config, which is then compared with the report's
-    config = dict(config)
     try:
-        recomputed, rebuilt = _report(theorem, config, overrides)
+        report, rebuilt = build_report(theorem, config, overrides)
     except (KeyError, TypeError, IndexError, AttributeError) as exc:
         raise FormatError(
             f"report config is not a valid {theorem!r} request "
             f"({exc!r})") from None
     # every certification that does not reproduce, then the first field
-    # that differs in each other part of the report
-    fresh, recorded = rebuilt["certified"], data["certified"]
+    # that differs under each other key of either document
+    fresh = rebuilt["certified"]
     for i, entry in enumerate(fresh):
         have = recorded[i] if i < len(recorded) else None
         if entry != have:
@@ -214,17 +179,18 @@ def _cmd_verify(args) -> int:
     if len(recorded) != len(fresh):
         print(f"report records {len(recorded)} certifications, "
               f"recomputation yields {len(fresh)}", file=sys.stderr)
-    differences = [(part, difference) for part, key in (
-        ("witness", "witness"), ("input", "inputs"), ("config", "config"),
-        ("log", "log"))
-        if (difference := _first_difference(data[key], rebuilt[key]))
-        is not None]
-    for part, (path, have, made) in differences:
-        print(f"{part} field {path!r} does not reproduce:"
+    differences = [(key, difference) for key in sorted(
+        (data.keys() | rebuilt.keys()) - {"certified"})
+        if (difference := _first_difference(
+            data.get(key, _ABSENT), rebuilt.get(key, _ABSENT))) is not None]
+    for key, (path, have, made) in differences:
+        where = (f"{_PARTS.get(key, key)} field {path!r}" if path
+                 else f"report key {key!r}")
+        print(f"{where} does not reproduce:"
               f"\n  recorded   {have}\n  recomputed {made}", file=sys.stderr)
     if fresh != recorded or differences:
         return EXIT_CERT
-    if not recomputed.all_hold:
+    if not report.all_hold:
         print("report reproduces, but contains a failed certification",
               file=sys.stderr)
         return EXIT_CERT
@@ -276,7 +242,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--ambient", required=True)
     p.add_argument("--n", type=int, required=True, help="number of tuples")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--r", type=int, help="must match the ambient arity")
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--output")
     p.set_defaults(func=_cmd_report)

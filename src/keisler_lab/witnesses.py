@@ -2,12 +2,16 @@
 
 Each experiment returns a WitnessReport: a payload describing the object
 built, a list of certified exact inequalities, and a log.  Each report
-tag has one request function in PIPELINES, build(config, inputs): it
-reads every request field from the report's config, makes the seeded
-draws, and calls the tag's builder on the resolved input structures.
-The runner and the verifier call it alike; the verifier builds again
-from the report's config, searching as the runner did, and compares the
-report it gets with the recorded one.
+tag has one entry in PIPELINES: the kind of each input and where the
+config names its source, and one request function, build(config,
+inputs), which reads every request field from the config, makes the
+seeded draws and calls the tag's builder.  build_report(theorem, config)
+is the whole path from a request to a report: it resolves the inputs,
+refuses one of the wrong kind, records each, builds, and returns the
+report with its JSON document, writing nothing into the config.  The
+runner and the verifier call it alike; the verifier builds again from
+the report's config, searching as the runner did, and compares the
+document it gets with the recorded one.
 """
 
 from __future__ import annotations
@@ -25,15 +29,18 @@ from .logic import (And, Eq, Not, ObjectVar, ParamVar, ParseError,
                     PhiPartition, Rel, analyze_phi, evaluate, format_formula,
                     make_assignment, parse_phi)
 from .measures import SELFTEST_CHECKS, measure_algebra_selftest, sup_error
-from .serialize import (FormatError, digest, parse_rational,
+from .serialize import (FormatError, digest, load_weighted, parse_rational,
                         parse_structure_spec, rational_to_json,
-                        structure_to_json)
+                        structure_to_json, weighted_to_json)
 from .structures import (_MAX_GRID_K, Feq2Structure, Hypergraph,
                          add_vertex_with_links, alpha_s, embed_search,
                          grid_object, grid_target, is_free,
                          is_induced_embedding, is_maximal_free)
 
 _DOMAIN_CAP = 10 ** 6
+# any ambient of two or more vertices has a domain over the cap at 20
+# parameters (2^20 > 10^6)
+_MAX_PARAM_ARITY = 20
 
 
 class PreconditionFailed(Exception):
@@ -124,7 +131,7 @@ def _require(checks: Sequence[Certified]) -> None:
 
 class WitnessReport(Record):
     """A report as the builders return it.  The inputs it was built from
-    are recorded by the caller that resolved them."""
+    are recorded by build_report, which resolved them."""
 
     theorem: str
     witness: dict
@@ -323,6 +330,10 @@ def fam_witness(phi: PhiPartition, epsilon: Fraction, ambient: Hypergraph,
 
     _require([sample_size, *alpha_bound, pattern_free, ambient_free])
     m = analysis.phi.param_arity
+    # m is bounded before n is raised to it: a huge m would take long to
+    # raise to, and every scanned tuple has m entries
+    if m > _MAX_PARAM_ARITY:
+        raise FormatError(f"{m} parameters may not exceed {_MAX_PARAM_ARITY}")
     if ambient.n ** m > _DOMAIN_CAP:
         raise ValueError(
             f"parameter domain of size {ambient.n}^{m} exceeds {_DOMAIN_CAP}")
@@ -490,20 +501,17 @@ def _check_tuple_count(n: int) -> None:
                           f"{_MAX_ADVERSARY_TUPLES}")
 
 
-def _draw_tuples(seed: int, n: int, r: int,
+def _draw_tuples(seed: int, n: int,
                  ambient: Hypergraph) -> list[tuple[int, ...]]:
-    """An adversary's n tuples of r - 1 ambient vertices, drawn from the
-    generator seeded with --seed."""
-    if r != ambient.r:
-        raise FormatError(f"--r {r} does not match the ambient arity "
-                          f"{ambient.r}")
+    """An adversary's n tuples of r - 1 ambient vertices, r the ambient's
+    arity, drawn from the generator seeded with --seed."""
     if n < 1:
         raise FormatError("--n must be positive")
     _check_tuple_count(n)
     if ambient.n == 0:
         raise FormatError("ambient has no vertices to draw tuples from")
     rng = random.Random(seed)
-    return [tuple(rng.randrange(ambient.n) for _ in range(r - 1))
+    return [tuple(rng.randrange(ambient.n) for _ in range(ambient.r - 1))
             for _ in range(n)]
 
 
@@ -818,23 +826,20 @@ def tp2_witness(f: Feq2Structure, k: int, sample: Optional[int] = None,
 
 
 # ---------------------------------------------------------------------------
-# The pipeline table: every report tag, where its config says its inputs
-# come from, and its request function
+# The pipeline table: every report tag, the kind of each input and where
+# its config says it comes from, and its request function
 # ---------------------------------------------------------------------------
 
-def _expect(obj, kind, message: str):
-    if not isinstance(obj, kind):
-        raise FormatError(message)
-    return obj
-
-
-def _sources(**keys):
-    """sources(config) of inputs whose sources config[key] names."""
-    return lambda config: {name: config[key] for name, key in keys.items()}
+def _sources(kind: Optional[str] = None, **keys):
+    """sources(config) of inputs of one kind, the source of input name
+    being config[keys[name]]: each name's (kind, source)."""
+    return lambda config: {name: (kind, config[key])
+                           for name, key in keys.items()}
 
 
 def _tp2_sources(config) -> dict:
-    return {"structure": config.get("input", f"tp2grid:{config['k']}")}
+    return {"structure": ("feq2",
+                          config.get("input", f"tp2grid:{config['k']}"))}
 
 
 def _gen_request(config, inputs) -> WitnessReport:
@@ -854,30 +859,23 @@ def _fam_request(config, inputs) -> WitnessReport:
         phi = parse_phi(config["phi"])
     except ParseError as exc:
         raise FormatError(f"--phi: {exc}") from None
-    message = "fam needs hypergraph inputs"
     return fam_witness(phi, parse_rational(config["epsilon"]),
-                       _expect(inputs["ambient"], Hypergraph, message),
-                       _expect(inputs["graph"], Hypergraph, message),
-                       config["s"], embed_budget=config.get("budget"))
+                       inputs["ambient"], inputs["graph"], config["s"],
+                       embed_budget=config.get("budget"))
 
 
 def _order_request(config, inputs) -> WitnessReport:
-    ambient = _expect(inputs["ambient"], Hypergraph,
-                      "order needs a hypergraph ambient")
-    return order_witness(ambient, config["s"], config["q"])
+    return order_witness(inputs["ambient"], config["s"], config["q"])
 
 
 def _adversary_request(config, inputs) -> WitnessReport:
-    ambient = _expect(inputs["ambient"], Hypergraph,
-                      "adversary needs a hypergraph ambient")
-    r = config.setdefault("r", ambient.r)  # the config records the r used
-    tuples = _draw_tuples(config["seed"], config["n"], r, ambient)
+    ambient = inputs["ambient"]
+    tuples = _draw_tuples(config["seed"], config["n"], ambient)
     return adversary_witness(tuples, ambient, config["s"])
 
 
 def _sat_request(config, inputs) -> WitnessReport:
-    ambient = _expect(inputs["ambient"], Hypergraph,
-                      "satprobe needs a hypergraph ambient")
+    ambient = inputs["ambient"]
     rng = random.Random(config["seed"])
     subset = _draw_subset(rng, ambient.n, config["m_size"])
     if "params" in config:
@@ -894,20 +892,20 @@ def _sat_request(config, inputs) -> WitnessReport:
 
 
 def _tp2_request(config, inputs) -> WitnessReport:
-    structure = _expect(inputs["structure"], Feq2Structure,
-                        "tp2 needs a parameterized equivalence input")
-    return tp2_witness(structure, config["k"], config.get("sample"),
-                       config.get("seed"))
+    return tp2_witness(inputs["structure"], config["k"],
+                       config.get("sample"), config.get("seed"))
 
 
-_AMBIENT = _sources(ambient="ambient")
-# each entry: sources(config), the source of each input the report names,
-# and build(config, inputs)
+_AMBIENT = _sources("hypergraph", ambient="ambient")
+# each entry: sources(config), the kind and source of each input the
+# report names, and build(config, inputs)
 PIPELINES = {
     "gen": (_sources(), _gen_request),
-    "coloring-bound": (_sources(weighted="input"), _color_request),
+    "coloring-bound": (_sources("weighted-hypergraph", weighted="input"),
+                       _color_request),
     "measure-algebra": (_sources(), _measures_request),
-    "famnotfim": (_sources(ambient="ambient", graph="graph"), _fam_request),
+    "famnotfim": (_sources("hypergraph", ambient="ambient", graph="graph"),
+                  _fam_request),
     "order": (_AMBIENT, _order_request),
     "dfsnotfim-adversary": (_AMBIENT, _adversary_request),
     "dfsnotfim-sat": (_AMBIENT, _sat_request),
@@ -922,20 +920,46 @@ class _Request(dict):
         raise FormatError(f"config has no {key!r} field")
 
 
-def request_sources(theorem: str, config: dict) -> dict:
-    """The source of each input, as the config of a request names it."""
-    return PIPELINES[theorem][0](_Request(config))
+def _load(kind: str, source: str) -> tuple[object, str]:
+    """Resolve an input source, a weights file or a structure spec, and
+    refuse one of another kind: the input and its digest.  A structure's
+    digest is taken of the JSON that its kind is read from."""
+    if kind == "weighted-hypergraph":
+        wh = load_weighted(source)
+        return wh, digest(weighted_to_json(wh))
+    structure = parse_structure_spec(source)
+    sjson = structure_to_json(structure)
+    if sjson["kind"] != kind:
+        raise FormatError(f"{source} is a {sjson['kind']} structure where "
+                          f"a {kind} is needed")
+    return structure, digest(sjson)
 
 
 def build_report(theorem: str, config: dict,
-                 inputs: Mapping[str, object]) -> WitnessReport:
-    """The report of a request, through its tag's build; a precondition
-    that fails yields the report of that failure.  Every field the build
-    resolves (the adversary's r) is recorded in config."""
+                 overrides: Optional[Mapping[str, str]] = None
+                 ) -> tuple[WitnessReport, dict]:
+    """The one path from a request to its report, for the runner and for
+    verify.  It resolves each input the config names (an override changes
+    only where one is read from, and must name one of them), refuses one
+    of the wrong kind, builds through the tag's request function, and
+    records each input as {kind, digest, source} with the config's
+    source.  A precondition that fails yields the report of that failure.
+    Returns the report and its JSON document; config is not written to."""
+    sources, build = PIPELINES[theorem]
     request = _Request(config)
+    named = sources(request)
+    overrides = overrides or {}
+    unknown = sorted(overrides.keys() - named.keys())
+    if unknown:
+        raise FormatError(f"--input {unknown[0]!r} is not an input of this "
+                          f"report; its inputs are {sorted(named)}")
+    inputs, entries = {}, {}
+    for name, (kind, source) in named.items():
+        inputs[name], sha = _load(kind, overrides.get(name, source))
+        entries[name] = {"kind": kind, "digest": sha, "source": source}
     try:
-        report = PIPELINES[theorem][1](request, inputs)
+        report = build(request, inputs)
     except PreconditionFailed as exc:
         report = exc.report(theorem)
-    config.update(request)
-    return report
+    return report, {"config": config, "inputs": entries,
+                    **report.to_json_dict()}

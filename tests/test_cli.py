@@ -3,6 +3,7 @@
 import itertools
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -77,7 +78,6 @@ def test_gen_serialises_and_digests_the_structure_once(tmp_path,
     # the runner digests the JSON its witness embeds once, and so does
     # verify: the rebuilt witness must equal the recorded one, digest and
     # structure alike
-    import keisler_lab.cli as cli
     import keisler_lab.serialize as serialize
     import keisler_lab.witnesses as witnesses
     calls = {"structure_to_json": 0, "digest": 0}
@@ -87,7 +87,7 @@ def test_gen_serialises_and_digests_the_structure_once(tmp_path,
             calls[name] += 1
             return fn(*args, **kwargs)
         return wrapper
-    for module in (cli, serialize, witnesses):
+    for module in (serialize, witnesses):
         for name in calls:
             monkeypatch.setattr(module, name,
                                 counting(name, getattr(module, name)))
@@ -221,6 +221,36 @@ def test_verify_dnf_cap_on_an_edited_phi(tmp_path, capsys):
     capsys.readouterr()
     assert run(["verify", str(out)]) == 1
     assert "error: clause count exceeds 4096" in capsys.readouterr().err
+
+
+# just over the cap of 20 parameters, and far over it: n^m is never taken
+OVER_CAP_PHI = {"just-over": "!E(x1,y21) & x1 != y1",
+                "huge": "!E(x1,y1000000000) & x1 != y1"}
+
+
+@pytest.mark.parametrize("phi", sorted(OVER_CAP_PHI))
+def test_fam_bounds_the_parameter_arity_first(phi, capsys):
+    argv = list(FAM_GEN50)
+    argv[argv.index("--phi") + 1] = OVER_CAP_PHI[phi]
+    start = time.perf_counter()
+    assert run(argv) == 1
+    assert time.perf_counter() - start < 1.0
+    assert "parameters may not exceed 20" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("phi", sorted(OVER_CAP_PHI))
+def test_verify_bounds_the_parameter_arity_of_an_edited_phi(phi, tmp_path,
+                                                            capsys):
+    out = tmp_path / "fam.json"
+    assert run(FAM_GEN50 + ["--output", str(out)]) == 0
+    data = read_report(out)
+    data["config"]["phi"] = OVER_CAP_PHI[phi]
+    out.write_text(canonical_dumps(data))
+    capsys.readouterr()
+    start = time.perf_counter()
+    assert run(["verify", str(out)]) == 1
+    assert time.perf_counter() - start < 1.0
+    assert "parameters may not exceed 20" in capsys.readouterr().err
 
 
 def test_fam_alpha_node_cap(tmp_path, monkeypatch, capsys):
@@ -494,6 +524,26 @@ def test_verify_rejects_malformed_reports(tmp_path):
         "witness": {"precondition_failed": "ambient-free", "op": "==",
                     "rhs": {"num": 1, "den": 1}}}))
     assert run(["verify", str(no_lhs)]) == 1
+
+
+@pytest.mark.parametrize("edit, exit_code, named", [
+    (lambda data: data.update(theorem=["order"]), 1, "unknown theorem tag"),
+    (lambda data: data.pop("witness"), 2, "report key 'witness'"),
+    (lambda data: data.update(extra=1), 2, "report key 'extra'"),
+], ids=["list-theorem", "no-witness", "extra-key"])
+def test_verify_holds_every_top_level_key(edit, exit_code, named, tmp_path,
+                                          capsys):
+    # verify compares every top-level key of either document
+    out = tmp_path / "order.json"
+    assert run(["order", "--ambient", "gen:20:2:3:seed=1", "--q", "2",
+                "--output", str(out)]) == 0
+    data = read_report(out)
+    edit(data)
+    out.write_text(canonical_dumps(data))
+    capsys.readouterr()
+    assert run(["verify", str(out)]) == exit_code
+    err = capsys.readouterr().err
+    assert named in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv, key, value", [
@@ -1039,8 +1089,6 @@ def test_verify_names_extended_free_on_tampered_links(tmp_path, capsys):
 
 
 def test_adversary_arity_mismatch(capsys):
-    assert run(["adversary", "--ambient", "gen:25:3:4:seed=2", "--n", "5",
-                "--seed", "1", "--r", "2", "--s", "4"]) == 1
     assert run(["adversary", "--ambient", "circulant:13:1,5", "--n", "5",
                 "--seed", "1", "--s", "4"]) == 1
     err = capsys.readouterr().err
@@ -1137,6 +1185,25 @@ def test_verify_names_a_longer_list_briefly(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "witness field 'results' does not reproduce" in err
     assert "length 1000" in err and "first differ at [5]" in err
+    assert len(err.encode()) < 2_000
+
+
+def test_verify_names_a_change_of_type_briefly(tmp_path, capsys):
+    # a list replaced by a dict of its entries is named by both types and
+    # sizes, not printed
+    out = tmp_path / "probe.json"
+    assert run(SATPROBE + ["--trials", "5", "--n-params", "2",
+                           "--output", str(out)]) == 0
+    data = read_report(out)
+    results = (data["witness"]["results"] * 200)[:1000]
+    data["witness"]["results"] = {str(i): r for i, r in enumerate(results)}
+    out.write_text(canonical_dumps(data))
+    capsys.readouterr()
+    assert run(["verify", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert ("witness field 'results' does not reproduce:\n"
+            "  recorded   a dict of length 1000\n"
+            "  recomputed a list of length 5" in err)
     assert len(err.encode()) < 2_000
 
 
@@ -1257,7 +1324,7 @@ def test_verify_holds_the_satprobe_request_to_the_config(key, trials,
     assert f"witness field {named!r}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("key", ["seed", "n", "r"])
+@pytest.mark.parametrize("key", ["seed", "n"])
 def test_verify_adversary_needs_the_tuple_config(key, tmp_path, capsys):
     out = tmp_path / "adv.json"
     assert run(ADVERSARY + ["--n", "10", "--output", str(out)]) == 0
@@ -1265,13 +1332,56 @@ def test_verify_adversary_needs_the_tuple_config(key, tmp_path, capsys):
     del data["config"][key]
     out.write_text(canonical_dumps(data))
     capsys.readouterr()
-    if key == "r":
-        # the rebuild takes r from the ambient and records it in its config
-        assert run(["verify", str(out)]) == 2
-        assert "config field 'r' does not reproduce" in capsys.readouterr().err
-    else:
-        assert run(["verify", str(out)]) == 1
-        assert f"config has no {key!r} field" in capsys.readouterr().err
+    assert run(["verify", str(out)]) == 1
+    assert f"config has no {key!r} field" in capsys.readouterr().err
+
+
+def test_verify_accepts_an_adversary_report_that_records_r(tmp_path, capsys):
+    # reports once recorded the ambient's arity as config.r; the rebuild
+    # takes r from the ambient and reads no such field, so they verify
+    out = tmp_path / "adv.json"
+    assert run(ADVERSARY + ["--n", "10", "--output", str(out)]) == 0
+    data = read_report(out)
+    assert "r" not in data["config"] and data["witness"]["r"] == 3
+    data["config"]["r"] = 3
+    out.write_text(canonical_dumps(data))
+    capsys.readouterr()
+    assert run(["verify", str(out)]) == 0
+    assert "4 certifications reproduced" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["order", "--ambient", "tp2grid:2", "--q", "2"],
+     "tp2grid:2 is a feq2 structure where a hypergraph is needed"),
+    (["fam", "--phi", "!E(x1,y1) & x1 != y1", "--epsilon", "4/5",
+      "--graph", "tp2grid:2", "--ambient", "gen:50:2:3:seed=1"],
+     "tp2grid:2 is a feq2 structure where a hypergraph is needed"),
+    (["tp2", "--k", "2", "--input", "GRAPH"],
+     "is a hypergraph structure where a feq2 is needed"),
+], ids=["order", "fam", "tp2"])
+def test_an_input_of_the_wrong_kind_is_a_usage_error(argv, named, tmp_path,
+                                                      capsys):
+    graph = tmp_path / "graph.json"
+    graph.write_text(canonical_dumps(structure_to_json(
+        cyclic_graph(13, [1, 5]))))
+    out = tmp_path / "r.json"
+    argv = [str(graph) if a == "GRAPH" else a for a in argv]
+    assert run(argv + ["--output", str(out)]) == 1
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_verify_refuses_an_edited_source_of_the_wrong_kind(tmp_path, capsys):
+    out = tmp_path / "order.json"
+    assert run(["order", "--ambient", "gen:20:2:3:seed=1", "--q", "2",
+                "--output", str(out)]) == 0
+    data = read_report(out)
+    data["config"]["ambient"] = "tp2grid:2"
+    out.write_text(canonical_dumps(data))
+    capsys.readouterr()
+    assert run(["verify", str(out)]) == 1
+    assert ("tp2grid:2 is a feq2 structure where a hypergraph is needed"
+            in capsys.readouterr().err)
 
 
 def test_verify_satprobe_needs_the_subset_config(tmp_path, capsys):
@@ -1287,7 +1397,6 @@ def test_verify_satprobe_needs_the_subset_config(tmp_path, capsys):
 
 def test_order_serialises_its_ambient_once(monkeypatch, capsys):
     # one structure_to_json serves both the input's kind and its digest
-    import keisler_lab.cli as cli
     import keisler_lab.serialize as serialize
     import keisler_lab.witnesses as witnesses
     real = serialize.structure_to_json
@@ -1296,9 +1405,8 @@ def test_order_serialises_its_ambient_once(monkeypatch, capsys):
     def counting(structure):
         calls.append(structure)
         return real(structure)
-    for module in (cli, serialize, witnesses):
-        monkeypatch.setattr(module, "structure_to_json", counting,
-                            raising=False)
+    for module in (serialize, witnesses):
+        monkeypatch.setattr(module, "structure_to_json", counting)
     assert run(["order", "--ambient", "gen:20:2:3:seed=1", "--q", "2"]) == 0
     assert len(calls) == 1
 

@@ -61,14 +61,18 @@ def assert_rebuild_matches(report: WitnessReport, rebuild) -> None:
             == canonical_dumps(report.to_json_dict()))
 
 
-def assert_recompute_matches(report: WitnessReport, config: dict,
-                             inputs: dict) -> None:
-    # the request as a report's config records it
+def assert_recompute_matches(report: WitnessReport, config: dict) -> None:
+    # the request as a report's config records it, the sources of its
+    # inputs included; the build writes nothing into it
+    before = dict(config)
     assert_rebuild_matches(report, lambda: build_report(
-        report.theorem, config, inputs))
+        report.theorem, config)[0])
+    assert config == before
 
 
-FAM_CONFIG = {"phi": NO_EDGE, "epsilon": "4/5", "s": 3}
+# the specs of the ambient200 and circulant13 fixtures
+FAM_CONFIG = {"phi": NO_EDGE, "epsilon": "4/5", "s": 3,
+              "ambient": "gen:200:2:3:seed=9", "graph": "circulant:13:1,5"}
 
 
 # ---------------------------------------------------------------------------
@@ -134,8 +138,7 @@ def test_fam_headline_instance(ambient200, circulant13):
     by_name = {c.name: c for c in report.certified}
     assert by_name["violation-bound"].rhs == 5
     assert by_name["sup-error"].lhs == Fraction(5, 13)
-    assert_recompute_matches(report, FAM_CONFIG, {"ambient": ambient200,
-                                                  "graph": circulant13})
+    assert_recompute_matches(report, FAM_CONFIG)
 
 
 def test_fam_negation_branch(ambient200, circulant13):
@@ -150,8 +153,7 @@ def test_fam_negation_branch(ambient200, circulant13):
     assert w["sup"]["sup_error"] == {"num": 4, "den": 13, "decimal": 4 / 13}
     assert w["violation_max"]["count"] == 4
     assert "alpha-bound" in [c.name for c in report.certified]
-    assert_recompute_matches(report, {**FAM_CONFIG, "phi": "E(x1,y1)"},
-                             {"ambient": ambient200, "graph": circulant13})
+    assert_recompute_matches(report, {**FAM_CONFIG, "phi": "E(x1,y1)"})
 
 
 def test_fam_five_cycle_misses_alpha_bound(ambient200):
@@ -229,8 +231,7 @@ def test_fam_scans_the_parameter_domain_once(ambient200, circulant13,
                          circulant13)
     assert report.witness["sup"]["samples_scanned"] == 200
     assert calls == {"mask": 200, "evaluate": 0, "analyze_phi": 1}
-    build_report(report.theorem, FAM_CONFIG,
-                 {"ambient": ambient200, "graph": circulant13})
+    build_report(report.theorem, FAM_CONFIG)
     assert calls == {"mask": 2 * 200, "evaluate": 0, "analyze_phi": 2}
 
 
@@ -263,7 +264,8 @@ def test_order_witness_alternation():
     assert w["adjacency"] == [False, True] * 4
     by_name = {c.name: c for c in report.certified}
     assert by_name["alternation"].lhs == 8 == by_name["alternation"].rhs
-    assert_recompute_matches(report, {"s": 3, "q": 4}, {"ambient": ambient})
+    assert_recompute_matches(report, {"s": 3, "q": 4,
+                                      "ambient": "gen:30:2:3:seed=1"})
 
 
 def test_order_witness_degenerate():
@@ -273,7 +275,8 @@ def test_order_witness_degenerate():
     assert report.witness["witness_vertex"] is None
     assert report.witness["adjacency"] == []
     assert any("degenerate" in line for line in report.log)
-    assert_recompute_matches(report, {"s": 3, "q": 0}, {"ambient": ambient})
+    assert_recompute_matches(report, {"s": 3, "q": 0,
+                                      "ambient": "gen:10:2:3:seed=0"})
 
 
 def test_order_witness_validation():
@@ -333,8 +336,8 @@ def test_adversary_seeded_instance(ambient60):
     extended = add_vertex_with_links(ambient60, links, 4)
     assert is_free(extended, 4)
     # the tuples are those a config with seed 11 and n 30 draws
-    assert_recompute_matches(report, {"seed": 11, "n": 30, "r": 3, "s": 4},
-                             {"ambient": ambient60})
+    assert_recompute_matches(report, {"seed": 11, "n": 30, "s": 4,
+                                      "ambient": "gen:60:3:4:seed=5"})
 
 
 def test_adversary_validation(ambient60):
@@ -442,8 +445,7 @@ def test_tp2_full_enumeration_k2():
     by_name = {c.name: c for c in report.certified}
     assert by_name["rows-inconsistent"].lhs == 2
     assert by_name["paths-consistent"].lhs == 4
-    assert_recompute_matches(report, {"k": 2},
-                             {"structure": build_tp2_grid(2)})
+    assert_recompute_matches(report, {"k": 2})
 
 
 def test_tp2_trivial_k1():
@@ -462,8 +464,7 @@ def test_tp2_sampled_k4():
     assert by_name["paths-consistent"].lhs == 50 == by_name["paths-consistent"].rhs
     again = tp2_witness(f, 4, sample=50, seed=3)
     assert report.to_json_dict() == again.to_json_dict()
-    assert_recompute_matches(report, {"k": 4, "sample": 50, "seed": 3},
-                             {"structure": f})
+    assert_recompute_matches(report, {"k": 4, "sample": 50, "seed": 3})
 
 
 def test_tp2_missing_path_parameter_fails_honestly():
@@ -495,18 +496,19 @@ def test_tp2_validation():
 # ---------------------------------------------------------------------------
 
 def test_required_inputs_table():
-    # one table names every report tag that verify accepts, and the keys
-    # of its sources are the inputs a report names
+    # one table names every report tag that verify accepts; the keys of
+    # its sources are the inputs a report names, each with its kind
     config = {"input": "i", "ambient": "a", "graph": "g", "k": 2}
-    assert {tag: tuple(sources(config))
+    ambient = {"ambient": ("hypergraph", "a")}
+    assert {tag: sources(config)
             for tag, (sources, _) in PIPELINES.items()} == {
-        "gen": (),
-        "coloring-bound": ("weighted",),
-        "measure-algebra": (),
-        "famnotfim": ("ambient", "graph"),
-        "order": ("ambient",),
-        "dfsnotfim-adversary": ("ambient",),
-        "dfsnotfim-sat": ("ambient",),
-        "tp2": ("structure",),
+        "gen": {},
+        "coloring-bound": {"weighted": ("weighted-hypergraph", "i")},
+        "measure-algebra": {},
+        "famnotfim": {**ambient, "graph": ("hypergraph", "g")},
+        "order": ambient,
+        "dfsnotfim-adversary": ambient,
+        "dfsnotfim-sat": ambient,
+        "tp2": {"structure": ("feq2", "i")},
     }
 
