@@ -46,13 +46,6 @@ def _exit_for(report: WitnessReport) -> int:
     return EXIT_OK if report.all_hold else EXIT_CERT
 
 
-# the report tag of each report subcommand
-_TAGS = {"gen": "gen", "color": "coloring-bound",
-         "check-measures": "measure-algebra", "fam": "famnotfim",
-         "order": "order", "adversary": "dfsnotfim-adversary",
-         "satprobe": "dfsnotfim-sat", "tp2": "tp2"}
-
-
 def _csv(report: WitnessReport) -> str:
     witness = report.witness
     if report.theorem == "measure-algebra":
@@ -74,7 +67,7 @@ def _cmd_report(args) -> int:
     """Run a report subcommand.  The parsed options are the request and
     the report's config.  A failed precondition still writes a report,
     with the failed inequality, and exits 2."""
-    theorem = _TAGS[args.subcommand]
+    theorem = _SUBCOMMANDS[args.subcommand][0]
     config = {key: value for key, value in vars(args).items()
               if value is not None and key != "func"}
     report, document = build_report(theorem, config)
@@ -139,6 +132,32 @@ def _first_difference(recorded, fresh, path: str = ""):
                  for sub, a, b in pairs if a != b), None)
 
 
+def _not_a_request(theorem: str, why: str) -> FormatError:
+    return FormatError(f"report config is not a valid {theorem!r} request "
+                       f"({why})")
+
+
+def _check_config_keys(theorem: str, config: dict, witness) -> None:
+    """Refuse a config that no run writes: its subcommand must write
+    theorem's reports, and each other key must be the dest of one of that
+    subcommand's options.  Adversary reports once recorded the ambient's
+    arity as r, which is allowed when the witness records the same r."""
+    subcommand = config.get("subcommand")
+    if not (isinstance(subcommand, str) and subcommand in _SUBCOMMANDS
+            and _SUBCOMMANDS[subcommand][0] == theorem):
+        raise _not_a_request(theorem, f"subcommand {subcommand!r}")
+    parser = _Parser(add_help=False)
+    _SUBCOMMANDS[subcommand][2](parser)
+    options = {action.dest for action in parser._actions}
+    if (subcommand == "adversary" and isinstance(witness, dict)
+            and "r" in witness and config.get("r") == witness["r"]):
+        options.add("r")
+    unknown = sorted(config.keys() - options - {"subcommand"})
+    if unknown:
+        raise _not_a_request(theorem, f"{subcommand} has no option for "
+                                      f"{', '.join(map(repr, unknown))}")
+
+
 # how verify names a field under each top-level key
 _PARTS = {"inputs": "input"}
 
@@ -161,12 +180,11 @@ def _cmd_verify(args) -> int:
     recorded = data.get("certified")
     if not isinstance(recorded, list):
         raise FormatError("certified must be a list")
+    _check_config_keys(theorem, config, data.get("witness"))
     try:
         report, rebuilt = build_report(theorem, config, overrides)
     except (KeyError, TypeError, IndexError, AttributeError) as exc:
-        raise FormatError(
-            f"report config is not a valid {theorem!r} request "
-            f"({exc!r})") from None
+        raise _not_a_request(theorem, repr(exc)) from None
     # every certification that does not reproduce, then the first field
     # that differs under each other key of either document
     fresh = rebuilt["certified"]
@@ -202,31 +220,23 @@ def _cmd_verify(args) -> int:
 # parser assembly and entry point
 # ---------------------------------------------------------------------------
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="keisler-lab",
-                     description="Finite-scale measure and witness "
-                                 "experiments with verifiable reports.")
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = sub.add_parser("gen", help="resolve a structure spec and certify it")
+def _gen_arguments(p) -> None:
     p.add_argument("spec", help="gen:n:r:s:seed=K | circulant:n:d1,d2 | "
                                 "searchalpha:n:s:target:budget:seed=K | "
                                 "tp2grid:k | file:PATH")
     p.add_argument("--output", help="report path (default stdout)")
     p.add_argument("--structure-out", help="also write the bare structure")
-    p.set_defaults(func=_cmd_report)
 
-    p = sub.add_parser("color", help="greedy splitting colouring with the "
-                                     "exact guarantee")
+
+def _color_arguments(p) -> None:
     p.add_argument("--input", required=True,
                    help="weighted hypergraph JSON file")
     p.add_argument("--brute", action="store_true",
                    help="also enumerate all colourings (small inputs)")
     p.add_argument("--output")
-    p.set_defaults(func=_cmd_report)
 
-    p = sub.add_parser("fam", help="average approximation of the isolated "
-                                   "vertex type")
+
+def _fam_arguments(p) -> None:
     p.add_argument("--phi", required=True, help="formula in the quantifier-"
                                                 "free DSL")
     p.add_argument("--epsilon", required=True, help="rational a/b")
@@ -235,19 +245,17 @@ def _build_parser() -> _Parser:
     p.add_argument("--s", type=int, default=3)
     p.add_argument("--budget", type=int, help="embedding search node budget")
     p.add_argument("--output")
-    p.set_defaults(func=_cmd_report)
 
-    p = sub.add_parser("adversary", help="vertex falsifying the no-edge "
-                                         "formula on a guaranteed fraction")
+
+def _adversary_arguments(p) -> None:
     p.add_argument("--ambient", required=True)
     p.add_argument("--n", type=int, required=True, help="number of tuples")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--output")
-    p.set_defaults(func=_cmd_report)
 
-    p = sub.add_parser("satprobe", help="search a subset for a tuple with "
-                                        "no edge through the parameters")
+
+def _satprobe_arguments(p) -> None:
     p.add_argument("--ambient", required=True)
     p.add_argument("--m-size", type=int, required=True, dest="m_size",
                    help="size of the seeded designated subset")
@@ -258,45 +266,86 @@ def _build_parser() -> _Parser:
                    help="aggregate mode parameters per trial")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--output")
-    p.set_defaults(func=_cmd_report)
 
-    p = sub.add_parser("tp2", help="grid rows inconsistent, paths consistent")
+
+def _tp2_arguments(p) -> None:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--input", help="prebuilt structure JSON (default: "
                                    "constructor grid)")
     p.add_argument("--sample", type=int, help="check this many sampled paths")
     p.add_argument("--seed", type=int)
     p.add_argument("--output")
-    p.set_defaults(func=_cmd_report)
 
-    p = sub.add_parser("order", help="alternating link pattern witness")
+
+def _order_arguments(p) -> None:
     p.add_argument("--ambient", required=True)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--s", type=int, default=3)
     p.add_argument("--output")
-    p.set_defaults(func=_cmd_report)
 
-    p = sub.add_parser("check-measures", help="seeded self-test of the "
-                                              "measure algebra")
+
+def _check_measures_arguments(p) -> None:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--cases", type=int, default=20)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--output")
-    p.set_defaults(func=_cmd_report)
 
-    p = sub.add_parser("verify", help="rebuild a report and compare it")
+
+def _verify_arguments(p) -> None:
     p.add_argument("report", help="report JSON path")
     p.add_argument("--input", action="append",
                    help="override an input source as name=path")
-    p.set_defaults(func=_cmd_verify)
 
+
+# each subcommand's report tag (None for verify), its help line and the
+# function that adds its arguments, in the order --help lists them
+_SUBCOMMANDS = {
+    "gen": ("gen", "resolve a structure spec and certify it",
+            _gen_arguments),
+    "color": ("coloring-bound", "greedy splitting colouring with the exact "
+              "guarantee", _color_arguments),
+    "fam": ("famnotfim", "average approximation of the isolated vertex "
+            "type", _fam_arguments),
+    "adversary": ("dfsnotfim-adversary", "vertex falsifying the no-edge "
+                  "formula on a guaranteed fraction", _adversary_arguments),
+    "satprobe": ("dfsnotfim-sat", "search a subset for a tuple with no edge "
+                 "through the parameters", _satprobe_arguments),
+    "tp2": ("tp2", "grid rows inconsistent, paths consistent",
+            _tp2_arguments),
+    "order": ("order", "alternating link pattern witness", _order_arguments),
+    "check-measures": ("measure-algebra", "seeded self-test of the measure "
+                       "algebra", _check_measures_arguments),
+    "verify": (None, "rebuild a report and compare it", _verify_arguments),
+}
+
+
+def _build_parser(argv: Sequence[str] = ()) -> _Parser:
+    """The parser for argv.  When argv starts with a subcommand only that
+    subcommand's parser is built, and its usage, help and errors read as
+    they do with all nine; otherwise all nine are built, so that --help
+    lists them and an unknown name is refused with the choices."""
+    parser = _Parser(prog="keisler-lab",
+                     description="Finite-scale measure and witness "
+                                 "experiments with verifiable reports.")
+    names = list(_SUBCOMMANDS)
+    chosen = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
+    # one subparser built: the usage line still names every choice
+    sub = parser.add_subparsers(
+        dest="subcommand", required=True,
+        metavar="{" + ",".join(names) + "}" if chosen else None)
+    for name in [chosen] if chosen else names:
+        tag, help_text, add_arguments = _SUBCOMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        add_arguments(p)
+        p.set_defaults(func=_cmd_report if tag else _cmd_verify)
     return parser
 
 
 def run(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point; returns the process exit code."""
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _build_parser(argv).parse_args(argv)
     try:
         return args.func(args)
     except FreenessViolation as exc:

@@ -265,9 +265,12 @@ def _encode(value, nl: str, emit) -> None:
                 # "%d" template per item, filled in a single format
                 row = ("[" + ",".join([inner + "  %d"] * widths.pop())
                        + inner + "]")
+                # the brackets are parts of their own, so the formatted
+                # rows are never copied into a longer string
                 template = ("," + inner).join([row] * len(value))
-                emit("[" + inner + template % tuple(
-                    itertools.chain.from_iterable(value)) + nl + "]")
+                emit("[" + inner)
+                emit(template % tuple(itertools.chain.from_iterable(value)))
+                emit(nl + "]")
                 return
         sep = "[" + inner
         for item in value:
@@ -295,10 +298,46 @@ def _encode(value, nl: str, emit) -> None:
 
 
 def digest(payload) -> str:
-    """sha256 over compact sorted-key JSON."""
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"),
-                      ensure_ascii=True).encode("utf-8")
-    return "sha256:" + hashlib.sha256(blob).hexdigest()
+    """sha256 over compact sorted-key JSON.
+
+    The bytes hashed are those of json.dumps(payload, sort_keys=True,
+    separators=(",", ":"), ensure_ascii=True), fed to the hash piece by
+    piece so that no text or token list of a whole edge list is built: a
+    dict with str keys is walked in sorted key order, a list or tuple of
+    more than _SLICE items is encoded _SLICE items at a time, and every
+    other value is encoded whole by json's C encoder.
+    """
+    h = hashlib.sha256()
+    _hash(payload, h.update)
+    return "sha256:" + h.hexdigest()
+
+
+_SLICE = 1024
+# json.dumps with digest's arguments, its encoder built once
+_compact = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                            ensure_ascii=True).encode
+
+
+def _hash(value, update) -> None:
+    # an empty dict, or one with a key of another type, is left to json,
+    # which sorts the keys before it converts them to str
+    if (isinstance(value, dict) and value
+            and all(isinstance(key, str) for key in value)):
+        sep = b"{"
+        for key in sorted(value):
+            update(sep + _string(key).encode() + b":")
+            _hash(value[key], update)
+            sep = b","
+        update(b"}")
+    elif isinstance(value, (list, tuple)) and len(value) > _SLICE:
+        sep = b"["
+        for start in range(0, len(value), _SLICE):
+            update(sep)
+            update(_compact(value[start:start + _SLICE])[1:-1].encode())
+            sep = b","
+        update(b"]")
+    else:
+        update(_compact(value).encode())
 
 
 def atomic_write_text(path: str, text: str) -> None:

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from keisler_lab.cli import run
+from keisler_lab.cli import _build_parser, run
 from keisler_lab.coloring import weighted_hypergraph
 from keisler_lab.serialize import (canonical_dumps, digest, load_structure,
                                    parse_structure_spec, rational_to_json,
@@ -109,6 +109,49 @@ def test_unknown_flag_raises_usage_exit():
     with pytest.raises(SystemExit) as info:
         run(["gen", "circulant:13:1,5", "--nope"])
     assert info.value.code == 1
+
+
+SUBCOMMANDS = ["gen", "color", "fam", "adversary", "satprobe", "tp2",
+               "order", "check-measures", "verify"]
+
+
+def exit_text(parse, argv, capsys):
+    """The exit code and output of a parse that exits, such as --help."""
+    with pytest.raises(SystemExit) as info:
+        parse(argv)
+    out, err = capsys.readouterr()
+    return info.value.code, out + err
+
+
+def test_help_lists_every_subcommand(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, text = exit_text(run, ["--help"], capsys)
+    assert code == 0
+    assert "{" + ",".join(SUBCOMMANDS) + "}" in text
+    listed = [line.split()[0] for line in text.splitlines()
+              if line.startswith("    ") and not line.startswith("     ")]
+    assert listed == SUBCOMMANDS
+
+
+def test_an_unknown_subcommand_names_the_choices(capsys):
+    code, text = exit_text(run, ["bogus"], capsys)
+    assert code == 1
+    assert ("invalid choice: 'bogus' (choose from "
+            + ", ".join(map(repr, SUBCOMMANDS)) + ")") in text
+
+
+@pytest.mark.parametrize("tail", [["--help"], ["--nope"]],
+                         ids=["help", "unknown-flag"])
+@pytest.mark.parametrize("name", SUBCOMMANDS)
+def test_a_subcommand_parser_built_alone_reads_as_with_all_nine(
+        name, tail, capsys, monkeypatch):
+    # run builds only the subcommand's parser; its help and its errors,
+    # the top-level usage line included, read as with all nine built
+    monkeypatch.setenv("COLUMNS", "80")
+    alone = exit_text(run, [name, *tail], capsys)
+    assert alone == exit_text(_build_parser().parse_args, [name, *tail],
+                              capsys)
+    assert f"usage: keisler-lab {name} [-h]" in alone[1]
 
 
 # ---------------------------------------------------------------------------
@@ -1348,6 +1391,30 @@ def test_verify_accepts_an_adversary_report_that_records_r(tmp_path, capsys):
     capsys.readouterr()
     assert run(["verify", str(out)]) == 0
     assert "4 certifications reproduced" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("key, value, named", [
+    ("colour", "blue", "adversary has no option for 'colour'"),
+    ("r", 7, "adversary has no option for 'r'"),
+    ("subcommand", "order", "subcommand 'order'"),
+    ("subcommand", "verify", "subcommand 'verify'"),
+    ("subcommand", ["adversary"], "subcommand ['adversary']"),
+], ids=["colour", "other-r", "other-tag", "verify", "list"])
+def test_verify_refuses_a_config_key_no_run_writes(key, value, named,
+                                                   tmp_path, capsys):
+    # every config key is the dest of an option of a subcommand that writes
+    # the report's theorem; r only as the witness records it
+    out = tmp_path / "adv.json"
+    assert run(ADVERSARY + ["--n", "10", "--output", str(out)]) == 0
+    data = read_report(out)
+    data["config"][key] = value
+    out.write_text(canonical_dumps(data))
+    capsys.readouterr()
+    assert run(["verify", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert ("report config is not a valid 'dfsnotfim-adversary' request"
+            in err)
+    assert named in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv, named", [

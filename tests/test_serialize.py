@@ -1,8 +1,10 @@
 """JSON round-trips, digests, atomic writes and inline structure specs."""
 
+import hashlib
 import json
 import os
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import random_graph, random_hypergraph, random_weighted
 from keisler_lab.serialize import (
+    _SLICE,
     FormatError,
     atomic_write_text,
     canonical_dumps,
@@ -35,6 +38,7 @@ from keisler_lab.structures import (
     cyclic_graph,
     random_maximal_free,
 )
+from keisler_lab.witnesses import build_report
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +220,106 @@ def test_canonical_dumps_matches_json(payload):
 def test_canonical_dumps_rejects_other_types(payload):
     with pytest.raises(TypeError):
         canonical_dumps(payload)
+
+
+def digest_oracle(payload) -> str:
+    """sha256 of the standard library's compact bytes, which digest hashes
+    piece by piece."""
+    return "sha256:" + hashlib.sha256(json.dumps(
+        payload, sort_keys=True, separators=(",", ":"),
+        ensure_ascii=True).encode()).hexdigest()
+
+
+def _tile(pool, count, kind):
+    # count items cycling through pool, so that a drawn list is longer
+    # than a digest slice without drawing every item
+    return kind(pool[i % len(pool)] for i in range(count))
+
+
+_LONG = st.integers(_SLICE - 1, 2 * _SLICE + 1)
+_KIND = st.sampled_from([list, tuple])
+# lists and tuples around the slice length: equal-length int rows (bools
+# mixed in), and scalars
+_LONG_LISTS = (st.builds(_tile, _ROWS.filter(bool), _LONG, _KIND)
+               | st.builds(_tile, st.lists(_SCALARS, min_size=1, max_size=4),
+                           _LONG, _KIND))
+_LARGE_PAYLOADS = st.recursive(
+    _SCALARS | _ROWS | _LONG_LISTS,
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.lists(inner, max_size=3).map(tuple)
+                   | st.dictionaries(_TEXT, inner, max_size=3)),
+    max_leaves=6)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(_PAYLOADS)
+def test_digest_matches_json(payload):
+    assert digest(payload) == digest_oracle(payload)
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(_LARGE_PAYLOADS)
+def test_digest_and_canonical_dumps_match_json_on_long_lists(payload):
+    assert digest(payload) == digest_oracle(payload)
+    assert canonical_dumps(payload) == json_oracle(payload)
+
+
+@pytest.mark.parametrize("payload", [
+    {}, [], (), {"a": {}}, [[]] * (_SLICE + 1), list(range(2 * _SLICE)),
+    {1: "a", 2: [3]}, {"a": {2.5: 1, 1.5: 2}}, {"a": {True: 1, False: 2}},
+    {"\u00e9": ["\u2603"] * (_SLICE + 2)}, [float("nan")] * (_SLICE + 1),
+])
+def test_digest_matches_json_on_edge_cases(payload):
+    # a dict with keys other than str is left to json, which converts them
+    assert digest(payload) == digest_oracle(payload)
+
+
+def test_digest_refuses_what_json_refuses():
+    for payload in ({"a": {1: 2, "b": 3}}, [set()] * (_SLICE + 1)):
+        with pytest.raises(TypeError):
+            digest_oracle(payload)
+        with pytest.raises(TypeError):
+            digest(payload)
+
+
+def traced_peak(function, *args):
+    """function(*args) and the peak of the memory it allocated, in bytes,
+    as tracemalloc sees it."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        result = function(*args)
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def gen_report():
+    """The gen report document of gen:60:3:4:seed=1, 11,864 edges."""
+    _, document = build_report("gen", {"subcommand": "gen",
+                                       "spec": "gen:60:3:4:seed=1"})
+    assert len(document["witness"]["structure"]["edges"]) == 11_864
+    return document
+
+
+def test_digest_hashes_an_edge_list_in_bounded_pieces(gen_report):
+    # json.dumps of the whole structure peaks at 2.6 MB
+    structure = gen_report["witness"]["structure"]
+    result, peak = traced_peak(digest, structure)
+    assert result == gen_report["witness"]["digest"]
+    assert peak < 0.5 * 2 ** 20
+
+
+def test_canonical_dumps_copies_an_edge_list_once(gen_report):
+    # the rows' text is not copied into a bracketed string (3.0 times the
+    # text when it was)
+    text, peak = traced_peak(canonical_dumps, gen_report)
+    assert peak < 2.5 * len(text)
 
 
 def test_digest_ignores_key_order_and_separates_values():
