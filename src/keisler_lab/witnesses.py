@@ -742,15 +742,19 @@ def sat_probe(ambient: Hypergraph, subset: Sequence[int],
 _MAX_GRID_SCAN = 10 ** 7
 
 
-def _check_grid_size(k: int, parameters: int,
+def _check_grid_size(k: int, parameters: Optional[int],
                      paths: Optional[int] = None) -> None:
-    """Refuse k beyond the constructor's cap, then a scan of (row pairs +
-    paths) x parameters beyond _MAX_GRID_SCAN; paths=None counts all
-    k^k paths.  Nothing is listed before both checks pass."""
+    """Refuse k outside 1.._MAX_GRID_K, the constructor's cap, then a scan
+    of (row pairs + paths) x parameters beyond _MAX_GRID_SCAN; paths=None
+    counts all k^k paths, and parameters=None the k^k parameters of the
+    constructor's grid.  Nothing is listed before both checks pass."""
+    if k < 1:
+        raise FormatError("k must be at least 1")
     if k > _MAX_GRID_K:
         raise FormatError(f"k = {k} may not exceed {_MAX_GRID_K}")
     row_pairs = k * k * (k - 1) // 2
     paths = k ** k if paths is None else paths
+    parameters = k ** k if parameters is None else parameters
     if (row_pairs + paths) * parameters > _MAX_GRID_SCAN:
         raise FormatError(
             f"{row_pairs} row pairs and {paths} paths over {parameters} "
@@ -766,8 +770,6 @@ def tp2_witness(f: Feq2Structure, k: int, sample: Optional[int] = None,
     sample=None checks all k^k paths; otherwise `sample` distinct paths
     are drawn with the seed.
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
     _check_grid_size(k, f.parameters, sample)
     if f.objects < k * k + k:
         raise GridTooSmall(k * k + k, f.objects)
@@ -838,6 +840,9 @@ def _sources(kind: Optional[str] = None, **keys):
 
 
 def _tp2_sources(config) -> dict:
+    if "input" not in config:
+        # the default grid's scan is refused before the grid is built
+        _check_grid_size(config["k"], None, config.get("sample"))
     return {"structure": ("feq2",
                           config.get("input", f"tp2grid:{config['k']}"))}
 

@@ -1,5 +1,6 @@
 """End-to-end command line runs, in process via run(argv)."""
 
+import gc
 import itertools
 import json
 import random
@@ -8,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+from keisler_lab import cli
 from keisler_lab.cli import _build_parser, run
 from keisler_lab.coloring import weighted_hypergraph
 from keisler_lab.serialize import (canonical_dumps, digest, load_structure,
@@ -109,6 +111,24 @@ def test_unknown_flag_raises_usage_exit():
     with pytest.raises(SystemExit) as info:
         run(["gen", "circulant:13:1,5", "--nope"])
     assert info.value.code == 1
+
+
+def test_main_freezes_the_import_heap_before_it_runs(monkeypatch):
+    # the process entry freezes what the imports made before it runs, so
+    # that interpreter shutdown does not walk it
+    frozen = []
+
+    def stub():
+        frozen.append(gc.get_freeze_count())
+        return 0
+    monkeypatch.setattr(cli, "run", stub)
+    try:
+        with pytest.raises(SystemExit) as info:
+            cli.main()
+    finally:
+        gc.unfreeze()
+    assert info.value.code == 0
+    assert frozen and frozen[0] > 0
 
 
 SUBCOMMANDS = ["gen", "color", "fam", "adversary", "satprobe", "tp2",
@@ -1098,6 +1118,45 @@ def test_verify_rejects_over_cap_tp2(edit, tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "witness field 'checked_paths'" in err
     assert "exceed" not in err
+
+
+def refuse_to_build_grid(monkeypatch):
+    import keisler_lab.serialize as serialize
+
+    def refuse(k):
+        raise AssertionError(f"the capped tp2grid:{k} was built")
+    monkeypatch.setattr(serialize, "build_tp2_grid", refuse)
+
+
+# the default grid has k^k parameters: at k = 6, (90 + 125) x 46,656 =
+# 10,031,040 checks, just over; 124 sampled paths would be just under
+@pytest.mark.parametrize("argv, message", [
+    (["--k", "6", "--sample", "125", "--seed", "1"],
+     "90 row pairs and 125 paths over 46656 parameters may not exceed"),
+    (["--k", "6"], "46656 paths over 46656 parameters may not exceed"),
+    (["--k", "0"], "k must be at least 1"),
+    (["--k", "-1000000000"], "k must be at least 1"),
+], ids=["sampled", "all-paths", "zero", "negative"])
+def test_over_cap_default_grid_is_refused_before_it_is_built(
+        argv, message, monkeypatch, capsys):
+    refuse_to_build_grid(monkeypatch)
+    assert run(["tp2", *argv]) == 1
+    assert message in capsys.readouterr().err
+
+
+def test_verify_refuses_an_over_cap_default_grid_before_it_is_built(
+        tmp_path, monkeypatch, capsys):
+    out = tmp_path / "tp2.json"
+    assert run(["tp2", "--k", "2", "--sample", "3", "--seed", "1",
+                "--output", str(out)]) == 0
+    data = read_report(out)
+    data["config"].update(k=6, sample=200, seed=1)
+    out.write_text(canonical_dumps(data))
+    capsys.readouterr()
+    refuse_to_build_grid(monkeypatch)
+    assert run(["verify", str(out)]) == 1
+    assert ("90 row pairs and 200 paths over 46656 parameters may not "
+            "exceed" in capsys.readouterr().err)
 
 
 # ---------------------------------------------------------------------------

@@ -3,22 +3,27 @@
 Each case in golden/digests.json is run in a fresh working directory with
 relative --input/--output names, because the report echoes those paths
 (in config and inputs.*.source).  Each report is then verified where it
-was written, and verify must exit with the code the run did.  A golden
-may change only together with a CHANGES.md line that names the report
-and says why it changed.
+was written, and verify must exit with the code the run did.  Five cases
+also run as fresh `python -m keisler_lab.cli` processes, the way users and
+the bench run them.  A golden may change only together with a CHANGES.md
+line that names the report and says why it changed.
 """
 
 import copy
 import hashlib
 import itertools
 import json
+import os
 import random
 import shutil
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import keisler_lab
 from conftest import random_weighted
 from keisler_lab.cli import run
 from keisler_lab.coloring import weighted_hypergraph
@@ -60,6 +65,32 @@ def test_report_bytes_match_golden(name, tmp_path, monkeypatch, capsys):
     # same directory; a false witness mismatch (say, a tuple against the
     # list the report holds) would exit 2 here
     assert run(["verify", "report.json"]) == case["exit"], name
+
+
+# one golden per workload of the bench and a failed precondition, run the
+# way users and the bench run them: each a fresh `python -m` process
+ENTRY_POINT = ["order-gen120", "gen-write-60-3-4", "fam-scan-gen50",
+               "color-greedy-n40-r3", "order-precondition"]
+
+
+def cli_process(argv, directory: Path) -> int:
+    """The exit code of `python -m keisler_lab.cli argv` in directory."""
+    src = str(Path(keisler_lab.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.run([sys.executable, "-m", "keisler_lab.cli", *argv],
+                          cwd=directory, env=env, capture_output=True,
+                          timeout=60).returncode
+
+
+@pytest.mark.parametrize("name", ENTRY_POINT)
+def test_entry_point_matches_golden(name, tmp_path):
+    case = GOLDEN[name]
+    write_inputs(tmp_path)
+    assert cli_process(case["argv"] + ["--output", "report.json"],
+                       tmp_path) == case["exit"], name
+    blob = (tmp_path / "report.json").read_bytes()
+    assert hashlib.sha256(blob).hexdigest() == case["sha256"], name
+    assert cli_process(["verify", "report.json"], tmp_path) == case["exit"]
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))

@@ -192,15 +192,29 @@ def test_hashes_match_the_tuple_of_fields():
     assert one(nan) == one(nan) and one(nan) != one(float("nan"))
 
 
+def fresh_import(code: str) -> str:
+    """The standard output of code run in a fresh interpreter that finds
+    this package."""
+    src = str(Path(keisler_lab.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    # -S: no site hooks, so only the package's own imports count
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    return proc.stdout.strip()
+
+
 def test_cli_import_leaves_dataclasses_and_inspect_out():
     """Start-up guard: importing the CLI must not load the data-class
     decorator's module or inspect, which cost most of the import time
     before records were built on Record."""
-    src = str(Path(keisler_lab.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": src}
-    code = ("import sys, keisler_lab.cli; "
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
-    # -S: no site hooks, so only the package's own imports count
-    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,
-                          capture_output=True, text=True, check=True)
-    assert proc.stdout.strip() == "[]"
+    assert fresh_import(
+        "import sys, keisler_lab.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))") \
+        == "[]"
+
+
+def test_package_import_freezes_nothing():
+    # only the process entry, cli.main(), freezes the collector's heap;
+    # a library user who imports the package keeps every object collectable
+    assert fresh_import("import gc, keisler_lab, keisler_lab.cli; "
+                        "print(gc.get_freeze_count())") == "0"
