@@ -386,22 +386,61 @@ def load_weighted(path: str) -> WeightedHypergraph:
 # Inline structure specs (generator mini-syntax)
 # ---------------------------------------------------------------------------
 
+# each generator's fields after its head, in spec order: "seed" is read
+# as seed=<int>, "distances" as a comma list, every other field as an int
+_SPEC_FIELDS = {
+    "gen": ("n", "r", "s", "seed"),
+    "circulant": ("n", "distances"),
+    "searchalpha": ("n", "s", "target", "budget", "seed"),
+    "tp2grid": ("k",),
+}
+
 # Size caps checked before anything is built.  verify re-resolves whatever
 # spec a report names, so a mistaken or tampered spec must fail fast
-# instead of exhausting memory.
-_MAX_GEN_N = 10_000  # keeps computing C(n, r) itself cheap
+# instead of exhausting memory.  build_tp2_grid checks its own k.
+_SPEC_CAPS = {
+    "gen": {"n": 10_000},  # keeps computing C(n, r) itself cheap
+    "circulant": {"n": 1_000},  # a circulant graph has up to n^2 / 2 edges
+    "searchalpha": {"n": 40, "budget": 1_000},  # budget alpha_s searches
+}
 _MAX_GEN_ENTRIES = 10 ** 6  # r * C(n, r) integers in the candidate list
-_MAX_CIRCULANT_N = 1_000  # a circulant graph has up to n^2 / 2 edges
-_MAX_SEARCH_N = 40  # every search evaluation runs an exact alpha_s
-_MAX_SEARCH_BUDGET = 1_000  # alpha evaluations per search
 
-def _parse_seed_field(field: str, what: str) -> int:
-    if not field.startswith("seed="):
-        raise FormatError(f"{what}: expected seed=<int>, got {field!r}")
+
+def parse_int_list(text: str, what: str) -> list[int]:
+    """Comma-separated integers; empty items are skipped."""
     try:
-        return int(field[len("seed="):])
+        return [int(v) for v in text.split(",") if v != ""]
     except ValueError:
-        raise FormatError(f"{what}: bad seed {field!r}") from None
+        raise FormatError(f"{what} needs comma-separated integers, "
+                          f"got {text!r}") from None
+
+
+def _parse_field(name: str, text: str, spec: str) -> Union[int, list[int]]:
+    if name == "distances":
+        return parse_int_list(text, repr(spec))
+    if name == "seed":
+        if not text.startswith("seed="):
+            raise FormatError(f"{spec}: expected seed=<int>, got {text!r}")
+        text = text[len("seed="):]
+    try:
+        return int(text)
+    except ValueError:
+        raise FormatError(f"bad numeric field {name} in {spec!r}") from None
+
+
+def parse_spec_fields(spec: str) -> tuple[str, dict]:
+    """A structure spec's head and its fields by name, each parsed once;
+    a structure file is ("file", {"path": path})."""
+    head, colon, rest = spec.partition(":")
+    names = _SPEC_FIELDS.get(head) if colon else None
+    if names is None:
+        return "file", {"path": rest if head == "file" and colon else spec}
+    values = rest.split(":")
+    if len(values) != len(names):
+        raise FormatError(f"{head} spec needs {head}:{':'.join(names)}, "
+                          f"got {spec!r}")
+    return head, {name: _parse_field(name, text, spec)
+                  for name, text in zip(names, values)}
 
 
 def parse_structure_spec(spec: str) -> Storable:
@@ -413,78 +452,32 @@ def parse_structure_spec(spec: str) -> Storable:
     tp2grid:<k> for the path-parameter grid structure,
     and file:<path> (or a bare path) for a structure file.
     """
-    if spec.startswith("gen:"):
-        fields = spec.split(":")
-        if len(fields) != 5:
-            raise FormatError(f"gen spec needs gen:n:r:s:seed=..., got {spec!r}")
-        try:
-            n, r, s = (int(x) for x in fields[1:4])
-        except ValueError:
-            raise FormatError(f"bad numeric field in {spec!r}") from None
-        seed = _parse_seed_field(fields[4], spec)
-        if n > _MAX_GEN_N:
-            raise FormatError(f"{spec!r}: n exceeds {_MAX_GEN_N}")
-        if n >= 0 and r >= 0 and r * comb(n, r) > _MAX_GEN_ENTRIES:
-            raise FormatError(
-                f"{spec!r}: r * C(n, r) = {r * comb(n, r)} candidate entries "
-                f"exceed {_MAX_GEN_ENTRIES}")
-        try:
-            return random_maximal_free(n, r, s, seed)
-        except ValueError as exc:
-            raise FormatError(f"{spec!r}: {exc}") from None
-    if spec.startswith("circulant:"):
-        fields = spec.split(":")
-        if len(fields) != 3:
-            raise FormatError(
-                f"circulant spec needs circulant:n:d1,d2,..., got {spec!r}")
-        try:
-            n = int(fields[1])
-            conns = [int(d) for d in fields[2].split(",") if d != ""]
-        except ValueError:
-            raise FormatError(f"bad numeric field in {spec!r}") from None
-        if n > _MAX_CIRCULANT_N:
-            raise FormatError(f"{spec!r}: n exceeds {_MAX_CIRCULANT_N}")
-        try:
-            return cyclic_graph(n, conns)
-        except ValueError as exc:
-            raise FormatError(f"{spec!r}: {exc}") from None
-    if spec.startswith("searchalpha:"):
-        fields = spec.split(":")
-        if len(fields) != 6:
-            raise FormatError(
-                "searchalpha spec needs searchalpha:n:s:target:budget:seed=..., "
-                f"got {spec!r}")
-        try:
-            n, s, target, budget = (int(x) for x in fields[1:5])
-        except ValueError:
-            raise FormatError(f"bad numeric field in {spec!r}") from None
-        seed = _parse_seed_field(fields[5], spec)
-        if n > _MAX_SEARCH_N or budget > _MAX_SEARCH_BUDGET:
-            raise FormatError(
-                f"{spec!r}: n and budget may not exceed {_MAX_SEARCH_N} "
-                f"and {_MAX_SEARCH_BUDGET}")
-        try:
-            result = search_small_alpha(n, s, target, budget=budget, seed=seed)
-        except ValueError as exc:
-            raise FormatError(f"{spec!r}: {exc}") from None
-        if not result.found:
-            raise FormatError(
-                f"{spec!r}: no graph with alpha <= {target} found "
-                f"(best was {result.alpha})")
-        return result.graph
-    if spec.startswith("tp2grid:"):
-        fields = spec.split(":")
-        if len(fields) != 2:
-            raise FormatError(f"tp2grid spec needs tp2grid:k, got {spec!r}")
-        try:
-            k = int(fields[1])
-        except ValueError:
-            raise FormatError(f"bad numeric field in {spec!r}") from None
-        try:
-            return build_tp2_grid(k)
-        except ValueError as exc:
-            raise FormatError(f"{spec!r}: {exc}") from None
-    path = spec[len("file:"):] if spec.startswith("file:") else spec
-    if not os.path.exists(path):
-        raise FormatError(f"no such structure file: {path}")
-    return load_structure(path)
+    head, f = parse_spec_fields(spec)
+    if head == "file":
+        if not os.path.exists(f["path"]):
+            raise FormatError(f"no such structure file: {f['path']}")
+        return load_structure(f["path"])
+    for name, cap in _SPEC_CAPS.get(head, {}).items():
+        if f[name] > cap:
+            raise FormatError(f"{spec!r}: {name} may not exceed {cap}")
+    if head == "gen" and min(f["n"], f["r"]) >= 0:
+        entries = f["r"] * comb(f["n"], f["r"])
+        if entries > _MAX_GEN_ENTRIES:
+            raise FormatError(f"{spec!r}: r * C(n, r) = {entries} candidate "
+                              f"entries exceed {_MAX_GEN_ENTRIES}")
+    try:
+        if head == "gen":
+            return random_maximal_free(f["n"], f["r"], f["s"], f["seed"])
+        if head == "circulant":
+            return cyclic_graph(f["n"], f["distances"])
+        if head == "tp2grid":
+            return build_tp2_grid(f["k"])
+        result = search_small_alpha(f["n"], f["s"], f["target"],
+                                    budget=f["budget"], seed=f["seed"])
+    except ValueError as exc:
+        raise FormatError(f"{spec!r}: {exc}") from None
+    if not result.found:
+        raise FormatError(
+            f"{spec!r}: no graph with alpha <= {f['target']} found "
+            f"(best was {result.alpha})")
+    return result.graph

@@ -176,20 +176,6 @@ class Feq2Structure(Record):
             canon.append(blocks)
         object.__setattr__(self, "classes", tuple(canon))
 
-    @cached_property
-    def _block_of(self) -> tuple[dict[int, tuple[int, ...]], ...]:
-        maps = []
-        for blocks in self.classes:
-            m: dict[int, tuple[int, ...]] = {}
-            for b in blocks:
-                for x in b:
-                    m[x] = b
-            maps.append(m)
-        return tuple(maps)
-
-    def same_class(self, z: int, x: int, y: int) -> bool:
-        return self._block_of[z][x] is self._block_of[z][y]
-
 
 # ---------------------------------------------------------------------------
 # Clique machinery

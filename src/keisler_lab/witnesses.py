@@ -29,7 +29,8 @@ from .logic import (And, Eq, Not, ObjectVar, ParamVar, ParseError,
                     PhiPartition, Rel, analyze_phi, evaluate, format_formula,
                     make_assignment, parse_phi)
 from .measures import SELFTEST_CHECKS, measure_algebra_selftest, sup_error
-from .serialize import (FormatError, digest, load_weighted, parse_rational,
+from .serialize import (FormatError, digest, load_weighted, parse_int_list,
+                        parse_rational, parse_spec_fields,
                         parse_structure_spec, rational_to_json,
                         structure_to_json, weighted_to_json)
 from .structures import (_MAX_GRID_K, Feq2Structure, Hypergraph,
@@ -172,19 +173,19 @@ def gen_witness(spec: str) -> WitnessReport:
     or whose structure is not the spec's, fails there.
     """
     structure = parse_structure_spec(spec)
-    head, *fields = spec.split(":")
+    head, fields = parse_spec_fields(spec)
     checks = []
     if head == "gen":
-        s = int(fields[2])
+        s = fields["s"]
         checks.append(_bool_cert("free", is_free(structure, s)))
         checks.append(_bool_cert("maximal-free",
                                  is_maximal_free(structure, s)))
     elif head == "searchalpha":
-        s, target = int(fields[1]), int(fields[2])
+        s = fields["s"]
         checks.append(_bool_cert("free", is_free(structure, s)))
         checks.append(Certified("alpha-target", "<=",
                                 Fraction(alpha_s(structure, s).value),
-                                Fraction(target)))
+                                Fraction(fields["target"])))
     sjson = structure_to_json(structure)
     certified = [_bool_cert("digest-match", True),
                  _bool_cert("embedded-match", True), *checks]
@@ -616,14 +617,6 @@ def _draw_subset(rng: random.Random, n: int, m_size: int) -> list[int]:
     return sorted(rng.sample(range(n), m_size))
 
 
-def _parse_int_list(text: str, what: str) -> list[int]:
-    try:
-        return [int(v) for v in text.split(",") if v != ""]
-    except ValueError:
-        raise FormatError(f"{what} needs comma-separated integers, "
-                          f"got {text!r}") from None
-
-
 def _probe_once(ambient: Hypergraph, subset: Sequence[int],
                 params: Sequence[int]) -> Optional[tuple[int, ...]]:
     arity = ambient.r - 1
@@ -737,8 +730,10 @@ def sat_probe(ambient: Hypergraph, subset: Sequence[int],
 # Two-dimensional inconsistency grid over parameterized equivalences
 # ---------------------------------------------------------------------------
 
-# every same-row pair and every checked path scans the parameters; the
-# largest scan in use is (24 + 50) x 256, at k = 4 with 50 sampled paths
+# each same-row pair and each checked path is read off an AND of cell
+# bitsets of `parameters` bits, so (row pairs + paths) x parameters bounds
+# the bits those ANDs read; the largest in use is tp2 --k 5, all paths,
+# (50 + 3,125) x 3,125 = 9,921,875
 _MAX_GRID_SCAN = 10 ** 7
 
 
@@ -761,6 +756,10 @@ def _check_grid_size(k: int, parameters: Optional[int],
             f"parameters may not exceed {_MAX_GRID_SCAN} checks")
 
 
+def _lowest_bit(bits: int) -> Optional[int]:
+    return (bits & -bits).bit_length() - 1 if bits else None
+
+
 def tp2_witness(f: Feq2Structure, k: int, sample: Optional[int] = None,
                 seed: Optional[int] = None) -> WitnessReport:
     """Certify the two-dimensional pattern on a k-grid: cells of one row
@@ -768,46 +767,47 @@ def tp2_witness(f: Feq2Structure, k: int, sample: Optional[int] = None,
     checked path through the grid is realized by a single parameter.
 
     sample=None checks all k^k paths; otherwise `sample` distinct paths
-    are drawn with the seed.
+    are drawn with the seed.  Bit z of cells[i][j] is set iff cell (i, j)
+    and its row target form a block of parameter z: blocks have at most
+    two objects, so iff the two share a class.  A row pair fails, and a
+    path is realized, at the lowest bit of the AND of its cells, the
+    least z that an ascending scan of the parameters would find.
     """
     _check_grid_size(k, f.parameters, sample)
     if f.objects < k * k + k:
         raise GridTooSmall(k * k + k, f.objects)
+    total = k ** k
     if sample is None:
-        paths = [list(p) for p in itertools.product(range(k), repeat=k)]
+        codes = range(total)
     else:
         if seed is None:
             raise ValueError("sampling paths requires a seed")
-        total = k ** k
         if not 1 <= sample <= total:
             raise ValueError(f"sample must lie in 1..{total}")
-        paths = []  # in ascending order of their base-k codes
-        for code in sorted(random.Random(seed).sample(range(total), sample)):
-            digits = []
-            for _ in range(k):
-                code, d = divmod(code, k)
-                digits.append(d)
-            paths.append(digits[::-1])
-    row_pairs = 0
-    row_failures = []
-    for i in range(k):
-        c = grid_target(k, i)
-        for j1, j2 in itertools.combinations(range(k), 2):
-            row_pairs += 1
-            b1, b2 = grid_object(k, i, j1), grid_object(k, i, j2)
-            for z in range(f.parameters):
-                if f.same_class(z, b1, c) and f.same_class(z, b2, c):
-                    row_failures.append([i, j1, j2, z])
-                    break
+        codes = sorted(random.Random(seed).sample(range(total), sample))
+    # base-k codes, first row most significant: ascending is lexicographic
+    paths = [[code // k ** (k - 1 - i) % k for i in range(k)]
+             for code in codes]
+    cell_of = {tuple(sorted((grid_object(k, i, j), grid_target(k, i)))):
+               (i, j) for i in range(k) for j in range(k)}
+    cells = [[0] * k for _ in range(k)]
+    for z, blocks in enumerate(f.classes):
+        for block in blocks:  # sorted tuples, as Feq2Structure keeps them
+            if block in cell_of:
+                i, j = cell_of[block]
+                cells[i][j] |= 1 << z
+    # a row failure would put the target in a class of three, which no
+    # valid structure has; rows-inconsistent is still computed and reported
+    row_pairs = k * k * (k - 1) // 2
+    row_failures = [[i, j1, j2, z] for i, row in enumerate(cells)
+                    for j1, j2 in itertools.combinations(range(k), 2)
+                    if (z := _lowest_bit(row[j1] & row[j2])) is not None]
     path_params: list[Optional[int]] = []
     for path in paths:
-        witness_param = None
-        for z in range(f.parameters):
-            if all(f.same_class(z, grid_object(k, i, path[i]),
-                                grid_target(k, i)) for i in range(k)):
-                witness_param = z
-                break
-        path_params.append(witness_param)
+        common = -1
+        for row, j in zip(cells, path):
+            common &= row[j]
+        path_params.append(_lowest_bit(common))
     consistent = sum(1 for w in path_params if w is not None)
     certified = [
         Certified("rows-inconsistent", "==",
@@ -887,7 +887,7 @@ def _sat_request(config, inputs) -> WitnessReport:
         if "trials" in config or "n_params" in config:
             raise FormatError("--params excludes --trials/--n-params")
         return sat_probe(ambient, subset,
-                         _parse_int_list(config["params"], "--params"))
+                         parse_int_list(config["params"], "--params"))
     if "n_params" not in config:
         raise FormatError("need --params or --n-params")
     # the probe seed is the next draw after the subset

@@ -1063,13 +1063,18 @@ def write_pairings(path, objects, parameters):
 
 
 def refuse_to_scan_grid(monkeypatch):
+    """Make listing the paths, all or sampled, and building the cell
+    bitsets fail loudly: both go through range (a module global shadows
+    the builtin), sampling through random.Random and the cell build
+    through grid_object and grid_target."""
     import keisler_lab.witnesses as witnesses
 
     def refuse(*args, **kwargs):
         raise AssertionError("a capped grid reached its paths or its scan")
-    monkeypatch.setattr(witnesses.itertools, "product", refuse)
     monkeypatch.setattr(witnesses.random, "Random", refuse)
-    monkeypatch.setattr(Feq2Structure, "same_class", refuse)
+    monkeypatch.setattr(witnesses, "range", refuse, raising=False)
+    monkeypatch.setattr(witnesses, "grid_object", refuse)
+    monkeypatch.setattr(witnesses, "grid_target", refuse)
 
 
 @pytest.mark.parametrize("k, objects, parameters", [
@@ -1109,12 +1114,14 @@ def test_verify_rejects_over_cap_tp2(edit, tmp_path, monkeypatch, capsys):
         assert run(["verify", str(out)]) == 1
         assert "exceed" in capsys.readouterr().err
         return
+    # every row pair and every listed path reads one lowest bit
+    import keisler_lab.witnesses as witnesses
     checks = []
-    same_class = Feq2Structure.same_class
-    monkeypatch.setattr(Feq2Structure, "same_class",
-                        lambda *args: checks.append(1) or same_class(*args))
+    lowest_bit = witnesses._lowest_bit
+    monkeypatch.setattr(witnesses, "_lowest_bit",
+                        lambda bits: checks.append(1) or lowest_bit(bits))
     assert run(["verify", str(out)]) == 2
-    assert len(checks) <= (2 + 4) * 1_000 * 2
+    assert len(checks) == 2 + 4
     err = capsys.readouterr().err
     assert "witness field 'checked_paths'" in err
     assert "exceed" not in err

@@ -20,7 +20,9 @@ from keisler_lab.serialize import (
     load_json,
     load_structure,
     load_weighted,
+    parse_int_list,
     parse_rational,
+    parse_spec_fields,
     parse_structure_spec,
     rational_from_json,
     rational_to_json,
@@ -411,6 +413,42 @@ def test_parse_structure_spec_generators():
     assert grid == build_tp2_grid(3)
     found = parse_structure_spec("searchalpha:13:3:4:60:seed=0")
     assert isinstance(found, Hypergraph) and found.n == 13
+
+
+def test_parse_spec_fields_names_each_field():
+    assert parse_spec_fields("gen:30:2:3:seed=4") == (
+        "gen", {"n": 30, "r": 2, "s": 3, "seed": 4})
+    assert parse_spec_fields("circulant:13:1,,5") == (
+        "circulant", {"n": 13, "distances": [1, 5]})
+    assert parse_spec_fields("searchalpha:13:3:4:60:seed=0") == (
+        "searchalpha", {"n": 13, "s": 3, "target": 4, "budget": 60,
+                        "seed": 0})
+    assert parse_spec_fields("tp2grid:3") == ("tp2grid", {"k": 3})
+    for spec, path in [("file:a:b.json", "a:b.json"), ("gen", "gen"),
+                       ("/x/y.json", "/x/y.json"), ("grid:3", "grid:3")]:
+        assert parse_spec_fields(spec) == ("file", {"path": path})
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("gen:30:2:3", "gen spec needs gen:n:r:s:seed"),
+    ("gen:30:2:3:4", "expected seed=<int>"),
+    ("gen:30:2:3:seed=x", "bad numeric field seed"),
+    ("gen:30:two:3:seed=1", "bad numeric field r"),
+    ("circulant:13:1,x", "needs comma-separated integers, got '1,x'"),
+    ("tp2grid:2:3", "tp2grid spec needs tp2grid:k"),
+], ids=["too-few", "seed-prefix", "seed-value", "int", "comma-list",
+        "too-many"])
+def test_parse_spec_fields_rejections(spec, message):
+    with pytest.raises(FormatError, match=message):
+        parse_spec_fields(spec)
+
+
+def test_parse_int_list():
+    assert parse_int_list("1,,2,", "--params") == [1, 2]
+    assert parse_int_list("", "--params") == []
+    with pytest.raises(FormatError,
+                       match="--params needs comma-separated integers"):
+        parse_int_list("1,a", "--params")
 
 
 def test_parse_structure_spec_files(tmp_path):

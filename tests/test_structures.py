@@ -94,10 +94,13 @@ def test_adjacency_masks():
 
 
 def test_feq2_validation():
-    f = Feq2Structure(4, 2, ((((0, 1), (2, 3))), ((0, 2), (1, 3))))
-    assert f.same_class(0, 0, 1) and not f.same_class(1, 0, 1)
-    odd = Feq2Structure(3, 1, ((((0, 1), (2,))),))
-    assert odd.same_class(0, 0, 1) and not odd.same_class(0, 1, 2)
+    f = Feq2Structure(4, 2, ((((0, 1), (2, 3))), ((3, 1), (2, 0))))
+    # blocks are kept as sorted tuples in sorted order
+    assert f.classes == (((0, 1), (2, 3)), ((0, 2), (1, 3)))
+    assert (0, 1) in f.classes[0] and (0, 1) not in f.classes[1]
+    odd = Feq2Structure(3, 1, ((((2,), (1, 0))),))
+    assert odd.classes == (((0, 1), (2,)),)
+    assert (0, 1) in odd.classes[0] and (1, 2) not in odd.classes[0]
     with pytest.raises(ValueError):
         Feq2Structure(4, 1, (((0, 1),),))
     with pytest.raises(ValueError):
@@ -801,8 +804,8 @@ def test_build_tp2_grid_shape():
     for sigma_index, sigma in enumerate(itertools.product(range(2), repeat=2)):
         # the path parameter pairs each row's chosen cell with that row's target
         for row, col in enumerate(sigma):
-            assert f.same_class(sigma_index, grid_object(2, row, col),
-                                grid_target(2, row))
+            assert (grid_object(2, row, col), grid_target(2, row)) \
+                in f.classes[sigma_index]
     f1 = build_tp2_grid(1)
     assert f1.objects == 2 and f1.parameters == 1
 

@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from keisler_lab import measures, witnesses
 from keisler_lab.logic import (compile_mask, evaluate, make_assignment,
@@ -16,6 +17,8 @@ from keisler_lab.structures import (
     add_vertex_with_links,
     build_tp2_grid,
     cyclic_graph,
+    grid_object,
+    grid_target,
     is_free,
     is_induced_embedding,
     random_maximal_free,
@@ -489,6 +492,120 @@ def test_tp2_validation():
         tp2_witness(f, 2, sample=0, seed=1)
     with pytest.raises(ValueError):
         tp2_witness(f, 2, sample=5, seed=1)  # only 4 paths exist
+
+
+def least_shared_param(f, pairs):
+    """The least parameter z under which, for every pair (x, y), some block
+    of z holds both x and y; None if there is none.  The ascending scan of
+    the parameters that tp2_witness's cell bitsets replace."""
+    for z, blocks in enumerate(f.classes):
+        if all(any(x in block and y in block for block in blocks)
+               for x, y in pairs):
+            return z
+    return None
+
+
+def tp2_by_scan(f, k, sample=None, seed=None):
+    """checked_paths, row_failures and path_params by the ascending scan;
+    paths come from itertools.product, or from the seeded sample of base-k
+    codes decoded digit by digit."""
+    if sample is None:
+        paths = [list(p) for p in itertools.product(range(k), repeat=k)]
+    else:
+        paths = []
+        for code in sorted(random.Random(seed).sample(range(k ** k), sample)):
+            digits = []
+            for _ in range(k):
+                code, d = divmod(code, k)
+                digits.append(d)
+            paths.append(digits[::-1])
+    row_failures = []
+    for i in range(k):
+        c = grid_target(k, i)
+        for j1, j2 in itertools.combinations(range(k), 2):
+            z = least_shared_param(f, [(grid_object(k, i, j1), c),
+                                       (grid_object(k, i, j2), c)])
+            if z is not None:
+                row_failures.append([i, j1, j2, z])
+    path_params = [least_shared_param(
+        f, [(grid_object(k, i, j), grid_target(k, i))
+            for i, j in enumerate(path)]) for path in paths]
+    return paths, row_failures, path_params
+
+
+def assert_tp2_matches_scan(f, k, sample=None, seed=None):
+    report = tp2_witness(f, k, sample, seed)
+    paths, row_failures, path_params = tp2_by_scan(f, k, sample, seed)
+    w = report.witness
+    assert w["checked_paths"] == paths
+    assert w["row_failures"] == row_failures == []
+    assert w["path_params"] == path_params
+    row_pairs = k * k * (k - 1) // 2
+    consistent = sum(z is not None for z in path_params)
+    assert [(c.name, c.op, c.lhs, c.rhs) for c in report.certified] == [
+        ("rows-inconsistent", "==", row_pairs, row_pairs),
+        ("paths-consistent", "==", consistent, len(paths))]
+    return report
+
+
+@st.composite
+def grid_structures(draw):
+    """A k-grid's objects, with up to 3 more, under a few dozen random
+    pairings: some pair the cells of a drawn path with their targets, some
+    pair no cell with its row's target, the rest are arbitrary."""
+    k = draw(st.integers(1, 4))
+    objects = k * k + k + draw(st.integers(0, 3))
+    cells = [grid_object(k, i, j) for i in range(k) for j in range(k)]
+    others = [x for x in range(objects) if x not in cells]
+    classes = []
+    for _ in range(draw(st.integers(1, 40))):
+        kind = draw(st.sampled_from(["path", "avoid", "random"]))
+        if kind == "path":
+            path = draw(st.lists(st.integers(0, k - 1), min_size=k,
+                                 max_size=k))
+            blocks = [(grid_object(k, i, j), grid_target(k, i))
+                      for i, j in enumerate(path)]
+            used = {x for b in blocks for x in b}
+            order = draw(st.permutations(
+                [x for x in range(objects) if x not in used]))
+        elif kind == "avoid":
+            blocks = []
+            order = (draw(st.permutations(others))
+                     + draw(st.permutations(cells)))
+            # only the pair across the join can hold a cell and a target;
+            # when it holds a cell and its row's target, another target or
+            # an extra object takes the target's place (k = 1 with no
+            # extra object has no other pairing)
+            join = len(others) - 1
+            if join % 2 == 0 and order[join] - k * k == order[join + 1] // k:
+                order[0], order[join] = order[join], order[0]
+        else:
+            blocks, order = [], draw(st.permutations(range(objects)))
+        blocks += [tuple(order[i:i + 2]) for i in range(0, len(order), 2)]
+        if kind == "avoid" and objects > 2:
+            held = {frozenset(b) for b in blocks}
+            assert not any({grid_object(k, i, j), grid_target(k, i)} in held
+                           for i in range(k) for j in range(k))
+        classes.append(tuple(blocks))
+    return k, Feq2Structure(objects, len(classes), tuple(classes))
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(grid_structures(), st.integers(0, 2 ** 32), st.integers(1, 256))
+def test_tp2_cell_bitsets_match_the_parameter_scan(grid, seed, size):
+    k, f = grid
+    assert_tp2_matches_scan(f, k)
+    assert_tp2_matches_scan(f, k, min(size, k ** k), seed)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_tp2_constructor_grids_match_the_parameter_scan(k):
+    f = build_tp2_grid(k)
+    report = assert_tp2_matches_scan(f, k)
+    # the constructor's parameter z pairs the cells of the z-th path
+    assert report.witness["path_params"] == list(range(k ** k))
+    for seed in range(3):
+        assert_tp2_matches_scan(f, k, min(5 * (seed + 1), k ** k), seed)
 
 
 # ---------------------------------------------------------------------------
