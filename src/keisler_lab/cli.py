@@ -138,25 +138,45 @@ def _not_a_request(theorem: str, why: str) -> FormatError:
                        f"({why})")
 
 
-def _check_config_keys(theorem: str, config: dict, witness) -> None:
-    """Refuse a config that no run writes: its subcommand must write
-    theorem's reports, and each other key must be the dest of one of that
-    subcommand's options.  Adversary reports once recorded the ambient's
-    arity as r, which is allowed when the witness records the same r."""
+class _RequestParser(_Parser):
+    """The parser of a config whose report tag is prog: a usage error is
+    the config's, raised rather than printed."""
+
+    def error(self, message):
+        raise _not_a_request(self.prog, message)
+
+
+def _check_request(theorem: str, config: dict, witness) -> None:
+    """Hold a config to the request a run writes: written back as the argv
+    of its subcommand, which must write theorem's reports, it must parse
+    with that subcommand's arguments to the same options, types included.
+    Adversary reports once recorded the ambient's arity as r, which is
+    dropped when the witness records the same r."""
     subcommand = config.get("subcommand")
     if not (isinstance(subcommand, str) and subcommand in _SUBCOMMANDS
             and _SUBCOMMANDS[subcommand][0] == theorem):
         raise _not_a_request(theorem, f"subcommand {subcommand!r}")
-    parser = _Parser(add_help=False)
+    options = {key: value for key, value in config.items()
+               if key != "subcommand"}
+    if (subcommand == "adversary" and type(options.get("r")) is int
+            and isinstance(witness, dict)
+            and options["r"] == witness.get("r")):
+        del options["r"]
+    argv = [f"--{key.replace('_', '-')}" + ("" if value is True
+                                              else f"={value}")
+            for key, value in options.items()
+            if value is not False and (key, subcommand) != ("spec", "gen")]
+    if subcommand == "gen" and "spec" in options:
+        argv += ["--", str(options["spec"])]
+    parser = _RequestParser(prog=theorem, add_help=False, allow_abbrev=False)
     _SUBCOMMANDS[subcommand][2](parser)
-    options = {action.dest for action in parser._actions}
-    if (subcommand == "adversary" and isinstance(witness, dict)
-            and "r" in witness and config.get("r") == witness["r"]):
-        options.add("r")
-    unknown = sorted(config.keys() - options - {"subcommand"})
-    if unknown:
-        raise _not_a_request(theorem, f"{subcommand} has no option for "
-                                      f"{', '.join(map(repr, unknown))}")
+    parsed = {key: value for key, value in
+              vars(parser.parse_args(argv)).items() if value is not None}
+    for key in sorted(parsed.keys() | options.keys()):
+        have, made = options.get(key, _ABSENT), parsed.get(key, _ABSENT)
+        if type(have) is not type(made) or have != made:
+            raise _not_a_request(theorem, f"config {key!r} is {_brief(have)}"
+                                          f" but parses as {_brief(made)}")
 
 
 # how verify names a field under each top-level key
@@ -181,11 +201,8 @@ def _cmd_verify(args) -> int:
     recorded = data.get("certified")
     if not isinstance(recorded, list):
         raise FormatError("certified must be a list")
-    _check_config_keys(theorem, config, data.get("witness"))
-    try:
-        report, rebuilt = build_report(theorem, config, overrides)
-    except (KeyError, TypeError, IndexError, AttributeError) as exc:
-        raise _not_a_request(theorem, repr(exc)) from None
+    _check_request(theorem, config, data.get("witness"))
+    report, rebuilt = build_report(theorem, config, overrides)
     # every certification that does not reproduce, then the first field
     # that differs under each other key of either document
     fresh = rebuilt["certified"]

@@ -233,8 +233,35 @@ class _Parser:
         return ObjectVar(index) if tok.text[0] == "x" else ParamVar(index)
 
 
+# each "(" and "!" is a level of the recursive passes over a formula
+# (parsing, printing, DNF, mask compilation); the goldens nest 2 deep
+_MAX_NESTING = 100
+
+
+def _check_nesting(tokens: Sequence[_Token]) -> None:
+    """Refuse tokens nested more than _MAX_NESTING deep, before anything
+    recurses on them.  A "(" opens a level that its ")" closes (a
+    relation's argument list opens none), and a "!" one that closes with
+    the literal it negates, so "!" levels before a "(" stay open with it."""
+    level = bangs = 0
+    outer = []
+    for prev, tok in zip([None, *tokens], tokens):
+        if tok.kind == "lp":
+            outer.append(level)
+            if prev is None or prev.kind != "ident":
+                level += bangs + 1
+        elif tok.kind == "rp" and outer:
+            level = outer.pop()
+        bangs = bangs + 1 if tok.kind == "bang" else 0
+        if level + bangs > _MAX_NESTING:
+            raise ParseError(tok.position,
+                             [f"at most {_MAX_NESTING} nested '(' and '!'"],
+                             f"{tok.text!r} nested {level + bangs} deep")
+
+
 def parse_formula(text: str) -> Formula:
     parser = _Parser(text)
+    _check_nesting(parser.tokens)
     result = parser.formula()
     if parser.peek().kind != "end":
         parser.fail(["amp", "pipe", "end"])

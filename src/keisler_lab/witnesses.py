@@ -918,13 +918,6 @@ PIPELINES = {
 }
 
 
-class _Request(dict):
-    """A request's config: reading a field it lacks names that field."""
-
-    def __missing__(self, key):
-        raise FormatError(f"config has no {key!r} field")
-
-
 def _load(kind: str, source: str) -> tuple[object, str]:
     """Resolve an input source, a weights file or a structure spec, and
     refuse one of another kind: the input and its digest.  A structure's
@@ -951,8 +944,7 @@ def build_report(theorem: str, config: dict,
     source.  A precondition that fails yields the report of that failure.
     Returns the report and its JSON document; config is not written to."""
     sources, build = PIPELINES[theorem]
-    request = _Request(config)
-    named = sources(request)
+    named = sources(config)
     overrides = overrides or {}
     unknown = sorted(overrides.keys() - named.keys())
     if unknown:
@@ -963,7 +955,7 @@ def build_report(theorem: str, config: dict,
         inputs[name], sha = _load(kind, overrides.get(name, source))
         entries[name] = {"kind": kind, "digest": sha, "source": source}
     try:
-        report = build(request, inputs)
+        report = build(config, inputs)
     except PreconditionFailed as exc:
         report = exc.report(theorem)
     return report, {"config": config, "inputs": entries,

@@ -1,13 +1,16 @@
 """End-to-end command line runs, in process via run(argv)."""
 
+import argparse
 import gc
 import itertools
 import json
 import random
 import time
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from keisler_lab import cli
 from keisler_lab.cli import _build_parser, run
@@ -284,6 +287,36 @@ def test_verify_dnf_cap_on_an_edited_phi(tmp_path, capsys):
     capsys.readouterr()
     assert run(["verify", str(out)]) == 1
     assert "error: clause count exceeds 4096" in capsys.readouterr().err
+
+
+# nested past the cap of 100 levels of "(" and "!", far past Python's
+# recursion limit for the 2,000 negations
+DEEP_PHI = {"parentheses": "(" * 400 + "!E(x1,y1) & x1 != y1" + ")" * 400,
+            "negations": "!" * 2000 + "E(x1,y1) & x1 != y1"}
+
+
+@pytest.mark.parametrize("phi", sorted(DEEP_PHI))
+def test_fam_bounds_the_nesting_of_phi(phi, capsys):
+    argv = list(FAM_GEN50)
+    argv[argv.index("--phi") + 1] = DEEP_PHI[phi]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert "expected at most 100 nested '(' and '!'" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("phi", sorted(DEEP_PHI))
+def test_verify_bounds_the_nesting_of_an_edited_phi(phi, tmp_path, capsys):
+    out = tmp_path / "fam.json"
+    assert run(FAM_GEN50 + ["--output", str(out)]) == 0
+    data = read_report(out)
+    data["config"]["phi"] = DEEP_PHI[phi]
+    out.write_text(canonical_dumps(data))
+    capsys.readouterr()
+    assert run(["verify", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "expected at most 100 nested '(' and '!'" in err
+    assert "Traceback" not in err
 
 
 # just over the cap of 20 parameters, and far over it: n^m is never taken
@@ -1442,7 +1475,10 @@ def test_verify_adversary_needs_the_tuple_config(key, tmp_path, capsys):
     out.write_text(canonical_dumps(data))
     capsys.readouterr()
     assert run(["verify", str(out)]) == 1
-    assert f"config has no {key!r} field" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert ("report config is not a valid 'dfsnotfim-adversary' request "
+            f"(the following arguments are required: --{key})" in err)
+    assert "Traceback" not in err
 
 
 def test_verify_accepts_an_adversary_report_that_records_r(tmp_path, capsys):
@@ -1460,16 +1496,17 @@ def test_verify_accepts_an_adversary_report_that_records_r(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("key, value, named", [
-    ("colour", "blue", "adversary has no option for 'colour'"),
-    ("r", 7, "adversary has no option for 'r'"),
+    ("colour", "blue", "unrecognized arguments: --colour=blue"),
+    ("r", 7, "unrecognized arguments: --r=7"),
+    ("amb", "circulant:13:1,5", "unrecognized arguments: --amb=circulant"),
     ("subcommand", "order", "subcommand 'order'"),
     ("subcommand", "verify", "subcommand 'verify'"),
     ("subcommand", ["adversary"], "subcommand ['adversary']"),
-], ids=["colour", "other-r", "other-tag", "verify", "list"])
+], ids=["colour", "other-r", "abbreviated", "other-tag", "verify", "list"])
 def test_verify_refuses_a_config_key_no_run_writes(key, value, named,
                                                    tmp_path, capsys):
-    # every config key is the dest of an option of a subcommand that writes
-    # the report's theorem; r only as the witness records it
+    # the config parses as the argv of a subcommand that writes the
+    # report's theorem; r only as the witness records it
     out = tmp_path / "adv.json"
     assert run(ADVERSARY + ["--n", "10", "--output", str(out)]) == 0
     data = read_report(out)
@@ -1481,6 +1518,59 @@ def test_verify_refuses_a_config_key_no_run_writes(key, value, named,
     assert ("report config is not a valid 'dfsnotfim-adversary' request"
             in err)
     assert named in err and "Traceback" not in err
+
+
+# strings an argv can carry that a hand-written one rarely does: "=", a
+# leading "-", spaces and characters outside ASCII.  A bare "--" is left
+# out: Python 3.11's argparse reads `--opt=--` as an empty list
+ARGV_TEXT = st.tuples(st.sampled_from(["", "-", "--", "-x=", " "]),
+                      st.text(max_size=8),
+                      st.sampled_from(["", "=", " ", " é", "字"])
+                      ).map("".join).filter(lambda text: text != "--")
+
+
+class Recorded(Exception):
+    """Raised in place of the build, carrying the config it was given."""
+
+
+def record_config(theorem, config, overrides=None):
+    raise Recorded(theorem, config)
+
+
+@st.composite
+def report_argv(draw, name):
+    """A drawn argv of subcommand name: every required option, the others
+    at will, each value of the option's type (ints negative too)."""
+    parser = argparse.ArgumentParser()
+    cli._SUBCOMMANDS[name][2](parser)
+    argv, spec = [name], []
+    for action in parser._actions[1:]:  # after --help
+        if not (action.required or draw(st.booleans())):
+            continue
+        if action.const is True:  # a flag
+            argv.append(action.option_strings[0])
+            continue
+        value = draw(st.sampled_from(action.choices) if action.choices
+                     else st.integers(-10 ** 6, 10 ** 6).map(str)
+                     if action.type is int else ARGV_TEXT)
+        if action.option_strings:
+            argv.append(f"{action.option_strings[0]}={value}")
+        else:
+            spec = ["--", value]
+    return argv + spec
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.sampled_from([name for name, (tag, _, _) in cli._SUBCOMMANDS.items()
+                        if tag]).flatmap(report_argv))
+def test_every_config_the_runner_writes_round_trips(argv):
+    # the config a run records is one verify's own parser reads back, type
+    # for type; no builder runs
+    with mock.patch.object(cli, "build_report", record_config):
+        with pytest.raises(Recorded) as recorded:
+            run(argv)
+    theorem, config = recorded.value.args
+    cli._check_request(theorem, config, {})
 
 
 @pytest.mark.parametrize("argv, named", [
@@ -1525,7 +1615,10 @@ def test_verify_satprobe_needs_the_subset_config(tmp_path, capsys):
     out.write_text(canonical_dumps(data))
     capsys.readouterr()
     assert run(["verify", str(out)]) == 1
-    assert "config has no 'm_size' field" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert ("report config is not a valid 'dfsnotfim-sat' request (the "
+            "following arguments are required: --m-size)" in err)
+    assert "Traceback" not in err
 
 
 def test_order_serialises_its_ambient_once(monkeypatch, capsys):

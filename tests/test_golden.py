@@ -133,11 +133,40 @@ def edited(key: str, value, directory: Path):
     return f"{kind}:{int(n) + 1}:{distances}"
 
 
+# config fields whose every string an argv writes
+FREE_TEXT = {"output", "phi", "epsilon"}
+
+
+def retyped(config: dict):
+    """Edits of each config leaf, each with the exit code verify must give:
+    1 for a value no argv writes (another type, a key beside its full
+    name, a subcommand or format the parser does not know), None for a
+    string an argv writes, which verifies as the unedited report does."""
+    for key, value in config.items():
+        if isinstance(value, bool):
+            values = [int(value)]
+        elif isinstance(value, int):
+            values = [float(value), str(value), value != 0]
+        else:
+            values = [False, None]
+            if key in {"subcommand", "format"}:
+                values += [value.upper(), value + " "]
+        for other in values:
+            yield {**config, key: other}, 1
+        if key in FREE_TEXT:
+            yield {**config, key: value + " "}, None
+        short = next((key[:i] for i in range(1, len(key))
+                      if key[:i] not in config), None)
+        if short is not None:
+            yield {**config, short: value}, 1
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_verify_refuses_an_edited_request(name, tmp_path, monkeypatch,
                                           capsys):
     # verify rebuilds a report from its config, so every request field is
-    # read: a report whose config field alone is edited does not verify
+    # read: a report whose config field alone is edited does not verify.
+    # The config must also be one an argv writes, types included
     case = GOLDEN[name]
     monkeypatch.chdir(tmp_path)
     write_inputs(tmp_path)
@@ -150,3 +179,14 @@ def test_verify_refuses_an_edited_request(name, tmp_path, monkeypatch,
         data["config"][key] = edited(key, data["config"][key], tmp_path)
         (tmp_path / "edited.json").write_text(canonical_dumps(data))
         assert run(["verify", "edited.json"]) != 0, (name, key)
+    wrong = []
+    for config, code in retyped(report["config"]):
+        (tmp_path / "edited.json").write_text(
+            canonical_dumps({**report, "config": config}))
+        capsys.readouterr()
+        got = run(["verify", "edited.json"])
+        err = capsys.readouterr().err
+        if got != (case["exit"] if code is None else code) or (
+                code == 1 and "report config is not a valid" not in err):
+            wrong.append((config, got))
+    assert not wrong, (name, wrong)

@@ -112,6 +112,56 @@ def test_parse_error_positions(text, position, fragment):
     assert f"column {position}:" in str(info.value)
 
 
+def alternating(depth: int) -> str:
+    """A formula whose And and Or nodes nest depth levels deep, each level
+    an open parenthesis but the innermost a negated relation."""
+    text = "x1 != y1"
+    for i in range(depth - 1):
+        text = f"(!E(x1,y1) {'&' if i % 2 else '|'} {text})"
+    return text
+
+
+# formulas nested exactly to the cap: every recursive pass runs on them
+AT_CAP = {
+    "parentheses": "(" * 100 + "x1 = y1" + ")" * 100,
+    "negations": "!" * 100 + "E(x1,y1)",
+    "negated-groups": "!(" * 50 + "E(x1,y1)" + ")" * 50,
+    "alternating": alternating(100),
+}
+
+
+@pytest.mark.parametrize("name", sorted(AT_CAP))
+def test_formulas_at_the_nesting_cap_pass_every_pass(name):
+    f = parse_formula(AT_CAP[name])
+    assert parse_formula(format_formula(f)) == f
+    to_dnf(f)
+    host = random_graph(random.Random(1), 6)
+    mask = compile_mask(host, f)
+    for b in range(host.n):
+        assert mask((b,)) == sum(1 << a for a in range(host.n) if evaluate(
+            host, f, make_assignment([a], [b])))
+
+
+@pytest.mark.parametrize("text, column, depth", [
+    ("(" * 400 + "x1 = y1" + ")" * 400, 101, 101),
+    ("!" * 2000 + "E(x1,y1)", 101, 101),
+    ("!(" * 50 + "!E(x1,y1)" + ")" * 50, 101, 101),
+    # each of 100 groups opens with 13 characters, "(!E(x1,y1) & "
+    (alternating(101), 13 * 99 + 2, 101),
+    # the levels of a group close with it, and a relation's arguments are
+    # none: 100 groups side by side nest 1 deep
+    (" & ".join(["(E(x1,y1))"] * 100) + " & " + "(" * 101 + "x1 = y1"
+     + ")" * 101, 1401, 101),
+], ids=["parentheses", "negations", "negated-groups", "alternating",
+        "side-by-side"])
+def test_parse_refuses_nesting_past_the_cap(text, column, depth):
+    with pytest.raises(ParseError) as info:
+        parse_formula(text)
+    assert info.value.position == column
+    assert f"nested {depth} deep, expected at most 100 nested" in str(
+        info.value)
+
+
 def test_format_round_trip_corpus():
     rng = random.Random(5)
     for _ in range(200):
