@@ -35,6 +35,13 @@ class _Parser(argparse.ArgumentParser):
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
 
+    def _get_values(self, action, arg_strings):
+        # argparse strips a "--" given as an option's value (--seed=--) and
+        # stores [] in its place; every option here takes one string
+        if action.option_strings and arg_strings == ["--"]:
+            raise argparse.ArgumentError(action, "expected one argument")
+        return super()._get_values(action, arg_strings)
+
 
 def _emit(text: str, output: Optional[str]) -> None:
     if output is None:

@@ -403,7 +403,10 @@ _SPEC_CAPS = {
     "circulant": {"n": 1_000},  # a circulant graph has up to n^2 / 2 edges
     "searchalpha": {"n": 40, "budget": 1_000},  # budget alpha_s searches
 }
-_MAX_GEN_ENTRIES = 10 ** 6  # r * C(n, r) integers in the candidate list
+# r * C(n, r), the vertex entries of the candidate r-sets that gen
+# shuffles and scans: held as r-tuples on the generic path, and as one
+# 4-byte code each at (r, s) = (2, 3) and (3, 4)
+_MAX_GEN_ENTRIES = 10 ** 6
 
 
 def parse_int_list(text: str, what: str) -> list[int]:

@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import itertools
 import random
+from array import array
 from functools import cached_property
 from math import comb
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, MutableSequence, Optional, Sequence
 
 from ._record import Record
 
@@ -373,7 +374,7 @@ def add_vertex_with_links(h: Hypergraph, links: Iterable[Iterable[int]],
     return _extension(h, new_edges, s)
 
 
-def _shuffle(rng: random.Random, seq: list) -> None:
+def _shuffle(rng: random.Random, seq: MutableSequence) -> None:
     """Shuffle seq in place with the draws of rng.shuffle(seq).
 
     CPython's shuffle is Fisher-Yates from the top: for i from len - 1
@@ -407,48 +408,66 @@ def random_maximal_free(n: int, r: int, s: int, seed: int) -> Hypergraph:
     kernel from per-vertex rows with the candidate unpacked: (2, 3) keeps
     neighbour bitsets as in Hypergraph.adjacency, and (3, 4) keeps dense
     n-by-n rows, rows[a][b] for a < b as links[a][b], converted once at
-    the end into the sparse rows of Hypergraph.links.  Every other (r, s)
-    records kept edges with _add_edge and asks _closes_clique.
+    the end into the sparse rows of Hypergraph.links.  Their candidates
+    are 4-byte codes in an array, the r vertices packed w bits apiece (w
+    the bit length of n - 1; at most 21 bits in all within the gen spec's
+    cap), not r-tuples of about 72 bytes each.  Every other (r, s)
+    shuffles the r-tuples, records kept edges with _add_edge and asks
+    _closes_clique.
     """
     if not (s > r >= 2):
         raise ValueError("need s > r >= 2")
     if n < 0:
         raise ValueError("vertex count must be nonnegative")
-    candidates = list(itertools.combinations(range(n), r))
-    _shuffle(random.Random(seed), candidates)
     kept = []
+    if (r, s) in ((2, 3), (3, 4)):
+        # the codes in the order of itertools.combinations, one range per
+        # (r-1)-prefix; a code is unpacked only in the scan, and a kept
+        # one becomes a tuple of the ints of vs, so that vertices above
+        # 256 are not new int objects in every edge
+        w = max(n - 1, 0).bit_length()
+        low, vs = (1 << w) - 1, tuple(range(n))
+        codes = array("I")
+        for prefix in itertools.combinations(range(n), r - 1):
+            base = 0
+            for v in prefix:
+                base = (base + v) << w
+            codes.extend(range(base + prefix[-1] + 1, base + n))
+        _shuffle(random.Random(seed), codes)
     if r == 2 and s == 3:
         adj = [0] * n
-        for e in candidates:
-            a, b = e
+        for code in codes:
+            a, b = code >> w, code & low
             if adj[a] & adj[b]:
                 continue
-            kept.append(e)
+            kept.append((vs[a], vs[b]))
             adj[a] |= 1 << b
             adj[b] |= 1 << a
         tables = {"adjacency": tuple(adj)}
     elif r == 3 and s == 4:
-        # n^2 entries; the C(n, 3) candidates above outnumber them
-        # from n = 9
-        rows = [[0] * n for _ in range(n)]
-        for e in candidates:
-            a, b, c = e
+        # n^2 entries; the C(n, 3) codes above outnumber them from n = 9
+        rows, high = [[0] * n for _ in range(n)], 2 * w
+        for code in codes:
+            a, b, c = code >> high, code >> w & low, code & low
             ra, rb = rows[a], rows[b]
             if ra[b] & ra[c] & rb[c]:
                 continue
-            kept.append(e)
+            kept.append((vs[a], vs[b], vs[c]))
             ra[b] |= 1 << c
             ra[c] |= 1 << b
             rb[c] |= 1 << a
         tables = {"links": tuple({b: m for b, m in enumerate(row) if m}
                                  for row in rows)}
     else:
+        candidates = list(itertools.combinations(range(n), r))
+        _shuffle(random.Random(seed), candidates)
         masks: dict[tuple[int, ...], int] = {}
         for e in candidates:
             if not _closes_clique(masks, e, s):
                 kept.append(e)
                 _add_edge(masks, e)
         tables = {"subedge_masks": masks}
+    codes = None  # freed before the edge set is built
     g = _trusted(r, n, frozenset(kept))
     # the rows built here are the ones g would build from its edges: they
     # fill its cached property, which is_free, is_maximal_free and

@@ -6,6 +6,7 @@ seed; nothing here reads global state.
 
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 from math import perm
 from typing import Mapping
@@ -56,6 +57,22 @@ def random_maximal_free_oracle(n: int, r: int, s: int,
             kept.append(e)
             _add_edge(masks, e)
     return Hypergraph(r, n, frozenset(kept))
+
+
+def traced_peak(function, *args):
+    """function(*args) and the peak of the memory it allocated, in bytes,
+    as tracemalloc sees it."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        result = function(*args)
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
 
 
 def random_weighted(rng: random.Random, n: int, r: int,

@@ -4,13 +4,13 @@ import hashlib
 import json
 import os
 import random
-import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_graph, random_hypergraph, random_weighted
+from conftest import (random_graph, random_hypergraph, random_weighted,
+                      traced_peak)
 from keisler_lab.serialize import (
     _SLICE,
     FormatError,
@@ -282,22 +282,6 @@ def test_digest_refuses_what_json_refuses():
             digest_oracle(payload)
         with pytest.raises(TypeError):
             digest(payload)
-
-
-def traced_peak(function, *args):
-    """function(*args) and the peak of the memory it allocated, in bytes,
-    as tracemalloc sees it."""
-    tracing = tracemalloc.is_tracing()
-    if not tracing:
-        tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        before = tracemalloc.get_traced_memory()[0]
-        result = function(*args)
-        return result, tracemalloc.get_traced_memory()[1] - before
-    finally:
-        if not tracing:
-            tracemalloc.stop()
 
 
 @pytest.fixture(scope="module")

@@ -3,12 +3,13 @@
 import itertools
 import random
 import tracemalloc
+from array import array
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import (random_graph, random_hypergraph,
-                      random_maximal_free_oracle)
+                      random_maximal_free_oracle, traced_peak)
 from keisler_lab import structures
 from keisler_lab.structures import (
     AlphaResult,
@@ -170,13 +171,17 @@ def test_shuffle_makes_the_draws_of_random_shuffle():
     lengths = [*range(71), 127, 128, 129, 255, 256, 257, 1000, 34_220]
     for length in lengths:
         for seed in (0, 1, 4, 2 ** 40 + 3):
-            expected, got = list(range(length)), list(range(length))
-            oracle, rng = random.Random(seed), random.Random(seed)
-            oracle.shuffle(expected)
-            structures._shuffle(rng, got)
-            assert got == expected, (length, seed)
-            # the same draws consumed, so the generator states agree
-            assert rng.getstate() == oracle.getstate(), (length, seed)
+            expected = list(range(length))
+            random.Random(seed).shuffle(expected)
+            oracle = random.Random(seed)
+            oracle.shuffle([None] * length)
+            # a list, and the array of codes the table paths shuffle
+            for got in (list(range(length)), array("I", range(length))):
+                rng = random.Random(seed)
+                structures._shuffle(rng, got)
+                assert list(got) == expected, (length, seed, type(got))
+                # the same draws consumed, so the generator states agree
+                assert rng.getstate() == oracle.getstate(), (length, seed)
 
 
 def test_generation_does_not_call_random_shuffle(monkeypatch):
@@ -185,6 +190,27 @@ def test_generation_does_not_call_random_shuffle(monkeypatch):
     monkeypatch.setattr(random.Random, "shuffle", refuse)
     for n, r, s in ((12, 2, 3), (10, 3, 4), (9, 3, 5)):
         assert is_maximal_free(random_maximal_free(n, r, s, 1), s)
+
+
+# code widths 0 to 7 bits at (3, 4) and 0 to 10 at (2, 3), each on both
+# sides of a power of two: n = 2^w vertices still take w bits apiece
+@pytest.mark.parametrize("n, r, s", [
+    *((n, 3, 4) for n in (0, 1, 2, 3, 8, 9, 64, 65)),
+    *((n, 2, 3) for n in (0, 1, 2, 256, 257, 513))])
+@pytest.mark.parametrize("seed", [0, 5])
+def test_table_paths_match_the_oracle_at_code_widths(n, r, s, seed):
+    assert random_maximal_free(n, r, s, seed) == random_maximal_free_oracle(
+        n, r, s, seed)
+
+
+# with the candidates as a list of r-tuples the traced peaks were 3.2 MB
+# at gen:60:3:4 and 33.6 MB at gen:1000:2:3
+@pytest.mark.parametrize("n, r, s, bound_mb", [(60, 3, 4, 2.5),
+                                               (1000, 2, 3, 12)])
+def test_generation_holds_its_candidates_as_packed_codes(n, r, s, bound_mb):
+    g, peak = traced_peak(random_maximal_free, n, r, s, 1)
+    assert is_maximal_free(g, s)
+    assert peak < bound_mb * 2 ** 20
 
 
 @st.composite
