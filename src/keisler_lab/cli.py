@@ -156,7 +156,9 @@ class _RequestParser(_Parser):
 def _check_request(theorem: str, config: dict, witness) -> None:
     """Hold a config to the request a run writes: written back as the argv
     of its subcommand, which must write theorem's reports, it must parse
-    with that subcommand's arguments to the same options, types included.
+    with that subcommand's arguments to the same options.  A re-typed
+    value never does: argparse refuses 1.0 for an int and 0 for a flag,
+    reads "20" as 20, and leaves false at a default that is never 0.
     Adversary reports once recorded the ambient's arity as r, which is
     dropped when the witness records the same r."""
     subcommand = config.get("subcommand")
@@ -181,7 +183,7 @@ def _check_request(theorem: str, config: dict, witness) -> None:
               vars(parser.parse_args(argv)).items() if value is not None}
     for key in sorted(parsed.keys() | options.keys()):
         have, made = options.get(key, _ABSENT), parsed.get(key, _ABSENT)
-        if type(have) is not type(made) or have != made:
+        if have != made:
             raise _not_a_request(theorem, f"config {key!r} is {_brief(have)}"
                                           f" but parses as {_brief(made)}")
 

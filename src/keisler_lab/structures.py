@@ -201,21 +201,19 @@ def _link(links: Sequence[dict[int, int]], a: int, b: int, c: int) -> None:
 def _extend_clique(masks: Mapping[tuple[int, ...], int], prefix: list[int],
                    common: int, need: int, r: int) -> Optional[list[int]]:
     # prefix is a partial clique; common holds the vertices completing every
-    # (r-1)-subset of prefix, already restricted above the newest vertex.
-    if need == 0:
-        return prefix
+    # (r-1)-subset of prefix, already restricted above the newest vertex;
+    # need >= 1 vertices are missing, and the last may be any of common
     if common.bit_count() < need:
         return None
+    if need == 1:
+        return prefix + [(common & -common).bit_length() - 1]
     for v in _bits(common):
         new_common = common & ~((1 << (v + 1)) - 1)
-        ok = True
         for rho in itertools.combinations(prefix, r - 2):
-            key = tuple(sorted(rho + (v,)))
-            new_common &= masks.get(key, 0)
-            if new_common == 0 and need > 1:
-                ok = False
+            new_common &= masks.get(tuple(sorted(rho + (v,))), 0)
+            if not new_common:
                 break
-        if ok or need == 1:
+        else:
             found = _extend_clique(masks, prefix + [v], new_common, need - 1, r)
             if found is not None:
                 return found
@@ -310,24 +308,12 @@ def is_free(h: Hypergraph, s: int) -> bool:
 def _closes_clique(masks: Mapping[tuple[int, ...], int], e: tuple[int, ...],
                    s: int) -> bool:
     """Would adding the r-set e to a K^r_s-free edge set, recorded in masks
-    by _add_edge, complete an s-clique?  Any new clique contains all of e,
-    so for s = r + 1 it is e plus a vertex of _closers; larger s goes
-    through the generic search."""
+    by _add_edge, complete an s-clique?  Any new clique is e plus s - r
+    vertices among _closers(masks, e): for s = r + 1 any one of them, and
+    for larger s the generic search picks them."""
+    common = _closers(masks, e)
     if s == len(e) + 1:
-        return _closers(masks, e) != 0
-    return _extends_to_clique(masks, e, s)
-
-
-def _extends_to_clique(masks: Mapping[tuple[int, ...], int],
-                       e: tuple[int, ...], s: int) -> bool:
-    # the generic search, for any s > r; the s = r + 1 kernel's oracle
-    common = -1
-    for tau in itertools.combinations(e, len(e) - 1):
-        common &= masks.get(tau, 0)
-        if common == 0:
-            return False
-    for v in e:
-        common &= ~(1 << v)
+        return common != 0
     return _extend_clique(masks, list(e), common, s - len(e),
                           len(e)) is not None
 
@@ -613,10 +599,11 @@ def _max_clique(adj: Sequence[int], n: int, budget: Optional[int]):
 
 
 def _has_clique_mask(adj: Sequence[int], cand: int, size: int) -> bool:
-    if size == 0:
-        return True
+    # does cand hold a clique of size >= 1 vertices?
     if cand.bit_count() < size:
         return False
+    if size == 1:
+        return True
     for v in _bits(cand):
         if _has_clique_mask(adj, cand & adj[v] & ~((1 << (v + 1)) - 1), size - 1):
             return True
@@ -686,6 +673,11 @@ class SearchResult(Record):
     evaluations: int
 
 
+# alpha_s nodes of one search's evaluations in all: about 142,000 at most
+# at s = 3 within the searchalpha caps, and millions for one at s = 4
+_MAX_SEARCH_NODES = 10 ** 6
+
+
 def search_small_alpha(n: int, s: int, target: int,
                        budget: int = 400, seed: int = 0) -> SearchResult:
     """Seeded search for a K_s-free graph on n vertices with small alpha_s.
@@ -693,42 +685,47 @@ def search_small_alpha(n: int, s: int, target: int,
     Circulant connection sets are swept first (the known extremal graphs
     at this scale are circulant), then random maximal free graphs with
     freeness-preserving edge flips.  The budget counts alpha evaluations;
-    a miss returns the best graph reached, never a silent failure.
+    a miss returns the best graph reached, never a silent failure.  A
+    search whose evaluations would pass _MAX_SEARCH_NODES alpha_s nodes
+    in all raises ValueError.
     """
     if s < 3:
         raise ValueError("s must be at least 3")
     rng = random.Random(seed)
     best_graph: Optional[Hypergraph] = None
     best_alpha = n + 1
-    evals = 0
+    evals = nodes = 0
 
-    def consider(g: Hypergraph) -> Optional[SearchResult]:
-        nonlocal best_graph, best_alpha, evals
+    def consider(g: Hypergraph) -> int:
+        # g's alpha_s, kept with g when it is the least yet; every earlier
+        # value missed the target, so one within it is kept
+        nonlocal best_graph, best_alpha, evals, nodes
         evals += 1
-        a = alpha_s(g, s)
+        a = alpha_s(g, s, _MAX_SEARCH_NODES - nodes)
+        nodes += a.nodes
+        if not a.exact:
+            raise ValueError(f"alpha_s evaluations exceed "
+                             f"{_MAX_SEARCH_NODES} nodes")
         if a.value < best_alpha:
             best_graph, best_alpha = g, a.value
-        if a.value <= target:
-            return SearchResult(True, g, a.value, evals)
-        return None
+        return a.value
+
+    def result(found: bool) -> SearchResult:
+        return SearchResult(found, best_graph, best_alpha, evals)
 
     half = n // 2
     for size in range(0, min(3, half) + 1):
         for conns in itertools.combinations(range(1, half + 1), size):
             if evals >= budget:
-                return SearchResult(False, best_graph, best_alpha, evals)
+                return result(False)
             g = cyclic_graph(n, conns)
-            if not is_free(g, s):
-                continue
-            hit = consider(g)
-            if hit is not None:
-                return hit
+            if is_free(g, s) and consider(g) <= target:
+                return result(True)
 
     while evals < budget:
         g = random_maximal_free(n, 2, s, rng.randrange(2 ** 63))
-        hit = consider(g)
-        if hit is not None:
-            return hit
+        if consider(g) <= target:
+            return result(True)
         for _ in range(3 * n):
             if evals >= budget:
                 break
@@ -736,24 +733,21 @@ def search_small_alpha(n: int, s: int, target: int,
             if not edges:
                 break
             dropped = edges[rng.randrange(len(edges))]
-            remaining = set(edges)
-            remaining.discard(dropped)
-            masks: dict[tuple[int, ...], int] = {}
-            for e in remaining:
-                _add_edge(masks, e)
+            remaining = g.edges - {dropped}
+            masks = _trusted(2, n, remaining).subedge_masks
             non_edges = [e for e in itertools.combinations(range(n), 2)
                          if e not in remaining and e != dropped
                          and not _closes_clique(masks, e, s)]
             if not non_edges:
                 continue
             added = non_edges[rng.randrange(len(non_edges))]
-            candidate = Hypergraph(2, n, frozenset(remaining | {added}))
-            hit = consider(candidate)
-            if hit is not None:
-                return hit
-            if alpha_s(candidate, s).value <= best_alpha:
+            candidate = Hypergraph(2, n, remaining | {added})
+            value = consider(candidate)
+            if value <= target:
+                return result(True)
+            if value <= best_alpha:
                 g = candidate
-    return SearchResult(False, best_graph, best_alpha, evals)
+    return result(False)
 
 
 # ---------------------------------------------------------------------------

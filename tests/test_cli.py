@@ -71,6 +71,37 @@ def test_gen_searchalpha_certs(tmp_path):
     assert by_name["alpha-target"]["holds"]
 
 
+# the alpha_s evaluations of searchalpha:29:3:8:1000:seed=0 take 4,796
+# nodes in all
+def test_searchalpha_node_cap(tmp_path, monkeypatch, capsys):
+    import keisler_lab.structures as structures
+    spec = "searchalpha:29:3:8:1000:seed=0"
+    out = tmp_path / "gen.json"
+    assert run(["gen", "searchalpha:13:3:4:60:seed=0",
+                "--output", str(out)]) == 0
+    data = read_report(out)
+    data["config"]["spec"] = spec
+    out.write_text(canonical_dumps(data))
+    monkeypatch.setattr(structures, "_MAX_SEARCH_NODES", 4_796)
+    assert run(["gen", spec]) == 0
+    monkeypatch.setattr(structures, "_MAX_SEARCH_NODES", 4_795)
+    capsys.readouterr()
+    assert run(["gen", spec]) == 1
+    assert run(["verify", str(out)]) == 1
+    assert capsys.readouterr().err.count(
+        "alpha_s evaluations exceed 4795 nodes") == 2
+
+
+def test_searchalpha_at_s_4_stops_at_the_node_cap(capsys):
+    # alpha_s at s = 4 prunes by size alone: the evaluations pass 10^6
+    # nodes by the 30th of the 1,000 that the budget allows
+    start = time.perf_counter()
+    assert run(["gen", "searchalpha:24:4:9:1000:seed=0"]) == 1
+    assert time.perf_counter() - start < 20
+    assert "alpha_s evaluations exceed 1000000 nodes" in (
+        capsys.readouterr().err)
+
+
 def test_gen_structure_out(tmp_path):
     sout = tmp_path / "structure.json"
     assert run(["gen", "circulant:13:1,5", "--output",

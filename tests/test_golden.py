@@ -136,6 +136,10 @@ def edited(key: str, value, directory: Path):
 # config fields whose every string an argv writes
 FREE_TEXT = {"output", "phi", "epsilon"}
 
+# a JSON value of each type: every config leaf is re-typed to each one of
+# another type than its own
+RETYPES = (True, False, 0, 1, 1.0, "1", None, [], {})
+
 
 def retyped(config: dict):
     """Edits of each config leaf, each with the exit code verify must give:
@@ -143,14 +147,14 @@ def retyped(config: dict):
     name, a subcommand or format the parser does not know), None for a
     string an argv writes, which verifies as the unedited report does."""
     for key, value in config.items():
+        values = [other for other in RETYPES
+                  if type(other) is not type(value)]
         if isinstance(value, bool):
-            values = [int(value)]
+            values.append(int(value))
         elif isinstance(value, int):
-            values = [float(value), str(value), value != 0]
-        else:
-            values = [False, None]
-            if key in {"subcommand", "format"}:
-                values += [value.upper(), value + " "]
+            values += [float(value), str(value), value != 0]
+        elif key in {"subcommand", "format"}:
+            values += [value.upper(), value + " "]
         for other in values:
             yield {**config, key: other}, 1
         if key in FREE_TEXT:

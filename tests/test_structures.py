@@ -18,7 +18,6 @@ from keisler_lab.structures import (
     Hypergraph,
     _add_edge,
     _closes_clique,
-    _extends_to_clique,
     _search_clique,
     add_vertex_with_links,
     alpha_s,
@@ -244,24 +243,21 @@ def test_generation_loops_match_the_closes_clique_oracle(case):
 # the s = r + 1 kernel against the generic search
 # ---------------------------------------------------------------------------
 
-def generic_maximal_free(n: int, r: int, s: int, seed: int) -> Hypergraph:
-    """random_maximal_free through the generic clique search."""
-    candidates = list(itertools.combinations(range(n), r))
-    random.Random(seed).shuffle(candidates)
-    masks, kept = {}, []
-    for e in candidates:
-        if not _extends_to_clique(masks, e, s):
-            kept.append(e)
-            _add_edge(masks, e)
-    return Hypergraph(r, n, frozenset(kept))
-
-
 def generic_is_maximal_free(h: Hypergraph, s: int) -> bool:
     if _search_clique(h, s) is not None:
         return False
     masks = h.subedge_masks
-    return all(e in h.edges or _extends_to_clique(masks, e, s)
+    return all(e in h.edges or _closes_clique(masks, e, s)
                for e in itertools.combinations(range(h.n), h.r))
+
+
+def brute_closes_clique(h: Hypergraph, e: tuple[int, ...], s: int) -> bool:
+    """Do some s - r vertices outside the r-set e, joined to e, span only
+    edges of h among their r-subsets other than e?  By plain enumeration."""
+    others = [v for v in range(h.n) if v not in e]
+    return any(all(t == e or t in h.edges
+                   for t in itertools.combinations(sorted(e + w), h.r))
+               for w in itertools.combinations(others, s - h.r))
 
 
 @st.composite
@@ -284,12 +280,15 @@ def test_clique_kernel_matches_the_generic_search(case):
     h = random_hypergraph(rng, n, r, density)
     assert find_clique(h, s) == _search_clique(h, s)
     masks = h.subedge_masks
-    assert all(_closes_clique(masks, e, s) == _extends_to_clique(masks, e, s)
-               for e in sets)
+    # the kernel at s = r + 1 and the generic search at s = r + 2 against
+    # enumeration; e itself need not be an edge
+    for size in (s, s + 1):
+        assert all(_closes_clique(masks, e, size)
+                   == brute_closes_clique(h, e, size) for e in sets)
     assert is_maximal_free(h, s) == generic_is_maximal_free(h, s)
     # a maximal free one, and the same with some edges removed
     g = random_maximal_free(n, r, s, seed)
-    assert g == generic_maximal_free(n, r, s, seed)
+    assert g == random_maximal_free_oracle(n, r, s, seed)
     assert is_maximal_free(g, s) and generic_is_maximal_free(g, s)
     edges = sorted(g.edges)
     removed = set(rng.sample(edges, min(len(edges), rng.randint(1, 3))))
@@ -644,6 +643,22 @@ def test_search_small_alpha_miss_is_honest():
     assert not result.found
     assert result.graph is not None
     assert result.alpha > 1
+
+
+def test_search_small_alpha_miss_in_the_flip_phase(monkeypatch):
+    # no circulant on 20 vertices reaches alpha 5, so the whole budget is
+    # spent, most of it on edge flips; its alpha_s evaluations take 14,325
+    # nodes in all, and a node cap one below that is refused
+    monkeypatch.setattr(structures, "_MAX_SEARCH_NODES", 14_325)
+    result = search_small_alpha(20, 3, 5, budget=1000, seed=0)
+    assert (result.found, result.alpha, result.evaluations) == (False, 6,
+                                                                1000)
+    assert digest(structure_to_json(result.graph)) == (
+        "sha256:2baa3ef1cb6412e366bb55fdbe7f1306"
+        "c4806c33cce27fb1ec75e2d0821b7281")
+    monkeypatch.setattr(structures, "_MAX_SEARCH_NODES", 14_324)
+    with pytest.raises(ValueError, match="exceed 14324 nodes"):
+        search_small_alpha(20, 3, 5, budget=1000, seed=0)
 
 
 # ---------------------------------------------------------------------------
