@@ -17,9 +17,8 @@ from .structures import (AlphaResult, EmbedResult, Feq2Structure,
 from .logic import (And, DisjunctProfile, DnfCapError, Eq, EvalError,
                     FragmentError, Not, ObjectVar, Or, ParamVar, ParseError,
                     PhiAnalysis, PhiPartition, Rel, analyze_phi,
-                    compile_mask, dnf_to_formula, evaluate, format_formula,
-                    make_assignment, parse_formula, parse_phi,
-                    residual_holds, substitute, to_dnf, variables)
+                    compile_mask, evaluate, format_formula, make_assignment,
+                    parse_formula, parse_phi, to_dnf, variables)
 from .measures import (ApproxReport, FiniteMeasure, SelfTestOutcome,
                        ZeroMassError, localize, make_measure,
                        measure_algebra_selftest, mu_eval, product, sup_error)
@@ -48,16 +47,16 @@ __all__ = [
     "ZeroMassError", "add_vertex_with_links", "adversary_fraction",
     "adversary_witness", "alpha_s", "analyze_phi", "brute_best",
     "build_report", "build_tp2_grid", "canonical_dumps", "compile_mask",
-    "cyclic_graph", "digest", "dnf_to_formula",
+    "cyclic_graph", "digest",
     "embed_search", "evaluate", "fam_witness", "find_clique",
     "format_formula", "greedy_coloring", "grid_object", "grid_target",
     "guarantee_value", "is_free", "is_induced_embedding", "is_maximal_free",
     "load_structure", "load_weighted", "localize", "make_assignment",
     "make_measure", "measure_algebra_selftest", "mu_eval", "order_witness",
     "parse_formula", "parse_phi", "parse_rational", "parse_structure_spec",
-    "product", "random_maximal_free", "residual_holds",
+    "product", "random_maximal_free",
     "sat_probe", "search_small_alpha", "structure_from_json",
-    "structure_to_json", "substitute", "sup_error", "to_dnf", "tp2_witness",
+    "structure_to_json", "sup_error", "to_dnf", "tp2_witness",
     "variables", "weight_of", "weighted_from_json", "weighted_hypergraph",
     "weighted_to_json",
 ]

@@ -327,22 +327,6 @@ def variables(f: Formula) -> tuple[frozenset[int], frozenset[int]]:
     return frozenset(objs), frozenset(params)
 
 
-def substitute(f: Formula, mapping: Mapping[Term, Term]) -> Formula:
-    """Replace terms throughout; terms outside the mapping stay put."""
-    def sub_term(t: Term) -> Term:
-        return mapping.get(t, t)
-
-    if isinstance(f, Rel):
-        return Rel(f.name, tuple(sub_term(a) for a in f.args))
-    if isinstance(f, Eq):
-        return Eq(sub_term(f.left), sub_term(f.right))
-    if isinstance(f, Not):
-        return Not(substitute(f.body, mapping))
-    if isinstance(f, And):
-        return And(tuple(substitute(p, mapping) for p in f.parts))
-    return Or(tuple(substitute(p, mapping) for p in f.parts))
-
-
 # ---------------------------------------------------------------------------
 # Evaluation
 # ---------------------------------------------------------------------------
@@ -494,17 +478,6 @@ def to_dnf(f: Formula) -> tuple[Clause, ...]:
     return tuple(sorted(clauses, key=lambda c: tuple(_literal_key(l) for l in c)))
 
 
-def dnf_to_formula(clauses: Sequence[Clause]) -> Formula:
-    """Rebuild a formula from DNF clauses; empty input has no formula form."""
-    if not clauses:
-        raise ValueError("empty disjunction has no formula representation")
-    parts = []
-    for clause in clauses:
-        lits = [lit.formula() for lit in clause]
-        parts.append(lits[0] if len(lits) == 1 else And(tuple(lits)))
-    return parts[0] if len(parts) == 1 else Or(tuple(parts))
-
-
 # ---------------------------------------------------------------------------
 # Partitioned formulas and the single-object-variable analysis
 # ---------------------------------------------------------------------------
@@ -574,14 +547,6 @@ class PhiAnalysis(Record):
     @property
     def generic_indices(self) -> tuple[int, ...]:
         return tuple(t for t, p in enumerate(self.profiles) if p.generic)
-
-
-def residual_holds(structure, profile: DisjunctProfile,
-                   params: Sequence[int]) -> bool:
-    """Truth of the parameter-only part of a disjunct at a parameter tuple
-    of a graph with at least one vertex: its compiled bitset (compile_mask)
-    is every vertex or none, so it holds where that bitset is non-empty."""
-    return compile_mask(structure, profile.residual_formula())(params) != 0
 
 
 def analyze_phi(phi: PhiPartition) -> PhiAnalysis:

@@ -16,7 +16,6 @@ import itertools
 import random
 from array import array
 from functools import cached_property
-from math import comb
 from typing import Iterable, Mapping, MutableSequence, Optional, Sequence
 
 from ._record import Record
@@ -222,8 +221,9 @@ def _extend_clique(masks: Mapping[tuple[int, ...], int], prefix: list[int],
 
 def _closers(masks: Mapping[tuple[int, ...], int], e: tuple[int, ...]) -> int:
     # the vertices v with e + {v} an (r+1)-clique: the AND over the
-    # (r-1)-subsets tau of e of masks[tau].  A vertex of e is never among
-    # them: each lies in some tau, and masks[tau] holds no vertex of tau.
+    # (r-1)-subsets tau of e of masks[tau], the start of every clique
+    # search from e.  A vertex of e is never among them: each lies in some
+    # tau, and masks[tau] holds no vertex of tau.
     common = -1
     for tau in itertools.combinations(e, len(e) - 1):
         common &= masks.get(tau, 0)
@@ -236,57 +236,36 @@ def find_clique(h: Hypergraph, s: int) -> Optional[tuple[int, ...]]:
     """Return the lexicographically least s-set whose r-subsets are all
     edges, or None.
 
-    For s = r + 1 every such set is an edge e plus a vertex completing all
-    (r-1)-subsets of e, so the answer is the least edge with a completing
-    vertex, joined by its least one: one AND of r bitsets per edge.  The
-    bitsets are rows of h.adjacency at r = 2 and of h.links at r = 3,
-    read with the edge unpacked, and h.subedge_masks through _closers at
-    r >= 4.  Larger s goes through the generic backtracking search over
-    the (r-1)-subset masks.
+    Every s-clique is an edge plus s - r of its closers, the vertices
+    completing all the edge's (r-1)-subsets: one AND of r bitsets per
+    edge.  The edges with a closer are searched in sorted order by
+    _extend_clique from their closers above the last vertex.  No edge
+    below the least clique's r least vertices lies in any clique (it
+    would be less), so the first clique found is the least; at s = r + 1
+    it is that edge plus its least closer.  The bitsets are rows of
+    h.adjacency at (2, 3) and of h.links at (3, 4), read with the edge
+    unpacked, and h.subedge_masks through _closers otherwise.
     """
-    if s <= h.r:
+    r = h.r
+    if s <= r:
         raise ValueError("clique size must exceed the arity")
-    if s == h.r + 1:
-        if h.r == 2:
-            adj = h.adjacency
-            closers = (adj[a] & adj[b] for a, b in h.edges)
-        elif h.r == 3:
-            links = h.links
-            closers = (links[a][b] & links[a][c] & links[b][c]
-                       for a, b, c in h.edges)
-        else:
-            masks = h.subedge_masks
-            closers = (_closers(masks, e) for e in h.edges)
-        # closers walks the same unchanged set as zip, so in the same
-        # order; the min of the closing edges spares sorting every edge
-        closing = {e: common for e, common in zip(h.edges, closers)
-                   if common}
-        if not closing:
-            return None
-        e = min(closing)
-        common = closing[e]
-        # the r least vertices of a clique e + {v} span an edge with a
-        # closer, and no edge below e has one: they are e, so every closer
-        # of e lies above e[-1]
-        return e + ((common & -common).bit_length() - 1,)
-    return _search_clique(h, s)
-
-
-def _search_clique(h: Hypergraph, s: int) -> Optional[tuple[int, ...]]:
-    # the generic search, for any s > r; the s = r + 1 kernel's oracle
-    if h.n < s:
-        return None
-    need_deg = comb(s - 1, h.r - 1)
-    keep = {v for v in range(h.n) if h.degrees[v] >= need_deg}
-    if len(keep) < s:
-        return None
-    masks: dict[tuple[int, ...], int] = {}
-    for e in h.edges:
-        if set(e) <= keep:
-            _add_edge(masks, e)
-    for base in sorted(masks):
-        common = masks[base] & ~((1 << (base[-1] + 1)) - 1)
-        found = _extend_clique(masks, list(base), common, s - (h.r - 1), h.r)
+    masks: Mapping[tuple[int, ...], int] = {}
+    if (r, s) == (2, 3):
+        adj = h.adjacency
+        closers = (adj[a] & adj[b] for a, b in h.edges)
+    elif (r, s) == (3, 4):
+        links = h.links
+        closers = (links[a][b] & links[a][c] & links[b][c]
+                   for a, b, c in h.edges)
+    else:
+        masks = h.subedge_masks
+        closers = (_closers(masks, e) for e in h.edges)
+    # closers walks the same unchanged set as zip, so in the same order
+    closing = {e: common for e, common in zip(h.edges, closers) if common}
+    for e in sorted(closing):
+        # at s = r + 1, need is 1 and no mask is read
+        found = _extend_clique(masks, list(e), closing[e] & -(2 << e[-1]),
+                               s - r, r)
         if found is not None:
             return tuple(found)
     return None
@@ -295,9 +274,10 @@ def _search_clique(h: Hypergraph, s: int) -> Optional[tuple[int, ...]]:
 def is_free(h: Hypergraph, s: int) -> bool:
     """True iff no s vertices span a complete sub-r-graph.
 
-    The answer comes from a global find_clique (one bitset AND per edge
-    when s = r + 1, the generic search otherwise) and is memoised on h,
-    keyed by s; the mark add_vertex_with_links leaves is never consulted.
+    The answer comes from a global find_clique (one bitset AND per edge,
+    then a search from the closers of the edges that have any) and is
+    memoised on h, keyed by s; the mark add_vertex_with_links leaves is
+    never consulted.
     """
     memo = h._free_memo
     if s not in memo:
@@ -687,10 +667,13 @@ def search_small_alpha(n: int, s: int, target: int,
     freeness-preserving edge flips.  The budget counts alpha evaluations;
     a miss returns the best graph reached, never a silent failure.  A
     search whose evaluations would pass _MAX_SEARCH_NODES alpha_s nodes
-    in all raises ValueError.
+    in all raises ValueError, and so does a budget below 1, which would
+    report the sentinel n + 1 as the best alpha of no graph.
     """
     if s < 3:
         raise ValueError("s must be at least 3")
+    if budget < 1:
+        raise ValueError(f"budget must be at least 1, got {budget}")
     rng = random.Random(seed)
     best_graph: Optional[Hypergraph] = None
     best_alpha = n + 1

@@ -2,6 +2,9 @@
 
 Corpus helpers take an explicit random.Random so every test pins its own
 seed; nothing here reads global state.
+
+substitute, dnf_to_formula and residual_holds are formula helpers that
+only tests and acceptance oracles call; no command of the package does.
 """
 
 import itertools
@@ -9,12 +12,14 @@ import random
 import tracemalloc
 from fractions import Fraction
 from math import perm
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import pytest
 
 from keisler_lab.coloring import (Coloring, WeightedHypergraph,
                                   weighted_hypergraph)
+from keisler_lab.logic import (And, Clause, DisjunctProfile, Eq, Formula,
+                               Not, Or, Rel, Term, compile_mask)
 from keisler_lab.measures import FiniteMeasure, make_measure
 from keisler_lab.structures import Hypergraph, _add_edge, _closes_clique
 
@@ -57,6 +62,41 @@ def random_maximal_free_oracle(n: int, r: int, s: int,
             kept.append(e)
             _add_edge(masks, e)
     return Hypergraph(r, n, frozenset(kept))
+
+
+def substitute(f: Formula, mapping: Mapping[Term, Term]) -> Formula:
+    """Replace terms throughout; terms outside the mapping stay put."""
+    def sub_term(t: Term) -> Term:
+        return mapping.get(t, t)
+
+    if isinstance(f, Rel):
+        return Rel(f.name, tuple(sub_term(a) for a in f.args))
+    if isinstance(f, Eq):
+        return Eq(sub_term(f.left), sub_term(f.right))
+    if isinstance(f, Not):
+        return Not(substitute(f.body, mapping))
+    if isinstance(f, And):
+        return And(tuple(substitute(p, mapping) for p in f.parts))
+    return Or(tuple(substitute(p, mapping) for p in f.parts))
+
+
+def dnf_to_formula(clauses: Sequence[Clause]) -> Formula:
+    """Rebuild a formula from DNF clauses; empty input has no formula form."""
+    if not clauses:
+        raise ValueError("empty disjunction has no formula representation")
+    parts = []
+    for clause in clauses:
+        lits = [lit.formula() for lit in clause]
+        parts.append(lits[0] if len(lits) == 1 else And(tuple(lits)))
+    return parts[0] if len(parts) == 1 else Or(tuple(parts))
+
+
+def residual_holds(structure, profile: DisjunctProfile,
+                   params: Sequence[int]) -> bool:
+    """Truth of the parameter-only part of a disjunct at a parameter tuple
+    of a graph with at least one vertex: its compiled bitset (compile_mask)
+    is every vertex or none, so it holds where that bitset is non-empty."""
+    return compile_mask(structure, profile.residual_formula())(params) != 0
 
 
 def traced_peak(function, *args):

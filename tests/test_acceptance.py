@@ -11,7 +11,8 @@ import random
 import time
 from fractions import Fraction
 
-from conftest import random_graph, random_weighted
+from conftest import (dnf_to_formula, random_graph, random_weighted,
+                      residual_holds)
 from test_logic import random_formula
 from test_measures import grid_deviation_case
 from test_structures import exhaustive_alpha
@@ -20,9 +21,8 @@ from keisler_lab.cli import run
 from keisler_lab.coloring import (brute_best, greedy_coloring,
                                   guarantee_value, weight_of,
                                   weighted_hypergraph)
-from keisler_lab.logic import (PhiPartition, analyze_phi, dnf_to_formula,
-                               evaluate, make_assignment, parse_phi,
-                               residual_holds, to_dnf)
+from keisler_lab.logic import (PhiPartition, analyze_phi, evaluate,
+                               make_assignment, parse_phi, to_dnf)
 from keisler_lab.measures import SELFTEST_CHECKS, measure_algebra_selftest
 from keisler_lab.serialize import canonical_dumps, weighted_to_json
 from keisler_lab.structures import (add_vertex_with_links, alpha_s,

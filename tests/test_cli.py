@@ -92,6 +92,29 @@ def test_searchalpha_node_cap(tmp_path, monkeypatch, capsys):
         "alpha_s evaluations exceed 4795 nodes") == 2
 
 
+# a budget of 0 evaluates no graph, so there is no best alpha to report
+ZERO_BUDGET = "searchalpha:5:3:1:0:seed=0"
+
+
+def test_gen_refuses_a_searchalpha_budget_below_1(capsys):
+    assert run(["gen", ZERO_BUDGET]) == 1
+    assert (f"{ZERO_BUDGET!r}: budget must be at least 1, got 0"
+            in capsys.readouterr().err)
+
+
+def test_verify_refuses_a_searchalpha_budget_below_1(tmp_path, capsys):
+    out = tmp_path / "gen.json"
+    assert run(["gen", "searchalpha:13:3:4:60:seed=0",
+                "--output", str(out)]) == 0
+    data = read_report(out)
+    data["config"]["spec"] = ZERO_BUDGET
+    out.write_text(canonical_dumps(data))
+    capsys.readouterr()
+    assert run(["verify", str(out)]) == 1
+    assert (f"{ZERO_BUDGET!r}: budget must be at least 1, got 0"
+            in capsys.readouterr().err)
+
+
 def test_searchalpha_at_s_4_stops_at_the_node_cap(capsys):
     # alpha_s at s = 4 prunes by size alone: the evaluations pass 10^6
     # nodes by the 30th of the 1,000 that the budget allows

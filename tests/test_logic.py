@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_graph
+from conftest import dnf_to_formula, random_graph, residual_holds, substitute
 from keisler_lab import logic
 from keisler_lab.logic import (
     And,
@@ -25,14 +25,11 @@ from keisler_lab.logic import (
     Rel,
     analyze_phi,
     compile_mask,
-    dnf_to_formula,
     evaluate,
     format_formula,
     make_assignment,
     parse_formula,
     parse_phi,
-    residual_holds,
-    substitute,
     to_dnf,
     variables,
 )

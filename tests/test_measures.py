@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import make_average, random_graph
+from conftest import make_average, random_graph, residual_holds, substitute
 from keisler_lab.logic import (
     Not,
     ObjectVar,
@@ -16,8 +16,6 @@ from keisler_lab.logic import (
     evaluate,
     parse_formula,
     parse_phi,
-    residual_holds,
-    substitute,
     PhiPartition,
 )
 from keisler_lab.measures import (

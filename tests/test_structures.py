@@ -4,6 +4,7 @@ import itertools
 import random
 import tracemalloc
 from array import array
+from math import comb
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -18,7 +19,7 @@ from keisler_lab.structures import (
     Hypergraph,
     _add_edge,
     _closes_clique,
-    _search_clique,
+    _extend_clique,
     add_vertex_with_links,
     alpha_s,
     build_tp2_grid,
@@ -46,6 +47,29 @@ def brute_clique(g: Hypergraph, s: int):
     for t in itertools.combinations(range(g.n), s):
         if all(g.has_edge(e) for e in itertools.combinations(t, g.r)):
             return t
+    return None
+
+
+def vertex_rooted_clique(h: Hypergraph, s: int):
+    """The least s-clique by a search rooted at each (r-1)-subset of an
+    edge, over only the edges whose vertices all have the degree an
+    s-clique needs: another route than find_clique's, which grows each
+    clique from an edge's closers and filters no vertex."""
+    if h.n < s:
+        return None
+    need_deg = comb(s - 1, h.r - 1)
+    keep = {v for v in range(h.n) if h.degrees[v] >= need_deg}
+    if len(keep) < s:
+        return None
+    masks: dict[tuple[int, ...], int] = {}
+    for e in h.edges:
+        if set(e) <= keep:
+            _add_edge(masks, e)
+    for base in sorted(masks):
+        common = masks[base] & ~((1 << (base[-1] + 1)) - 1)
+        found = _extend_clique(masks, list(base), common, s - (h.r - 1), h.r)
+        if found is not None:
+            return tuple(found)
     return None
 
 
@@ -128,23 +152,33 @@ def test_find_clique_matches_brute():
     for _ in range(60):
         g = random_graph(rng, rng.randint(3, 9), rng.choice([0.3, 0.6]))
         for s in (3, 4):
-            found = find_clique(g, s)
-            assert (found is None) == (brute_clique(g, s) is None)
-            if found is not None:
-                assert len(found) == s
-                assert all(g.has_edge(e)
-                           for e in itertools.combinations(found, 2))
+            assert find_clique(g, s) == brute_clique(g, s)
 
 
 def test_find_clique_matches_brute_hypergraph():
     rng = random.Random(8)
     for _ in range(30):
         g = random_hypergraph(rng, rng.randint(4, 8), 3, 0.6)
-        found = find_clique(g, 4)
-        assert (found is None) == (brute_clique(g, 4) is None)
-        if found is not None:
-            assert all(g.has_edge(e)
-                       for e in itertools.combinations(found, 3))
+        assert find_clique(g, 4) == brute_clique(g, 4)
+
+
+@st.composite
+def clique_cases(draw):
+    r = draw(st.sampled_from((2, 3, 4)))
+    s = r + draw(st.sampled_from((1, 2, 3)))
+    n = draw(st.integers(0, 11))
+    seed = draw(st.integers(0, 2 ** 32))
+    density = draw(st.sampled_from((0.3, 0.6, 0.8, 0.95)))
+    return r, s, n, seed, density
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(clique_cases())
+def test_find_clique_is_the_least_clique(case):
+    # arbitrary r-graphs, free or not, at s up to r + 3
+    r, s, n, seed, density = case
+    h = random_hypergraph(random.Random(seed), n, r, density)
+    assert find_clique(h, s) == brute_clique(h, s)
 
 
 def test_random_maximal_free_properties():
@@ -244,7 +278,7 @@ def test_generation_loops_match_the_closes_clique_oracle(case):
 # ---------------------------------------------------------------------------
 
 def generic_is_maximal_free(h: Hypergraph, s: int) -> bool:
-    if _search_clique(h, s) is not None:
+    if vertex_rooted_clique(h, s) is not None:
         return False
     masks = h.subedge_masks
     return all(e in h.edges or _closes_clique(masks, e, s)
@@ -278,7 +312,7 @@ def test_clique_kernel_matches_the_generic_search(case):
     sets = list(itertools.combinations(range(n), r))
     # an arbitrary r-graph, free or not
     h = random_hypergraph(rng, n, r, density)
-    assert find_clique(h, s) == _search_clique(h, s)
+    assert find_clique(h, s) == vertex_rooted_clique(h, s)
     masks = h.subedge_masks
     # the kernel at s = r + 1 and the generic search at s = r + 2 against
     # enumeration; e itself need not be an edge
@@ -308,7 +342,7 @@ def test_link_rows_match_the_generic_search_at_bench_scale(n, seed):
     for density in (0.1, 0.3):
         h = random_hypergraph(rng, n, r, density)
         found = find_clique(h, s)
-        assert found is not None and found == _search_clique(h, s)
+        assert found is not None and found == vertex_rooted_clique(h, s)
     # rebuilt from the edges, so the tables are the graph's own
     fresh = Hypergraph(r, n, g.edges)
     assert is_maximal_free(fresh, s) and generic_is_maximal_free(fresh, s)
@@ -348,15 +382,12 @@ def test_link_rows_are_sparse_at_the_file_cap():
     assert peak < 16 * 2 ** 20
 
 
-def test_find_clique_generic_path_for_larger_s(monkeypatch):
-    calls = []
-    monkeypatch.setattr(structures, "_search_clique",
-                        lambda h, s: calls.append(s) or None)
+def test_find_clique_on_k5_for_every_s():
     k5 = Hypergraph(2, 5, frozenset(itertools.combinations(range(5), 2)))
     assert find_clique(k5, 3) == (0, 1, 2)
-    assert calls == []
-    assert find_clique(k5, 4) is None  # the stub's answer
-    assert calls == [4]
+    assert find_clique(k5, 4) == (0, 1, 2, 3)
+    assert find_clique(k5, 5) == (0, 1, 2, 3, 4)
+    assert find_clique(k5, 6) is None
 
 
 def test_add_vertex_with_links():
