@@ -8,7 +8,6 @@ are not sorted ascending.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import json
 import os
@@ -17,6 +16,16 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _string
 from math import comb
 from typing import Union
+
+# The interpreter's own SHA-256, as random.py takes its sha512: hashlib
+# loads OpenSSL's libcrypto, about 3.6 MB of every process's peak RSS
+try:
+    from _sha256 import sha256  # CPython <= 3.11
+except ImportError:
+    try:
+        from _sha2 import sha256  # CPython >= 3.12
+    except ImportError:
+        from hashlib import sha256
 
 from .coloring import WeightedHypergraph
 from .structures import (Feq2Structure, Hypergraph, build_tp2_grid,
@@ -307,9 +316,18 @@ def digest(payload) -> str:
     more than _SLICE items is encoded _SLICE items at a time, and every
     other value is encoded whole by json's C encoder.
     """
-    h = hashlib.sha256()
+    h = sha256()
     _hash(payload, h.update)
     return "sha256:" + h.hexdigest()
+
+
+def __getattr__(name):
+    # bench/layers.py swaps serialize.hashlib for a counting stand-in while
+    # it traces; the module is imported only when that name is read
+    if name == "hashlib":
+        import hashlib
+        return hashlib
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 _SLICE = 1024

@@ -658,6 +658,17 @@ class SearchResult(Record):
 _MAX_SEARCH_NODES = 10 ** 6
 
 
+def _circulant_is_free(n: int, conns: Sequence[int], s: int) -> bool:
+    # is_free(cyclic_graph(n, conns), s) with no graph built: a circulant is
+    # vertex-transitive, so it holds a K_s iff vertex 0's neighbours hold a
+    # K_{s-1}; rows[i], vertex i's row, is row 0 turned by i
+    row, full = 0, (1 << n) - 1
+    for d in conns:
+        row |= (1 << d) | (1 << (n - d))
+    rows = [(row << i | row >> (n - i)) & full for i in range(n)]
+    return not _has_clique_mask(rows, row, s - 1)
+
+
 def search_small_alpha(n: int, s: int, target: int,
                        budget: int = 400, seed: int = 0) -> SearchResult:
     """Seeded search for a K_s-free graph on n vertices with small alpha_s.
@@ -701,8 +712,8 @@ def search_small_alpha(n: int, s: int, target: int,
         for conns in itertools.combinations(range(1, half + 1), size):
             if evals >= budget:
                 return result(False)
-            g = cyclic_graph(n, conns)
-            if is_free(g, s) and consider(g) <= target:
+            if (_circulant_is_free(n, conns, s)
+                    and consider(cyclic_graph(n, conns)) <= target):
                 return result(True)
 
     while evals < budget:

@@ -8,20 +8,36 @@ only tests and acceptance oracles call; no command of the package does.
 """
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 from math import perm
+from pathlib import Path
 from typing import Mapping, Sequence
 
 import pytest
 
+import keisler_lab
 from keisler_lab.coloring import (Coloring, WeightedHypergraph,
                                   weighted_hypergraph)
 from keisler_lab.logic import (And, Clause, DisjunctProfile, Eq, Formula,
                                Not, Or, Rel, Term, compile_mask)
 from keisler_lab.measures import FiniteMeasure, make_measure
 from keisler_lab.structures import Hypergraph, _add_edge, _closes_clique
+
+
+def fresh_import(code: str) -> str:
+    """The standard output of code run in a fresh interpreter that finds
+    this package."""
+    src = str(Path(keisler_lab.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    # -S: no site hooks, so only the package's own imports count
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    return proc.stdout.strip()
 
 
 def random_graph(rng: random.Random, n: int, p: float = 0.5) -> Hypergraph:

@@ -9,16 +9,12 @@ the exception type or the fields, `repr`, `==`, `!=` and `hash`.
 
 import dataclasses
 import math
-import os
-import subprocess
-import sys
 from functools import cached_property
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import keisler_lab
+from conftest import fresh_import
 from keisler_lab._record import FrozenRecordError, Record
 
 _MISSING = object()
@@ -192,17 +188,6 @@ def test_hashes_match_the_tuple_of_fields():
     assert one(nan) == one(nan) and one(nan) != one(float("nan"))
 
 
-def fresh_import(code: str) -> str:
-    """The standard output of code run in a fresh interpreter that finds
-    this package."""
-    src = str(Path(keisler_lab.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": src}
-    # -S: no site hooks, so only the package's own imports count
-    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,
-                          capture_output=True, text=True, check=True)
-    return proc.stdout.strip()
-
-
 def test_cli_import_leaves_dataclasses_and_inspect_out():
     """Start-up guard: importing the CLI must not load the data-class
     decorator's module or inspect, which cost most of the import time
@@ -210,6 +195,18 @@ def test_cli_import_leaves_dataclasses_and_inspect_out():
     assert fresh_import(
         "import sys, keisler_lab.cli; "
         "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))") \
+        == "[]"
+
+
+def test_cli_run_leaves_hashlib_out():
+    """Start-up guard: digest feeds the interpreter's own SHA-256, so a
+    report, digests included, loads neither hashlib nor OpenSSL's
+    libcrypto through _hashlib."""
+    assert fresh_import(
+        "import contextlib, io, sys, keisler_lab.cli as cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.run(['gen', 'gen:8:3:4:seed=1']) == 0\n"
+        "print(sorted({'hashlib', '_hashlib'} & set(sys.modules)))") \
         == "[]"
 
 

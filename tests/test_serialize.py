@@ -9,8 +9,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (random_graph, random_hypergraph, random_weighted,
-                      traced_peak)
+from conftest import (fresh_import, random_graph, random_hypergraph,
+                      random_weighted, traced_peak)
 from keisler_lab.serialize import (
     _SLICE,
     FormatError,
@@ -282,6 +282,26 @@ def test_digest_refuses_what_json_refuses():
             digest_oracle(payload)
         with pytest.raises(TypeError):
             digest(payload)
+
+
+def test_digest_falls_back_to_hashlib():
+    """With neither builtin SHA-256 module importable, digest takes
+    hashlib's sha256 and hashes the same bytes: the gen:60:3:4 structure,
+    a list longer than a digest slice, and {}."""
+    child = fresh_import(
+        "import sys\n"
+        "sys.modules['_sha256'] = sys.modules['_sha2'] = None\n"
+        "import hashlib\n"
+        "from keisler_lab.serialize import (_SLICE, digest, sha256,\n"
+        "    parse_structure_spec, structure_to_json)\n"
+        "assert sha256 is hashlib.sha256\n"
+        "for payload in (\n"
+        "        structure_to_json(parse_structure_spec('gen:60:3:4:seed=1')),\n"
+        "        [[i, i + 1] for i in range(2 * _SLICE + 3)], {}):\n"
+        "    print(digest(payload))")
+    assert child.split() == [
+        digest(structure_to_json(parse_structure_spec("gen:60:3:4:seed=1"))),
+        digest([[i, i + 1] for i in range(2 * _SLICE + 3)]), digest({})]
 
 
 @pytest.fixture(scope="module")

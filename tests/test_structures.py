@@ -660,6 +660,17 @@ def test_alpha_runs_past_the_recursion_limit():
     assert (cycle.value, cycle.exact) == (999, True)
 
 
+def test_circulant_freeness_matches_is_free():
+    # every connection set of size <= 3 on n <= 24 vertices
+    for n in range(1, 25):
+        for size in range(4):
+            for conns in itertools.combinations(range(1, n // 2 + 1), size):
+                g = cyclic_graph(n, conns)
+                for s in (3, 4, 5):
+                    assert (structures._circulant_is_free(n, conns, s)
+                            == is_free(g, s)), (n, conns, s)
+
+
 def test_search_small_alpha_hits_circulant_scale():
     result = search_small_alpha(13, 3, 4, budget=60, seed=0)
     assert result.found
