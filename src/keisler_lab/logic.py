@@ -152,10 +152,18 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
+# each "(" and "!" that lit descends through is a level of the recursive
+# passes over a formula (parsing, printing, DNF, mask compilation), so
+# parsing refuses a deeper one before any other pass runs; the goldens
+# nest 2 deep
+_MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0  # the "(" and "!" levels lit is inside
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -189,15 +197,21 @@ class _Parser:
 
     def lit(self) -> Formula:
         tok = self.peek()
+        if tok.kind not in ("bang", "lp"):
+            return self.atom()
+        self.depth += 1
+        if self.depth > _MAX_NESTING:
+            raise ParseError(tok.position,
+                             [f"at most {_MAX_NESTING} nested '(' and '!'"],
+                             f"{tok.text!r} nested {self.depth} deep")
+        self.pos += 1
         if tok.kind == "bang":
-            self.pos += 1
-            return Not(self.lit())
-        if tok.kind == "lp":
-            self.pos += 1
+            inner = Not(self.lit())
+        else:
             inner = self.formula()
             self.take("rp")
-            return inner
-        return self.atom()
+        self.depth -= 1
+        return inner
 
     def atom(self) -> Formula:
         tok = self.peek()
@@ -233,35 +247,8 @@ class _Parser:
         return ObjectVar(index) if tok.text[0] == "x" else ParamVar(index)
 
 
-# each "(" and "!" is a level of the recursive passes over a formula
-# (parsing, printing, DNF, mask compilation); the goldens nest 2 deep
-_MAX_NESTING = 100
-
-
-def _check_nesting(tokens: Sequence[_Token]) -> None:
-    """Refuse tokens nested more than _MAX_NESTING deep, before anything
-    recurses on them.  A "(" opens a level that its ")" closes (a
-    relation's argument list opens none), and a "!" one that closes with
-    the literal it negates, so "!" levels before a "(" stay open with it."""
-    level = bangs = 0
-    outer = []
-    for prev, tok in zip([None, *tokens], tokens):
-        if tok.kind == "lp":
-            outer.append(level)
-            if prev is None or prev.kind != "ident":
-                level += bangs + 1
-        elif tok.kind == "rp" and outer:
-            level = outer.pop()
-        bangs = bangs + 1 if tok.kind == "bang" else 0
-        if level + bangs > _MAX_NESTING:
-            raise ParseError(tok.position,
-                             [f"at most {_MAX_NESTING} nested '(' and '!'"],
-                             f"{tok.text!r} nested {level + bangs} deep")
-
-
 def parse_formula(text: str) -> Formula:
     parser = _Parser(text)
-    _check_nesting(parser.tokens)
     result = parser.formula()
     if parser.peek().kind != "end":
         parser.fail(["amp", "pipe", "end"])
@@ -362,9 +349,7 @@ def _atom_value(structure, atom: Atom, assignment: Mapping) -> bool:
             raise EvalError(
                 f"host relation is {expected}/{structure.r}, got "
                 f"{atom.name}/{len(vals)}")
-        if len(set(vals)) != len(vals):
-            return False
-        return tuple(sorted(vals)) in structure.edges
+        return structure.has_edge(vals)
     raise EvalError(f"cannot evaluate formulas over {type(structure).__name__}")
 
 

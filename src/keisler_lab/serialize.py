@@ -47,7 +47,7 @@ def rational_from_json(payload) -> Fraction:
     if not isinstance(payload, dict) or "num" not in payload or "den" not in payload:
         raise FormatError(f"not a rational: {payload!r}")
     num, den = payload["num"], payload["den"]
-    if not isinstance(num, int) or not isinstance(den, int) or den == 0:
+    if not _is_int(num) or not _is_int(den) or den == 0:
         raise FormatError(f"not a rational: {payload!r}")
     return Fraction(num, den)
 
@@ -101,8 +101,18 @@ def _link_edges(links) -> list[list[int]]:
     return edges
 
 
+def _is_int(value) -> bool:
+    # the one integer rule of every file: JSON's true and false load as
+    # bools, which are ints to isinstance and equal to 1 and 0
+    return type(value) is int
+
+
+def _is_int_list(value) -> bool:
+    return isinstance(value, list) and all(map(_is_int, value))
+
+
 def _expect_int(value, what: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
+    if not _is_int(value):
         raise FormatError(f"{what} must be an integer, got {value!r}")
     return value
 
@@ -134,8 +144,7 @@ def structure_from_json(payload: dict) -> Storable:
         seen = set()
         canon = []
         for e in edges:
-            if not isinstance(e, list) or any(
-                    not isinstance(v, int) for v in e):
+            if not _is_int_list(e):
                 raise FormatError(f"edge {e!r} must be a list of integers")
             if e != sorted(e):
                 raise FormatError(f"edge {e} is not sorted ascending")
@@ -158,11 +167,16 @@ def structure_from_json(payload: dict) -> Storable:
         classes = payload.get("classes")
         if not isinstance(classes, list):
             raise FormatError("classes must be a list")
+        for z, blocks in enumerate(classes):
+            if not isinstance(blocks, list) or not all(
+                    map(_is_int_list, blocks)):
+                raise FormatError(f"parameter {z}: each block must be a "
+                                  f"list of integers")
         try:
             return Feq2Structure(objects, parameters,
                                  tuple(tuple(tuple(b) for b in blocks)
                                        for blocks in classes))
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise FormatError(str(exc)) from None
     raise FormatError(f"unknown structure kind {kind!r}")
 
@@ -196,7 +210,7 @@ def weighted_from_json(payload: dict) -> WeightedHypergraph:
         if not isinstance(entry, list) or len(entry) != 2:
             raise FormatError(f"weight entry {entry!r} must be [key, rational]")
         key, w = entry
-        if not isinstance(key, list) or any(not isinstance(v, int) for v in key):
+        if not _is_int_list(key):
             raise FormatError(f"weight key {key!r} must be a list of integers")
         items.append((tuple(key), rational_from_json(w)))
     try:

@@ -156,23 +156,18 @@ class Feq2Structure(Record):
     def __post_init__(self):
         if len(self.classes) != self.parameters:
             raise ValueError("one partition per parameter required")
+        everything = list(range(self.objects))
         canon = []
         for z, blocks in enumerate(self.classes):
             blocks = tuple(sorted(tuple(sorted(b)) for b in blocks))
-            covered: set[int] = set()
-            singletons = 0
-            for b in blocks:
-                if len(b) == 1:
-                    singletons += 1
-                elif len(b) != 2:
-                    raise ValueError(f"parameter {z}: block {b} has size {len(b)}")
-                if covered & set(b):
-                    raise ValueError(f"parameter {z}: blocks overlap on {b}")
-                covered.update(b)
-            if covered != set(range(self.objects)):
-                raise ValueError(f"parameter {z}: blocks do not cover the objects")
-            if singletons != self.objects % 2:
-                raise ValueError(f"parameter {z}: wrong number of singleton blocks")
+            sizes = [len(b) for b in blocks]
+            if (not {*sizes} <= {1, 2}
+                    or sizes.count(1) != self.objects % 2
+                    or sorted(itertools.chain.from_iterable(blocks))
+                    != everything):
+                raise ValueError(
+                    f"parameter {z}: blocks must pair off the {self.objects} "
+                    f"objects, one singleton if that count is odd")
             canon.append(blocks)
         object.__setattr__(self, "classes", tuple(canon))
 
@@ -890,6 +885,6 @@ def build_tp2_grid(k: int) -> Feq2Structure:
         used = {x for b in blocks for x in b}
         rest = [x for x in range(objects) if x not in used]
         blocks.extend((rest[i], rest[i + 1]) for i in range(0, len(rest), 2))
-        classes.append(tuple(tuple(sorted(b)) for b in blocks))
+        classes.append(tuple(blocks))
     return Feq2Structure(objects, len(classes), tuple(classes))
 

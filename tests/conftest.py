@@ -80,6 +80,30 @@ def random_maximal_free_oracle(n: int, r: int, s: int,
     return Hypergraph(r, n, frozenset(kept))
 
 
+def feq2_blocks_oracle(objects: int,
+                      blocks: Sequence[Sequence[int]]) -> tuple:
+    """One parameter's blocks as Feq2Structure keeps them (sorted tuples
+    in sorted order), checked block by block against a covered set:
+    ValueError unless they pair off the objects 0..objects-1 with one
+    singleton when objects is odd."""
+    blocks = tuple(sorted(tuple(sorted(b)) for b in blocks))
+    covered: set[int] = set()
+    singletons = 0
+    for b in blocks:
+        if len(b) == 1:
+            singletons += 1
+        elif len(b) != 2:
+            raise ValueError(f"block {b} has size {len(b)}")
+        if covered & set(b):
+            raise ValueError(f"blocks overlap on {b}")
+        covered.update(b)
+    if covered != set(range(objects)):
+        raise ValueError("blocks do not cover the objects")
+    if singletons != objects % 2:
+        raise ValueError("wrong number of singleton blocks")
+    return blocks
+
+
 def substitute(f: Formula, mapping: Mapping[Term, Term]) -> Formula:
     """Replace terms throughout; terms outside the mapping stay put."""
     def sub_term(t: Term) -> Term:

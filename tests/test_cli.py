@@ -1048,6 +1048,36 @@ def test_verify_rejects_over_cap_structure_file(payload, tmp_path,
     assert capsys.readouterr().err.count("exceed") == 2
 
 
+# JSON's true and false load as bools, which equal 1 and 0: read as
+# integers, [true, 2] would be the edge [1, 2] under another digest
+BOOLEAN_INTEGERS = {
+    "edge": (["gen", "file:FILE"],
+             {"kind": "hypergraph", "r": 2, "n": 3,
+              "edges": [[0, 2], [True, 2]]}),
+    "weight-key": (["color", "--input", "FILE"],
+                   {"kind": "weighted-hypergraph", "n": 3, "r": 2,
+                    "weights": [[[0, 2], {"num": 1, "den": 1}],
+                                [[True, 2], {"num": 1, "den": 1}]]}),
+    "weight-value": (["color", "--input", "FILE"],
+                     {"kind": "weighted-hypergraph", "n": 3, "r": 2,
+                      "weights": [[[0, 2], {"num": True, "den": 2}]]}),
+    "feq2-block": (["tp2", "--k", "1", "--input", "FILE"],
+                   {"kind": "feq2", "objects": 2, "parameters": 1,
+                    "classes": [[[False, True]]]}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BOOLEAN_INTEGERS))
+def test_files_refuse_booleans_as_integers(name, tmp_path, capsys):
+    argv, payload = BOOLEAN_INTEGERS[name]
+    sfile = tmp_path / "input.json"
+    sfile.write_text(json.dumps(payload))
+    assert run([a.replace("FILE", str(sfile)) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert "integer" in err or "not a rational" in err
+    assert "Traceback" not in err
+
+
 # just over the caps adversary --n <= 1,000, satprobe --trials <= 1,000 and
 # --n-params <= 100
 def refuse_to_draw_tuples(monkeypatch):

@@ -100,6 +100,10 @@ def test_parse_whitespace_insensitive():
     ("x1 =", 5, "a variable"),
     ("x0 = y1", 1, "an index of at least 1"),
     ("E(x1,y1) @", 10, "a valid token"),
+    # the first error in reading order, though 200 "!" follow it
+    pytest.param("x1 y1 & " + "!" * 200 + "E(x1,y1)", 4,
+                 "found 'y1', expected '=' or '!='",
+                 id="syntax-error-before-the-nesting-cap"),
 ])
 def test_parse_error_positions(text, position, fragment):
     with pytest.raises(ParseError) as info:

@@ -9,7 +9,7 @@ from math import comb
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import (random_graph, random_hypergraph,
+from conftest import (feq2_blocks_oracle, random_graph, random_hypergraph,
                       random_maximal_free_oracle, traced_peak)
 from keisler_lab import structures
 from keisler_lab.structures import (
@@ -125,12 +125,50 @@ def test_feq2_validation():
     odd = Feq2Structure(3, 1, ((((2,), (1, 0))),))
     assert odd.classes == (((0, 1), (2,)),)
     assert (0, 1) in odd.classes[0] and (1, 2) not in odd.classes[0]
-    with pytest.raises(ValueError):
-        Feq2Structure(4, 1, (((0, 1),),))
-    with pytest.raises(ValueError):
-        Feq2Structure(4, 1, (((0, 1, 2), (3,)),))
-    with pytest.raises(ValueError):
-        Feq2Structure(4, 1, (((0, 1), (1, 2), (3,)),))
+    # two objects missing, a size-3 block, an overlap, two singletons at
+    # an even count, a missing object, one out of range and an empty block
+    for blocks in [((0, 1),), ((0, 1, 2), (3,)), ((0, 1), (1, 2), (3,)),
+                   ((0, 1), (2,), (3,)), ((0, 1), (2,)), ((0, 1), (2, 4)),
+                   ((0, 1), (2, 3), ())]:
+        with pytest.raises(ValueError):
+            Feq2Structure(4, 1, (blocks,))
+
+
+@st.composite
+def feq2_blocks(draw):
+    """A partition of 0 to 6 objects into pairs and at most one singleton,
+    in shuffled order, then up to two edits: split a block, drop one, add
+    an entry from -1..7 to one, or add a block of up to three of them."""
+    objects = draw(st.integers(0, 6))
+    order = draw(st.permutations(range(objects)))
+    blocks = [list(order[i:i + 2]) for i in range(0, objects, 2)]
+    entry = st.integers(-1, 7)
+    for _ in range(draw(st.integers(0, 2))):
+        edit = draw(st.sampled_from(["split", "drop", "grow", "add"]))
+        if edit == "add" or not blocks:
+            blocks.append(draw(st.lists(entry, max_size=3)))
+            continue
+        b = blocks.pop(draw(st.integers(0, len(blocks) - 1)))
+        if edit == "split":
+            blocks += [b[:1], b[1:]]
+        elif edit == "grow":
+            blocks.append(b + [draw(entry)])
+    return objects, blocks
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=feq2_blocks())
+def test_feq2_partition_check_matches_the_oracle(case):
+    objects, blocks = case
+    try:
+        expected = feq2_blocks_oracle(objects, blocks)
+    except ValueError:
+        expected = None
+    try:
+        got = Feq2Structure(objects, 1, (blocks,)).classes[0]
+    except ValueError:
+        got = None
+    assert got == expected
 
 
 # ---------------------------------------------------------------------------
