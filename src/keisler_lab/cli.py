@@ -26,9 +26,24 @@ EXIT_USAGE = 1
 EXIT_CERT = 2
 
 
+class _Formatter(argparse.HelpFormatter):
+    """argparse's formatter, reading the terminal's width (through shutil,
+    an import every run would pay) only when it formats text: add_argument
+    builds one for each argument just to check its metavar."""
+
+    def format_help(self):
+        sized = argparse.HelpFormatter(self._prog)
+        self._width = sized._width
+        self._max_help_position = sized._max_help_position
+        return super().format_help()
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse maps usage errors to exit code 2 by default; this CLI
     reserves 2 for failed certifications, so remap to 1."""
+
+    def _get_formatter(self):
+        return _Formatter(self.prog, width=0)
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -60,8 +75,6 @@ def _csv(report: WitnessReport) -> str:
         lines = ["check,passed,cases"]
         lines += [f"{check},{passed},{witness['cases']}"
                   for check, passed in witness["passed"].items()]
-    elif witness.get("mode") != "aggregate":
-        raise FormatError("csv output is only defined for aggregate mode")
     else:
         lines = ["trial,found,witness"]
         for i, entry in enumerate(witness["results"]):
@@ -356,9 +369,10 @@ def _build_parser(argv: Sequence[str] = ()) -> _Parser:
                                  "experiments with verifiable reports.")
     names = list(_SUBCOMMANDS)
     chosen = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
-    # one subparser built: the usage line still names every choice
+    # one subparser built: the usage line still names every choice.  The
+    # subcommands' usage prefix is given, so no formatter formats it
     sub = parser.add_subparsers(
-        dest="subcommand", required=True,
+        dest="subcommand", required=True, prog=parser.prog,
         metavar="{" + ",".join(names) + "}" if chosen else None)
     for name in [chosen] if chosen else names:
         tag, help_text, add_arguments = _SUBCOMMANDS[name]

@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 import json
 import os
-import tempfile
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _string
 from math import comb
@@ -375,10 +374,12 @@ def _hash(value, update) -> None:
 def atomic_write_text(path: str, text: str) -> None:
     """Write via a temporary file in the target directory plus rename, so a
     process that crashes mid-write never leaves a half-written report.
-    The file is fsynced before the rename and its directory after, so a
-    written report also survives a power loss."""
+    The file is made under a random name as mkstemp does, without its
+    import of tempfile and shutil, and fsynced before the rename and its
+    directory after, so a written report also survives a power loss."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".json")
+    tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}.json")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(text)

@@ -70,8 +70,8 @@ class Hypergraph(Record):
         object.__setattr__(self, "edges", canon)
 
     def has_edge(self, vertices: Iterable[int]) -> bool:
-        vs = tuple(sorted(vertices))
-        return len(set(vs)) == self.r and vs in self.edges
+        # no tuple of another length or with a repeated vertex is an edge
+        return tuple(sorted(vertices)) in self.edges
 
     @cached_property
     def degrees(self) -> tuple[int, ...]:

@@ -234,6 +234,19 @@ def test_help_lists_every_subcommand(capsys, monkeypatch):
     assert listed == SUBCOMMANDS
 
 
+@pytest.mark.parametrize("columns", ["30", "80", "200"])
+def test_help_wraps_as_with_argparse_formatter(columns, capsys, monkeypatch):
+    # the CLI's formatter reads the terminal's width only when it formats
+    # text; help and usage errors wrap as with argparse's own formatter
+    monkeypatch.setenv("COLUMNS", columns)
+    argvs = [["--help"], ["satprobe", "--help"], ["fam", "--nope"]]
+    ours = [exit_text(run, argv, capsys) for argv in argvs]
+    monkeypatch.setattr(cli._Parser, "_get_formatter",
+                        argparse.ArgumentParser._get_formatter)
+    assert [exit_text(run, argv, capsys) for argv in argvs] == ours
+    assert len({text for _, text in ours}) == 3
+
+
 def test_an_unknown_subcommand_names_the_choices(capsys):
     code, text = exit_text(run, ["bogus"], capsys)
     assert code == 1
@@ -1101,7 +1114,7 @@ def refuse_to_colour(monkeypatch):
 
 
 def refuse_to_probe(monkeypatch):
-    # the draw loop probes, and the certification looks up edges
+    # the draw loop probes, and each probe looks up edges
     import keisler_lab.witnesses as witnesses
 
     def refuse(*args, **kwargs):
@@ -1345,8 +1358,9 @@ def test_adversary_arity_mismatch(capsys):
     assert "arity" in err
 
 
+# both modes write the one certification, witnesses-valid
 @pytest.mark.parametrize("mode, name", [
-    (["--params", "3,5"], "witness-valid"),
+    (["--params", "3,5"], "witnesses-valid"),
     (["--trials", "5", "--n-params", "2"], "witnesses-valid"),
 ])
 @pytest.mark.parametrize("edit", ["closes-an-edge", "outside-the-subset"])
@@ -1356,7 +1370,7 @@ def test_verify_names_the_probe_cert_on_an_edited_hit(mode, name, edit,
     assert run(SATPROBE + mode + ["--output", str(out)]) == 0
     data = read_report(out)
     witness = data["witness"]
-    entry = witness if witness["mode"] == "single" else witness["results"][0]
+    entry = witness["results"][0]
     assert entry["found"]
     if edit == "closes-an-edge":
         # a pair that closes an edge with the first parameter of the draw
@@ -1373,8 +1387,7 @@ def test_verify_names_the_probe_cert_on_an_edited_hit(mode, name, edit,
     # edited hit is a witness field that does not reproduce
     assert run(["verify", str(out)]) == 2
     err = capsys.readouterr().err
-    field = "witness" if witness["mode"] == "single" else "results[0].witness"
-    assert f"witness field '{field}" in err
+    assert "witness field 'results[0].witness" in err
     assert f"'{name}'" not in err
 
 
@@ -1465,8 +1478,7 @@ def test_verify_redraws_the_satprobe_subset(mode, tmp_path, capsys):
                 "3", "--seed", "9", *mode, "--output", str(out)]) == 0
     data = read_report(out)
     witness = data["witness"]
-    entry = (witness if witness["mode"] == "single"
-             else next(e for e in witness["results"] if e["found"]))
+    entry = next(e for e in witness["results"] if e["found"])
     # a pair outside the subset with no edge through it and the parameters,
     # made the hit and added to m_subset: every certification still holds
     ambient = parse_structure_spec("gen:20:3:4:seed=3")
@@ -1537,13 +1549,14 @@ def test_verify_holds_single_satprobe_params_to_the_config(tmp_path,
     out = tmp_path / "probe.json"
     assert run(SATPROBE + ["--params", "3,5", "--output", str(out)]) == 0
     data = read_report(out)
-    # a consistent probe of the same subset over parameters of one's choosing
+    # a consistent probe of the same subset over as many parameters of
+    # one's choosing
     forge(data, sat_probe(parse_structure_spec("gen:20:3:4:seed=3"),
-                          data["witness"]["m_subset"], [0, 1, 2]))
+                          data["witness"]["m_subset"], [0, 1]))
     out.write_text(canonical_dumps(data))
     capsys.readouterr()
     assert run(["verify", str(out)]) == 2
-    assert "witness field 'params'" in capsys.readouterr().err
+    assert "witness field 'results[0].params" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("key, trials, n_params", [("trials", 1, 2),
@@ -1768,16 +1781,45 @@ def test_satprobe_single_miss_exits_zero(tmp_path):
                 "--seed", "4", "--params", str(param),
                 "--output", str(out)]) == 0
     data = read_report(out)
-    assert data["witness"]["found"] is False
-    assert data["certified"] == []
+    assert data["witness"]["results"][0]["found"] is False
+    # the one certification holds by construction: no hit, none claimed
+    (cert,) = data["certified"]
+    assert cert["name"] == "witnesses-valid" and cert["holds"]
+    assert cert["lhs"]["num"] == cert["rhs"]["num"] == 0
 
 
-def test_satprobe_flag_conflicts():
+def test_satprobe_flag_conflicts(capsys):
     base = ["satprobe", "--ambient", "gen:20:3:4:seed=3", "--m-size", "5",
             "--seed", "1"]
     assert run(base + ["--params", "1", "--trials", "3"]) == 1
     assert run(base) == 1  # neither explicit params nor aggregate size
-    assert run(base + ["--params", "1", "--format", "csv"]) == 1
+    capsys.readouterr()
+    # an explicit draw is one draw of the aggregate shape, in csv too
+    assert run(base + ["--params", "1", "--format", "csv"]) == 0
+    assert capsys.readouterr().out == "trial,found,witness\n0,1,2-8\n"
+
+
+@pytest.mark.parametrize("mode, draws", [(["--params", "3,5"], 1),
+                                         (["--trials", "5", "--n-params",
+                                           "2"], 5)],
+                         ids=["params", "trials"])
+def test_satprobe_modes_write_one_shape(mode, draws, tmp_path):
+    out = tmp_path / "probe.json"
+    assert run(SATPROBE + mode + ["--output", str(out)]) == 0
+    data = read_report(out)
+    witness = data["witness"]
+    assert sorted(witness) == ["m_subset", "mode", "n_params", "results",
+                               "seed", "success_rate", "trials"]
+    assert witness["trials"] == len(witness["results"]) == draws
+    assert [c["name"] for c in data["certified"]] == ["witnesses-valid"]
+    csv = tmp_path / "probe.csv"
+    assert run(SATPROBE + mode + ["--format", "csv",
+                                  "--output", str(csv)]) == 0
+    lines = csv.read_text().splitlines()
+    assert lines[0] == "trial,found,witness"
+    assert [line.split(",")[:2] for line in lines[1:]] == [
+        [str(i), str(int(entry["found"]))]
+        for i, entry in enumerate(witness["results"])]
 
 
 # ---------------------------------------------------------------------------

@@ -123,6 +123,8 @@ def edited(key: str, value, directory: Path):
         return f"({value}) & x1 = x1"
     if key == "epsilon":
         return str(Fraction(value) + Fraction(1, 100))
+    if key == "params":  # another parameter draw
+        return value + ",0"
     if (directory / value).is_file():  # the same input under another name
         shutil.copy(directory / value, directory / f"copy-{value}")
         return f"copy-{value}"

@@ -210,6 +210,21 @@ def test_cli_run_leaves_hashlib_out():
         == "[]"
 
 
+def test_cli_run_leaves_tempfile_and_shutil_out(tmp_path):
+    """Start-up guard: a report written to a file and verified loads
+    neither tempfile nor shutil (which loads fnmatch, bz2 and lzma):
+    atomic_write_text names its temporary file itself, and the CLI's help
+    formatter reads the terminal's width only when it formats help."""
+    out = str(tmp_path / "report.json")
+    assert fresh_import(
+        "import contextlib, io, sys, keisler_lab.cli as cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert cli.run(['gen', 'gen:8:3:4:seed=1', '--output', {out!r}]"
+        ") == 0\n"
+        f"    assert cli.run(['verify', {out!r}]) == 0\n"
+        "print(sorted({'tempfile', 'shutil'} & set(sys.modules)))") == "[]"
+
+
 def test_package_import_freezes_nothing():
     # only the process entry, cli.main(), freezes the collector's heap;
     # a library user who imports the package keeps every object collectable

@@ -108,6 +108,24 @@ def test_hypergraph_validation():
         Hypergraph(2, 3, frozenset({(0, 3)}))
     with pytest.raises(ValueError):
         Hypergraph(2, 3, frozenset({(1, 1)}))
+
+
+def test_has_edge_needs_no_distinctness_check():
+    # edges are sorted r-tuples of distinct vertices, so a lookup alone
+    # matches the definition that also asks for r distinct vertices, on
+    # tuples of every length and with repeats; the generator's graphs are
+    # built without the constructor's canonicalisation
+    rng = random.Random(30)
+    graphs = [random_hypergraph(rng, 7, r, 0.6) for r in (2, 3, 4)]
+    graphs.append(random_maximal_free(12, 3, 4, 1))
+    for g in graphs:
+        hits = 0
+        for _ in range(3000):
+            vs = [rng.randrange(g.n) for _ in range(rng.randint(0, g.r + 2))]
+            expected = len(set(vs)) == g.r and tuple(sorted(vs)) in g.edges
+            assert g.has_edge(vs) == expected, (g.r, vs)
+            hits += expected
+        assert hits > 0
     with pytest.raises(ValueError):
         Hypergraph(1, 3, frozenset())
 

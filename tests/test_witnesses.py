@@ -368,9 +368,15 @@ def test_sat_probe_single_hit():
     report = sat_probe(ambient, [0, 1, 3], params=[2])
     assert report.theorem == "dfsnotfim-sat"
     w = report.witness
-    assert w["mode"] == "single" and w["found"] is True
-    assert w["witness"] == [0, 3]  # lexicographically first non-edge pair
-    assert report.all_hold and len(report.certified) == 1
+    # explicit params are one draw of the aggregate report
+    assert (w["mode"], w["trials"], w["n_params"], w["seed"]) == (
+        "single", 1, 1, None)
+    # the lexicographically first non-edge pair
+    assert w["results"] == [{"params": [2], "found": True,
+                             "witness": [0, 3]}]
+    (cert,) = report.certified
+    assert cert.name == "witnesses-valid" and cert.holds and cert.rhs == 1
+    assert report.log == ("1 of 1 parameter draws admit a witness",)
     assert_rebuild_matches(report, lambda: sat_probe(
         ambient, [0, 1, 3], params=[2]))
 
@@ -379,11 +385,14 @@ def test_sat_probe_single_miss_is_honest():
     complete = Hypergraph(3, 4,
                           frozenset(itertools.combinations(range(4), 3)))
     report = sat_probe(complete, [0, 1, 2], params=[3])
-    assert report.witness["found"] is False
-    assert report.witness["witness"] is None
-    assert report.certified == ()
-    assert report.all_hold  # vacuously: nothing was claimed
-    assert any("miss" in line for line in report.log)
+    assert report.witness["results"] == [{"params": [3], "found": False,
+                                          "witness": None}]
+    assert report.witness["success_rate"]["num"] == 0
+    # nothing was claimed: the certification counts no hits
+    (cert,) = report.certified
+    assert cert.name == "witnesses-valid" and cert.lhs == cert.rhs == 0
+    assert report.all_hold
+    assert report.log == ("0 of 1 parameter draws admit a witness",)
     assert_rebuild_matches(report, lambda: sat_probe(
         complete, [0, 1, 2], params=[3]))
 
@@ -392,15 +401,17 @@ def test_sat_probe_parameter_inside_subset():
     ambient = Hypergraph(3, 6, frozenset({(0, 1, 2)}))
     # combos containing the parameter itself can never form an edge with it
     report = sat_probe(ambient, [0, 1, 2], params=[0])
-    assert report.witness["found"] is True
-    assert report.witness["witness"] == [0, 1]
+    (entry,) = report.witness["results"]
+    assert entry["found"] is True
+    assert entry["witness"] == [0, 1]
 
 
 def test_sat_probe_graph_case():
     c5 = cyclic_graph(5, [1])
     report = sat_probe(c5, [0, 1, 2, 3, 4], params=[0, 2])
     # vertex 0 is its own parameter: E(0,0) never holds, E(0,2) is a non-edge
-    assert report.witness["witness"] == [0]
+    assert report.witness["results"][0]["witness"] == [0]
+    assert report.witness["n_params"] == 2
 
 
 def test_sat_probe_aggregate():
