@@ -3,11 +3,9 @@
 A colouring with r colours splits an r-set when its vertices receive
 pairwise distinct colours.  Averaged over all colourings the split weight
 equals (r!/r^r) times the total weight, and colouring vertices greedily
-by conditional expectation always reaches that bound.  The greedy step
-for a vertex scores each colour from the r-sets through that vertex
-only, in integers (weights scaled by the lcm of their denominators), so
-it is exact without Fraction arithmetic.  Weights and the certified
-quantities are exact rationals.
+by conditional expectation always reaches that bound.  Weights are
+integers over one denominator, so every score and sum is an exact
+integer; the certified quantities are exact rationals.
 """
 
 from __future__ import annotations
@@ -20,9 +18,23 @@ from typing import Iterable, Sequence
 
 from ._record import Record
 
+Coloring = tuple[int, ...]
+
+# Every certified rational is written with str() and float(): CPython
+# writes ints of at most 4,300 digits, and float() overflows near 1.8e308;
+# these caps leave room for factors such as r!/r^r (r <= 8) on weight sums.
+WRITABLE = "terms of at most 4,000 digits and a value below 10^300"
+_MAX_INT, _MAX_VALUE = 10 ** 4_000, 10 ** 300
+
+
+def writable(num: int, den: int) -> bool:
+    """Whether num/den, den > 0, has what WRITABLE says."""
+    return abs(num) < _MAX_INT > den and abs(num) < _MAX_VALUE * den
+
 
 class WeightedHypergraph(Record):
-    """Nonnegative rational weights on r-subsets of 0..n-1.
+    """Nonnegative rational weights on r-subsets of 0..n-1, held as
+    integers over one denominator: key carries weight w / den.
 
     Absent subsets carry weight zero.  Keys are sorted tuples of r
     distinct vertices.
@@ -30,63 +42,63 @@ class WeightedHypergraph(Record):
 
     n: int
     r: int
-    weights: tuple[tuple[tuple[int, ...], Fraction], ...]
+    weights: tuple[tuple[tuple[int, ...], int], ...]
+    den: int = 1
 
     def __post_init__(self):
-        if self.r < 2:
-            raise ValueError("arity must be at least 2")
-        if self.n < 0:
-            raise ValueError("vertex count must be nonnegative")
+        if self.r < 2 or self.n < 0:
+            raise ValueError(f"arity {self.r} must be at least 2 and vertex "
+                             f"count {self.n} nonnegative")
         seen = set()
         for key, w in self.weights:
-            if (len(key) != self.r or len(set(key)) != self.r
-                    or list(key) != sorted(key)):
+            if len(key) != self.r or list(key) != sorted(set(key)):
                 raise ValueError(f"key {key} is not a sorted {self.r}-subset")
-            if key and (key[0] < 0 or key[-1] >= self.n):
+            if key[0] < 0 or key[-1] >= self.n:
                 raise ValueError(f"key {key} out of range")
             if key in seen:
                 raise ValueError(f"duplicate key {key}")
             if w < 0:
                 raise ValueError(f"negative weight on {key}")
             seen.add(key)
-        ordered = tuple(sorted(self.weights))
-        object.__setattr__(self, "weights", ordered)
+        object.__setattr__(self, "weights", tuple(sorted(self.weights)))
 
     @cached_property
     def total_weight(self) -> Fraction:
-        return sum((w for _, w in self.weights), Fraction(0))
+        return Fraction(sum(w for _, w in self.weights), self.den)
 
 
 def weighted_hypergraph(n: int, r: int,
                         items: Iterable[tuple[Sequence[int], Fraction]]
                         ) -> WeightedHypergraph:
-    """Convenience factory accepting unsorted keys and any rational weights."""
-    weights = tuple((tuple(sorted(int(v) for v in key)), Fraction(w))
-                    for key, w in items)
-    return WeightedHypergraph(n, r, weights)
+    """Weights, ints or Fractions on unsorted keys, held as integers over
+    D, the lcm of their reduced denominators.  Each item is checked as it
+    is read: ValueError names the first past which the total weight over D
+    lacks what WRITABLE says."""
+    den, total, read = 1, 0, []
+    for i, (key, w) in enumerate(items):
+        grown = lcm(den, w.denominator)
+        total = total * (grown // den) + w.numerator * (grown // w.denominator)
+        den = grown
+        if not writable(total, den):
+            raise ValueError(f"weights[{i}] on {list(key)}: the total weight "
+                             f"over their lcm denominator needs {WRITABLE}")
+        read.append((tuple(sorted(int(v) for v in key)), w))
+    return WeightedHypergraph(n, r, tuple(
+        (key, w.numerator * (den // w.denominator)) for key, w in read), den)
 
 
-Coloring = tuple[int, ...]
-
-
-def _check_coloring(h: WeightedHypergraph, coloring: Sequence[int]) -> Coloring:
-    chi = tuple(int(c) for c in coloring)
-    if len(chi) != h.n:
-        raise ValueError(f"colouring covers {len(chi)} of {h.n} vertices")
-    if any(not 1 <= c <= h.r for c in chi):
-        raise ValueError(f"colours must lie in 1..{h.r}")
-    return chi
+def _split(h: WeightedHypergraph, chi: Sequence[int]) -> int:
+    # h.den times the weight of the r-sets split under chi
+    return sum(w for key, w in h.weights if len({chi[v] for v in key}) == h.r)
 
 
 def weight_of(h: WeightedHypergraph, coloring: Sequence[int]) -> Fraction:
     """Total weight of the r-sets split (rainbow) under the colouring."""
-    chi = _check_coloring(h, coloring)
-    total = Fraction(0)
-    for key, w in h.weights:
-        colors = {chi[v] for v in key}
-        if len(colors) == h.r:
-            total += w
-    return total
+    chi = tuple(int(c) for c in coloring)
+    if len(chi) != h.n or any(not 1 <= c <= h.r for c in chi):
+        raise ValueError(f"a colouring gives each of the {h.n} vertices a "
+                         f"colour in 1..{h.r}")
+    return Fraction(_split(h, chi), h.den)
 
 
 def guarantee_value(h: WeightedHypergraph) -> Fraction:
@@ -101,21 +113,17 @@ def greedy_coloring(h: WeightedHypergraph) -> Coloring:
     Only the r-sets through v depend on v's colour.  Colouring v, at
     position i of a key e, colours a = i + 1 vertices of e; if their
     colours are distinct, the other r - a split e with probability
-    (r - a)!/r^(r - a).  So colour c scores the sum of w(e) * (r - a)! *
-    r^a over the e through v whose coloured vertices, c included, have
-    distinct colours: r^r times the conditional expectation, minus terms
-    equal for every c.  Weights are scaled to integers by the lcm of their
-    denominators, so the argmax is exact without Fraction arithmetic."""
+    (r - a)!/r^(r - a).  So colour c scores the sum of w * (r - a)! * r^a,
+    w the integer weight of e, over the e through v whose coloured
+    vertices, c included, have distinct colours: r^r * h.den times the
+    conditional expectation, minus terms equal for every c."""
     r = h.r
-    scale = lcm(*(w.denominator for _, w in h.weights))
     factor = [factorial(r - a) * r ** a for a in range(r + 1)]
-    through: list[list[tuple[tuple[int, ...], int, int]]] = [
-        [] for _ in range(h.n)]
+    through: list[list] = [[] for _ in range(h.n)]
     for key, w in h.weights:
-        scaled = int(w * scale)
         # colouring a set's first vertex adds the same to every colour
         for i in range(1, r):
-            through[key[i]].append((key, i, scaled * factor[i + 1]))
+            through[key[i]].append((key, i, w * factor[i + 1]))
     chi: list[int] = []
     for v in range(h.n):
         score = [0] * (r + 1)
@@ -143,26 +151,17 @@ _MAX_COLORINGS = 2 ** 12
 
 
 def brute_best(h: WeightedHypergraph) -> BruteResult:
-    """Enumerate every colouring; also returns the exact average split
-    weight, which independently witnesses the r!/r^r identity.  The r^n
-    colourings may not exceed _MAX_COLORINGS."""
-    if h.r ** h.n > _MAX_COLORINGS:
+    """Enumerate every colouring, at most _MAX_COLORINGS; the exact average
+    split weight independently witnesses the r!/r^r identity."""
+    count = h.r ** h.n
+    if count > _MAX_COLORINGS:
         raise ValueError(f"{h.r}^{h.n} colourings exceed the brute-force "
                          f"cap of {_MAX_COLORINGS}")
-    scale = lcm(*(w.denominator for _, w in h.weights))
-    scaled = [(key, int(w * scale)) for key, w in h.weights]
-    best = -1
-    best_chi: Coloring = ()
-    total = 0
-    count = 0
+    best, best_chi, total = -1, (), 0
     for chi in itertools.product(range(1, h.r + 1), repeat=h.n):
-        count += 1
-        acc = 0
-        for key, w in scaled:
-            if len({chi[v] for v in key}) == h.r:
-                acc += w
+        acc = _split(h, chi)
         total += acc
         if acc > best:
             best, best_chi = acc, chi
-    return BruteResult(best_chi, Fraction(best, scale),
-                       Fraction(total, scale * count), count)
+    return BruteResult(best_chi, Fraction(best, h.den),
+                       Fraction(total, h.den * count), count)

@@ -26,7 +26,8 @@ except ImportError:
     except ImportError:
         from hashlib import sha256
 
-from .coloring import WeightedHypergraph
+from .coloring import (WRITABLE, WeightedHypergraph, weighted_hypergraph,
+                       writable)
 from .structures import (Feq2Structure, Hypergraph, build_tp2_grid,
                          cyclic_graph, random_maximal_free,
                          search_small_alpha)
@@ -52,10 +53,19 @@ def rational_from_json(payload) -> Fraction:
 
 
 def parse_rational(text: str) -> Fraction:
+    """a/b, a decimal or an integer; a nonzero value is refused unless it
+    and its reciprocal (fam certifies 2*ell/epsilon) have what WRITABLE
+    says.  A text longer than a line is named by its length."""
+    name = repr(text) if len(text) <= 80 else f"of length {len(text)}"
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise FormatError(f"cannot parse rational {text!r}: {exc}") from None
+        value = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise FormatError(f"cannot parse rational {name}") from None
+    num, den = abs(value.numerator), value.denominator
+    if num and not (writable(num, den) and writable(den, num)):
+        raise FormatError(f"rational {name}: it and its reciprocal need "
+                          f"{WRITABLE}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -187,12 +197,15 @@ _MAX_WEIGHTED_R = 8
 
 
 def weighted_to_json(h: WeightedHypergraph) -> dict:
+    weights = [(key, Fraction(w, h.den)) for key, w in h.weights]
     return {"kind": "weighted-hypergraph", "n": h.n, "r": h.r,
             "weights": [[list(key), {"num": w.numerator, "den": w.denominator}]
-                        for key, w in h.weights]}
+                        for key, w in weights]}
 
 
 def weighted_from_json(payload: dict) -> WeightedHypergraph:
+    """Weights scaled by the lcm of their denominators as they are read:
+    the first entry past the cap of WRITABLE is named."""
     if not isinstance(payload, dict):
         raise FormatError("weighted hypergraph payload must be an object")
     n = _expect_int(payload.get("n"), "n")
@@ -204,19 +217,19 @@ def weighted_from_json(payload: dict) -> WeightedHypergraph:
     raw = payload.get("weights")
     if not isinstance(raw, list):
         raise FormatError("weights must be a list")
-    items = []
-    for entry in raw:
-        if not isinstance(entry, list) or len(entry) != 2:
-            raise FormatError(f"weight entry {entry!r} must be [key, rational]")
-        key, w = entry
-        if not _is_int_list(key):
-            raise FormatError(f"weight key {key!r} must be a list of integers")
-        items.append((tuple(key), rational_from_json(w)))
     try:
-        return WeightedHypergraph(n, r, tuple(
-            (tuple(sorted(key)), w) for key, w in items))
+        return weighted_hypergraph(n, r, map(_weight_entry, raw))
     except ValueError as exc:
         raise FormatError(str(exc)) from None
+
+
+def _weight_entry(entry) -> tuple[list[int], Fraction]:
+    if not isinstance(entry, list) or len(entry) != 2:
+        raise FormatError(f"weight entry {entry!r} must be [key, rational]")
+    key, w = entry
+    if not _is_int_list(key):
+        raise FormatError(f"weight key {key!r} must be a list of integers")
+    return key, rational_from_json(w)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from typing import Mapping, Optional, Sequence
 
 from ._record import Record
 from .coloring import (WeightedHypergraph, brute_best, greedy_coloring,
-                       guarantee_value, weight_of, weighted_hypergraph)
+                       guarantee_value, weight_of)
 from .logic import (And, Eq, Not, ObjectVar, ParamVar, ParseError,
                     PhiPartition, Rel, analyze_phi, evaluate, format_formula,
                     make_assignment, parse_phi)
@@ -556,8 +556,7 @@ def adversary_witness(tuples: Sequence[Sequence[int]], ambient: Hypergraph,
     for t in distinct:
         key = tuple(sorted(index[v] for v in t))
         weights[key] = weights.get(key, 0) + 1
-    wh = weighted_hypergraph(len(vertices), arity,
-                             ((key, Fraction(c)) for key, c in weights.items()))
+    wh = WeightedHypergraph(len(vertices), arity, tuple(weights.items()))
     sets = comb(len(vertices), arity)
     if sets > _MAX_SPLIT_SETS:
         raise FormatError(f"C({len(vertices)}, {arity}) = {sets} split "

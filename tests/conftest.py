@@ -19,6 +19,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 import pytest
+from hypothesis import strategies as st
 
 import keisler_lab
 from keisler_lab.coloring import (Coloring, WeightedHypergraph,
@@ -26,6 +27,7 @@ from keisler_lab.coloring import (Coloring, WeightedHypergraph,
 from keisler_lab.logic import (And, Clause, DisjunctProfile, Eq, Formula,
                                Not, Or, Rel, Term, compile_mask)
 from keisler_lab.measures import FiniteMeasure, make_measure
+from keisler_lab.serialize import weighted_from_json
 from keisler_lab.structures import Hypergraph, _add_edge, _closes_clique
 
 
@@ -38,6 +40,15 @@ def fresh_import(code: str) -> str:
     proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,
                           capture_output=True, text=True, check=True)
     return proc.stdout.strip()
+
+
+def cli_process(argv, directory: Path) -> subprocess.CompletedProcess:
+    """`python -m keisler_lab.cli argv` run in directory, as users run it."""
+    src = str(Path(keisler_lab.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.run([sys.executable, "-m", "keisler_lab.cli", *argv],
+                          cwd=directory, env=env, capture_output=True,
+                          text=True, timeout=60)
 
 
 def random_graph(rng: random.Random, n: int, p: float = 0.5) -> Hypergraph:
@@ -163,6 +174,37 @@ def random_weighted(rng: random.Random, n: int, r: int,
     return weighted_hypergraph(n, r, items)
 
 
+# zero weights and mixed denominators are among the weights drawn
+_WEIGHTS = st.fractions(min_value=0, max_value=12, max_denominator=6)
+
+
+@st.composite
+def weighted_payloads(draw) -> dict:
+    """Weights files as they may be spelled: keys in any order, and each
+    weight unreduced (2/4), negative over negative (-1/-2) or whole (3/1)."""
+    r = draw(st.sampled_from((2, 3, 4)))
+    n = draw(st.integers(0, 10))
+    keys = list(itertools.combinations(range(n), r))
+    chosen = draw(st.lists(st.sampled_from(keys), unique=True,
+                           max_size=40)) if keys else []
+    if keys and keys[-1] not in chosen and draw(st.booleans()):
+        chosen.append(keys[-1])  # a key through the last vertex
+    entries = []
+    for key in chosen:
+        w = draw(_WEIGHTS)
+        k = draw(st.sampled_from((1, 2, -1, -3)))
+        key = list(key)[::draw(st.sampled_from((1, -1)))]
+        entries.append([key, {"num": w.numerator * k,
+                              "den": w.denominator * k}])
+    return {"kind": "weighted-hypergraph", "n": n, "r": r,
+            "weights": entries}
+
+
+def weighted_graphs():
+    """The weighted hypergraphs that weighted_payloads() files hold."""
+    return weighted_payloads().map(weighted_from_json)
+
+
 def _split_probability(r: int, used: int, distinct: int, repeat: bool,
                        uncolored: int) -> Fraction:
     # conditional probability that an r-set becomes rainbow when the
@@ -191,7 +233,7 @@ def conditional_expectation(h: WeightedHypergraph,
         p = _split_probability(h.r, len(assigned), distinct, repeat,
                                len(key) - len(assigned))
         if p:
-            total += w * p
+            total += Fraction(w, h.den) * p
     return total
 
 

@@ -12,6 +12,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import cli_process
 from keisler_lab import cli
 from keisler_lab.cli import _build_parser, run
 from keisler_lab.coloring import weighted_hypergraph
@@ -881,7 +882,7 @@ def refuse_to_build_weighted(monkeypatch):
 
     def refuse(*args, **kwargs):
         raise AssertionError("a capped weights file reached its builder")
-    monkeypatch.setattr(serialize, "WeightedHypergraph", refuse)
+    monkeypatch.setattr(serialize, "weighted_hypergraph", refuse)
 
 
 @pytest.mark.parametrize("size", OVER_CAP_WEIGHTS)
@@ -904,6 +905,150 @@ def test_verify_rejects_over_cap_weights(size, tmp_path, monkeypatch,
     capsys.readouterr()
     assert run(["verify", str(out)]) == 1
     assert "exceed" in capsys.readouterr().err
+
+
+def thirty_thousand_pairs() -> list:
+    # n = 10,000, r = 2: every weight 1/d, d a distinct random 9-digit number
+    rng = random.Random(1)
+    pairs = set()
+    while len(pairs) < 30_000:
+        pairs.add(tuple(sorted(rng.sample(range(10_000), 2))))
+    dens = rng.sample(range(10 ** 8, 10 ** 9), len(pairs))
+    return [[list(p), {"num": 1, "den": d}] for p, d in zip(pairs, dens)]
+
+
+# weights whose total over D, the lcm of their denominators, is just over
+# the cap (a value of 10^300; a D of 4,001 digits) or far over it, and
+# just under, where every certified rational is still written
+OVER_CAP_VALUES = {
+    "value": lambda: [[[0, 1], {"num": 10 ** 300, "den": 1}]],
+    "lcm": lambda: [[[0, 1], {"num": 1, "den": 10 ** 2000}],
+                    [[1, 2], {"num": 1, "den": 10 ** 2000 + 1}]],
+    "num-1e400": lambda: [[[0, 1], {"num": 10 ** 400, "den": 1}]],
+    "coprime-2201-digits": lambda: [[[0, 1], {"num": 1, "den": 10 ** 2200}],
+                                    [[1, 2], {"num": 1,
+                                              "den": 10 ** 2200 + 1}]],
+    "30000-pairs": thirty_thousand_pairs,
+}
+UNDER_CAP_VALUES = {
+    "value": [[[0, 1], {"num": 10 ** 300 - 1, "den": 1}]],
+    "lcm": [[[0, 1], {"num": 1, "den": 10 ** 1999}],
+            [[1, 2], {"num": 1, "den": 10 ** 2000 + 1}]],
+}
+
+
+def write_weights(path, entries, n=10_000, r=2):
+    path.write_text(json.dumps({"kind": "weighted-hypergraph", "n": n,
+                                "r": r, "weights": entries}))
+
+
+def refuse_to_hold_weights(monkeypatch):
+    import keisler_lab.coloring as coloring
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("weights past the cap were held")
+    monkeypatch.setattr(coloring, "WeightedHypergraph", refuse)
+
+
+def named_the_cap(err: str) -> bool:
+    return "weights[" in err and "4,000 digits" in err and len(err) < 300
+
+
+@pytest.mark.parametrize("case", sorted(OVER_CAP_VALUES))
+def test_over_cap_weight_values_fail_fast(case, tmp_path, monkeypatch,
+                                          capsys):
+    wfile = tmp_path / "weights.json"
+    write_weights(wfile, OVER_CAP_VALUES[case]())
+    refuse_to_hold_weights(monkeypatch)
+    assert run(["color", "--input", str(wfile)]) == 1
+    assert named_the_cap(capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("case", sorted(OVER_CAP_VALUES))
+def test_verify_rejects_over_cap_weight_values(case, tmp_path, monkeypatch,
+                                               capsys):
+    wfile = write_weighted(tmp_path)
+    out = tmp_path / "color.json"
+    assert run(["color", "--input", str(wfile), "--output", str(out)]) == 0
+    write_weights(wfile, OVER_CAP_VALUES[case]())
+    refuse_to_hold_weights(monkeypatch)
+    capsys.readouterr()
+    assert run(["verify", str(out)]) == 1
+    assert named_the_cap(capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("case", sorted(UNDER_CAP_VALUES))
+def test_under_cap_weight_values_are_certified(case, tmp_path):
+    wfile = tmp_path / "weights.json"
+    write_weights(wfile, UNDER_CAP_VALUES[case], n=3)
+    out = tmp_path / "color.json"
+    assert run(["color", "--input", str(wfile), "--brute",
+                "--output", str(out)]) == 0
+    assert run(["verify", str(out)]) == 0
+
+
+def fam_at(epsilon: str) -> list[str]:
+    # one token, so that argparse reads a leading "-" as the value's
+    argv = [*HEADLINE_FAM]
+    at = argv.index("--epsilon")
+    argv[at:at + 2] = ["--epsilon=" + epsilon]
+    return argv
+
+
+# just over the cap on --epsilon, which fam writes with its reciprocal
+# (the sample-size bound is 2*ell/epsilon)
+@pytest.mark.parametrize("epsilon", ["1e300", "1e-300", "-1e300"])
+def test_over_cap_epsilon_fails_fast(epsilon, monkeypatch, capsys):
+    import keisler_lab.witnesses as witnesses
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an epsilon past the cap reached fam")
+    monkeypatch.setattr(witnesses, "fam_witness", refuse)
+    assert run(fam_at(epsilon)) == 1
+    assert "10^300" in capsys.readouterr().err
+
+
+def test_verify_rejects_over_cap_epsilon(tmp_path, capsys):
+    out = tmp_path / "fam.json"
+    assert run(HEADLINE_FAM + ["--output", str(out)]) == 0
+    data = read_report(out)
+    data["config"]["epsilon"] = "1e300"
+    out.write_text(canonical_dumps(data))
+    capsys.readouterr()
+    assert run(["verify", str(out)]) == 1
+    assert "10^300" in capsys.readouterr().err
+
+
+def test_long_rational_is_named_by_its_length(capsys):
+    # a 4,401-digit denominator: CPython reads no int that long
+    assert run(fam_at("1/" + "1" * 4401)) == 1
+    err = capsys.readouterr().err
+    assert "length 4403" in err and len(err) < 200
+
+
+# rational tokens past float range, undefined, or too long to read, as
+# --epsilon and as the one weight of a weights file
+HOSTILE_RATIONALS = [
+    ("1e400", "1" + "0" * 400, "1"),
+    ("-1e400", "-1" + "0" * 400, "1"),
+    ("1/0", "1", "0"),
+    ("nan", "NaN", "1"),
+    ("inf", "Infinity", "1"),
+    ("1e-400", "1", "1" + "0" * 400),
+    ("1/" + "1" * 4401, "1", "1" * 4401),
+]
+
+
+@pytest.mark.parametrize("token, num, den", HOSTILE_RATIONALS,
+                         ids=[t[:8] for t, _, _ in HOSTILE_RATIONALS])
+def test_hostile_rationals_exit_cleanly(token, num, den, tmp_path):
+    wfile = tmp_path / "weights.json"
+    wfile.write_text('{"kind": "weighted-hypergraph", "n": 2, "r": 2, '
+                     f'"weights": [[[0, 1], {{"num": {num}, "den": {den}}}]]}}')
+    for argv in (fam_at(token), ["color", "--input", str(wfile)]):
+        proc = cli_process(argv, tmp_path)
+        assert proc.returncode in (0, 1, 2), (argv[0], token[:8])
+        assert "Traceback" not in proc.stderr, (argv[0], token[:8])
 
 
 # just over the brute-force cap of 2^12 colourings, and the 8^12 of a
@@ -1110,7 +1255,7 @@ def refuse_to_colour(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a capped tuple count reached the colouring")
     monkeypatch.setattr(witnesses, "is_free", refuse)
-    monkeypatch.setattr(witnesses, "weighted_hypergraph", refuse)
+    monkeypatch.setattr(witnesses, "WeightedHypergraph", refuse)
 
 
 def refuse_to_probe(monkeypatch):

@@ -6,10 +6,10 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 from conftest import (conditional_expectation, greedy_by_expectation,
-                      random_weighted)
+                      random_weighted, weighted_graphs)
 from keisler_lab.coloring import (
     WeightedHypergraph,
     brute_best,
@@ -39,7 +39,8 @@ def test_weighted_hypergraph_validation():
 def test_weight_accessors():
     h = weighted_hypergraph(4, 2, [((0, 1), Fraction(3, 2)), ((2, 3), 1)])
     assert h.total_weight == Fraction(5, 2)
-    assert h.weights == (((0, 1), Fraction(3, 2)), ((2, 3), Fraction(1)))
+    # integers over the lcm of the denominators
+    assert (h.weights, h.den) == ((((0, 1), 3), ((2, 3), 2)), 2)
 
 
 def test_weight_of_counts_rainbow_sets():
@@ -93,24 +94,6 @@ def test_conditional_expectation_is_a_martingale():
             assert best >= current
             partial[v] = values.index(best) + 1
             current = best
-
-
-# zero weights and mixed denominators are among the weights drawn
-weights = st.fractions(min_value=0, max_value=12, max_denominator=6)
-
-
-@st.composite
-def weighted_graphs(draw):
-    r = draw(st.sampled_from((2, 3, 4)))
-    n = draw(st.integers(0, 10))
-    keys = list(itertools.combinations(range(n), r))
-    if not keys:
-        return weighted_hypergraph(n, r, [])
-    items = draw(st.dictionaries(st.sampled_from(keys), weights,
-                                 max_size=40))
-    if draw(st.booleans()):
-        items[keys[-1]] = draw(weights)  # a key through the last vertex
-    return weighted_hypergraph(n, r, items.items())
 
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)

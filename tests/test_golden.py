@@ -13,18 +13,14 @@ import copy
 import hashlib
 import itertools
 import json
-import os
 import random
 import shutil
-import subprocess
-import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-import keisler_lab
-from conftest import random_weighted
+from conftest import cli_process, random_weighted
 from keisler_lab.cli import run
 from keisler_lab.coloring import weighted_hypergraph
 from keisler_lab.serialize import (canonical_dumps, structure_to_json,
@@ -73,24 +69,16 @@ ENTRY_POINT = ["order-gen120", "gen-write-60-3-4", "fam-scan-gen50",
                "color-greedy-n40-r3", "order-precondition"]
 
 
-def cli_process(argv, directory: Path) -> int:
-    """The exit code of `python -m keisler_lab.cli argv` in directory."""
-    src = str(Path(keisler_lab.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": src}
-    return subprocess.run([sys.executable, "-m", "keisler_lab.cli", *argv],
-                          cwd=directory, env=env, capture_output=True,
-                          timeout=60).returncode
-
-
 @pytest.mark.parametrize("name", ENTRY_POINT)
 def test_entry_point_matches_golden(name, tmp_path):
     case = GOLDEN[name]
     write_inputs(tmp_path)
     assert cli_process(case["argv"] + ["--output", "report.json"],
-                       tmp_path) == case["exit"], name
+                       tmp_path).returncode == case["exit"], name
     blob = (tmp_path / "report.json").read_bytes()
     assert hashlib.sha256(blob).hexdigest() == case["sha256"], name
-    assert cli_process(["verify", "report.json"], tmp_path) == case["exit"]
+    assert cli_process(["verify", "report.json"],
+                       tmp_path).returncode == case["exit"]
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))

@@ -5,12 +5,13 @@ import json
 import os
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (fresh_import, random_graph, random_hypergraph,
-                      random_weighted, traced_peak)
+                      random_weighted, traced_peak, weighted_payloads)
 from keisler_lab.serialize import (
     _SLICE,
     FormatError,
@@ -154,10 +155,38 @@ def test_structure_from_json_rejections():
         structure_from_json([1, 2])
 
 
-def test_weighted_round_trip():
-    rng = random.Random(67)
-    h = random_weighted(rng, 6, 3)
-    assert weighted_from_json(weighted_to_json(h)) == h
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(weighted_payloads())
+def test_weighted_round_trip(payload):
+    h = weighted_from_json(payload)
+    written = weighted_to_json(h)
+    assert weighted_from_json(written) == h
+    # the same weights, sorted by key and in lowest terms, over the lcm of
+    # their denominators
+    read = sorted((tuple(sorted(key)), Fraction(w["num"], w["den"]))
+                  for key, w in payload["weights"])
+    assert [(tuple(key), Fraction(w["num"], w["den"]))
+            for key, w in written["weights"]] == read
+    assert all(w["den"] > 0 and gcd(w["num"], w["den"]) == 1
+               for _, w in written["weights"])
+    assert h.den == lcm(*(w.denominator for _, w in read))
+    assert h.weights == tuple((key, int(w * h.den)) for key, w in read)
+
+
+def test_weighted_digest_is_pinned():
+    # unreduced, negative over negative, whole and zero weights over mixed
+    # denominators, digested as when weights were held as Fractions
+    entries = [([1, 0], 2, 4), ([1, 2], -1, -2), ([2, 3], 3, 1),
+               ([0, 4], -10, -6), ([3, 4], 0, 7), ([2, 4], 14, 21)]
+    h = weighted_from_json({"n": 5, "r": 2, "weights": [
+        [key, {"num": num, "den": den}] for key, num, den in entries]})
+    assert h.den == 6
+    assert digest(weighted_to_json(h)) == ("sha256:890ee884aa6ca703a163c8be6d"
+                                           "70bf64dde9e948da8041fbdd80ad391c7"
+                                           "b8978")
+
+
+def test_weighted_from_json_rejects_bad_weights():
     with pytest.raises(FormatError):
         weighted_from_json({"n": 3, "r": 2, "weights": [[[0, 1], "x"]]})
     with pytest.raises(FormatError):
