@@ -19,9 +19,8 @@ makes the atom false (the relation is irreflexive by representation).
 from __future__ import annotations
 
 import re
-from functools import cached_property
 from operator import attrgetter
-from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
+from typing import Callable, Mapping, Optional, Sequence, Union
 
 from ._record import Record
 from .structures import Hypergraph

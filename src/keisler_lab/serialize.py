@@ -43,12 +43,22 @@ def rational_to_json(value: Fraction) -> dict:
             "decimal": float(value)}
 
 
+def _shown(value) -> str:
+    """A value as a refusal names it: its repr, or past a line its type
+    and length, so that no refusal echoes a long input whole."""
+    text = repr(value)
+    if len(text) <= 80:
+        return text
+    size = len(value) if isinstance(value, (str, list, dict)) else len(text)
+    return f"(a {type(value).__name__} of length {size})"
+
+
 def rational_from_json(payload) -> Fraction:
     if not isinstance(payload, dict) or "num" not in payload or "den" not in payload:
-        raise FormatError(f"not a rational: {payload!r}")
+        raise FormatError(f"not a rational: {_shown(payload)}")
     num, den = payload["num"], payload["den"]
     if not _is_int(num) or not _is_int(den) or den == 0:
-        raise FormatError(f"not a rational: {payload!r}")
+        raise FormatError(f"not a rational: {_shown(payload)}")
     return Fraction(num, den)
 
 
@@ -56,7 +66,7 @@ def parse_rational(text: str) -> Fraction:
     """a/b, a decimal or an integer; a nonzero value is refused unless it
     and its reciprocal (fam certifies 2*ell/epsilon) have what WRITABLE
     says.  A text longer than a line is named by its length."""
-    name = repr(text) if len(text) <= 80 else f"of length {len(text)}"
+    name = _shown(text)
     try:
         value = Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -84,10 +94,12 @@ def structure_to_json(structure: Storable) -> dict:
         return {"kind": "hypergraph", "r": structure.r, "n": structure.n,
                 "edges": edges}
     if isinstance(structure, Feq2Structure):
+        # each block at its least object: the blocks in sorted order
         return {"kind": "feq2", "objects": structure.objects,
                 "parameters": structure.parameters,
-                "classes": [[list(b) for b in blocks]
-                            for blocks in structure.classes]}
+                "classes": [[[x, y] if x < y else [x]
+                             for x, y in enumerate(mate) if x <= y]
+                            for mate in structure.mates]}
     raise FormatError(f"cannot serialize {type(structure).__name__}")
 
 
@@ -122,7 +134,7 @@ def _is_int_list(value) -> bool:
 
 def _expect_int(value, what: str) -> int:
     if not _is_int(value):
-        raise FormatError(f"{what} must be an integer, got {value!r}")
+        raise FormatError(f"{what} must be an integer, got {_shown(value)}")
     return value
 
 
@@ -154,12 +166,13 @@ def structure_from_json(payload: dict) -> Storable:
         canon = []
         for e in edges:
             if not _is_int_list(e):
-                raise FormatError(f"edge {e!r} must be a list of integers")
+                raise FormatError(f"edge {_shown(e)} must be a list of "
+                                  f"integers")
             if e != sorted(e):
-                raise FormatError(f"edge {e} is not sorted ascending")
+                raise FormatError(f"edge {_shown(e)} is not sorted ascending")
             t = tuple(e)
             if t in seen:
-                raise FormatError(f"duplicate edge {e}")
+                raise FormatError(f"duplicate edge {_shown(e)}")
             seen.add(t)
             canon.append(t)
         try:
@@ -176,18 +189,31 @@ def structure_from_json(payload: dict) -> Storable:
         classes = payload.get("classes")
         if not isinstance(classes, list):
             raise FormatError("classes must be a list")
-        for z, blocks in enumerate(classes):
-            if not isinstance(blocks, list) or not all(
-                    map(_is_int_list, blocks)):
-                raise FormatError(f"parameter {z}: each block must be a "
-                                  f"list of integers")
+        mates = tuple(_mates(objects, z, b) for z, b in enumerate(classes))
         try:
-            return Feq2Structure(objects, parameters,
-                                 tuple(tuple(tuple(b) for b in blocks)
-                                       for blocks in classes))
+            return Feq2Structure(objects, parameters, mates)
         except ValueError as exc:
             raise FormatError(str(exc)) from None
     raise FormatError(f"unknown structure kind {kind!r}")
+
+
+def _mates(objects: int, z: int, blocks) -> tuple[int, ...]:
+    # parameter z's blocks as mates (-1 for an object in no block), or (-1,)
+    # at a block count or a block that no partition has: Feq2Structure
+    # refuses both in its order, and no vector outgrows its file's blocks
+    if not isinstance(blocks, list) or not all(map(_is_int_list, blocks)):
+        raise FormatError(f"parameter {z}: each block must be a list of "
+                          f"integers")
+    if len(blocks) != (objects + 1) // 2:
+        return (-1,)
+    mate = [-1] * objects
+    for b in blocks:
+        x, y = (b[0], b[-1]) if b else (-1, -1)
+        if len(b) != 1 + (x != y) or not all(
+                0 <= v < objects and mate[v] == -1 for v in b):
+            return (-1,)
+        mate[x], mate[y] = y, x
+    return tuple(mate)
 
 
 # Weights-file caps, checked before anything is built: colouring keeps a
@@ -225,10 +251,12 @@ def weighted_from_json(payload: dict) -> WeightedHypergraph:
 
 def _weight_entry(entry) -> tuple[list[int], Fraction]:
     if not isinstance(entry, list) or len(entry) != 2:
-        raise FormatError(f"weight entry {entry!r} must be [key, rational]")
+        raise FormatError(f"weight entry {_shown(entry)} must be "
+                          f"[key, rational]")
     key, w = entry
     if not _is_int_list(key):
-        raise FormatError(f"weight key {key!r} must be a list of integers")
+        raise FormatError(f"weight key {_shown(key)} must be a list of "
+                          f"integers")
     return key, rational_from_json(w)
 
 

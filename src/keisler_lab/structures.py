@@ -13,6 +13,7 @@ take an explicit seed and are deterministic.
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from array import array
 from functools import cached_property
@@ -147,29 +148,26 @@ def _extension(h: Hypergraph, new_edges: frozenset[tuple[int, ...]],
 
 class Feq2Structure(Record):
     """Indexed objects plus, for each parameter, a partition of the objects
-    into blocks of size two (one flagged singleton when the count is odd)."""
+    into blocks of size two (one singleton when the count is odd), held as
+    its involution: mates[z][x] is x's block-mate under z (x if alone)."""
 
     objects: int
     parameters: int
-    classes: tuple[tuple[tuple[int, ...], ...], ...]
+    mates: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if len(self.classes) != self.parameters:
+        if len(self.mates) != self.parameters:
             raise ValueError("one partition per parameter required")
         everything = list(range(self.objects))
-        canon = []
-        for z, blocks in enumerate(self.classes):
-            blocks = tuple(sorted(tuple(sorted(b)) for b in blocks))
-            sizes = [len(b) for b in blocks]
-            if (not {*sizes} <= {1, 2}
-                    or sizes.count(1) != self.objects % 2
-                    or sorted(itertools.chain.from_iterable(blocks))
-                    != everything):
+        for z, mate in enumerate(self.mates):
+            if (len(mate) != self.objects
+                    or not all(0 <= y < self.objects for y in mate)
+                    or [*map(mate.__getitem__, mate)] != everything
+                    or sum(map(operator.eq, mate, everything))
+                    != self.objects % 2):
                 raise ValueError(
                     f"parameter {z}: blocks must pair off the {self.objects} "
                     f"objects, one singleton if that count is odd")
-            canon.append(blocks)
-        object.__setattr__(self, "classes", tuple(canon))
 
 
 # ---------------------------------------------------------------------------
@@ -878,13 +876,13 @@ def build_tp2_grid(k: int) -> Feq2Structure:
     if k > _MAX_GRID_K:  # k ** k itself is never built for a big k
         raise ValueError(f"k = {k}: k ** k parameters would exceed 10 ** 5")
     objects = k * k + k
-    classes = []
+    targets = [grid_target(k, i) for i in range(k)]
+    mates = []
     for path in itertools.product(range(k), repeat=k):
-        blocks = [(grid_object(k, i, path[i]), grid_target(k, i))
-                  for i in range(k)]
-        used = {x for b in blocks for x in b}
-        rest = [x for x in range(objects) if x not in used]
-        blocks.extend((rest[i], rest[i + 1]) for i in range(0, len(rest), 2))
-        classes.append(tuple(blocks))
-    return Feq2Structure(objects, len(classes), tuple(classes))
-
+        chosen = [grid_object(k, i, j) for i, j in enumerate(path)]
+        rest = [x for x in range(k * k) if x not in chosen]
+        mate = [0] * objects
+        for x, y in zip(chosen + rest[::2], targets + rest[1::2]):
+            mate[x], mate[y] = y, x
+        mates.append(tuple(mate))
+    return Feq2Structure(objects, len(mates), tuple(mates))

@@ -749,9 +749,9 @@ def tp2_witness(f: Feq2Structure, k: int, sample: Optional[int] = None,
     checked path through the grid is realized by a single parameter.
 
     sample=None checks all k^k paths; otherwise `sample` distinct paths
-    are drawn with the seed.  Bit z of cells[i][j] is set iff cell (i, j)
-    and its row target form a block of parameter z: blocks have at most
-    two objects, so iff the two share a class.  A row pair fails, and a
+    are drawn with the seed.  Bit z of cells[i][j] is set iff parameter
+    z makes cell (i, j) the row target's mate: blocks have at most two
+    objects, so iff the two share a class.  A row pair fails, and a
     path is realized, at the lowest bit of the AND of its cells, the
     least z that an ascending scan of the parameters would find.
     """
@@ -770,14 +770,14 @@ def tp2_witness(f: Feq2Structure, k: int, sample: Optional[int] = None,
     # base-k codes, first row most significant: ascending is lexicographic
     paths = [[code // k ** (k - 1 - i) % k for i in range(k)]
              for code in codes]
-    cell_of = {tuple(sorted((grid_object(k, i, j), grid_target(k, i)))):
-               (i, j) for i in range(k) for j in range(k)}
-    cells = [[0] * k for _ in range(k)]
-    for z, blocks in enumerate(f.classes):
-        for block in blocks:  # sorted tuples, as Feq2Structure keeps them
-            if block in cell_of:
-                i, j = cell_of[block]
-                cells[i][j] |= 1 << z
+    cells = []
+    for i in range(k):
+        target, first, row = grid_target(k, i), grid_object(k, i, 0), [0] * k
+        for z, mate in enumerate(f.mates):
+            j = mate[target] - first
+            if 0 <= j < k:
+                row[j] |= 1 << z
+        cells.append(row)
     # a row failure would put the target in a class of three, which no
     # valid structure has; rows-inconsistent is still computed and reported
     row_pairs = k * k * (k - 1) // 2

@@ -93,10 +93,10 @@ def random_maximal_free_oracle(n: int, r: int, s: int,
 
 def feq2_blocks_oracle(objects: int,
                       blocks: Sequence[Sequence[int]]) -> tuple:
-    """One parameter's blocks as Feq2Structure keeps them (sorted tuples
-    in sorted order), checked block by block against a covered set:
-    ValueError unless they pair off the objects 0..objects-1 with one
-    singleton when objects is odd."""
+    """One parameter's blocks in the order structure_to_json writes them
+    (sorted tuples in sorted order), checked block by block against a
+    covered set: ValueError unless they pair off the objects
+    0..objects-1 with one singleton when objects is odd."""
     blocks = tuple(sorted(tuple(sorted(b)) for b in blocks))
     covered: set[int] = set()
     singletons = 0

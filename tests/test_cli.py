@@ -791,7 +791,7 @@ def test_verify_rederives_tp2_paths(edit, tmp_path, capsys):
     if edit == "paths":
         # the one parameter pairs 0-4 and 2-5: of the four paths through
         # the 2-grid only [0, 0] is consistent
-        f = Feq2Structure(6, 1, (((0, 4), (1, 3), (2, 5)),))
+        f = Feq2Structure(6, 1, ((4, 3, 5, 1, 0, 2),))
         sfile = tmp_path / "f.json"
         sfile.write_text(canonical_dumps(structure_to_json(f)))
         assert run(["tp2", "--k", "2", "--input", str(sfile),
@@ -1024,6 +1024,43 @@ def test_long_rational_is_named_by_its_length(capsys):
     assert run(fam_at("1/" + "1" * 4401)) == 1
     err = capsys.readouterr().err
     assert "length 4403" in err and len(err) < 200
+
+
+# weights files whose one entry holds a value too long to echo: a key of
+# 50,000 zeros and a string, a num of 50,000 characters, and an entry of
+# three items whose third is 50,000 characters
+LONG_WEIGHT_VALUES = {
+    "key": [[[0] * 50_000 + ["x"], {"num": 1, "den": 1}]],
+    "num": [[[0, 1], {"num": "7" * 50_000, "den": 1}]],
+    "entry": [[[0, 1], {"num": 1, "den": 1}, "x" * 50_000]],
+}
+
+
+@pytest.mark.parametrize("case", sorted(LONG_WEIGHT_VALUES))
+def test_long_weight_values_are_named_by_their_length(case, tmp_path,
+                                                      capsys):
+    good = write_weighted(tmp_path)
+    out = tmp_path / "color.json"
+    assert run(["color", "--input", str(good), "--output", str(out)]) == 0
+    bad = tmp_path / "long.json"
+    write_weights(bad, LONG_WEIGHT_VALUES[case], n=3)
+    capsys.readouterr()
+    assert run(["color", "--input", str(bad)]) == 1
+    assert run(["verify", str(out), "--input", f"weighted={bad}"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("of length") == 2 and len(err.encode()) < 1_000
+
+
+def test_long_structure_values_are_named_by_their_length(tmp_path, capsys):
+    sfile = tmp_path / "structure.json"
+    for payload in [{"kind": "hypergraph", "r": 2, "n": "9" * 50_000},
+                    {"kind": "hypergraph", "r": 2, "n": 3,
+                     "edges": [[2, 1] + list(range(50_000))]}]:
+        sfile.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert run(["gen", f"file:{sfile}"]) == 1
+        err = capsys.readouterr().err
+        assert "of length" in err and len(err.encode()) < 1_000
 
 
 # rational tokens past float range, undefined, or too long to read, as

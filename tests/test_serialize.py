@@ -33,7 +33,6 @@ from keisler_lab.serialize import (
     weighted_to_json,
 )
 from keisler_lab.structures import (
-    Feq2Structure,
     FreenessViolation,
     Hypergraph,
     add_vertex_with_links,
@@ -381,8 +380,11 @@ def test_structure_digest_matches_a_rebuilt_structure():
     # a graph with the same edges, built and canonicalised afresh
     fresh = Hypergraph(3, 30, frozenset(tuple(reversed(e)) for e in g.edges))
     assert digest_of(fresh) == digest_of(g)
-    rebuilt = Feq2Structure(grid.objects, grid.parameters, grid.classes)
-    assert digest_of(rebuilt) == digest_of(grid)
+    # the same partitions, read from blocks listed in reverse
+    payload = structure_to_json(grid)
+    payload["classes"] = [[b[::-1] for b in reversed(blocks)]
+                          for blocks in payload["classes"]]
+    assert digest_of(structure_from_json(payload)) == digest_of(grid)
 
 
 # ---------------------------------------------------------------------------

@@ -34,8 +34,8 @@ from keisler_lab.structures import (
     random_maximal_free,
     search_small_alpha,
 )
-from keisler_lab.serialize import (_MAX_FILE_N, digest, structure_from_json,
-                                   structure_to_json)
+from keisler_lab.serialize import (_MAX_FILE_N, FormatError, digest,
+                                   structure_from_json, structure_to_json)
 
 
 # ---------------------------------------------------------------------------
@@ -136,20 +136,69 @@ def test_adjacency_masks():
 
 
 def test_feq2_validation():
-    f = Feq2Structure(4, 2, ((((0, 1), (2, 3))), ((3, 1), (2, 0))))
-    # blocks are kept as sorted tuples in sorted order
-    assert f.classes == (((0, 1), (2, 3)), ((0, 2), (1, 3)))
-    assert (0, 1) in f.classes[0] and (0, 1) not in f.classes[1]
-    odd = Feq2Structure(3, 1, ((((2,), (1, 0))),))
-    assert odd.classes == (((0, 1), (2,)),)
-    assert (0, 1) in odd.classes[0] and (1, 2) not in odd.classes[0]
+    f = Feq2Structure(4, 2, ((1, 0, 3, 2), (2, 3, 0, 1)))
+    # mates[z][x] is x's block-mate under z: 0-1 and 2-3, then 0-2 and 1-3
+    assert f.mates[0][0] == 1 and f.mates[1][0] == 2
+    odd = Feq2Structure(3, 1, ((1, 0, 2),))
+    assert odd.mates[0][2] == 2  # the one singleton is its own mate
+    # one vector too few, one too short, an entry out of range each way,
+    # one far below the range, not an involution, two fixed points at an
+    # even count, none at an odd one, and an involution of the wrong length
+    for objects, mates in [(4, ()), (4, ((1, 0, 3),)), (4, ((1, 0, 3, 4),)),
+                           (4, ((1, 0, 3, -1),)), (4, ((1, 0, 3, -10),)),
+                           (4, ((1, 2, 0, 3),)),
+                           (4, ((0, 1, 3, 2),)), (3, ((1, 0, 3),)),
+                           (3, ((1, 0, 3, 2),))]:
+        with pytest.raises(ValueError):
+            Feq2Structure(objects, 1, mates)
+
+
+def feq2_file(objects: int, *classes) -> dict:
+    return {"kind": "feq2", "objects": objects, "parameters": len(classes),
+            "classes": [list(map(list, blocks)) for blocks in classes]}
+
+
+def test_feq2_file_partitions_become_mates():
+    f = structure_from_json(feq2_file(4, ((0, 1), (2, 3)), ((3, 1), (2, 0))))
+    assert f.mates == ((1, 0, 3, 2), (2, 3, 0, 1))
+    odd = structure_from_json(feq2_file(3, ((2,), (1, 0))))
+    assert odd.mates == ((1, 0, 2),)
+    # written back in ascending order, each block at its least object
+    assert structure_to_json(f)["classes"] == [[[0, 1], [2, 3]],
+                                               [[0, 2], [1, 3]]]
+    assert structure_to_json(odd)["classes"] == [[[0, 1], [2]]]
     # two objects missing, a size-3 block, an overlap, two singletons at
-    # an even count, a missing object, one out of range and an empty block
+    # an even count, a missing object, one out of range, an empty block
+    # and an object twice in one block
     for blocks in [((0, 1),), ((0, 1, 2), (3,)), ((0, 1), (1, 2), (3,)),
                    ((0, 1), (2,), (3,)), ((0, 1), (2,)), ((0, 1), (2, 4)),
-                   ((0, 1), (2, 3), ())]:
-        with pytest.raises(ValueError):
-            Feq2Structure(4, 1, (blocks,))
+                   ((0, 1), (2, 3), ()), ((0, 1), (2, 2), (3,))]:
+        with pytest.raises(FormatError, match="parameter 0: blocks must "
+                           "pair off the 4 objects"):
+            structure_from_json(feq2_file(4, blocks))
+    # the count is checked before the partitions, and the first bad
+    # partition is named, whatever is wrong with it
+    with pytest.raises(FormatError, match="one partition per parameter"):
+        structure_from_json({**feq2_file(4, ((0, 1, 2),)), "parameters": 2})
+    with pytest.raises(FormatError, match="parameter 0:"):
+        structure_from_json(feq2_file(4, ((0, 1),), ((0, 1), (1, 2), (3,))))
+
+
+def test_feq2_file_of_empty_partitions_is_refused_in_small_memory():
+    # 1,000 empty block lists at the object cap: a vector of 10^4 mates per
+    # list would hold 10^7 slots, about 80 MB, before parameter 0 is
+    # refused, and 8 GB at the parameter cap
+    payload = {"kind": "feq2", "objects": 10_000, "parameters": 1_000,
+               "classes": [[] for _ in range(1_000)]}
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match="parameter 0: blocks must "
+                           "pair off the 10000 objects"):
+            structure_from_json(payload)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
 
 
 @st.composite
@@ -183,9 +232,11 @@ def test_feq2_partition_check_matches_the_oracle(case):
     except ValueError:
         expected = None
     try:
-        got = Feq2Structure(objects, 1, (blocks,)).classes[0]
-    except ValueError:
+        f = structure_from_json(feq2_file(objects, blocks))
+    except FormatError:
         got = None
+    else:
+        got = tuple(map(tuple, structure_to_json(f)["classes"][0]))
     assert got == expected
 
 
@@ -943,10 +994,18 @@ def test_build_tp2_grid_shape():
     for sigma_index, sigma in enumerate(itertools.product(range(2), repeat=2)):
         # the path parameter pairs each row's chosen cell with that row's target
         for row, col in enumerate(sigma):
-            assert (grid_object(2, row, col), grid_target(2, row)) \
-                in f.classes[sigma_index]
+            assert f.mates[sigma_index][grid_target(2, row)] \
+                == grid_object(2, row, col)
     f1 = build_tp2_grid(1)
     assert f1.objects == 2 and f1.parameters == 1
+
+
+def test_build_tp2_grid_holds_one_mate_vector_per_path():
+    # 3,125 tuples of 30 small ints take about 0.9 MB; a tuple of block
+    # tuples per path took 6.1 MB
+    f, peak = traced_peak(build_tp2_grid, 5)
+    assert f.parameters == 3125
+    assert peak < 2_000_000
 
 
 def test_build_tp2_grid_cap():

@@ -8,8 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from keisler_lab import measures, witnesses
-from keisler_lab.logic import (compile_mask, evaluate, make_assignment,
-                               parse_phi)
+from keisler_lab.logic import compile_mask, parse_phi
 from keisler_lab.serialize import canonical_dumps
 from keisler_lab.structures import (
     Feq2Structure,
@@ -483,7 +482,7 @@ def test_tp2_sampled_k4():
 
 def test_tp2_missing_path_parameter_fails_honestly():
     # one-parameter structure: only a single path can be consistent
-    f = Feq2Structure(6, 1, (((0, 4), (1, 3), (2, 5)),))
+    f = Feq2Structure(6, 1, ((4, 3, 5, 1, 0, 2),))  # 0-4, 1-3, 2-5
     report = tp2_witness(f, 2)
     by_name = {c.name: c for c in report.certified}
     assert by_name["paths-consistent"].lhs < by_name["paths-consistent"].rhs
@@ -506,12 +505,11 @@ def test_tp2_validation():
 
 
 def least_shared_param(f, pairs):
-    """The least parameter z under which, for every pair (x, y), some block
-    of z holds both x and y; None if there is none.  The ascending scan of
-    the parameters that tp2_witness's cell bitsets replace."""
-    for z, blocks in enumerate(f.classes):
-        if all(any(x in block and y in block for block in blocks)
-               for x, y in pairs):
+    """The least parameter z under which, for every pair of distinct
+    objects (x, y), y is x's mate; None if there is none.  The ascending
+    scan of the parameters that tp2_witness's cell bitsets replace."""
+    for z, mate in enumerate(f.mates):
+        if all(mate[x] == y for x, y in pairs):
             return z
     return None
 
@@ -568,7 +566,7 @@ def grid_structures(draw):
     objects = k * k + k + draw(st.integers(0, 3))
     cells = [grid_object(k, i, j) for i in range(k) for j in range(k)]
     others = [x for x in range(objects) if x not in cells]
-    classes = []
+    mates = []
     for _ in range(draw(st.integers(1, 40))):
         kind = draw(st.sampled_from(["path", "avoid", "random"]))
         if kind == "path":
@@ -597,8 +595,11 @@ def grid_structures(draw):
             held = {frozenset(b) for b in blocks}
             assert not any({grid_object(k, i, j), grid_target(k, i)} in held
                            for i in range(k) for j in range(k))
-        classes.append(tuple(blocks))
-    return k, Feq2Structure(objects, len(classes), tuple(classes))
+        mate = list(range(objects))
+        for b in blocks:
+            mate[b[0]], mate[b[-1]] = b[-1], b[0]
+        mates.append(tuple(mate))
+    return k, Feq2Structure(objects, len(mates), tuple(mates))
 
 
 @settings(derandomize=True, database=None, max_examples=150, deadline=None)
