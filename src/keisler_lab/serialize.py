@@ -442,8 +442,13 @@ def load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return json.load(handle)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise FormatError(f"{path}: invalid JSON ({exc})") from None
+    except ValueError:
+        # int() refuses an integer of more than sys.get_int_max_str_digits()
+        # digits, and its message names an interpreter setting
+        raise FormatError(f"{path}: invalid JSON (an integer too long to "
+                          f"read)") from None
     except RecursionError:
         raise FormatError(f"{path}: JSON nested too deeply") from None
 

@@ -57,11 +57,6 @@ class Hypergraph(Record):
     n: int
     edges: frozenset[tuple[int, ...]]
 
-    # the s for which add_vertex_with_links built this graph free, if any;
-    # unannotated, so not a field: equality, hashing and serialisation
-    # ignore it
-    _extension_free_s = None
-
     def __post_init__(self):
         if self.r < 2:
             raise ValueError("arity must be at least 2")
@@ -122,28 +117,20 @@ class Hypergraph(Record):
         return masks
 
     @cached_property
-    def _free_memo(self) -> dict[int, bool]:
-        """is_free's global answers, keyed by s."""
+    def _free_memo(self) -> dict[int, Optional[tuple[int, ...]]]:
+        """is_free's global searches, keyed by s: what find_clique
+        returned, the least s-clique or None."""
         return {}
 
 
-def _trusted(r: int, n: int, edges: frozenset[tuple[int, ...]],
-             free_s: Optional[int] = None) -> Hypergraph:
+def _trusted(r: int, n: int, edges: frozenset[tuple[int, ...]]) -> Hypergraph:
     # a Hypergraph whose edges are already canonical: skips __post_init__,
     # which would re-canonicalise every edge
     g = object.__new__(Hypergraph)
     object.__setattr__(g, "r", r)
     object.__setattr__(g, "n", n)
     object.__setattr__(g, "edges", edges)
-    object.__setattr__(g, "_extension_free_s", free_s)
     return g
-
-
-def _extension(h: Hypergraph, new_edges: frozenset[tuple[int, ...]],
-               s: int) -> Hypergraph:
-    # h plus one vertex whose edges, new_edges, are already canonical
-    return _trusted(h.r, h.n + 1, h.edges | new_edges if new_edges
-                    else h.edges, s)
 
 
 class Feq2Structure(Record):
@@ -156,6 +143,8 @@ class Feq2Structure(Record):
     mates: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        if self.objects < 0:
+            raise ValueError("object count must be nonnegative")
         if len(self.mates) != self.parameters:
             raise ValueError("one partition per parameter required")
         everything = list(range(self.objects))
@@ -268,14 +257,13 @@ def is_free(h: Hypergraph, s: int) -> bool:
     """True iff no s vertices span a complete sub-r-graph.
 
     The answer comes from a global find_clique (one bitset AND per edge,
-    then a search from the closers of the edges that have any) and is
-    memoised on h, keyed by s; the mark add_vertex_with_links leaves is
-    never consulted.
+    then a search from the closers of the edges that have any), whose
+    result is memoised on h, keyed by s: h's only freeness record.
     """
     memo = h._free_memo
     if s not in memo:
-        memo[s] = find_clique(h, s) is None
-    return memo[s]
+        memo[s] = find_clique(h, s)
+    return memo[s] is None
 
 
 def _closes_clique(masks: Mapping[tuple[int, ...], int], e: tuple[int, ...],
@@ -292,29 +280,30 @@ def _closes_clique(masks: Mapping[tuple[int, ...], int], e: tuple[int, ...],
 
 
 def add_vertex_with_links(h: Hypergraph, links: Iterable[Iterable[int]],
-                          s: int) -> Hypergraph:
-    """Extend h by a fresh vertex attached through the given (r-1)-subsets.
+                          s: int, *, isolated: int = 0) -> Hypergraph:
+    """Extend h by `isolated` vertices in no edge, h.n .. star - 1, and a
+    vertex star = h.n + isolated attached through the given
+    (r-1)-subsets, which may name any vertex below star.
 
-    h must be K^r_s-free; if it is not, FreenessViolation carries a clique
-    of h.  Given that, every s-clique of the extension contains the new
-    vertex star = h.n, and its other s-1 vertices form a set whose
-    (r-1)-subsets are all links and whose r-subsets are all edges of h.
-    Only such sets are searched for, so an extension without links costs
+    h must be K^r_s-free, by is_free(h, s); if it is not,
+    FreenessViolation carries the clique that search found.  Given that,
+    every s-clique of the extension contains star (an isolated vertex
+    lies in no edge), and its other s-1 vertices form a set whose
+    (r-1)-subsets are all links and whose r-subsets are all edges.  Only
+    such sets are searched for, so an extension without links costs
     O(1).  A clique found raises FreenessViolation carrying its vertices.
-
-    Freeness of h is established by is_free(h, s), or, when h is itself
-    the result of an extension for the same s, by the mark that extension
-    left on it.
     """
+    if isolated < 0:
+        raise ValueError("isolated vertex count must be nonnegative")
+    star = h.n + isolated
     links = [tuple(sorted(x)) for x in links]
     for sigma in links:
         if len(sigma) != h.r - 1 or len(set(sigma)) != h.r - 1:
             raise ValueError(f"link {sigma} is not an (r-1)-subset")
-        if sigma and (sigma[0] < 0 or sigma[-1] >= h.n):
+        if sigma and (sigma[0] < 0 or sigma[-1] >= star):
             raise ValueError(f"link {sigma} mentions unknown vertices")
-    if h._extension_free_s != s and not is_free(h, s):
-        raise FreenessViolation(find_clique(h, s))
-    star = h.n
+    if not is_free(h, s):
+        raise FreenessViolation(h._free_memo[s])
     new_edges = frozenset(sigma + (star,) for sigma in links)
     if new_edges:
         touched = 0
@@ -330,7 +319,8 @@ def add_vertex_with_links(h: Hypergraph, links: Iterable[Iterable[int]],
         found = _extend_clique(near, [star], touched, s - 1, h.r)
         if found is not None:
             raise FreenessViolation(found)
-    return _extension(h, new_edges, s)
+    return _trusted(h.r, star + 1,
+                    h.edges | new_edges if new_edges else h.edges)
 
 
 def _shuffle(rng: random.Random, seq: MutableSequence) -> None:

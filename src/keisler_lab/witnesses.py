@@ -404,8 +404,8 @@ def fam_witness(phi: PhiPartition, epsilon: Fraction, ambient: Hypergraph,
 # Order witness: an alternating link pattern over an independent chain
 # ---------------------------------------------------------------------------
 
-# 2q + 1 extensions, each a new vertex and a copy of the edge set; the
-# largest q in use is 60
+# one extension of 2q + 1 vertices, a copy of the edge set plus q links;
+# the largest q in use is 60
 _MAX_ORDER_Q = 1_000
 
 
@@ -413,9 +413,10 @@ def _extended_free(ambient_free: Certified) -> Certified:
     """extended-free of an extension that add_vertex_with_links returned.
 
     An extension of a free ambient is free iff no s-clique passes through
-    the new vertex, and add_vertex_with_links searches exactly those (it
-    raises FreenessViolation on one).  So the certified ambient-free and
-    the search having returned prove it, without a second global search.
+    the linked vertex (the isolated ones lie in no edge), and
+    add_vertex_with_links searches exactly those (it raises
+    FreenessViolation on one).  So the certified ambient-free and the
+    search having returned prove it, without a second global search.
     """
     return _bool_cert("extended-free", ambient_free.holds)
 
@@ -439,14 +440,11 @@ def order_witness(ambient: Hypergraph, s: int, q: int) -> WitnessReport:
     ambient_free = _bool_cert("ambient-free", is_free(ambient, s))
     _require([ambient_free])
     chain = list(range(ambient.n, ambient.n + 2 * q))
-    extended = ambient
-    for _ in range(2 * q):
-        extended = add_vertex_with_links(extended, [], s)
     star: Optional[int] = None
     adjacency: list[bool] = []
     if q > 0:
         links = [(chain[i],) for i in range(2 * q) if (i + 1) % 2 == 0]
-        extended = add_vertex_with_links(extended, links, s)
+        extended = add_vertex_with_links(ambient, links, s, isolated=2 * q)
         star = extended.n - 1
         adjacency = [extended.has_edge((chain[i], star))
                      for i in range(2 * q)]

@@ -1273,6 +1273,61 @@ def test_files_refuse_booleans_as_integers(name, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+# a 5,000-digit integer, over the 4,300 digits int() reads by default, in
+# each kind of file a command reads
+HUGE = "1" * 5_000
+HUGE_INTEGERS = {
+    "gen": (["gen", "file:FILE"],
+            {"kind": "hypergraph", "r": 2, "n": "HUGE", "edges": []}),
+    "tp2": (["tp2", "--k", "1", "--input", "FILE"],
+            {"kind": "feq2", "objects": 2, "parameters": "HUGE",
+             "classes": []}),
+    "color": (["color", "--input", "FILE"],
+              {"kind": "weighted-hypergraph", "n": 3, "r": 2,
+               "weights": [[[0, 2], {"num": "HUGE", "den": 1}]]}),
+    "verify": (["verify", "FILE"], None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HUGE_INTEGERS))
+def test_files_with_a_huge_integer_are_named(name, tmp_path, capsys):
+    argv, payload = HUGE_INTEGERS[name]
+    sfile = tmp_path / "input.json"
+    if payload is None:
+        assert run(["order", "--ambient", "gen:20:2:3:seed=1", "--q", "2",
+                    "--output", str(sfile)]) == 0
+        payload = read_report(sfile)
+        payload["config"]["q"] = "HUGE"
+    sfile.write_text(json.dumps(payload).replace('"HUGE"', HUGE))
+    capsys.readouterr()
+    assert run([a.replace("FILE", str(sfile)) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert f"{sfile}: invalid JSON (an integer too long to read)" in err
+    assert "set_int_max_str_digits" not in err
+
+
+def test_a_file_that_is_not_utf8_is_named(tmp_path, capsys):
+    # a decoding error is a ValueError too, and keeps its own message
+    sfile = tmp_path / "input.json"
+    sfile.write_bytes(b'{"kind": "\xff"}')
+    assert run(["gen", f"file:{sfile}"]) == 1
+    assert f"{sfile}: invalid JSON ('utf-8' codec" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["gen", "file:FILE"],
+                                  ["tp2", "--k", "1", "--input", "FILE"]],
+                         ids=["gen", "tp2"])
+def test_feq2_file_refuses_a_negative_object_count(argv, tmp_path, capsys):
+    sfile = tmp_path / "input.json"
+    sfile.write_text(json.dumps({"kind": "feq2", "objects": -2,
+                                 "parameters": 0, "classes": []}))
+    out = tmp_path / "r.json"
+    assert run([a.replace("FILE", str(sfile)) for a in argv]
+               + ["--output", str(out)]) == 1
+    assert "object count must be nonnegative" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # just over the caps adversary --n <= 1,000, satprobe --trials <= 1,000 and
 # --n-params <= 100
 def refuse_to_draw_tuples(monkeypatch):
@@ -2116,6 +2171,26 @@ def test_extension_makes_one_global_search_per_phase(argv, ambient_n,
     searched.clear()
     assert run(["verify", str(out)]) == 0
     assert searched == [ambient_n]
+
+
+def test_order_makes_one_extension_per_phase(tmp_path, monkeypatch):
+    # the 2q isolated chain vertices and the linked witness vertex are one
+    # add_vertex_with_links call, in the report and again in verify
+    import keisler_lab.witnesses as witnesses
+    real = witnesses.add_vertex_with_links
+    extended = []
+
+    def counting(h, links, s, **kwargs):
+        extended.append(kwargs)
+        return real(h, links, s, **kwargs)
+    monkeypatch.setattr(witnesses, "add_vertex_with_links", counting)
+    out = tmp_path / "r.json"
+    assert run(["order", "--ambient", "gen:120:2:3:seed=1", "--q", "60",
+                "--output", str(out)]) == 0
+    assert extended == [{"isolated": 120}]
+    extended.clear()
+    assert run(["verify", str(out)]) == 0
+    assert extended == [{"isolated": 120}]
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -1,5 +1,6 @@
-"""The package's public name list stays in step with its modules, and
-no module imports a name it does not read."""
+"""The package's public name list stays in step with its modules, no
+module imports a name it does not read, and no private function or class
+of the package goes unread."""
 
 import ast
 from pathlib import Path
@@ -63,3 +64,55 @@ MODULES = sorted(
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_no_module_imports_a_name_it_does_not_read(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unread_privates(sources: dict[str, str]) -> list[str]:
+    """The module-level private functions and classes (one leading
+    underscore, not a dunder) of the given modules, keyed by module name,
+    that no code outside their own definition reads, as a name or as an
+    attribute.  A read in any module counts, so a helper imported or
+    reached as module._f elsewhere is read; recursion alone is not."""
+    defined, read = [], set()
+    for module, source in sources.items():
+        for top in ast.parse(source).body:
+            owner = None
+            if (isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef))
+                    and top.name.startswith("_")
+                    and not top.name.startswith("__")):
+                owner = top.name
+                defined.append((module, owner))
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                else:
+                    continue
+                if isinstance(node.ctx, ast.Load) and name != owner:
+                    read.add(name)
+    return [f"{module}: {name}" for module, name in defined
+            if name not in read]
+
+
+def test_unread_privates_are_caught():
+    assert unread_privates({
+        "m": "def _f(n):\n    return _f(n - 1)\n\n"
+             "class _C:\n    pass\n\n"
+             "def _g():\n    return 'g'\n\n"
+             "def g():\n    return '_g()'\n\n"
+             "def __getattr__(name):\n    pass\n"}) \
+        == ["m: _f", "m: _C", "m: _g"]
+    # read from another module, as an attribute or in an annotation
+    assert unread_privates({
+        "a": "def _f():\n    pass\n\ndef _g():\n    pass\n\n"
+             "class _K:\n    pass\n",
+        "b": "import a\nfrom a import _f\n\n"
+             "def h(k: a._K) -> None:\n    return _f() + a._g()\n"}) \
+        == []
+
+
+def test_no_private_function_or_class_goes_unread():
+    package = ROOT / "src" / "keisler_lab"
+    assert unread_privates({path.name: path.read_text()
+                            for path in sorted(package.glob("*.py"))}) == []

@@ -522,20 +522,20 @@ def random_free(rng: random.Random, n: int, r: int, s: int,
     return Hypergraph(r, n, frozenset(kept))
 
 
-def check_extension(h: Hypergraph, links: list, s: int):
+def check_extension(h: Hypergraph, links: list, s: int, isolated: int = 0):
     """add_vertex_with_links against a global find_clique on the same
     extension; returns the extension, or None when it must raise."""
-    star = h.n
-    expected = Hypergraph(h.r, h.n + 1, h.edges | {
+    star = h.n + isolated
+    expected = Hypergraph(h.r, h.n + isolated + 1, h.edges | {
         tuple(sorted(sigma)) + (star,) for sigma in links})
     clique = find_clique(expected, s)
     if clique is None:
-        extended = add_vertex_with_links(h, links, s)
+        extended = add_vertex_with_links(h, links, s, isolated=isolated)
         assert extended == expected
         assert extended.n == expected.n and extended.edges == expected.edges
         return extended
     with pytest.raises(FreenessViolation) as info:
-        add_vertex_with_links(h, links, s)
+        add_vertex_with_links(h, links, s, isolated=isolated)
     witness = info.value.witness
     assert len(set(witness)) == s and star in witness
     assert all(expected.has_edge(e)
@@ -551,14 +551,16 @@ def test_add_vertex_with_links_matches_global_oracle():
             s = rng.randint(r + 1, r + 2)
             h = random_free(rng, rng.randint(s, 9), r, s,
                             rng.choice([0.3, 0.7, 1.0]))
-            # a second extension starts from the first one's mark
+            # a second extension asks is_free of the first, a new graph
             for _ in range(2):
-                candidates = list(itertools.combinations(range(h.n), r - 1))
+                isolated = rng.choice([0, 1, 3])
+                candidates = list(itertools.combinations(
+                    range(h.n + isolated), r - 1))
                 p = rng.choice([0.1, 0.4, 0.8])
                 links = [c for c in candidates if rng.random() < p]
                 rng.shuffle(links)
                 links = [tuple(rng.sample(c, len(c))) for c in links]
-                extended = check_extension(h, links, s)
+                extended = check_extension(h, links, s, isolated)
                 outcomes.add(extended is None)
                 if extended is None:
                     break
@@ -573,12 +575,46 @@ def test_add_vertex_with_links_requires_a_free_ambient():
             add_vertex_with_links(k4, [], s)
         assert len(info.value.witness) == s
         assert max(info.value.witness) < k4.n  # a clique of k4 itself
-    # a mark left for s = 4 says nothing about s = 3
+    # an extension made free for s = 4 is searched again for s = 3
     triangle = Hypergraph(2, 3, frozenset({(0, 1), (0, 2), (1, 2)}))
     extended = add_vertex_with_links(triangle, [(0,)], 4)
     with pytest.raises(FreenessViolation) as info:
         add_vertex_with_links(extended, [], 3)
     assert info.value.witness == (0, 1, 2)
+
+
+def test_refusing_a_non_free_ambient_searches_once(monkeypatch):
+    # the refusal carries the clique is_free's search found and memoised
+    calls = []
+    real = structures.find_clique
+
+    def counting(h, s):
+        calls.append(s)
+        return real(h, s)
+
+    monkeypatch.setattr(structures, "find_clique", counting)
+    k5 = Hypergraph(3, 5, frozenset(itertools.combinations(range(5), 3)))
+    for s, links in ((4, []), (5, [(0, 1)])):
+        calls.clear()
+        with pytest.raises(FreenessViolation) as info:
+            add_vertex_with_links(k5, links, s)
+        assert calls == [s]
+        assert info.value.witness == tuple(range(s))
+
+
+def test_add_vertex_with_links_adds_isolated_vertices_first():
+    path = Hypergraph(2, 3, frozenset({(0, 1), (1, 2)}))
+    bigger = add_vertex_with_links(path, [(0,), (4,)], 3, isolated=2)
+    assert bigger == Hypergraph(2, 6, path.edges | {(0, 5), (4, 5)})
+    assert bigger.degrees == (2, 2, 1, 0, 1, 2)
+    assert add_vertex_with_links(path, [], 3, isolated=3) \
+        == Hypergraph(2, 7, path.edges)
+    # the star itself, or a vertex above it, is no link
+    for links in ([(5,)], [(6,)]):
+        with pytest.raises(ValueError, match="unknown vertices"):
+            add_vertex_with_links(path, links, 3, isolated=2)
+    with pytest.raises(ValueError, match="nonnegative"):
+        add_vertex_with_links(path, [], 3, isolated=-1)
 
 
 def test_is_free_is_memoised_per_structure(monkeypatch):
@@ -596,7 +632,7 @@ def test_is_free_is_memoised_per_structure(monkeypatch):
     fresh = Hypergraph(3, 13, h.edges | {sigma + (12,) for sigma in links})
     before = (hash(extended), digest(structure_to_json(extended)))
     calls.clear()
-    assert is_free(extended, 4)  # a global search, not the extension mark
+    assert is_free(extended, 4)  # a global search: the extension left none
     assert calls == [4]
     assert is_free(extended, 4)
     assert calls == [4]
