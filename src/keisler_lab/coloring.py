@@ -4,8 +4,10 @@ A colouring with r colours splits an r-set when its vertices receive
 pairwise distinct colours.  Averaged over all colourings the split weight
 equals (r!/r^r) times the total weight, and colouring vertices greedily
 by conditional expectation always reaches that bound.  Weights are
-integers over one denominator, so every score and sum is an exact
-integer; the certified quantities are exact rationals.
+integers over one denominator, read from integer pairs num/den, so every
+score and sum is an exact integer; only the certified quantities (the
+total weight, a colouring's weight, the guarantee and the brute-force
+optimum and mean) are exact rationals.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import cached_property
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 from typing import Iterable, Sequence
 
 from ._record import Record
@@ -49,6 +51,9 @@ class WeightedHypergraph(Record):
         if self.r < 2 or self.n < 0:
             raise ValueError(f"arity {self.r} must be at least 2 and vertex "
                              f"count {self.n} nonnegative")
+        if type(self.den) is not int or self.den < 1:
+            raise ValueError(f"denominator {self.den!r} must be a positive "
+                             f"integer")
         seen = set()
         for key, w in self.weights:
             if len(key) != self.r or list(key) != sorted(set(key)):
@@ -68,23 +73,26 @@ class WeightedHypergraph(Record):
 
 
 def weighted_hypergraph(n: int, r: int,
-                        items: Iterable[tuple[Sequence[int], Fraction]]
+                        items: Iterable[tuple[Sequence[int], int, int]]
                         ) -> WeightedHypergraph:
-    """Weights, ints or Fractions on unsorted keys, held as integers over
-    D, the lcm of their reduced denominators.  Each item is checked as it
-    is read: ValueError names the first past which the total weight over D
-    lacks what WRITABLE says."""
+    """Weights num/den, den != 0, on unsorted keys, held as integers over
+    D, the lcm of their denominators in lowest terms.  Each item is reduced
+    by one gcd, its sign on the numerator, and checked as it is read:
+    ValueError names the first past which the total weight over D lacks
+    what WRITABLE says."""
     den, total, read = 1, 0, []
-    for i, (key, w) in enumerate(items):
-        grown = lcm(den, w.denominator)
-        total = total * (grown // den) + w.numerator * (grown // w.denominator)
+    for i, (key, num, d) in enumerate(items):
+        g = gcd(num, d) if d > 0 else -gcd(num, d)
+        num, d = num // g, d // g
+        grown = lcm(den, d)
+        total = total * (grown // den) + num * (grown // d)
         den = grown
         if not writable(total, den):
             raise ValueError(f"weights[{i}] on {list(key)}: the total weight "
                              f"over their lcm denominator needs {WRITABLE}")
-        read.append((tuple(sorted(int(v) for v in key)), w))
+        read.append((tuple(sorted(int(v) for v in key)), num, d))
     return WeightedHypergraph(n, r, tuple(
-        (key, w.numerator * (den // w.denominator)) for key, w in read), den)
+        (key, num * (den // d)) for key, num, d in read), den)
 
 
 def _split(h: WeightedHypergraph, chi: Sequence[int]) -> int:

@@ -13,7 +13,7 @@ import json
 import os
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _string
-from math import comb
+from math import comb, gcd
 from typing import Union
 
 # The interpreter's own SHA-256, as random.py takes its sha512: hashlib
@@ -51,15 +51,6 @@ def _shown(value) -> str:
         return text
     size = len(value) if isinstance(value, (str, list, dict)) else len(text)
     return f"(a {type(value).__name__} of length {size})"
-
-
-def rational_from_json(payload) -> Fraction:
-    if not isinstance(payload, dict) or "num" not in payload or "den" not in payload:
-        raise FormatError(f"not a rational: {_shown(payload)}")
-    num, den = payload["num"], payload["den"]
-    if not _is_int(num) or not _is_int(den) or den == 0:
-        raise FormatError(f"not a rational: {_shown(payload)}")
-    return Fraction(num, den)
 
 
 def parse_rational(text: str) -> Fraction:
@@ -223,17 +214,23 @@ _MAX_WEIGHTED_R = 8
 
 
 def weighted_to_json(h: WeightedHypergraph) -> dict:
-    weights = [(key, Fraction(w, h.den)) for key, w in h.weights]
+    den = h.den
     return {"kind": "weighted-hypergraph", "n": h.n, "r": h.r,
-            "weights": [[list(key), {"num": w.numerator, "den": w.denominator}]
-                        for key, w in weights]}
+            "weights": [[list(key), {"num": w // g, "den": den // g}]
+                        for key, w in h.weights for g in (gcd(w, den),)]}
 
 
 def weighted_from_json(payload: dict) -> WeightedHypergraph:
-    """Weights scaled by the lcm of their denominators as they are read:
-    the first entry past the cap of WRITABLE is named."""
+    """A weights file of kind weighted-hypergraph, its sizes under the caps,
+    read as integer pairs num/den and held as integers over D, the lcm of
+    their denominators in lowest terms (weighted_hypergraph): the first
+    entry past the cap of WRITABLE is named."""
     if not isinstance(payload, dict):
         raise FormatError("weighted hypergraph payload must be an object")
+    kind = payload.get("kind")
+    if kind != "weighted-hypergraph":
+        raise FormatError(f"unknown weights kind {_shown(kind)}: a weights "
+                          f"file is of kind 'weighted-hypergraph'")
     n = _expect_int(payload.get("n"), "n")
     r = _expect_int(payload.get("r"), "r")
     if n > _MAX_WEIGHTED_N or r > _MAX_WEIGHTED_R:
@@ -249,7 +246,9 @@ def weighted_from_json(payload: dict) -> WeightedHypergraph:
         raise FormatError(str(exc)) from None
 
 
-def _weight_entry(entry) -> tuple[list[int], Fraction]:
+def _weight_entry(entry) -> tuple[list[int], int, int]:
+    """A weights-file entry [key, {"num", "den"}] as the integers
+    (key, num, den), den != 0, unreduced; weighted_hypergraph reduces."""
     if not isinstance(entry, list) or len(entry) != 2:
         raise FormatError(f"weight entry {_shown(entry)} must be "
                           f"[key, rational]")
@@ -257,7 +256,12 @@ def _weight_entry(entry) -> tuple[list[int], Fraction]:
     if not _is_int_list(key):
         raise FormatError(f"weight key {_shown(key)} must be a list of "
                           f"integers")
-    return key, rational_from_json(w)
+    if not isinstance(w, dict) or "num" not in w or "den" not in w:
+        raise FormatError(f"not a rational: {_shown(w)}")
+    num, den = w["num"], w["den"]
+    if not _is_int(num) or not _is_int(den) or den == 0:
+        raise FormatError(f"not a rational: {_shown(w)}")
+    return key, num, den
 
 
 # ---------------------------------------------------------------------------

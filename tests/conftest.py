@@ -14,7 +14,7 @@ import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
-from math import perm
+from math import lcm, perm
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -22,12 +22,14 @@ import pytest
 from hypothesis import strategies as st
 
 import keisler_lab
-from keisler_lab.coloring import (Coloring, WeightedHypergraph,
-                                  weighted_hypergraph)
+from keisler_lab.coloring import (WRITABLE, Coloring, WeightedHypergraph,
+                                  weighted_hypergraph, writable)
 from keisler_lab.logic import (And, Clause, DisjunctProfile, Eq, Formula,
                                Not, Or, Rel, Term, compile_mask)
 from keisler_lab.measures import FiniteMeasure, make_measure
-from keisler_lab.serialize import weighted_from_json
+from keisler_lab.serialize import (_MAX_WEIGHTED_N, _MAX_WEIGHTED_R,
+                                   FormatError, _expect_int, _is_int,
+                                   _is_int_list, _shown, weighted_from_json)
 from keisler_lab.structures import Hypergraph, _add_edge, _closes_clique
 
 
@@ -168,7 +170,7 @@ def traced_peak(function, *args):
 
 def random_weighted(rng: random.Random, n: int, r: int,
                     p: float = 0.6) -> WeightedHypergraph:
-    items = [(e, Fraction(rng.randint(1, 12), rng.randint(1, 6)))
+    items = [(e, rng.randint(1, 12), rng.randint(1, 6))
              for e in itertools.combinations(range(n), r)
              if rng.random() < p]
     return weighted_hypergraph(n, r, items)
@@ -203,6 +205,52 @@ def weighted_payloads(draw) -> dict:
 def weighted_graphs():
     """The weighted hypergraphs that weighted_payloads() files hold."""
     return weighted_payloads().map(weighted_from_json)
+
+
+def fraction_weights(payload) -> tuple[tuple, int]:
+    """The reference weights-file reader, one Fraction per entry: the
+    (weights, den) of the WeightedHypergraph that weighted_from_json
+    builds, or the same FormatError.  It reads no kind."""
+    if not isinstance(payload, dict):
+        raise FormatError("weighted hypergraph payload must be an object")
+    n = _expect_int(payload.get("n"), "n")
+    r = _expect_int(payload.get("r"), "r")
+    if n > _MAX_WEIGHTED_N or r > _MAX_WEIGHTED_R:
+        raise FormatError(f"weighted hypergraph n = {n} and r = {r} may "
+                          f"not exceed {_MAX_WEIGHTED_N} and "
+                          f"{_MAX_WEIGHTED_R}")
+    raw = payload.get("weights")
+    if not isinstance(raw, list):
+        raise FormatError("weights must be a list")
+    den, total, read = 1, 0, []
+    for i, entry in enumerate(raw):
+        if not isinstance(entry, list) or len(entry) != 2:
+            raise FormatError(f"weight entry {_shown(entry)} must be "
+                              f"[key, rational]")
+        key, w = entry
+        if not _is_int_list(key):
+            raise FormatError(f"weight key {_shown(key)} must be a list of "
+                              f"integers")
+        if (not isinstance(w, dict) or "num" not in w or "den" not in w
+                or not _is_int(w["num"]) or not _is_int(w["den"])
+                or w["den"] == 0):
+            raise FormatError(f"not a rational: {_shown(w)}")
+        w = Fraction(w["num"], w["den"])
+        grown = lcm(den, w.denominator)
+        total = total * (grown // den) + w.numerator * (grown // w.denominator)
+        den = grown
+        if not writable(total, den):
+            raise FormatError(f"weights[{i}] on {list(key)}: the total "
+                              f"weight over their lcm denominator needs "
+                              f"{WRITABLE}")
+        read.append((tuple(sorted(key)), w))
+    try:
+        h = WeightedHypergraph(n, r, tuple(
+            (key, w.numerator * (den // w.denominator)) for key, w in read),
+            den)
+    except ValueError as exc:
+        raise FormatError(str(exc)) from None
+    return h.weights, h.den
 
 
 def _split_probability(r: int, used: int, distinct: int, repeat: bool,

@@ -202,9 +202,8 @@ def test_criterion_09_oracle_equivalence():
 
 
 def test_criterion_10_reproducibility(tmp_path):
-    wh = weighted_hypergraph(5, 2, [((0, 1), Fraction(1, 3)),
-                                    ((1, 2), Fraction(2, 1)),
-                                    ((3, 4), Fraction(1, 2))])
+    wh = weighted_hypergraph(5, 2, [((0, 1), 1, 3), ((1, 2), 2, 1),
+                                    ((3, 4), 1, 2)])
     wfile = tmp_path / "weights.json"
     wfile.write_text(canonical_dumps(weighted_to_json(wh)))
     out = tmp_path / "report.json"

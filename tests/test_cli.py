@@ -33,9 +33,8 @@ def read_report(path):
 
 
 def write_weighted(tmp_path, name="weights.json"):
-    wh = weighted_hypergraph(4, 2, [((0, 1), Fraction(2, 3)),
-                                    ((1, 2), Fraction(1, 2)),
-                                    ((2, 3), Fraction(3, 1))])
+    wh = weighted_hypergraph(4, 2, [((0, 1), 2, 3), ((1, 2), 1, 2),
+                                    ((2, 3), 3, 1)])
     path = tmp_path / name
     path.write_text(canonical_dumps(weighted_to_json(wh)))
     return path
@@ -298,6 +297,40 @@ def test_color_input_override(tmp_path):
     assert run(["verify", str(out)]) == 1  # recorded source is gone
     assert run(["verify", str(out), "--input",
                 f"weighted={moved}"]) == 0
+
+
+# a weights file with another kind's name, and one with none
+OTHER_KIND_WEIGHTS = {
+    "feq2": {"kind": "feq2", "n": 3, "r": 2,
+             "weights": [[[0, 1], {"num": 1, "den": 2}]]},
+    "none": {"n": 3, "r": 2, "weights": [[[0, 1], {"num": 1, "den": 2}]]},
+}
+
+
+@pytest.mark.parametrize("case", sorted(OTHER_KIND_WEIGHTS))
+def test_color_refuses_a_weights_file_of_another_kind(case, tmp_path,
+                                                      capsys):
+    wfile = tmp_path / "weights.json"
+    wfile.write_text(json.dumps(OTHER_KIND_WEIGHTS[case]))
+    out = tmp_path / "color.json"
+    assert run(["color", "--input", str(wfile), "--output", str(out)]) == 1
+    assert not out.exists()
+    kind = OTHER_KIND_WEIGHTS[case].get("kind")
+    assert f"unknown weights kind {kind!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", sorted(OTHER_KIND_WEIGHTS))
+def test_verify_refuses_a_weights_file_of_another_kind(case, tmp_path,
+                                                       capsys):
+    out = tmp_path / "color.json"
+    assert run(["color", "--input", str(write_weighted(tmp_path)),
+                "--output", str(out)]) == 0
+    other = tmp_path / "other.json"
+    other.write_text(json.dumps(OTHER_KIND_WEIGHTS[case]))
+    capsys.readouterr()
+    assert run(["verify", str(out), "--input", f"weighted={other}"]) == 1
+    kind = OTHER_KIND_WEIGHTS[case].get("kind")
+    assert f"unknown weights kind {kind!r}" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -21,30 +21,41 @@ from keisler_lab.coloring import (
 
 
 def test_weighted_hypergraph_validation():
-    weighted_hypergraph(4, 2, [((1, 0), Fraction(1, 2))])
+    weighted_hypergraph(4, 2, [((1, 0), 1, 2)])
     with pytest.raises(ValueError):
-        WeightedHypergraph(4, 2, (((1, 0), Fraction(1)),))
+        WeightedHypergraph(4, 2, (((1, 0), 1),))
     with pytest.raises(ValueError):
-        WeightedHypergraph(4, 2, (((0, 0), Fraction(1)),))
+        WeightedHypergraph(4, 2, (((0, 0), 1),))
     with pytest.raises(ValueError):
-        WeightedHypergraph(4, 2, (((0, 5), Fraction(1)),))
+        WeightedHypergraph(4, 2, (((0, 5), 1),))
     with pytest.raises(ValueError):
-        weighted_hypergraph(4, 2, [((0, 1), Fraction(-1))])
+        weighted_hypergraph(4, 2, [((0, 1), -1, 1)])
     with pytest.raises(ValueError):
-        weighted_hypergraph(4, 2, [((0, 1), 1), ((1, 0), 1)])
+        weighted_hypergraph(4, 2, [((0, 1), 1, 1), ((1, 0), 1, 1)])
     with pytest.raises(ValueError):
         WeightedHypergraph(4, 1, ())
 
 
+@pytest.mark.parametrize("den", [0, -3, True, 2.0, Fraction(2)])
+def test_weighted_hypergraph_refuses_a_bad_denominator(den):
+    # a zero denominator would fail in total_weight, a negative one flip
+    # the sign of every certified weight
+    with pytest.raises(ValueError, match="must be a positive integer"):
+        WeightedHypergraph(4, 2, (((0, 1), 1),), den)
+    h = WeightedHypergraph(4, 2, (((0, 1), 1),), 3)
+    assert h.total_weight == Fraction(1, 3)
+
+
 def test_weight_accessors():
-    h = weighted_hypergraph(4, 2, [((0, 1), Fraction(3, 2)), ((2, 3), 1)])
+    h = weighted_hypergraph(4, 2, [((0, 1), 3, 2), ((2, 3), 1, 1)])
     assert h.total_weight == Fraction(5, 2)
     # integers over the lcm of the denominators
     assert (h.weights, h.den) == ((((0, 1), 3), ((2, 3), 2)), 2)
 
 
 def test_weight_of_counts_rainbow_sets():
-    h = weighted_hypergraph(4, 2, [((0, 1), 1), ((1, 2), 2), ((2, 3), 4)])
+    h = weighted_hypergraph(4, 2, [((0, 1), 1, 1), ((1, 2), 2, 1),
+                                   ((2, 3), 4, 1)])
     assert weight_of(h, (1, 2, 1, 2)) == 7
     assert weight_of(h, (1, 1, 1, 1)) == 0
     assert weight_of(h, (1, 2, 2, 1)) == 1 + 4
@@ -55,14 +66,15 @@ def test_weight_of_counts_rainbow_sets():
 
 
 def test_guarantee_value():
-    h2 = weighted_hypergraph(3, 2, [((0, 1), 1), ((1, 2), 1)])
+    h2 = weighted_hypergraph(3, 2, [((0, 1), 1, 1), ((1, 2), 1, 1)])
     assert guarantee_value(h2) == Fraction(2, 4) * 2
-    h3 = weighted_hypergraph(4, 3, [((0, 1, 2), Fraction(5, 3))])
+    h3 = weighted_hypergraph(4, 3, [((0, 1, 2), 5, 3)])
     assert guarantee_value(h3) == Fraction(6, 27) * Fraction(5, 3)
 
 
 def test_conditional_expectation_endpoints():
-    h = weighted_hypergraph(4, 2, [((0, 1), 1), ((1, 2), 2), ((2, 3), 4)])
+    h = weighted_hypergraph(4, 2, [((0, 1), 1, 1), ((1, 2), 2, 1),
+                                   ((2, 3), 4, 1)])
     # nothing assigned: the plain average
     assert conditional_expectation(h, {}) == guarantee_value(h)
     # everything assigned: the realized split weight
@@ -117,7 +129,7 @@ def test_greedy_on_empty_and_zero_weight():
     h = weighted_hypergraph(3, 2, [])
     assert greedy_coloring(h) == (1, 1, 1)
     assert weight_of(h, (1, 1, 1)) == 0 == guarantee_value(h)
-    z = weighted_hypergraph(2, 2, [((0, 1), 0)])
+    z = weighted_hypergraph(2, 2, [((0, 1), 0, 1)])
     assert weight_of(z, greedy_coloring(z)) == 0
 
 
@@ -136,7 +148,7 @@ def test_brute_average_identity():
 
 
 def test_brute_cap():
-    h = weighted_hypergraph(13, 2, [((0, 1), 1)])
+    h = weighted_hypergraph(13, 2, [((0, 1), 1, 1)])
     with pytest.raises(ValueError):
         brute_best(h)
     # the cap counts the r^n colourings, not the vertices
@@ -150,7 +162,7 @@ def test_split_fraction_matches_direct_count():
     # for unit weights the guarantee is r!/r^r per edge, seen directly in
     # the fraction of rainbow colourings of a single r-set
     for r in (2, 3):
-        h = weighted_hypergraph(r, r, [(tuple(range(r)), 1)])
+        h = weighted_hypergraph(r, r, [(tuple(range(r)), 1, 1)])
         rainbow = sum(
             1 for chi in itertools.product(range(1, r + 1), repeat=r)
             if len(set(chi)) == r)

@@ -24,7 +24,7 @@ from conftest import cli_process, random_weighted
 from keisler_lab.cli import run
 from keisler_lab.coloring import weighted_hypergraph
 from keisler_lab.serialize import (canonical_dumps, structure_to_json,
-                                   weighted_to_json)
+                                   weighted_from_json, weighted_to_json)
 from keisler_lab.structures import Hypergraph
 
 GOLDEN = json.loads(
@@ -32,9 +32,8 @@ GOLDEN = json.loads(
 
 
 def write_inputs(directory: Path) -> None:
-    wh = weighted_hypergraph(5, 2, [((0, 1), Fraction(1, 3)),
-                                    ((1, 2), Fraction(2, 1)),
-                                    ((3, 4), Fraction(1, 2))])
+    wh = weighted_hypergraph(5, 2, [((0, 1), 1, 3), ((1, 2), 2, 1),
+                                    ((3, 4), 1, 2)])
     (directory / "weights.json").write_text(
         canonical_dumps(weighted_to_json(wh)))
     # the color-greedy bench input: seed 1, n = 40, r = 3, p = 0.1 (982
@@ -79,6 +78,25 @@ def test_entry_point_matches_golden(name, tmp_path):
     assert hashlib.sha256(blob).hexdigest() == case["sha256"], name
     assert cli_process(["verify", "report.json"],
                        tmp_path).returncode == case["exit"]
+
+
+def test_weights_round_trip_constructs_no_fraction(tmp_path, monkeypatch):
+    # a weights file is read as integer pairs and written in lowest terms
+    # with one gcd per entry: Fraction is for certified values only
+    write_inputs(tmp_path)
+    payload = json.loads((tmp_path / "weights-n40-r3.json").read_text())
+    made = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    assert Fraction(1, 2) and made == [(1, 2)]  # the count sees a Fraction
+    made.clear()
+    h = weighted_from_json(payload)
+    assert weighted_to_json(h) == payload
+    assert len(h.weights) == 982 and made == []
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))

@@ -10,11 +10,13 @@ from math import gcd, lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (fresh_import, random_graph, random_hypergraph,
-                      random_weighted, traced_peak, weighted_payloads)
+from conftest import (fraction_weights, fresh_import, random_graph,
+                      random_hypergraph, random_weighted, traced_peak,
+                      weighted_payloads)
 from keisler_lab.serialize import (
     _SLICE,
     FormatError,
+    _weight_entry,
     atomic_write_text,
     canonical_dumps,
     digest,
@@ -25,7 +27,6 @@ from keisler_lab.serialize import (
     parse_rational,
     parse_spec_fields,
     parse_structure_spec,
-    rational_from_json,
     rational_to_json,
     structure_from_json,
     structure_to_json,
@@ -48,17 +49,20 @@ from keisler_lab.witnesses import build_report
 # ---------------------------------------------------------------------------
 
 def test_rational_round_trip():
+    # a rational as reports write it is read back as a weight's num/den
     for value in (Fraction(0), Fraction(4, 5), Fraction(-7, 3), Fraction(12)):
         payload = rational_to_json(value)
-        assert rational_from_json(payload) == value
+        _, num, den = _weight_entry([[0, 1], payload])
+        assert Fraction(num, den) == value
         assert payload["decimal"] == pytest.approx(float(value))
 
 
-def test_rational_from_json_rejects_garbage():
+def test_weight_entry_rejects_garbage_rationals():
     for bad in (None, [], {"num": 1}, {"num": 1, "den": 0},
-                {"num": "1", "den": 2}, {"num": 1.5, "den": 2}):
-        with pytest.raises(FormatError):
-            rational_from_json(bad)
+                {"num": "1", "den": 2}, {"num": 1.5, "den": 2},
+                {"num": 1, "den": True}):
+        with pytest.raises(FormatError, match="^not a rational: "):
+            _weight_entry([[0, 1], bad])
 
 
 def test_parse_rational():
@@ -177,8 +181,9 @@ def test_weighted_digest_is_pinned():
     # denominators, digested as when weights were held as Fractions
     entries = [([1, 0], 2, 4), ([1, 2], -1, -2), ([2, 3], 3, 1),
                ([0, 4], -10, -6), ([3, 4], 0, 7), ([2, 4], 14, 21)]
-    h = weighted_from_json({"n": 5, "r": 2, "weights": [
-        [key, {"num": num, "den": den}] for key, num, den in entries]})
+    h = weighted_from_json({"kind": "weighted-hypergraph", "n": 5, "r": 2,
+                            "weights": [[key, {"num": num, "den": den}]
+                                        for key, num, den in entries]})
     assert h.den == 6
     assert digest(weighted_to_json(h)) == ("sha256:890ee884aa6ca703a163c8be6d"
                                            "70bf64dde9e948da8041fbdd80ad391c7"
@@ -186,11 +191,71 @@ def test_weighted_digest_is_pinned():
 
 
 def test_weighted_from_json_rejects_bad_weights():
+    kind = "weighted-hypergraph"
     with pytest.raises(FormatError):
-        weighted_from_json({"n": 3, "r": 2, "weights": [[[0, 1], "x"]]})
+        weighted_from_json({"kind": kind, "n": 3, "r": 2,
+                            "weights": [[[0, 1], "x"]]})
     with pytest.raises(FormatError):
-        weighted_from_json({"n": 3, "r": 2,
+        weighted_from_json({"kind": kind, "n": 3, "r": 2,
                             "weights": [[[0, 1], {"num": -1, "den": 2}]]})
+
+
+@pytest.mark.parametrize("kind", [None, "feq2", "hypergraph", 1, "x" * 100])
+def test_weighted_from_json_reads_its_kind_first(kind):
+    payload = {"n": "not checked", "r": 2, "weights": [
+        [[0, 1], {"num": 1, "den": 2}]]}
+    if kind is not None:
+        payload["kind"] = kind
+    with pytest.raises(FormatError, match="^unknown weights kind ") as info:
+        weighted_from_json(payload)
+    assert len(str(info.value)) < 120
+
+
+# entries that break one check each, and weights that cross the cap of
+# WRITABLE: a value of 10^300, a term of 4,000 digits, and denominators
+# that are pairwise coprime, so that two of them cross the cap of their lcm
+_HOSTILE_ENTRIES = (
+    "x", [[0, 1]], [[0, 1], {"num": 1}], [["0", 1], {"num": 1, "den": 1}],
+    [[0, 1], {"num": 1, "den": 0}], [[0, 1], {"num": True, "den": 2}],
+    [[0, 1], {"num": -1, "den": 2}], [[0, 0], {"num": 1, "den": 1}],
+    [[0, 99], {"num": 1, "den": 1}], [[0, 1, 2, 3, 4], {"num": 1, "den": 1}],
+    [[0, 1], {"num": 10 ** 300, "den": 1}],
+    [[0, 1], {"num": -(10 ** 4000), "den": -1}],
+    [[0, 1], {"num": 10 ** 4000, "den": 10 ** 3999}],
+    [[0, 1], {"num": 1, "den": 10 ** 2000 + 1}],
+    [[1, 0], {"num": 3, "den": 10 ** 2000 + 3}],
+    [[0, 1], {"num": 2, "den": -(10 ** 2000 + 7)}],
+)
+
+
+@st.composite
+def hostile_weighted_payloads(draw) -> dict:
+    """weighted_payloads() files with up to three entries inserted from
+    _HOSTILE_ENTRIES, each at a drawn index."""
+    payload = draw(weighted_payloads())
+    entries = payload["weights"]
+    for entry in draw(st.lists(st.sampled_from(_HOSTILE_ENTRIES),
+                               max_size=3)):
+        entries.insert(draw(st.integers(0, len(entries))), entry)
+    return payload
+
+
+def _read_or_refusal(reader, payload):
+    try:
+        return reader(payload)
+    except FormatError as exc:
+        return f"FormatError: {exc}"
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(hostile_weighted_payloads())
+def test_integer_reader_matches_fraction_reader(payload):
+    # the same (weights, den) or the same refusal as the Fraction reader
+    def read(p):
+        h = weighted_from_json(p)
+        return h.weights, h.den
+    assert (_read_or_refusal(read, payload)
+            == _read_or_refusal(fraction_weights, payload))
 
 
 # ---------------------------------------------------------------------------
