@@ -77,11 +77,18 @@ Storable = Union[Hypergraph, Feq2Structure]
 
 
 def structure_to_json(structure: Storable) -> dict:
+    """The JSON a structure's file holds.  A hypergraph's edges come in
+    sorted order as a _Rows: the rows and their compact text, made in one
+    walk, at r = 3 off the link rows with each vertex's decimal text made
+    once (_link_edges), and at every other r from the sorted edge set by
+    json's C encoder, _SLICE rows at a time.  digest hashes that text and
+    canonical_dumps indents it, so an edge list is formatted once."""
     if isinstance(structure, Hypergraph):
         if structure.r == 3:
             edges = _link_edges(structure.links)
         else:
-            edges = [list(e) for e in sorted(structure.edges)]
+            rows = [list(e) for e in sorted(structure.edges)]
+            edges = _Rows(rows, tuple(_compact_pieces(rows)))
         return {"kind": "hypergraph", "r": structure.r, "n": structure.n,
                 "edges": edges}
     if isinstance(structure, Feq2Structure):
@@ -94,23 +101,66 @@ def structure_to_json(structure: Storable) -> dict:
     raise FormatError(f"cannot serialize {type(structure).__name__}")
 
 
-def _link_edges(links) -> list[list[int]]:
+class _Rows(list):
+    """An edge list, [[a, b, ...], ...] in sorted order, that carries its
+    compact JSON text in pieces of whole rows: "[" + ",".join(pieces) +
+    "]" is json.dumps(rows, separators=(",", ":")).  It reads as the list
+    it is, for ==, json and verify, and refuses every change in place, so
+    the text cannot go stale; its rows are plain lists, which nothing
+    changes."""
+
+    __slots__ = ("pieces",)
+
+    def __init__(self, rows: list[list[int]], pieces: tuple[str, ...]):
+        super().__init__(rows)
+        self.pieces = pieces
+
+    def __reduce__(self):
+        return _Rows, (list(self), self.pieces)
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("an edge list carries its text and is not changed "
+                        "in place")
+
+    append = extend = insert = remove = pop = clear = sort = reverse = \
+        __setitem__ = __delitem__ = __iadd__ = __imul__ = _refuse
+
+
+def _link_edges(links) -> _Rows:
     # the edges a < b < c of a 3-graph in sorted order, read off its link
     # rows (Hypergraph.links): row a holds the b > a, and links[a][b] the
     # c, so taking a ascending, b ascending and the bits of links[a][b]
     # above b lists each edge once, in order, without sorting the edge set.
     # For a generated graph these are the rows generation built and
-    # is_free and is_maximal_free certified.
-    edges = []
+    # is_free and is_maximal_free certified.  The text of one (a, b) is
+    # "[a,b,c],[a,b,c'],...", joined from each vertex's decimal text, and
+    # these are joined into a piece once they pass _PIECE characters.
+    names = list(map(str, range(len(links))))
+    edges, pieces, texts, size = [], [], [], 0
     append = edges.append
     for a, row in enumerate(links):
+        head_a = "[" + names[a] + ","
         for b in sorted(row):
             m = row[b] & -(2 << b)
+            if not m:
+                continue
+            head = head_a + names[b] + ","
+            last = []
             while m:
                 low = m & -m
-                append([a, b, low.bit_length() - 1])
+                c = low.bit_length() - 1
+                append([a, b, c])
+                last.append(names[c])
                 m ^= low
-    return edges
+            text = head + ("]," + head).join(last) + "]"
+            texts.append(text)
+            size += len(text)
+            if size >= _PIECE:
+                pieces.append(",".join(texts))
+                texts, size = [], 0
+    if texts:
+        pieces.append(",".join(texts))
+    return _Rows(edges, tuple(pieces))
 
 
 def _is_int(value) -> bool:
@@ -185,7 +235,7 @@ def structure_from_json(payload: dict) -> Storable:
             return Feq2Structure(objects, parameters, mates)
         except ValueError as exc:
             raise FormatError(str(exc)) from None
-    raise FormatError(f"unknown structure kind {kind!r}")
+    raise FormatError(f"unknown structure kind {_shown(kind)}")
 
 
 def _mates(objects: int, z: int, blocks) -> tuple[int, ...]:
@@ -275,7 +325,9 @@ def canonical_dumps(payload) -> str:
     ensure_ascii=True) + "\\n", written in one recursive pass instead of
     the standard library's pure-Python indenting encoder.  Payloads hold
     dicts with str keys, lists, tuples, str, int, float, bool and None;
-    any other key or value raises TypeError.
+    any other key or value raises TypeError.  An edge list from
+    structure_to_json is cut from its compact text, not formatted again
+    (_indent_rows).
     """
     parts: list[str] = []
     _encode(payload, "\n", parts.append)
@@ -318,6 +370,9 @@ def _encode(value, nl: str, emit) -> None:
         if not value:
             emit("[]")
             return
+        if type(value) is _Rows:
+            _indent_rows(value.pieces, nl, emit)
+            return
         inner = nl + "  "
         kinds = set(map(type, value))
         if kinds == _INT:
@@ -328,7 +383,7 @@ def _encode(value, nl: str, emit) -> None:
             widths = set(map(len, value))
             if (len(widths) == 1 and set(map(
                     type, itertools.chain.from_iterable(value))) == _INT):
-                # equal-length int lists, such as an edge list: one
+                # equal-length int lists, such as a parsed edge list: one
                 # "%d" template per item, filled in a single format
                 row = ("[" + ",".join([inner + "  %d"] * widths.pop())
                        + inner + "]")
@@ -364,15 +419,35 @@ def _encode(value, nl: str, emit) -> None:
                         f"into a report")
 
 
+def _indent_rows(pieces, nl: str, emit) -> None:
+    # a _Rows' compact text, indented as _encode indents int rows: the two
+    # differ only in the whitespace after "[" and "," and before "]", so
+    # each piece "[a,b],[c,d]" takes three replaces inside its outer
+    # brackets, "],[" to a NUL, "," to "," plus the item indent, and the
+    # NUL to the indented row break, which also joins the pieces
+    inner = nl + "  "
+    item = inner + "  "
+    row_break = inner + "]," + inner + "[" + item
+    sep = "[" + inner + "[" + item
+    for piece in pieces:
+        emit(sep)
+        emit(piece[1:-1].replace("],[", "\0").replace(",", "," + item)
+             .replace("\0", row_break))
+        sep = row_break
+    emit(inner + "]" + nl + "]")
+
+
 def digest(payload) -> str:
     """sha256 over compact sorted-key JSON.
 
     The bytes hashed are those of json.dumps(payload, sort_keys=True,
     separators=(",", ":"), ensure_ascii=True), fed to the hash piece by
     piece so that no text or token list of a whole edge list is built: a
-    dict with str keys is walked in sorted key order, a list or tuple of
-    more than _SLICE items is encoded _SLICE items at a time, and every
-    other value is encoded whole by json's C encoder.
+    dict with str keys is walked in sorted key order, an edge list from
+    structure_to_json is hashed from the pieces of compact text it
+    carries, with no encoder, a list or tuple of more than _SLICE items is
+    encoded _SLICE items at a time, and every other value is encoded whole
+    by json's C encoder.
     """
     h = sha256()
     _hash(payload, h.update)
@@ -389,6 +464,10 @@ def __getattr__(name):
 
 
 _SLICE = 1024
+# the characters a piece of an edge list's text reaches before it is cut
+# (at the end of its rows of one (a, b)), and those of a report that
+# atomic_write_text writes at a time
+_PIECE = 1 << 16
 # json.dumps with digest's arguments, its encoder built once
 _compact = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
                             ensure_ascii=True).encode
@@ -405,15 +484,30 @@ def _hash(value, update) -> None:
             _hash(value[key], update)
             sep = b","
         update(b"}")
+    elif type(value) is _Rows:
+        _hash_pieces(value.pieces, update)
     elif isinstance(value, (list, tuple)) and len(value) > _SLICE:
-        sep = b"["
-        for start in range(0, len(value), _SLICE):
-            update(sep)
-            update(_compact(value[start:start + _SLICE])[1:-1].encode())
-            sep = b","
-        update(b"]")
+        _hash_pieces(_compact_pieces(value), update)
     else:
         update(_compact(value).encode())
+
+
+def _hash_pieces(pieces, update) -> None:
+    # a list's compact text from the texts of its items, piece by piece
+    update(b"[")
+    sep = b""
+    for piece in pieces:
+        update(sep)
+        update(piece.encode())
+        sep = b","
+    update(b"]")
+
+
+def _compact_pieces(items):
+    # the compact texts of a list's items, _SLICE items at a time, each
+    # without the brackets of its slice
+    for start in range(0, len(items), _SLICE):
+        yield _compact(items[start:start + _SLICE])[1:-1]
 
 
 def atomic_write_text(path: str, text: str) -> None:
@@ -421,13 +515,16 @@ def atomic_write_text(path: str, text: str) -> None:
     process that crashes mid-write never leaves a half-written report.
     The file is made under a random name as mkstemp does, without its
     import of tempfile and shutil, and fsynced before the rename and its
-    directory after, so a written report also survives a power loss."""
+    directory after, so a written report also survives a power loss.
+    The text is written _PIECE characters at a time, so that no encoded
+    copy of the whole report is made."""
     directory = os.path.dirname(os.path.abspath(path))
     tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}.json")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            for start in range(0, len(text), _PIECE):
+                handle.write(text[start:start + _PIECE])
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp, path)

@@ -30,13 +30,27 @@ class FreenessViolation(Exception):
         super().__init__(f"complete subgraph on vertices {self.witness}")
 
 
+_INT = {int}
+
+
 def _canonical_edge(edge: Iterable[int], r: int, n: int) -> tuple[int, ...]:
-    vs = tuple(sorted(edge))
-    if len(vs) != r or len(set(vs)) != r:
-        raise ValueError(f"edge {vs} does not have {r} distinct vertices")
-    if vs and (vs[0] < 0 or vs[-1] >= n):
-        raise ValueError(f"edge {vs} out of range for {n} vertices")
-    return vs
+    # a vertex is an int, not a bool or a float equal to one, as in a
+    # structure file; an edge longer than a line is named by its length
+    vs = tuple(edge)
+    if not _INT.issuperset(map(type, vs)):
+        fault = "must have int vertices"
+    else:
+        vs = tuple(sorted(vs))
+        if len(vs) != r or len(set(vs)) != r:
+            fault = f"does not have {r} distinct vertices"
+        elif vs[0] < 0 or vs[-1] >= n:
+            fault = f"out of range for {n} vertices"
+        else:
+            return vs
+    name = repr(vs)
+    if len(name) > 80:
+        name = f"of length {len(vs)}"
+    raise ValueError(f"edge {name} {fault}")
 
 
 def _bits(mask: int):
@@ -49,7 +63,7 @@ def _bits(mask: int):
 class Hypergraph(Record):
     """An r-uniform hypergraph on vertices 0..n-1.
 
-    Edges are stored as sorted tuples of r distinct vertices, so the
+    Edges are stored as sorted tuples of r distinct int vertices, so the
     relation is irreflexive and symmetric by representation.
     """
 

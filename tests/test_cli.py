@@ -1096,6 +1096,17 @@ def test_long_structure_values_are_named_by_their_length(tmp_path, capsys):
         assert "of length" in err and len(err.encode()) < 1_000
 
 
+def test_a_long_structure_kind_is_named_by_its_length(tmp_path, capsys):
+    sfile = tmp_path / "structure.json"
+    sfile.write_text(json.dumps({"kind": "k" * 50_000, "r": 2, "n": 3,
+                                 "edges": []}))
+    capsys.readouterr()
+    assert run(["gen", f"file:{sfile}"]) == 1
+    err = capsys.readouterr().err
+    assert "unknown structure kind (a str of length 50000)" in err
+    assert len(err.encode()) < 200
+
+
 # rational tokens past float range, undefined, or too long to read, as
 # --epsilon and as the one weight of a weights file
 HOSTILE_RATIONALS = [

@@ -1,11 +1,14 @@
 """JSON round-trips, digests, atomic writes and inline structure specs."""
 
+import copy
 import hashlib
 import json
 import os
+import pickle
 import random
 from fractions import Fraction
-from math import gcd, lcm
+from math import comb, gcd, lcm
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import (fraction_weights, fresh_import, random_graph,
                       random_hypergraph, random_weighted, traced_peak,
                       weighted_payloads)
+from keisler_lab import serialize
 from keisler_lab.serialize import (
     _SLICE,
     FormatError,
@@ -419,6 +423,100 @@ def test_canonical_dumps_copies_an_edge_list_once(gen_report):
     # text when it was)
     text, peak = traced_peak(canonical_dumps, gen_report)
     assert peak < 2.5 * len(text)
+
+
+def test_digest_hashes_an_edge_list_with_no_encoder(gen_report,
+                                                    monkeypatch):
+    # the edge list is hashed from the text it carries: json's encoder
+    # sees only the structure's kind, n and r
+    structure = gen_report["witness"]["structure"]
+    encoded = []
+
+    def compact(value):
+        encoded.append(value)
+        return serialize_compact(value)
+    serialize_compact = serialize._compact
+    monkeypatch.setattr(serialize, "_compact", compact)
+    assert digest(structure) == gen_report["witness"]["digest"]
+    assert sorted(map(str, encoded)) == ["3", "60", "hypergraph"]
+
+
+def test_atomic_write_text_writes_in_bounded_pieces(gen_report, tmp_path):
+    # one write of the whole text encodes a copy of it (1.01 times the text)
+    text = canonical_dumps(gen_report)
+    path = tmp_path / "report.json"
+    _, peak = traced_peak(atomic_write_text, str(path), text)
+    assert path.read_text() == text
+    assert peak < 0.25 * len(text)
+
+
+@st.composite
+def hypergraphs_to_write(draw):
+    """Hypergraphs with r in 2..4: no edges, a few, and more than _SLICE,
+    with vertices past 255; at r = 3 also generated, whose link rows the
+    generator built."""
+    r = draw(st.integers(2, 4))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    if r == 3 and draw(st.booleans()):
+        return random_maximal_free(draw(st.integers(0, 40)), 3, 4,
+                                   rng.randrange(100))
+    n = draw(st.sampled_from((r, 9, 300)))
+    count = min(draw(st.sampled_from((0, 1, 20, _SLICE + 7))), comb(n, r))
+    edges = set()
+    while len(edges) < count:
+        edges.add(tuple(sorted(rng.sample(range(n), r))))
+    return Hypergraph(r, n, frozenset(edges))
+
+
+def iadd(rows):
+    rows += [[0, 1]]
+
+
+def imul(rows):
+    rows *= 2
+
+
+def setslice(rows):
+    rows[:0] = [[0, 1]]
+
+
+ROWS_MUTATORS = [
+    lambda rows: rows.append([0, 1]), lambda rows: rows.extend([[0, 1]]),
+    lambda rows: rows.insert(0, [0, 1]), lambda rows: rows.remove([0, 1]),
+    lambda rows: rows.pop(), lambda rows: rows.clear(),
+    lambda rows: rows.sort(), lambda rows: rows.sort(key=len),
+    lambda rows: rows.reverse(),
+    lambda rows: rows.__setitem__(0, [0, 1]), setslice,
+    lambda rows: rows.__delitem__(0), iadd, imul,
+]
+
+
+@settings(derandomize=True, database=None, max_examples=120, deadline=None)
+@given(hypergraphs_to_write(), st.sampled_from((1, 7, 100, serialize._PIECE)))
+def test_an_edge_list_is_written_from_the_text_it_carries(h, piece):
+    # the edge list and its text, cut into pieces of every size: the bytes
+    # of json's encoders, alone and inside a report, the sorted edges, and
+    # no change in place
+    with patch.object(serialize, "_PIECE", piece):
+        structure = structure_to_json(h)
+    plain = json.loads(json.dumps(structure))
+    rows = structure["edges"]
+    assert rows == plain["edges"] == [list(e) for e in sorted(h.edges)]
+    assert canonical_dumps(structure) == json_oracle(plain)
+    assert digest(structure) == digest_oracle(plain)
+    document = {"config": {"spec": "file:g.json"}, "log": ["line"],
+                "witness": {"digest": "sha256:0", "structure": structure}}
+    plain_document = json.loads(json.dumps(document))
+    assert canonical_dumps(document) == json_oracle(plain_document)
+    assert digest(document) == digest_oracle(plain_document)
+    for mutate in ROWS_MUTATORS:
+        with pytest.raises(TypeError):
+            mutate(rows)
+    assert rows == plain["edges"]
+    for copied in (copy.deepcopy(structure),
+                   pickle.loads(pickle.dumps(structure))):
+        assert copied == structure
+        assert canonical_dumps(copied) == json_oracle(plain)
 
 
 def test_digest_ignores_key_order_and_separates_values():

@@ -110,6 +110,24 @@ def test_hypergraph_validation():
         Hypergraph(2, 3, frozenset({(1, 1)}))
 
 
+@pytest.mark.parametrize("edge", [(0, True), (False, 1), (0, 1.0), (0, "1"),
+                                  (0, None)])
+def test_hypergraph_vertices_are_ints(edge):
+    # as in a structure file, where true and 1.0 are refused: a bool vertex
+    # would be written into a report as true
+    with pytest.raises(ValueError, match="must have int vertices"):
+        Hypergraph(2, 3, frozenset({edge}))
+
+
+@pytest.mark.parametrize("edge", [(0,) * 3000, tuple(range(3000)),
+                                  (0.5,) * 3000])
+def test_a_long_edge_is_named_by_its_length(edge):
+    with pytest.raises(ValueError) as refused:
+        Hypergraph(3, 4, frozenset({edge}))
+    message = str(refused.value)
+    assert "edge of length 3000 " in message and len(message) < 100
+
+
 def test_has_edge_needs_no_distinctness_check():
     # edges are sorted r-tuples of distinct vertices, so a lookup alone
     # matches the definition that also asks for r distinct vertices, on
