@@ -4,13 +4,13 @@ data-class decorator.
 `Record` gives a subclass the methods that a frozen data class would
 have: the annotated names are the fields, in order, and a class attribute
 of the same name is the field's default.  `__init__` takes the fields
-positionally or by keyword and then calls `__post_init__` if the class
-has one.  `==` and `hash` use the tuple of field values, so hashes, and
-with them the iteration order of sets and dicts, are the ones a frozen
-data class gives.  `repr` is `QualName(field=value, ...)`, and assigning
-or deleting an attribute raises `FrozenRecordError`.  Instances keep a
-`__dict__`, so `functools.cached_property` and `object.__setattr__` work
-on them.
+positionally or by keyword and then calls `__post_init__`, the class's
+checks, if it has one; `trusted` sets them without it.  `==` and `hash`
+use the tuple of field values, so hashes, and with them the iteration
+order of sets and dicts, are the ones a frozen data class gives.  `repr`
+is `QualName(field=value, ...)`, and assigning or deleting an attribute
+raises `FrozenRecordError`.  Instances keep a `__dict__`, so
+`functools.cached_property` and `object.__setattr__` work on them.
 
 The decorator compiles its generated methods with `exec` at every import,
 and its module pulls in `inspect`; for the package's 26 records that was
@@ -22,8 +22,6 @@ from code compiled once into the `.pyc`: closures built per class in
 from __future__ import annotations
 
 from operator import attrgetter
-
-_setattr = object.__setattr__
 
 
 class FrozenRecordError(AttributeError):
@@ -48,6 +46,14 @@ class Record:
         cls.__init__ = _make_init(cls, fields,
                                   getattr(cls, "__post_init__", None))
         cls.__eq__, cls.__hash__ = _make_eq_hash(fields)
+
+    @classmethod
+    def trusted(cls, *values):
+        """The record of these values, one per field in order, without
+        __post_init__: for values the program made or a reader checked."""
+        self = object.__new__(cls)
+        self.__dict__.update(zip(cls._fields, values, strict=True))
+        return self
 
     def __repr__(self):
         inner = ", ".join(f"{name}={getattr(self, name)!r}"
@@ -96,8 +102,7 @@ def _make_init(cls, fields: tuple[str, ...], post):
     def __init__(self, *args, **kwargs):
         if kwargs or len(args) != n:
             args = _bind(cls, args, kwargs)
-        for name, value in zip(fields, args):
-            _setattr(self, name, value)
+        self.__dict__.update(zip(fields, args))
         if post is not None:
             post(self)
     return __init__

@@ -15,8 +15,8 @@ import gc
 import sys
 from typing import Optional, Sequence
 
-from .serialize import (FormatError, atomic_write_text, canonical_dumps,
-                        load_json)
+from .serialize import (_PIECE, FormatError, atomic_write_text,
+                        canonical_dumps, load_json)
 from .structures import FreenessViolation
 from .witnesses import (PIPELINES, EmbeddingNotFound, WitnessReport,
                         build_report)
@@ -59,8 +59,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _emit(text: str, output: Optional[str]) -> None:
-    if output is None:
-        sys.stdout.write(text)
+    if output is None:  # in atomic_write_text's pieces
+        for start in range(0, len(text), _PIECE):
+            sys.stdout.write(text[start:start + _PIECE])
     else:
         atomic_write_text(output, text)
 

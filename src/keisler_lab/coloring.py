@@ -19,6 +19,7 @@ from math import factorial, gcd, lcm
 from typing import Iterable, Sequence
 
 from ._record import Record
+from .structures import _named
 
 Coloring = tuple[int, ...]
 
@@ -57,13 +58,14 @@ class WeightedHypergraph(Record):
         seen = set()
         for key, w in self.weights:
             if len(key) != self.r or list(key) != sorted(set(key)):
-                raise ValueError(f"key {key} is not a sorted {self.r}-subset")
+                raise ValueError(f"key {_named(key)} is not a sorted "
+                                 f"{self.r}-subset")
             if key[0] < 0 or key[-1] >= self.n:
-                raise ValueError(f"key {key} out of range")
+                raise ValueError(f"key {_named(key)} out of range")
             if key in seen:
-                raise ValueError(f"duplicate key {key}")
+                raise ValueError(f"duplicate key {_named(key)}")
             if w < 0:
-                raise ValueError(f"negative weight on {key}")
+                raise ValueError(f"negative weight on {_named(key)}")
             seen.add(key)
         object.__setattr__(self, "weights", tuple(sorted(self.weights)))
 

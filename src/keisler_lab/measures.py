@@ -264,7 +264,7 @@ def _random_host(rng: random.Random) -> Hypergraph:
     n = rng.randint(3, 6)
     edges = [e for e in itertools.combinations(range(n), 2)
              if rng.random() < 0.5]
-    return Hypergraph(2, n, frozenset(edges))
+    return Hypergraph.trusted(2, n, frozenset(edges))
 
 
 def _random_measure(rng: random.Random, host: Hypergraph) -> FiniteMeasure:

@@ -28,8 +28,9 @@ except ImportError:
 
 from .coloring import (WRITABLE, WeightedHypergraph, weighted_hypergraph,
                        writable)
-from .structures import (Feq2Structure, Hypergraph, build_tp2_grid,
-                         cyclic_graph, random_maximal_free,
+from .structures import (_UNPAIRED, Feq2Structure, Hypergraph,
+                         _canonical_edge, _check_counts, _check_sizes,
+                         build_tp2_grid, cyclic_graph, random_maximal_free,
                          search_small_alpha)
 
 
@@ -191,6 +192,9 @@ _MAX_FILE_PARAMETERS = 10 ** 5
 
 
 def structure_from_json(payload: dict) -> Storable:
+    """The structure a file holds, built by trusted: each rule is checked
+    once, as it is read, with the constructor's refusal (edges in one pass,
+    a repeat named only when the edge set is short; blocks by _mates)."""
     if not isinstance(payload, dict):
         raise FormatError("structure payload must be an object")
     kind = payload.get("kind")
@@ -203,23 +207,28 @@ def structure_from_json(payload: dict) -> Storable:
         edges = payload.get("edges")
         if not isinstance(edges, list):
             raise FormatError("edges must be a list")
-        seen = set()
         canon = []
-        for e in edges:
-            if not _is_int_list(e):
-                raise FormatError(f"edge {_shown(e)} must be a list of "
-                                  f"integers")
-            if e != sorted(e):
-                raise FormatError(f"edge {_shown(e)} is not sorted ascending")
-            t = tuple(e)
-            if t in seen:
-                raise FormatError(f"duplicate edge {_shown(e)}")
-            seen.add(t)
-            canon.append(t)
         try:
-            return Hypergraph(r, n, frozenset(canon))
+            _check_sizes(r, n)
+            for e in edges:
+                if not _is_int_list(e):
+                    raise ValueError(f"edge {_shown(e)} must be a list of "
+                                     f"integers")
+                t = tuple(e)
+                if _canonical_edge(t, r, n) != t:
+                    raise ValueError(f"edge {_shown(e)} is not sorted "
+                                     f"ascending")
+                canon.append(t)
         except ValueError as exc:
             raise FormatError(str(exc)) from None
+        edge_set = frozenset(canon)
+        if len(edge_set) < len(canon):
+            seen = set()
+            for e, t in zip(edges, canon):
+                if t in seen:
+                    raise FormatError(f"duplicate edge {_shown(e)}")
+                seen.add(t)
+        return Hypergraph.trusted(r, n, edge_set)
     if kind == "feq2":
         objects = _expect_int(payload.get("objects"), "objects")
         parameters = _expect_int(payload.get("parameters"), "parameters")
@@ -230,30 +239,31 @@ def structure_from_json(payload: dict) -> Storable:
         classes = payload.get("classes")
         if not isinstance(classes, list):
             raise FormatError("classes must be a list")
-        mates = tuple(_mates(objects, z, b) for z, b in enumerate(classes))
         try:
-            return Feq2Structure(objects, parameters, mates)
+            _check_counts(objects, parameters, len(classes))
+            mates = tuple(_mates(objects, z, b) for z, b in enumerate(classes))
         except ValueError as exc:
             raise FormatError(str(exc)) from None
+        return Feq2Structure.trusted(objects, parameters, mates)
     raise FormatError(f"unknown structure kind {_shown(kind)}")
 
 
 def _mates(objects: int, z: int, blocks) -> tuple[int, ...]:
-    # parameter z's blocks as mates (-1 for an object in no block), or (-1,)
-    # at a block count or a block that no partition has: Feq2Structure
-    # refuses both in its order, and no vector outgrows its file's blocks
+    """Parameter z's blocks as its mate involution, or Feq2Structure's
+    refusal: (objects + 1) // 2 blocks of one or two objects, each in range
+    and in no other block, leaving none out (no -1), are an involution."""
     if not isinstance(blocks, list) or not all(map(_is_int_list, blocks)):
         raise FormatError(f"parameter {z}: each block must be a list of "
                           f"integers")
-    if len(blocks) != (objects + 1) // 2:
-        return (-1,)
     mate = [-1] * objects
     for b in blocks:
         x, y = (b[0], b[-1]) if b else (-1, -1)
         if len(b) != 1 + (x != y) or not all(
                 0 <= v < objects and mate[v] == -1 for v in b):
-            return (-1,)
+            raise ValueError(_UNPAIRED.format(z, objects))
         mate[x], mate[y] = y, x
+    if len(blocks) != (objects + 1) // 2 or -1 in mate:
+        raise ValueError(_UNPAIRED.format(z, objects))
     return tuple(mate)
 
 

@@ -47,10 +47,21 @@ def _canonical_edge(edge: Iterable[int], r: int, n: int) -> tuple[int, ...]:
             fault = f"out of range for {n} vertices"
         else:
             return vs
-    name = repr(vs)
-    if len(name) > 80:
-        name = f"of length {len(vs)}"
-    raise ValueError(f"edge {name} {fault}")
+    raise ValueError(f"edge {_named(vs)} {fault}")
+
+
+def _named(values: tuple) -> str:
+    # an edge or weights key as a refusal names it: past a line, its length
+    text = repr(values)
+    return text if len(text) <= 80 else f"of length {len(values)}"
+
+
+def _check_sizes(r: int, n: int) -> None:
+    # the size rules of a Hypergraph, for its constructor, reader and builders
+    if r < 2:
+        raise ValueError("arity must be at least 2")
+    if n < 0:
+        raise ValueError("vertex count must be nonnegative")
 
 
 def _bits(mask: int):
@@ -72,10 +83,7 @@ class Hypergraph(Record):
     edges: frozenset[tuple[int, ...]]
 
     def __post_init__(self):
-        if self.r < 2:
-            raise ValueError("arity must be at least 2")
-        if self.n < 0:
-            raise ValueError("vertex count must be nonnegative")
+        _check_sizes(self.r, self.n)
         canon = frozenset(_canonical_edge(e, self.r, self.n) for e in self.edges)
         object.__setattr__(self, "edges", canon)
 
@@ -119,7 +127,10 @@ class Hypergraph(Record):
             raise ValueError("link rows are only defined for r = 3")
         links: list[dict[int, int]] = [{} for _ in range(self.n)]
         for a, b, c in self.edges:
-            _link(links, a, b, c)
+            la, lb = links[a], links[b]
+            la[b] = la.get(b, 0) | 1 << c
+            la[c] = la.get(c, 0) | 1 << b
+            lb[c] = lb.get(c, 0) | 1 << a
         return tuple(links)
 
     @cached_property
@@ -137,14 +148,9 @@ class Hypergraph(Record):
         return {}
 
 
-def _trusted(r: int, n: int, edges: frozenset[tuple[int, ...]]) -> Hypergraph:
-    # a Hypergraph whose edges are already canonical: skips __post_init__,
-    # which would re-canonicalise every edge
-    g = object.__new__(Hypergraph)
-    object.__setattr__(g, "r", r)
-    object.__setattr__(g, "n", n)
-    object.__setattr__(g, "edges", edges)
-    return g
+# the refusal of a parameter's partition, by Feq2Structure and its reader
+_UNPAIRED = ("parameter {}: blocks must pair off the {} objects, one "
+             "singleton if that count is odd")
 
 
 class Feq2Structure(Record):
@@ -157,10 +163,7 @@ class Feq2Structure(Record):
     mates: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if self.objects < 0:
-            raise ValueError("object count must be nonnegative")
-        if len(self.mates) != self.parameters:
-            raise ValueError("one partition per parameter required")
+        _check_counts(self.objects, self.parameters, len(self.mates))
         everything = list(range(self.objects))
         for z, mate in enumerate(self.mates):
             if (len(mate) != self.objects
@@ -168,9 +171,15 @@ class Feq2Structure(Record):
                     or [*map(mate.__getitem__, mate)] != everything
                     or sum(map(operator.eq, mate, everything))
                     != self.objects % 2):
-                raise ValueError(
-                    f"parameter {z}: blocks must pair off the {self.objects} "
-                    f"objects, one singleton if that count is odd")
+                raise ValueError(_UNPAIRED.format(z, self.objects))
+
+
+def _check_counts(objects: int, parameters: int, partitions: int) -> None:
+    # a Feq2Structure's counts, checked by its constructor and its reader
+    if objects < 0:
+        raise ValueError("object count must be nonnegative")
+    if partitions != parameters:
+        raise ValueError("one partition per parameter required")
 
 
 # ---------------------------------------------------------------------------
@@ -183,14 +192,6 @@ def _add_edge(masks: dict[tuple[int, ...], int], e: tuple[int, ...]) -> None:
     for i in range(len(e)):
         key = e[:i] + e[i + 1:]
         masks[key] = masks.get(key, 0) | 1 << e[i]
-
-
-def _link(links: Sequence[dict[int, int]], a: int, b: int, c: int) -> None:
-    # record the edge a < b < c in the link rows of Hypergraph.links
-    la, lb = links[a], links[b]
-    la[b] = la.get(b, 0) | 1 << c
-    la[c] = la.get(c, 0) | 1 << b
-    lb[c] = lb.get(c, 0) | 1 << a
 
 
 def _extend_clique(masks: Mapping[tuple[int, ...], int], prefix: list[int],
@@ -333,8 +334,8 @@ def add_vertex_with_links(h: Hypergraph, links: Iterable[Iterable[int]],
         found = _extend_clique(near, [star], touched, s - 1, h.r)
         if found is not None:
             raise FreenessViolation(found)
-    return _trusted(h.r, star + 1,
-                    h.edges | new_edges if new_edges else h.edges)
+    return Hypergraph.trusted(h.r, star + 1,
+                              h.edges | new_edges if new_edges else h.edges)
 
 
 def _shuffle(rng: random.Random, seq: MutableSequence) -> None:
@@ -380,8 +381,7 @@ def random_maximal_free(n: int, r: int, s: int, seed: int) -> Hypergraph:
     """
     if not (s > r >= 2):
         raise ValueError("need s > r >= 2")
-    if n < 0:
-        raise ValueError("vertex count must be nonnegative")
+    _check_sizes(r, n)
     kept = []
     if (r, s) in ((2, 3), (3, 4)):
         # the codes in the order of itertools.combinations, one range per
@@ -431,7 +431,7 @@ def random_maximal_free(n: int, r: int, s: int, seed: int) -> Hypergraph:
                 _add_edge(masks, e)
         tables = {"subedge_masks": masks}
     codes = None  # freed before the edge set is built
-    g = _trusted(r, n, frozenset(kept))
+    g = Hypergraph.trusted(r, n, frozenset(kept))
     # the rows built here are the ones g would build from its edges: they
     # fill its cached property, which is_free, is_maximal_free and
     # serialize.structure_to_json read
@@ -493,11 +493,12 @@ def cyclic_graph(n: int, connections: Iterable[int]) -> Hypergraph:
     for d in conns:
         if not 1 <= d <= n // 2:
             raise ValueError(f"connection {d} outside 1..{n // 2}")
+    _check_sizes(2, n)
     edges = set()
     for i in range(n):
         for d in conns:
             edges.add(tuple(sorted((i, (i + d) % n))))
-    return Hypergraph(2, n, frozenset(edges))
+    return Hypergraph.trusted(2, n, frozenset(edges))
 
 
 # ---------------------------------------------------------------------------
@@ -725,14 +726,14 @@ def search_small_alpha(n: int, s: int, target: int,
                 break
             dropped = edges[rng.randrange(len(edges))]
             remaining = g.edges - {dropped}
-            masks = _trusted(2, n, remaining).subedge_masks
+            masks = Hypergraph.trusted(2, n, remaining).subedge_masks
             non_edges = [e for e in itertools.combinations(range(n), 2)
                          if e not in remaining and e != dropped
                          and not _closes_clique(masks, e, s)]
             if not non_edges:
                 continue
             added = non_edges[rng.randrange(len(non_edges))]
-            candidate = Hypergraph(2, n, remaining | {added})
+            candidate = Hypergraph.trusted(2, n, remaining | {added})
             value = consider(candidate)
             if value <= target:
                 return result(True)
@@ -889,4 +890,4 @@ def build_tp2_grid(k: int) -> Feq2Structure:
         for x, y in zip(chosen + rest[::2], targets + rest[1::2]):
             mate[x], mate[y] = y, x
         mates.append(tuple(mate))
-    return Feq2Structure(objects, len(mates), tuple(mates))
+    return Feq2Structure.trusted(objects, len(mates), tuple(mates))

@@ -27,10 +27,13 @@ from keisler_lab.coloring import (WRITABLE, Coloring, WeightedHypergraph,
 from keisler_lab.logic import (And, Clause, DisjunctProfile, Eq, Formula,
                                Not, Or, Rel, Term, compile_mask)
 from keisler_lab.measures import FiniteMeasure, make_measure
-from keisler_lab.serialize import (_MAX_WEIGHTED_N, _MAX_WEIGHTED_R,
+from keisler_lab.serialize import (_MAX_FILE_N, _MAX_FILE_OBJECTS,
+                                   _MAX_FILE_PARAMETERS, _MAX_FILE_R,
+                                   _MAX_WEIGHTED_N, _MAX_WEIGHTED_R,
                                    FormatError, _expect_int, _is_int,
                                    _is_int_list, _shown, weighted_from_json)
-from keisler_lab.structures import Hypergraph, _add_edge, _closes_clique
+from keisler_lab.structures import (Feq2Structure, Hypergraph, _add_edge,
+                                    _closes_clique)
 
 
 def fresh_import(code: str) -> str:
@@ -115,6 +118,77 @@ def feq2_blocks_oracle(objects: int,
     if singletons != objects % 2:
         raise ValueError("wrong number of singleton blocks")
     return blocks
+
+
+def structure_from_json_oracle(payload):
+    """The reference structure-file reader: each edge checked as a file
+    writes it and collected, then built by the public constructor, which
+    checks and sorts every edge again; feq2 blocks turned into mates with
+    -1 for an object in no block, or (-1,) at a block count or a block
+    that no partition has, for Feq2Structure to refuse in its order.  The
+    record structure_from_json reads, or the same FormatError."""
+    if not isinstance(payload, dict):
+        raise FormatError("structure payload must be an object")
+    kind = payload.get("kind")
+    if kind == "hypergraph":
+        r = _expect_int(payload.get("r"), "r")
+        n = _expect_int(payload.get("n"), "n")
+        if n > _MAX_FILE_N or r > _MAX_FILE_R:
+            raise FormatError(f"hypergraph n = {n} and r = {r} may not "
+                              f"exceed {_MAX_FILE_N} and {_MAX_FILE_R}")
+        edges = payload.get("edges")
+        if not isinstance(edges, list):
+            raise FormatError("edges must be a list")
+        seen = set()
+        canon = []
+        for e in edges:
+            if not _is_int_list(e):
+                raise FormatError(f"edge {_shown(e)} must be a list of "
+                                  f"integers")
+            if e != sorted(e):
+                raise FormatError(f"edge {_shown(e)} is not sorted ascending")
+            t = tuple(e)
+            if t in seen:
+                raise FormatError(f"duplicate edge {_shown(e)}")
+            seen.add(t)
+            canon.append(t)
+        try:
+            return Hypergraph(r, n, frozenset(canon))
+        except ValueError as exc:
+            raise FormatError(str(exc)) from None
+    if kind == "feq2":
+        objects = _expect_int(payload.get("objects"), "objects")
+        parameters = _expect_int(payload.get("parameters"), "parameters")
+        if objects > _MAX_FILE_OBJECTS or parameters > _MAX_FILE_PARAMETERS:
+            raise FormatError(
+                f"{objects} objects and {parameters} parameters may not "
+                f"exceed {_MAX_FILE_OBJECTS} and {_MAX_FILE_PARAMETERS}")
+        classes = payload.get("classes")
+        if not isinstance(classes, list):
+            raise FormatError("classes must be a list")
+        mates = tuple(_mates_oracle(objects, z, b)
+                      for z, b in enumerate(classes))
+        try:
+            return Feq2Structure(objects, parameters, mates)
+        except ValueError as exc:
+            raise FormatError(str(exc)) from None
+    raise FormatError(f"unknown structure kind {_shown(kind)}")
+
+
+def _mates_oracle(objects: int, z: int, blocks) -> tuple[int, ...]:
+    if not isinstance(blocks, list) or not all(map(_is_int_list, blocks)):
+        raise FormatError(f"parameter {z}: each block must be a list of "
+                          f"integers")
+    if len(blocks) != (objects + 1) // 2:
+        return (-1,)
+    mate = [-1] * objects
+    for b in blocks:
+        x, y = (b[0], b[-1]) if b else (-1, -1)
+        if len(b) != 1 + (x != y) or not all(
+                0 <= v < objects and mate[v] == -1 for v in b):
+            return (-1,)
+        mate[x], mate[y] = y, x
+    return tuple(mate)
 
 
 def substitute(f: Formula, mapping: Mapping[Term, Term]) -> Formula:

@@ -2,9 +2,11 @@
 
 import argparse
 import gc
+import io
 import itertools
 import json
 import random
+import sys
 import time
 from fractions import Fraction
 from unittest import mock
@@ -12,7 +14,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import cli_process
+from conftest import cli_process, traced_peak
 from keisler_lab import cli
 from keisler_lab.cli import _build_parser, run
 from keisler_lab.coloring import weighted_hypergraph
@@ -1105,6 +1107,72 @@ def test_a_long_structure_kind_is_named_by_its_length(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "unknown structure kind (a str of length 50000)" in err
     assert len(err.encode()) < 200
+
+
+# values too long to echo, in the files each can reach: a 3,000-entry
+# edge, a 3,000-entry weights key and a 50,000-character kind
+LONG_STRUCTURES = {
+    "edge": {"kind": "hypergraph", "r": 3, "n": 4, "edges": [[0] * 3000]},
+    "kind": {"kind": "k" * 50_000, "r": 3, "n": 4, "edges": []},
+}
+LONG_WEIGHTS = {
+    "key": {"kind": "weighted-hypergraph", "n": 3, "r": 2,
+            "weights": [[[0] * 3000, {"num": 1, "den": 1}]]},
+    "kind": {"kind": "k" * 50_000, "n": 3, "r": 2, "weights": []},
+}
+
+
+def assert_brief_refusals(argvs, capsys):
+    for argv in argvs:
+        capsys.readouterr()
+        assert run(argv) == 1, argv
+        assert len(capsys.readouterr().err.encode()) < 200, argv
+
+
+@pytest.mark.parametrize("case", sorted(LONG_STRUCTURES))
+def test_long_structure_values_exit_briefly(case, tmp_path, capsys):
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    good.write_text(canonical_dumps(structure_to_json(build_tp2_grid(2))))
+    bad.write_text(json.dumps(LONG_STRUCTURES[case]))
+    gen_out, tp2_out = tmp_path / "gen.json", tmp_path / "tp2.json"
+    assert run(["gen", f"file:{good}", "--output", str(gen_out)]) == 0
+    assert run(["tp2", "--k", "2", "--input", str(good),
+                "--output", str(tp2_out)]) == 0
+    assert_brief_refusals([
+        ["gen", f"file:{bad}"], ["tp2", "--k", "2", "--input", str(bad)],
+        ["verify", str(tp2_out), "--input", f"structure={bad}"]], capsys)
+    good.write_text(bad.read_text())  # the file the gen report names
+    assert_brief_refusals([["verify", str(gen_out)]], capsys)
+
+
+@pytest.mark.parametrize("case", sorted(LONG_WEIGHTS))
+def test_long_weights_values_exit_briefly(case, tmp_path, capsys):
+    good, bad = write_weighted(tmp_path), tmp_path / "bad.json"
+    bad.write_text(json.dumps(LONG_WEIGHTS[case]))
+    out = tmp_path / "color.json"
+    assert run(["color", "--input", str(good), "--output", str(out)]) == 0
+    assert_brief_refusals([
+        ["color", "--input", str(bad)],
+        ["verify", str(out), "--input", f"weighted={bad}"]], capsys)
+
+
+def test_stdout_is_written_in_bounded_pieces(tmp_path, monkeypatch):
+    # one write of the whole report encodes a copy of it (1.0 times the
+    # text), as atomic_write_text once did
+    out = tmp_path / "gen.json"
+    assert run(["gen", "gen:60:3:4:seed=1", "--output", str(out)]) == 0
+    text = out.read_text()
+
+    class Discard(io.RawIOBase):
+        def writable(self):
+            return True
+
+        def write(self, data):
+            return len(data)
+    monkeypatch.setattr(sys, "stdout",
+                        io.TextIOWrapper(Discard(), encoding="utf-8"))
+    _, peak = traced_peak(cli._emit, text, None)
+    assert peak < 0.25 * len(text)
 
 
 # rational tokens past float range, undefined, or too long to read, as

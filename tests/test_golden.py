@@ -25,7 +25,8 @@ from keisler_lab.cli import run
 from keisler_lab.coloring import weighted_hypergraph
 from keisler_lab.serialize import (canonical_dumps, structure_to_json,
                                    weighted_from_json, weighted_to_json)
-from keisler_lab.structures import Hypergraph
+from keisler_lab.structures import (Hypergraph, build_tp2_grid,
+                                    random_maximal_free)
 
 GOLDEN = json.loads(
     (Path(__file__).parent / "golden" / "digests.json").read_text())
@@ -46,6 +47,12 @@ def write_inputs(directory: Path) -> None:
     k5 = Hypergraph(3, 5, frozenset(itertools.combinations(range(5), 3)))
     (directory / "k5-3.json").write_text(
         canonical_dumps(structure_to_json(k5)))
+    # a generated 3-graph and a feq2 grid, each read back from its file
+    for name, structure in (
+            ("gen60-3-4.json", random_maximal_free(60, 3, 4, 1)),
+            ("grid3.json", build_tp2_grid(3))):
+        (directory / name).write_text(
+            canonical_dumps(structure_to_json(structure)))
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
@@ -131,9 +138,10 @@ def edited(key: str, value, directory: Path):
         return str(Fraction(value) + Fraction(1, 100))
     if key == "params":  # another parameter draw
         return value + ",0"
-    if (directory / value).is_file():  # the same input under another name
-        shutil.copy(directory / value, directory / f"copy-{value}")
-        return f"copy-{value}"
+    head, sep, path = value.rpartition("file:")
+    if (directory / path).is_file():  # the same input under another name
+        shutil.copy(directory / path, directory / f"copy-{path}")
+        return f"{head}{sep}copy-{path}"
     head, sep, seed = value.rpartition(":seed=")
     if sep:
         return f"{head}:seed={int(seed) + 1}"

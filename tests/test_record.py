@@ -156,6 +156,25 @@ def test_assignment_and_deletion_raise(name):
             range(len(fields)))
 
 
+@pytest.mark.parametrize("name", sorted(PAIRS))
+def test_trusted_sets_the_fields_alone(name):
+    # the record the constructor makes, without __post_init__: a value the
+    # check refuses is kept, and every field takes one value
+    record, _ = PAIRS[name]
+    fields = record._fields
+    values = tuple(range(1, len(fields) + 1))
+    made = record.trusted(*values)
+    assert made == record(*values) and repr(made) == repr(record(*values))
+    assert hash(made) == hash(values)
+    refused = record.trusted(-1, *values[1:])
+    assert refused.a == -1
+    with pytest.raises(FrozenRecordError):
+        made.a = 0
+    for wrong in (values[:-1], values + (0,)):
+        with pytest.raises(ValueError):
+            record.trusted(*wrong)
+
+
 def test_callable_default_is_not_called():
     class Holder(Record):
         make: object = list
