@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 from .serialize import (_PIECE, FormatError, atomic_write_text,
                         canonical_dumps, load_json)
-from .structures import FreenessViolation
+from .structures import FreenessViolation, _shown
 from .witnesses import (PIPELINES, EmbeddingNotFound, WitnessReport,
                         build_report)
 
@@ -117,20 +117,12 @@ class _Absent:
 _ABSENT = _Absent()
 
 
-def _brief(value) -> str:
-    """A value named by its type and size rather than printed whole."""
-    if isinstance(value, (dict, list, str)):
-        return f"a {type(value).__name__} of length {len(value)}"
-    return repr(value)
-
-
 def _first_difference(recorded, fresh, path: str = ""):
     """Where two JSON values first differ, in sorted key order: the dotted
-    path (list items as [i]) and both values there, or None when they are
-    equal.  Values of two types are named by their types and sizes, and
-    lists of two lengths by both lengths and the first index at which they
-    differ, so neither is printed whole.  Equality is Python's, so 1, 1.0
-    and true are equal."""
+    path (list items as [i]) and both values there as _shown names them,
+    or None when they are equal.  Lists of two lengths are named by both
+    lengths and the first index at which they differ.  Equality is
+    Python's, so 1, 1.0 and true are equal."""
     if isinstance(recorded, dict) and isinstance(fresh, dict):
         pairs = ((f"{path}.{key}" if path else key,
                   recorded.get(key, _ABSENT), fresh.get(key, _ABSENT))
@@ -146,10 +138,8 @@ def _first_difference(recorded, fresh, path: str = ""):
                  for i, (a, b) in enumerate(zip(recorded, fresh)))
     elif recorded == fresh:
         return None
-    elif type(recorded) is not type(fresh):
-        return path, _brief(recorded), _brief(fresh)
     else:
-        return path, recorded, fresh
+        return path, _shown(recorded), _shown(fresh)
     return next((_first_difference(a, b, sub)
                  for sub, a, b in pairs if a != b), None)
 
@@ -178,7 +168,7 @@ def _check_request(theorem: str, config: dict, witness) -> None:
     subcommand = config.get("subcommand")
     if not (isinstance(subcommand, str) and subcommand in _SUBCOMMANDS
             and _SUBCOMMANDS[subcommand][0] == theorem):
-        raise _not_a_request(theorem, f"subcommand {subcommand!r}")
+        raise _not_a_request(theorem, f"subcommand {_shown(subcommand)}")
     options = {key: value for key, value in config.items()
                if key != "subcommand"}
     if (subcommand == "adversary" and type(options.get("r")) is int
@@ -198,8 +188,9 @@ def _check_request(theorem: str, config: dict, witness) -> None:
     for key in sorted(parsed.keys() | options.keys()):
         have, made = options.get(key, _ABSENT), parsed.get(key, _ABSENT)
         if have != made:
-            raise _not_a_request(theorem, f"config {key!r} is {_brief(have)}"
-                                          f" but parses as {_brief(made)}")
+            raise _not_a_request(theorem, f"config {_shown(key)} is "
+                                          f"{_shown(have)} but parses as "
+                                          f"{_shown(made)}")
 
 
 # how verify names a field under each top-level key
@@ -211,14 +202,14 @@ def _cmd_verify(args) -> int:
     for item in args.input or []:
         name, sep, path = item.partition("=")
         if not sep or not name or not path:
-            raise FormatError(f"--input needs name=path, got {item!r}")
+            raise FormatError(f"--input needs name=path, got {_shown(item)}")
         overrides[name] = path
     data = load_json(args.report)
     if not isinstance(data, dict):
         raise FormatError("report must be a JSON object")
     theorem, config = data.get("theorem"), data.get("config")
     if not isinstance(theorem, str) or theorem not in PIPELINES:
-        raise FormatError(f"unknown theorem tag {theorem!r}")
+        raise FormatError(f"unknown theorem tag {_shown(theorem)}")
     if not isinstance(config, dict):
         raise FormatError("config must be an object")
     recorded = data.get("certified")
@@ -226,14 +217,17 @@ def _cmd_verify(args) -> int:
         raise FormatError("certified must be a list")
     _check_request(theorem, config, data.get("witness"))
     report, rebuilt = build_report(theorem, config, overrides)
-    # every certification that does not reproduce, then the first field
-    # that differs under each other key of either document
+    # the first field that differs in each certification that does not
+    # reproduce, then under each other key of either document
     fresh = rebuilt["certified"]
     for i, entry in enumerate(fresh):
-        have = recorded[i] if i < len(recorded) else None
-        if entry != have:
-            print(f"certification {entry['name']!r} does not reproduce:"
-                  f"\n  recorded   {have}\n  recomputed {entry}",
+        difference = _first_difference(
+            recorded[i] if i < len(recorded) else _ABSENT, entry)
+        if difference is not None:
+            path, have, made = difference
+            at = f" in field {_shown(path)}" if path else ""
+            print(f"certification {entry['name']!r} does not reproduce{at}:"
+                  f"\n  recorded   {have}\n  recomputed {made}",
                   file=sys.stderr)
     if len(recorded) != len(fresh):
         print(f"report records {len(recorded)} certifications, "
@@ -243,8 +237,8 @@ def _cmd_verify(args) -> int:
         if (difference := _first_difference(
             data.get(key, _ABSENT), rebuilt.get(key, _ABSENT))) is not None]
     for key, (path, have, made) in differences:
-        where = (f"{_PARTS.get(key, key)} field {path!r}" if path
-                 else f"report key {key!r}")
+        where = (f"{_PARTS.get(key, key)} field {_shown(path)}" if path
+                 else f"report key {_shown(key)}")
         print(f"{where} does not reproduce:"
               f"\n  recorded   {have}\n  recomputed {made}", file=sys.stderr)
     if fresh != recorded or differences:

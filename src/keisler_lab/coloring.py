@@ -19,7 +19,7 @@ from math import factorial, gcd, lcm
 from typing import Iterable, Sequence
 
 from ._record import Record
-from .structures import _named
+from .structures import _shown
 
 Coloring = tuple[int, ...]
 
@@ -53,19 +53,19 @@ class WeightedHypergraph(Record):
             raise ValueError(f"arity {self.r} must be at least 2 and vertex "
                              f"count {self.n} nonnegative")
         if type(self.den) is not int or self.den < 1:
-            raise ValueError(f"denominator {self.den!r} must be a positive "
-                             f"integer")
+            raise ValueError(f"denominator {_shown(self.den)} must be a "
+                             f"positive integer")
         seen = set()
         for key, w in self.weights:
             if len(key) != self.r or list(key) != sorted(set(key)):
-                raise ValueError(f"key {_named(key)} is not a sorted "
+                raise ValueError(f"key {_shown(key)} is not a sorted "
                                  f"{self.r}-subset")
             if key[0] < 0 or key[-1] >= self.n:
-                raise ValueError(f"key {_named(key)} out of range")
+                raise ValueError(f"key {_shown(key)} out of range")
             if key in seen:
-                raise ValueError(f"duplicate key {_named(key)}")
+                raise ValueError(f"duplicate key {_shown(key)}")
             if w < 0:
-                raise ValueError(f"negative weight on {_named(key)}")
+                raise ValueError(f"negative weight on {_shown(key)}")
             seen.add(key)
         object.__setattr__(self, "weights", tuple(sorted(self.weights)))
 
@@ -90,8 +90,9 @@ def weighted_hypergraph(n: int, r: int,
         total = total * (grown // den) + num * (grown // d)
         den = grown
         if not writable(total, den):
-            raise ValueError(f"weights[{i}] on {list(key)}: the total weight "
-                             f"over their lcm denominator needs {WRITABLE}")
+            raise ValueError(f"weights[{i}] on {_shown(list(key))}: the "
+                             f"total weight over their lcm denominator "
+                             f"needs {WRITABLE}")
         read.append((tuple(sorted(int(v) for v in key)), num, d))
     return WeightedHypergraph(n, r, tuple(
         (key, num * (den // d)) for key, num, d in read), den)

@@ -23,7 +23,7 @@ from operator import attrgetter
 from typing import Callable, Mapping, Optional, Sequence, Union
 
 from ._record import Record
-from .structures import Hypergraph
+from .structures import Hypergraph, _shown
 
 
 class ParseError(ValueError):
@@ -177,7 +177,8 @@ class _Parser:
     def fail(self, expected: Sequence[str]):
         tok = self.peek()
         names = [_TOKEN_NAMES[k] for k in expected]
-        found = _TOKEN_NAMES[tok.kind] if tok.kind == "end" else f"{tok.text!r}"
+        found = (_TOKEN_NAMES[tok.kind] if tok.kind == "end"
+                 else _shown(tok.text))
         raise ParseError(tok.position, names, found)
 
     def formula(self) -> Formula:
@@ -239,10 +240,14 @@ class _Parser:
 
     def term(self) -> Term:
         tok = self.take("var")
-        index = int(tok.text[1:])
+        try:
+            index = int(tok.text[1:])
+        except ValueError:  # more digits than int() reads
+            raise ParseError(tok.position, ["an index of fewer digits"],
+                             _shown(tok.text)) from None
         if index < 1:
             raise ParseError(tok.position, ["an index of at least 1"],
-                             f"{tok.text!r}")
+                             _shown(tok.text))
         return ObjectVar(index) if tok.text[0] == "x" else ParamVar(index)
 
 

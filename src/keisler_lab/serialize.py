@@ -29,7 +29,7 @@ except ImportError:
 from .coloring import (WRITABLE, WeightedHypergraph, weighted_hypergraph,
                        writable)
 from .structures import (_UNPAIRED, Feq2Structure, Hypergraph,
-                         _canonical_edge, _check_counts, _check_sizes,
+                         _canonical_edge, _check_counts, _check_sizes, _shown,
                          build_tp2_grid, cyclic_graph, random_maximal_free,
                          search_small_alpha)
 
@@ -42,16 +42,6 @@ def rational_to_json(value: Fraction) -> dict:
     value = Fraction(value)
     return {"num": value.numerator, "den": value.denominator,
             "decimal": float(value)}
-
-
-def _shown(value) -> str:
-    """A value as a refusal names it: its repr, or past a line its type
-    and length, so that no refusal echoes a long input whole."""
-    text = repr(value)
-    if len(text) <= 80:
-        return text
-    size = len(value) if isinstance(value, (str, list, dict)) else len(text)
-    return f"(a {type(value).__name__} of length {size})"
 
 
 def parse_rational(text: str) -> Fraction:
@@ -605,20 +595,22 @@ def parse_int_list(text: str, what: str) -> list[int]:
         return [int(v) for v in text.split(",") if v != ""]
     except ValueError:
         raise FormatError(f"{what} needs comma-separated integers, "
-                          f"got {text!r}") from None
+                          f"got {_shown(text)}") from None
 
 
 def _parse_field(name: str, text: str, spec: str) -> Union[int, list[int]]:
     if name == "distances":
-        return parse_int_list(text, repr(spec))
+        return parse_int_list(text, _shown(spec))
     if name == "seed":
         if not text.startswith("seed="):
-            raise FormatError(f"{spec}: expected seed=<int>, got {text!r}")
+            raise FormatError(f"{_shown(spec)}: expected seed=<int>, got "
+                              f"{_shown(text)}")
         text = text[len("seed="):]
     try:
         return int(text)
     except ValueError:
-        raise FormatError(f"bad numeric field {name} in {spec!r}") from None
+        raise FormatError(f"bad numeric field {name} in "
+                          f"{_shown(spec)}") from None
 
 
 def parse_spec_fields(spec: str) -> tuple[str, dict]:
@@ -631,7 +623,7 @@ def parse_spec_fields(spec: str) -> tuple[str, dict]:
     values = rest.split(":")
     if len(values) != len(names):
         raise FormatError(f"{head} spec needs {head}:{':'.join(names)}, "
-                          f"got {spec!r}")
+                          f"got {_shown(spec)}")
     return head, {name: _parse_field(name, text, spec)
                   for name, text in zip(names, values)}
 
@@ -652,12 +644,12 @@ def parse_structure_spec(spec: str) -> Storable:
         return load_structure(f["path"])
     for name, cap in _SPEC_CAPS.get(head, {}).items():
         if f[name] > cap:
-            raise FormatError(f"{spec!r}: {name} may not exceed {cap}")
+            raise FormatError(f"{_shown(spec)}: {name} may not exceed {cap}")
     if head == "gen" and min(f["n"], f["r"]) >= 0:
         entries = f["r"] * comb(f["n"], f["r"])
         if entries > _MAX_GEN_ENTRIES:
-            raise FormatError(f"{spec!r}: r * C(n, r) = {entries} candidate "
-                              f"entries exceed {_MAX_GEN_ENTRIES}")
+            raise FormatError(f"{_shown(spec)}: r * C(n, r) = {entries} "
+                              f"candidate entries exceed {_MAX_GEN_ENTRIES}")
     try:
         if head == "gen":
             return random_maximal_free(f["n"], f["r"], f["s"], f["seed"])
@@ -668,9 +660,9 @@ def parse_structure_spec(spec: str) -> Storable:
         result = search_small_alpha(f["n"], f["s"], f["target"],
                                     budget=f["budget"], seed=f["seed"])
     except ValueError as exc:
-        raise FormatError(f"{spec!r}: {exc}") from None
+        raise FormatError(f"{_shown(spec)}: {exc}") from None
     if not result.found:
         raise FormatError(
-            f"{spec!r}: no graph with alpha <= {f['target']} found "
+            f"{_shown(spec)}: no graph with alpha <= {f['target']} found "
             f"(best was {result.alpha})")
     return result.graph

@@ -35,7 +35,7 @@ _INT = {int}
 
 def _canonical_edge(edge: Iterable[int], r: int, n: int) -> tuple[int, ...]:
     # a vertex is an int, not a bool or a float equal to one, as in a
-    # structure file; an edge longer than a line is named by its length
+    # structure file
     vs = tuple(edge)
     if not _INT.issuperset(map(type, vs)):
         fault = "must have int vertices"
@@ -47,13 +47,20 @@ def _canonical_edge(edge: Iterable[int], r: int, n: int) -> tuple[int, ...]:
             fault = f"out of range for {n} vertices"
         else:
             return vs
-    raise ValueError(f"edge {_named(vs)} {fault}")
+    raise ValueError(f"edge {_shown(vs)} {fault}")
 
 
-def _named(values: tuple) -> str:
-    # an edge or weights key as a refusal names it: past a line, its length
-    text = repr(values)
-    return text if len(text) <= 80 else f"of length {len(values)}"
+def _shown(value) -> str:
+    """A value as every refusal names it: its repr when that fits in 80
+    characters, else "(a TYPE of length N)", N its length for a str, list,
+    tuple or dict (an edge in vertices) and its repr's otherwise, so that
+    no refusal grows with its input."""
+    text = repr(value)
+    if len(text) <= 80:
+        return text
+    size = (len(value) if isinstance(value, (str, list, tuple, dict))
+            else len(text))
+    return f"(a {type(value).__name__} of length {size})"
 
 
 def _check_sizes(r: int, n: int) -> None:

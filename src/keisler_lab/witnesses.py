@@ -33,7 +33,7 @@ from .serialize import (FormatError, digest, load_weighted, parse_int_list,
                         parse_rational, parse_spec_fields,
                         parse_structure_spec, rational_to_json,
                         structure_to_json, weighted_to_json)
-from .structures import (_MAX_GRID_K, Feq2Structure, Hypergraph,
+from .structures import (_MAX_GRID_K, Feq2Structure, Hypergraph, _shown,
                          add_vertex_with_links, alpha_s, embed_search,
                          grid_object, grid_target, is_free,
                          is_induced_embedding, is_maximal_free)
@@ -928,8 +928,8 @@ def build_report(theorem: str, config: dict,
     overrides = overrides or {}
     unknown = sorted(overrides.keys() - named.keys())
     if unknown:
-        raise FormatError(f"--input {unknown[0]!r} is not an input of this "
-                          f"report; its inputs are {sorted(named)}")
+        raise FormatError(f"--input {_shown(unknown[0])} is not an input of "
+                          f"this report; its inputs are {sorted(named)}")
     inputs, entries = {}, {}
     for name, (kind, source) in named.items():
         inputs[name], sha = _load(kind, overrides.get(name, source))

@@ -31,9 +31,9 @@ from keisler_lab.serialize import (_MAX_FILE_N, _MAX_FILE_OBJECTS,
                                    _MAX_FILE_PARAMETERS, _MAX_FILE_R,
                                    _MAX_WEIGHTED_N, _MAX_WEIGHTED_R,
                                    FormatError, _expect_int, _is_int,
-                                   _is_int_list, _shown, weighted_from_json)
+                                   _is_int_list, weighted_from_json)
 from keisler_lab.structures import (Feq2Structure, Hypergraph, _add_edge,
-                                    _closes_clique)
+                                    _closes_clique, _shown)
 
 
 def fresh_import(code: str) -> str:
@@ -314,9 +314,9 @@ def fraction_weights(payload) -> tuple[tuple, int]:
         total = total * (grown // den) + w.numerator * (grown // w.denominator)
         den = grown
         if not writable(total, den):
-            raise FormatError(f"weights[{i}] on {list(key)}: the total "
-                              f"weight over their lcm denominator needs "
-                              f"{WRITABLE}")
+            raise FormatError(f"weights[{i}] on {_shown(list(key))}: the "
+                              f"total weight over their lcm denominator "
+                              f"needs {WRITABLE}")
         read.append((tuple(sorted(key)), w))
     try:
         h = WeightedHypergraph(n, r, tuple(

@@ -1110,7 +1110,8 @@ def test_a_long_structure_kind_is_named_by_its_length(tmp_path, capsys):
 
 
 # values too long to echo, in the files each can reach: a 3,000-entry
-# edge, a 3,000-entry weights key and a 50,000-character kind
+# edge, a 3,000-entry weights key (refused by its key rule, or first by
+# WRITABLE) and a 50,000-character kind
 LONG_STRUCTURES = {
     "edge": {"kind": "hypergraph", "r": 3, "n": 4, "edges": [[0] * 3000]},
     "kind": {"kind": "k" * 50_000, "r": 3, "n": 4, "edges": []},
@@ -1118,15 +1119,21 @@ LONG_STRUCTURES = {
 LONG_WEIGHTS = {
     "key": {"kind": "weighted-hypergraph", "n": 3, "r": 2,
             "weights": [[[0] * 3000, {"num": 1, "den": 1}]]},
+    "unwritable-key": {"kind": "weighted-hypergraph", "n": 3, "r": 2,
+                       "weights": [[[0] * 3000,
+                                    {"num": 10 ** 301, "den": 1}]]},
     "kind": {"kind": "k" * 50_000, "n": 3, "r": 2, "weights": []},
 }
 
 
-def assert_brief_refusals(argvs, capsys):
+def assert_brief_refusals(argvs, capsys, code=1):
+    # a usage error in under 200 bytes of stderr, a certification that
+    # does not reproduce in under 1,000
     for argv in argvs:
         capsys.readouterr()
-        assert run(argv) == 1, argv
-        assert len(capsys.readouterr().err.encode()) < 200, argv
+        assert run(argv) == code, argv
+        err = capsys.readouterr().err
+        assert len(err.encode()) < (200 if code == 1 else 1_000), argv
 
 
 @pytest.mark.parametrize("case", sorted(LONG_STRUCTURES))
@@ -1154,6 +1161,63 @@ def test_long_weights_values_exit_briefly(case, tmp_path, capsys):
     assert_brief_refusals([
         ["color", "--input", str(bad)],
         ["verify", str(out), "--input", f"weighted={bad}"]], capsys)
+
+
+# 50,000-character edits of a report that verify reads, each with the
+# exit it has: a value that verify reads as the request or its tag is a
+# usage error, and one that the rebuild differs from fails to reproduce
+LONG = "z" * 50_000
+GEN20 = ["gen", "gen:20:2:3:seed=1"]
+LONG_REPORT_EDITS = {
+    "theorem": (GEN20, ("theorem",), LONG, 1),
+    "config.subcommand": (GEN20, ("config", "subcommand"), LONG, 1),
+    "config.spec": (GEN20, ("config", "spec"),
+                    "gen:20:2:3:seed=" + "9" * 50_000, 1),
+    "certified[0].name": (GEN20, ("certified", 0, "name"), LONG, 2),
+    "witness.spec": (GEN20, ("witness", "spec"), LONG, 2),
+    "log[0]": (GEN20, ("log", 0), LONG, 2),
+    "witness key": (GEN20, ("witness", LONG), 1, 2),
+    "report key": (GEN20, (LONG,), 1, 2),
+    "inputs.ambient.source": (["order", "--ambient", "gen:20:2:3:seed=1",
+                               "--q", "2"], ("inputs", "ambient", "source"),
+                              "file:" + LONG, 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LONG_REPORT_EDITS))
+def test_long_report_values_exit_briefly(case, tmp_path, capsys):
+    argv, path, value, code = LONG_REPORT_EDITS[case]
+    out = tmp_path / "report.json"
+    assert run(argv + ["--output", str(out)]) == 0
+    data = read_report(out)
+    parent = data
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    out.write_text(json.dumps(data))
+    assert_brief_refusals([["verify", str(out)]], capsys, code)
+
+
+def fam_with_phi(phi: str) -> list[str]:
+    argv = [*HEADLINE_FAM]
+    argv[argv.index("--phi") + 1] = phi
+    return argv
+
+
+def test_long_argv_values_exit_briefly(capsys):
+    assert_brief_refusals([
+        ["gen", "gen:20:2:3:seed=" + "x" * 50_000],
+        ["gen", "circulant:13:" + "1," * 20_000 + "x"],
+        fam_with_phi("E(x1,y1) y" + "1" * 50_000)], capsys)
+
+
+def test_an_index_too_long_to_read_is_a_parse_error(capsys):
+    # int() reads no index of more than 4,300 digits, and its refusal
+    # names an interpreter setting
+    assert run(fam_with_phi("E(x1,y" + "1" * 5_000 + ")")) == 1
+    err = capsys.readouterr().err
+    assert err == ("error: --phi: column 6: found (a str of length 5001), "
+                   "expected an index of fewer digits\n")
 
 
 def test_stdout_is_written_in_bounded_pieces(tmp_path, monkeypatch):
@@ -1814,8 +1878,8 @@ def test_verify_names_a_change_of_type_briefly(tmp_path, capsys):
     assert run(["verify", str(out)]) == 2
     err = capsys.readouterr().err
     assert ("witness field 'results' does not reproduce:\n"
-            "  recorded   a dict of length 1000\n"
-            "  recomputed a list of length 5" in err)
+            "  recorded   (a dict of length 1000)\n"
+            "  recomputed (a list of length 5)" in err)
     assert len(err.encode()) < 2_000
 
 

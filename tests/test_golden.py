@@ -108,17 +108,22 @@ def test_weights_round_trip_constructs_no_fraction(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_verify_refuses_an_edited_log(name, tmp_path, monkeypatch, capsys):
-    # verify compares every part of a report with its rebuild, the log too
+    # verify compares every part of a report with its rebuild, the log too,
+    # and names a long edit by its length
     case = GOLDEN[name]
     monkeypatch.chdir(tmp_path)
     write_inputs(tmp_path)
     assert run(case["argv"] + ["--output", "report.json"]) == case["exit"]
     report = json.loads((tmp_path / "report.json").read_text())
-    report["log"][0] += " (edited)"
-    (tmp_path / "edited.json").write_text(canonical_dumps(report))
-    capsys.readouterr()
-    assert run(["verify", "edited.json"]) == 2, name
-    assert "log field '[0]' does not reproduce" in capsys.readouterr().err
+    line = report["log"][0]
+    for edit in [" (edited)", "x" * 50_000]:
+        report["log"][0] = line + edit
+        (tmp_path / "edited.json").write_text(canonical_dumps(report))
+        capsys.readouterr()
+        assert run(["verify", "edited.json"]) == 2, name
+        err = capsys.readouterr().err
+        assert "log field '[0]' does not reproduce" in err
+        assert len(err.encode()) < 1_000, name
 
 
 # config fields that say where a report goes and in what form, not what it

@@ -104,6 +104,14 @@ def test_parse_whitespace_insensitive():
     pytest.param("x1 y1 & " + "!" * 200 + "E(x1,y1)", 4,
                  "found 'y1', expected '=' or '!='",
                  id="syntax-error-before-the-nesting-cap"),
+    # a token too long to echo is named by its length; an index past the
+    # digits int() reads is the parser's refusal, not the interpreter's
+    pytest.param("E(x1,y1) y" + "1" * 50_000, 10,
+                 "found (a str of length 50001), expected '&' or '|' or "
+                 "end of input", id="long-token"),
+    pytest.param("E(x1,y" + "1" * 5_000 + ")", 6,
+                 "found (a str of length 5001), expected an index of fewer "
+                 "digits", id="index-too-long-to-read"),
 ])
 def test_parse_error_positions(text, position, fragment):
     with pytest.raises(ParseError) as info:

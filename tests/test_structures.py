@@ -20,6 +20,7 @@ from keisler_lab.structures import (
     _add_edge,
     _closes_clique,
     _extend_clique,
+    _shown,
     add_vertex_with_links,
     alpha_s,
     build_tp2_grid,
@@ -125,7 +126,32 @@ def test_a_long_edge_is_named_by_its_length(edge):
     with pytest.raises(ValueError) as refused:
         Hypergraph(3, 4, frozenset({edge}))
     message = str(refused.value)
-    assert "edge of length 3000 " in message and len(message) < 100
+    assert "edge (a tuple of length 3000) " in message and len(message) < 100
+
+
+# JSON values, with tuples where lists may be (an edge or a weights key)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: (st.lists(inner) | st.lists(inner).map(tuple)
+                   | st.dictionaries(st.text(), inner)),
+    max_leaves=40)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(value=JSON_VALUES | st.text(min_size=60, max_size=200)
+       | st.lists(st.integers(), min_size=20).map(tuple))
+def test_a_value_is_shown_whole_or_briefly(value):
+    # every refusal names a value this way: whole when its repr fits in 80
+    # characters, else by its type and length in at most 48, a container's
+    # length in items
+    text = repr(value)
+    if len(text) <= 80:
+        assert _shown(value) == text
+    else:
+        assert len(_shown(value)) <= 48
+        assert _shown(value).startswith(f"(a {type(value).__name__} of ")
+        if isinstance(value, (str, list, tuple, dict)):
+            assert _shown(value).endswith(f" length {len(value)})")
 
 
 def test_has_edge_needs_no_distinctness_check():
